@@ -13,10 +13,10 @@ from cuspidal import (
     curve_fitt1,
     curve_ideal_from_generators,
     curve_multiplier_ring,
-    curve_unit_group_brute,
     curve_unit_group_order,
     parse_curve_poly,
 )
+from cuspidal.oracles import curve_unit_group_brute
 
 
 def show(field: CoeffField, n: int, texts: list[str]) -> None:

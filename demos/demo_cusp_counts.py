@@ -7,7 +7,8 @@ breakdown for a few orders and cross-checks the closed formula against
 a direct enumeration of ideal classes and generating-pair orbits.
 """
 
-from cuspidal import Order, QuadField, cusp_count, cusp_count_direct
+from cuspidal import Order, QuadField, cusp_count
+from cuspidal.oracles import cusp_count_direct
 
 
 def show(m: int, f: int) -> None:

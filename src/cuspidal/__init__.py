@@ -8,7 +8,7 @@ routes, and carries the parallel theory for the coordinate rings of the
 plane curves y^2 = x^n with n odd.
 """
 
-from .classnum import PicSize, brute_force_pic, class_number_maximal, picard_order
+from .classnum import PicSize, class_number_maximal, picard_order
 from .curvering import (
     CurveFitt,
     CurveIdeal,
@@ -17,12 +17,10 @@ from .curvering import (
     curve_fitt1,
     curve_ideal_from_generators,
     curve_multiplier_ring,
-    curve_reduce_pair,
     curve_ring_contains,
-    curve_unit_group_brute,
     curve_unit_group_order,
 )
-from .cusps import CuspBreakdown, CuspTerm, cusp_count, cusp_count_direct
+from .cusps import CuspBreakdown, CuspTerm, cusp_count
 from .errors import InconclusiveError, InternalCheckError, UsageError, ZeroIdealError
 from .fieldpoly import CoeffField, CurvePoly, FpElt, parse_curve_poly, poly_gcd_monic
 from .genpairs import (
@@ -39,6 +37,7 @@ from .genpairs import (
     reduce_vector,
     sl2_witness,
 )
+from .oracles import brute_force_pic, curve_unit_group_brute, cusp_count_direct
 from .quadfield import OmegaKind, QuadElt, QuadField, QuadRat, parse_element
 from .quadideal import (
     FracIdeal,
@@ -51,7 +50,6 @@ from .quadideal import (
     ideal_from_generators,
     ideal_inverse,
     ideal_mul,
-    ideal_norm,
     is_principal,
     is_same_class,
     multiplier_conductor,
@@ -92,7 +90,6 @@ __all__ = [
     "curve_fitt1",
     "curve_ideal_from_generators",
     "curve_multiplier_ring",
-    "curve_reduce_pair",
     "curve_ring_contains",
     "curve_unit_group_brute",
     "curve_unit_group_order",
@@ -107,7 +104,6 @@ __all__ = [
     "ideal_from_generators",
     "ideal_inverse",
     "ideal_mul",
-    "ideal_norm",
     "is_principal",
     "is_same_class",
     "is_sl2_equivalent",

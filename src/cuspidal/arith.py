@@ -34,6 +34,18 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
+def is_prime(n: int) -> bool:
+    """Primality by trial division (desk scale)."""
+    if n < 2:
+        return False
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            return False
+        p += 1
+    return True
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 by trial division (desk scale)."""
     assert n >= 1

@@ -1,10 +1,9 @@
-"""Class numbers: reduced-form counts, the conductor formula, brute force.
+"""Class numbers: reduced-form counts and the conductor formula.
 
 Imaginary maximal orders are counted through reduced primitive forms; real
 ones through the ideal-class enumeration. Non-maximal Picard groups come
-from the conductor formula with every unit count obtained by exhaustive
-enumeration in the finite quotient rings, and can be cross-checked against
-the brute-force enumeration.
+from the closed conductor formula; the brute-force enumeration that
+cross-checks it lives in `oracles`.
 """
 
 from __future__ import annotations
@@ -13,9 +12,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .arith import factorize
 from .errors import InternalCheckError
 from .quadfield import QuadField
-from .quadideal import Order, enumerate_ideal_classes, multiplier_conductor
+from .quadideal import Order, enumerate_ideal_classes
 from .units import unit_index
 
 
@@ -58,49 +58,28 @@ def class_number_maximal(field: QuadField, bound: int | None = None) -> PicSize:
     return PicSize(order, len(reps), "class-enumeration")
 
 
-def _quotient_unit_count_maximal(field: QuadField, f: int) -> int:
-    """Units of O/fO, counted by exhausting residues and inverses."""
-    if f == 1:
-        return 1
-    residues = [(x, y) for x in range(f) for y in range(f)]
-    r, s = field.omega_sq
-    count = 0
-    for x, y in residues:
-        for u, v in residues:
-            prod_a = (x * u + y * v * r) % f
-            prod_b = (x * v + y * u + y * v * s) % f
-            if prod_a == 1 and prod_b == 0:
-                count += 1
-                break
-    return count
-
-
-def _quotient_unit_count_suborder(f: int) -> int:
-    """Units of O_f/fO; the quotient is Z/f, counted exhaustively anyway."""
-    if f == 1:
-        return 1
-    return sum(1 for x in range(f) if any(x * u % f == 1 for u in range(f)))
+def _kronecker_at_prime(disc: int, p: int) -> int:
+    """Kronecker symbol (disc/p) at a prime p, for a fundamental discriminant."""
+    if p == 2:
+        return 0 if disc % 2 == 0 else (1 if disc % 8 == 1 else -1)
+    r = pow(disc, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
 
 
 @lru_cache(maxsize=None)
 def picard_order(order: Order, bound: int | None = None) -> PicSize:
-    """|Pic(O_f)| by the conductor formula over the maximal class number."""
+    """|Pic(O_f)| by the conductor formula over the maximal class number.
+
+    h(O_f) = h_K * prod_{p^k || f} p^(k-1) * (p - (d_K/p)) / [O_K^x : O_f^x]
+    (Cox, Primes of the Form x^2+ny^2, Thm 7.24).
+    """
     field, f = order.field, order.f
-    h_max = class_number_maximal(field, bound=bound).h
-    u_top = _quotient_unit_count_maximal(field, f)
-    u_sub = _quotient_unit_count_suborder(f)
-    k = unit_index(field, f, 1)
-    num = h_max * u_top
-    den = k * u_sub
+    num = class_number_maximal(field, bound=bound).h
+    for p, k in factorize(f).items():
+        num *= p ** (k - 1) * (p - _kronecker_at_prime(field.disc_max, p))
+    den = unit_index(field, f, 1)
     if num % den:
         raise InternalCheckError(
             f"conductor formula is not integral for {order}: {num}/{den}"
         )
     return PicSize(order, num // den, "conductor-formula")
-
-
-def brute_force_pic(order: Order, bound: int | None = None) -> PicSize:
-    """|Pic(O_f)| by enumerating ideal classes and keeping the invertible ones."""
-    reps = enumerate_ideal_classes(order, bound=bound)
-    invertible = [r for r in reps if multiplier_conductor(r) == order.f]
-    return PicSize(order, len(invertible), "brute-force")

@@ -13,17 +13,14 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
-from .classnum import brute_force_pic, picard_order
+from .classnum import class_number_maximal, picard_order
 from .config import resolve_bound
-from .cusps import cusp_count, cusp_count_direct
+from .cusps import cusp_count
 from .curvering import (
-    conductor_h_solver,
     curve_fitt1,
     curve_ideal_from_generators,
     curve_multiplier_ring,
-    curve_unit_group_brute,
     curve_unit_group_order,
 )
 from .errors import InconclusiveError, InternalCheckError, UsageError
@@ -38,6 +35,7 @@ from .genpairs import (
     reduce_vector,
     sl2_witness,
 )
+from .oracles import brute_force_pic, curve_unit_group_brute, cusp_count_direct
 from .quadfield import QuadField, parse_element
 from .quadideal import (
     Order,
@@ -345,8 +343,6 @@ def _cmd_selftest(args):
     t0 = time.time()
     for m in (-1, -2, -3, -5, -7, -11, -15, 2, 3, 5, 6, 7):
         field = QuadField(m)
-        from .classnum import class_number_maximal
-
         h = class_number_maximal(field).h
         total = cusp_count(Order(field, 1)).total
         checks.append((f"maximal-order-count-m={m}", total == h))
@@ -426,12 +422,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("pair", help="compare two generating pairs of an ideal")
     p.add_argument("pair_op", choices=["det", "equiv", "witness"])
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--f", type=int, default=1)
+    order_args(p)
     p.add_argument("--pair", required=True, help="two elements 'g1; g2'")
     p.add_argument("--pair2", required=True, help="two elements 'h1; h2'")
-    p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_pair)
 
     p = sub.add_parser("vec", help="reduce a generating vector to a pair")

@@ -10,13 +10,23 @@ from __future__ import annotations
 
 import os
 
+from .errors import UsageError
+
 DEFAULT_BOUND = 2_000_000
 
 
 def resolve_bound(bound: int | None = None) -> int:
     if bound is not None:
         if bound < 1:
-            raise ValueError(f"bound must be positive, got {bound}")
+            raise UsageError(f"bound must be positive, got {bound}")
         return bound
     env = os.environ.get("CUSPIDAL_BOUND")
-    return int(env) if env else DEFAULT_BOUND
+    if not env:
+        return DEFAULT_BOUND
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise UsageError(f"CUSPIDAL_BOUND must be a positive integer, got {env!r}")
+    return value

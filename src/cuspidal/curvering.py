@@ -257,13 +257,6 @@ def _cyclic_candidate(
     raise InternalCheckError("no cyclic generator found; module is not two-generated")
 
 
-def curve_reduce_pair(
-    field: CoeffField, n: int, p: CurvePoly, q: CurvePoly
-) -> CurveIdeal:
-    """Canonical form of R*p + R*q."""
-    return curve_ideal_from_generators(field, n, [p, q])
-
-
 # ---------------------------------------------------------------------------
 # colon module, Fitting ideal, multiplier ring
 
@@ -433,36 +426,3 @@ def curve_unit_group_order(field: CoeffField, n: int, nu: int) -> int:
     if k == 0:
         return 1
     return field.char ** (k - 1) * (field.char - 1)
-
-
-def curve_unit_group_brute(field: CoeffField, n: int, nu: int) -> int:
-    """Same count by exhausting the finite quotient ring."""
-    _check_n(n)
-    if field.char == 0:
-        raise UsageError("unit counts need a finite coefficient field")
-    bound = n - 1 - nu
-    exps = list(range(0, bound, 2))
-    k = len(exps)
-    if k == 0:
-        return 1
-    elements = [[]]
-    for _ in range(k):
-        elements = [e + [v] for e in elements for v in field.all_elements()]
-
-    def mul(a: list, b: list) -> tuple:
-        out = [field.zero] * k
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if exps[i] + exps[j] < bound:
-                    idx = (exps[i] + exps[j]) // 2
-                    out[idx] = out[idx] + ai * bj
-        return tuple(out)
-
-    one = tuple([field.one] + [field.zero] * (k - 1))
-    count = 0
-    for a in elements:
-        if any(mul(a, b) == one for b in elements):
-            count += 1
-    return count

@@ -1,11 +1,9 @@
 """Cusp counts for the modular curve attached to a quadratic order.
 
-Two routes that must agree. The divisor formula sums, over divisors f'
-of the conductor f, the term phi(f/f') * |Pic(O_f')|, halved whenever
-O_f' has a unit of norm -1 and f/f' exceeds 2. The direct route skips
-class-number formulas entirely: it enumerates every ideal class of O_f,
-computes each class's multiplier conductor and orbit count on generating
-pairs, and adds them up.
+The divisor formula sums, over divisors f' of the conductor f, the term
+phi(f/f') * |Pic(O_f')|, halved whenever O_f' has a unit of norm -1 and
+f/f' exceeds 2. The direct enumeration it must agree with lives in
+`oracles`.
 """
 
 from __future__ import annotations
@@ -14,8 +12,7 @@ from dataclasses import dataclass
 
 from .arith import divisors, euler_phi
 from .classnum import PicSize, picard_order
-from .genpairs import orbit_count_sl2_mod_units
-from .quadideal import Order, enumerate_ideal_classes
+from .quadideal import Order
 from .units import has_norm_minus_one
 
 
@@ -58,9 +55,3 @@ def cusp_count(order: Order, bound: int | None = None) -> CuspBreakdown:
         terms.append(CuspTerm(f_prime, n0, phi, halved, pic))
     return CuspBreakdown(order, tuple(terms))
 
-
-def cusp_count_direct(order: Order, bound: int | None = None) -> int:
-    """Cusp count with no class-number formula: enumerate the ideal
-    classes and add each class's orbit count on generating pairs."""
-    reps = enumerate_ideal_classes(order, bound=bound)
-    return sum(orbit_count_sl2_mod_units(rep) for rep in reps)

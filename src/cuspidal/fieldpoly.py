@@ -10,9 +10,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import is_prime
 from .errors import UsageError
-
-Scalar = "Fraction | FpElt"
 
 
 @dataclass(frozen=True)
@@ -81,17 +80,6 @@ class FpElt:
         return str(self.value)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 @dataclass(frozen=True)
 class CoeffField:
     """The rationals (char == 0) or the prime field F_char."""
@@ -99,7 +87,7 @@ class CoeffField:
     char: int
 
     def __post_init__(self) -> None:
-        if self.char != 0 and not _is_prime(self.char):
+        if self.char != 0 and not is_prime(self.char):
             raise UsageError(f"coefficient field characteristic {self.char} is not prime")
 
     @property

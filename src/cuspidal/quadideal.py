@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from . import units
-from .arith import divisors, euler_phi, isqrt_ceil, xgcd
+from .arith import divisors, factorize, isqrt_ceil
 from .config import resolve_bound
 from .errors import InconclusiveError, InternalCheckError, UsageError, ZeroIdealError
 from .quadfield import QuadElt, QuadField
@@ -192,10 +192,6 @@ def ideal_from_generators(order: Order, gens: list[QuadElt]) -> QIdeal:
     return _lattice_std_basis(order, vectors)
 
 
-def ideal_norm(ideal: QIdeal) -> int:
-    return ideal.norm()
-
-
 def ideal_mul(lhs: QIdeal, rhs: QIdeal) -> QIdeal:
     if lhs.order != rhs.order:
         raise UsageError("ideal product requires a common order")
@@ -244,22 +240,11 @@ def multiplier_conductor(ideal: QIdeal) -> int:
         if not ideal.contains(gen * mult):
             raise InternalCheckError("multiplier ring membership failed")
     # ... and no strictly larger order does
-    for p in {p for p in range(2, f_prime + 1) if f_prime % p == 0 and _is_prime(p)}:
+    for p in factorize(f_prime):
         wider = QuadElt(order.field, 0, f_prime // p)
         if all(ideal.contains(gen * wider) for gen in (ideal.gen1, ideal.gen2)):
             raise InternalCheckError("multiplier ring is larger than computed")
     return f_prime
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
 
 
 def _colon_lattice(

@@ -140,7 +140,6 @@ def unit_index(field: QuadField, f_sub: int, f_sup: int = 1) -> int:
     sub = fundamental_unit(field, f_sub)
     sup = fundamental_unit(field, f_sup)
     if field.is_imaginary:
-        assert sub.torsion_order % 1 == 0
         if sup.torsion_order % sub.torsion_order:
             raise InternalCheckError("torsion orders are not nested")
         return sup.torsion_order // sub.torsion_order

@@ -11,16 +11,15 @@ import random
 import time
 
 from cuspidal.arith import divisors, euler_phi, is_squarefree
-from cuspidal.classnum import brute_force_pic, picard_order, reduced_form_count
+from cuspidal.classnum import picard_order, reduced_form_count
 from cuspidal.curvering import (
     conductor_h_solver,
     curve_fitt1,
     curve_ideal_from_generators,
     curve_multiplier_ring,
-    curve_unit_group_brute,
     curve_unit_group_order,
 )
-from cuspidal.cusps import cusp_count, cusp_count_direct
+from cuspidal.cusps import cusp_count
 from cuspidal.fieldpoly import CoeffField, CurvePoly
 from cuspidal.genpairs import (
     GenPair,
@@ -34,6 +33,7 @@ from cuspidal.genpairs import (
     reduce_vector,
     sl2_witness,
 )
+from cuspidal.oracles import brute_force_pic, curve_unit_group_brute, cusp_count_direct
 from cuspidal.quadfield import QuadField
 from cuspidal.quadideal import (
     Order,

@@ -2,7 +2,15 @@ import math
 
 from hypothesis import given, strategies as st
 
-from cuspidal.arith import divisors, euler_phi, factorize, is_squarefree, isqrt_ceil, xgcd
+from cuspidal.arith import (
+    divisors,
+    euler_phi,
+    factorize,
+    is_prime,
+    is_squarefree,
+    isqrt_ceil,
+    xgcd,
+)
 
 
 @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
@@ -20,6 +28,11 @@ def test_factorize_reassembles(n):
         assert all(p % q for q in range(2, p) if q * q <= p)
         prod *= p**k
     assert prod == n
+
+
+@given(st.integers(-5, 5000))
+def test_is_prime_matches_factorization(n):
+    assert is_prime(n) == (n >= 2 and factorize(n) == {n: 1})
 
 
 @given(st.integers(1, 2000))

@@ -1,11 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cuspidal.classnum import (
-    brute_force_pic,
-    class_number_maximal,
-    picard_order,
-    reduced_form_count,
-)
+from cuspidal.arith import is_squarefree
+from cuspidal.classnum import class_number_maximal, picard_order, reduced_form_count
+from cuspidal.oracles import brute_force_pic
 from cuspidal.quadfield import QuadField
 from cuspidal.quadideal import Order, enumerate_ideal_classes, multiplier_conductor
 
@@ -46,6 +44,16 @@ def test_reduced_form_count_examples():
 @pytest.mark.parametrize("m", [-1, -2, -3, -5, -7, 2, 3, 5, 13])
 @pytest.mark.parametrize("f", [1, 2, 3, 4, 5, 6])
 def test_picard_formula_matches_enumeration(m, f):
+    order = Order(QuadField(m), f)
+    assert picard_order(order).h == brute_force_pic(order).h
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(-60, 40).filter(lambda m: m not in (0, 1) and is_squarefree(m)),
+    st.integers(1, 5),
+)
+def test_picard_formula_matches_enumeration_differential(m, f):
     order = Order(QuadField(m), f)
     assert picard_order(order).h == brute_force_pic(order).h
 

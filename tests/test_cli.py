@@ -161,11 +161,20 @@ def test_usage_errors_exit_one(capsys):
         ["curve", "reduce", "--n", "4", "--gens", "1"],
         ["no-such-command"],
         ["ideal", "std-basis", "--m", "5", "--f", "1", "--gens", "  "],
+        ["pic", "--m", "-5", "--f", "3", "--bound", "0"],
     ]
     for argv in cases:
         code, out, err = _run(capsys, argv)
         assert code == 1, argv
         assert "usage error:" in err
+
+
+@pytest.mark.parametrize("env", ["abc", "-4"])
+def test_bad_bound_environment_exits_one(capsys, monkeypatch, env):
+    monkeypatch.setenv("CUSPIDAL_BOUND", env)
+    code, out, err = _run(capsys, ["pic", "--m", "-5", "--f", "3"])
+    assert code == 1
+    assert "usage error: CUSPIDAL_BOUND" in err
 
 
 def test_bound_exhaustion_exits_two(capsys):

@@ -1,8 +1,9 @@
 import pytest
 
 from cuspidal.classnum import picard_order
-from cuspidal.cusps import cusp_count, cusp_count_direct
+from cuspidal.cusps import cusp_count
 from cuspidal.errors import InconclusiveError
+from cuspidal.oracles import cusp_count_direct
 from cuspidal.quadfield import QuadField
 from cuspidal.quadideal import Order
 from cuspidal.units import has_norm_minus_one
