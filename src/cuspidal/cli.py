@@ -338,6 +338,8 @@ def _cmd_curve(args):
 
 
 def _cmd_selftest(args):
+    if args.max_f < 1:
+        raise UsageError(f"--max-f must be at least 1, got {args.max_f}")
     lines = []
     checks = []
     t0 = time.time()

@@ -14,9 +14,11 @@ and compared.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InternalCheckError, UsageError, ZeroIdealError
-from .fieldpoly import CoeffField, CurvePoly, poly_gcd_monic
+from .fieldpoly import CoeffField, CurvePoly, FpElt, poly_gcd_monic
 
 
 def _check_n(n: int) -> None:
@@ -31,47 +33,124 @@ def curve_ring_contains(n: int, poly: CurvePoly) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra over the coefficient field
+# linear algebra over the coefficient field, on plain integers
+#
+# Rows of field elements become lists of ints on the way in and go back
+# only on the way out. Over F_p a row holds residues mod p and every stored
+# row has pivot 1. Over Q a row is scaled by the lcm of its denominators and
+# kept primitive: elimination is fraction-free, v = d*v - c*b with d and c
+# divided by their gcd, and the result is divided by its content (Bareiss
+# 1968; Cohen, GTM 138, section 2.2). Stored rows over Z have a positive
+# pivot, so the reduced echelon form is canonical in both cases.
 
 
-def _echelon(rows: list[list]) -> list[tuple[int, list]]:
+def _primitive(vec: list[int]) -> list[int]:
+    g = gcd(*vec)
+    return [x // g for x in vec] if g > 1 else vec
+
+
+def _ints(field: CoeffField, row: list) -> list[int]:
+    """A row of field elements as ints: residues mod p, or primitive over Z."""
+    if field.char:
+        return [x.value for x in row]
+    den = lcm(*(x.denominator for x in row))
+    return _primitive([x.numerator * (den // x.denominator) for x in row])
+
+
+def _eliminate(p: int, vec: list[int], b: list[int], j: int) -> list[int]:
+    """vec with column j cleared by the stored row b (b[j] is 1 mod p, or > 0)."""
+    c = vec[j]
+    if p:
+        return [(x - c * y) % p for x, y in zip(vec, b)]
+    d = b[j]
+    g = gcd(c, d)
+    c, d = c // g, d // g
+    return _primitive([d * x - c * y for x, y in zip(vec, b)])
+
+
+class _Span:
+    """A subspace of K^width held as echelon rows of ints, keyed by leading column."""
+
+    def __init__(self, field: CoeffField, rows: dict[int, list[int]] | None = None):
+        self.field = field
+        self.rows = dict(rows or {})
+
+    def reduce(self, vec: list[int]) -> tuple[int | None, list[int]]:
+        """Clear vec at each pivot column up to its first column with no pivot.
+
+        Returns that column and the reduced vector; the column is None
+        exactly when vec lies in the span.
+        """
+        p, rows = self.field.char, self.rows
+        for j in range(len(vec)):
+            if vec[j]:
+                b = rows.get(j)
+                if b is None:
+                    return j, vec
+                vec = _eliminate(p, vec, b, j)
+        return None, vec
+
+    def __contains__(self, vec: list[int]) -> bool:
+        return self.reduce(vec)[0] is None
+
+    def add(self, vec: list[int]) -> list[int] | None:
+        """Insert vec unless it lies in the span; return the stored row."""
+        lead, vec = self.reduce(vec)
+        if lead is None:
+            return None
+        p = self.field.char
+        if p:
+            inv = pow(vec[lead], -1, p)
+            vec = [x * inv % p for x in vec]
+        else:
+            vec = _primitive(vec)
+            if vec[lead] < 0:
+                vec = [-x for x in vec]
+        self.rows[lead] = vec
+        return vec
+
+    def close(self, todo: list[list[int]]) -> "_Span":
+        """Grow to the smallest x^2-stable span that also contains todo."""
+        while todo:
+            row = self.add(todo.pop())
+            if row is not None:
+                todo.append([0, 0] + row[:-2])
+        return self
+
+    def rref(self) -> list[tuple[int, list[int]]]:
+        """Reduced echelon rows by back-substitution, pivots increasing."""
+        p, done = self.field.char, {}
+        for i in sorted(self.rows, reverse=True):
+            vec = self.rows[i]
+            for j, b in done.items():
+                if vec[j]:
+                    vec = _eliminate(p, vec, b, j)
+            done[i] = vec
+        return sorted(done.items())
+
+    def basis(self) -> list[tuple[int, list]]:
+        """The reduced echelon basis in field elements, each pivot 1."""
+        return [(i, _elements(self.field, i, vec)) for i, vec in self.rref()]
+
+
+def _elements(field: CoeffField, piv: int, vec: list[int]) -> list:
+    """An integer row back in field elements, scaled so its pivot is 1."""
+    if field.char:
+        return [FpElt(field.char, x) for x in vec]
+    return [Fraction(x, vec[piv]) for x in vec]
+
+
+def _echelon(field: CoeffField, rows: list[list]) -> list[tuple[int, list]]:
     """Reduced row echelon basis as (pivot, row) pairs, pivots increasing."""
-    basis: list[tuple[int, list]] = []
+    span = _Span(field)
     for row in rows:
-        vec = list(row)
-        for piv, b in basis:
-            if vec[piv]:
-                c = vec[piv]
-                vec = [vi - c * bi for vi, bi in zip(vec, b)]
-        piv = next((i for i, v in enumerate(vec) if v), None)
-        if piv is None:
-            continue
-        inv = vec[piv]
-        vec = [v / inv for v in vec]
-        basis = [
-            (
-                p2,
-                [bi - b[piv] * vi for bi, vi in zip(b, vec)] if b[piv] else b,
-            )
-            for p2, b in basis
-        ]
-        basis.append((piv, vec))
-        basis.sort(key=lambda item: item[0])
-    return basis
-
-
-def _in_span(basis: list[tuple[int, list]], row: list) -> bool:
-    vec = list(row)
-    for piv, b in basis:
-        if vec[piv]:
-            c = vec[piv]
-            vec = [vi - c * bi for vi, bi in zip(vec, b)]
-    return not any(vec)
+        span.add(_ints(field, row))
+    return span.basis()
 
 
 def _field_kernel(field: CoeffField, rows: list[list], width: int) -> list[list]:
     """Basis of {x : rows @ x = 0} over the coefficient field."""
-    basis = _echelon(rows)
+    basis = _echelon(field, rows)
     pivots = [piv for piv, _ in basis]
     free = [j for j in range(width) if j not in pivots]
     kernel = []
@@ -92,26 +171,9 @@ def _vec(poly: CurvePoly, n: int) -> list:
     return [poly.coeff(i) for i in range(n - 1)]
 
 
-def _shift2(row: list, field: CoeffField) -> list:
-    return [field.zero, field.zero] + row[:-2]
-
-
-def _closure(field: CoeffField, rows: list[list], n: int) -> list[tuple[int, list]]:
-    """Echelon basis of the smallest x^2-stable subspace containing rows."""
-    basis = _echelon(rows)
-    while True:
-        extra = [
-            _shift2([b[i] for i in range(n - 1)], field)
-            for _, b in basis
-        ]
-        grown = _echelon([b for _, b in basis] + extra)
-        if len(grown) == len(basis):
-            return grown
-        basis = grown
-
-
-def _lift(field: CoeffField, row: list) -> CurvePoly:
-    return CurvePoly.from_coeffs(field, row)
+def _closure(field: CoeffField, rows: list[list]) -> _Span:
+    """The smallest x^2-stable subspace containing the rows."""
+    return _Span(field).close([_ints(field, row) for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +213,15 @@ class CurveIdeal:
             if self.q != CurvePoly.monomial(self.field, expected) or val != expected:
                 raise UsageError("q must be the monomial x^(nu+1), or x^(n-1) at the top")
 
-    def module_basis(self) -> list[tuple[int, list]]:
-        """Echelon basis of the content-free module modulo x^(n-1)K[x]."""
+    def _span(self) -> _Span:
         rows = [_vec(self.p, self.n)]
         if not self.q.is_zero:
             rows.append(_vec(self.q, self.n))
-        return _closure(self.field, rows, self.n)
+        return _closure(self.field, rows)
+
+    def module_basis(self) -> list[tuple[int, list]]:
+        """Echelon basis of the content-free module modulo x^(n-1)K[x]."""
+        return self._span().basis()
 
     def contains(self, poly: CurvePoly) -> bool:
         """Membership of a polynomial in content * (R*p + R*q)."""
@@ -165,7 +230,7 @@ class CurveIdeal:
         quot, rem = poly.divmod_by(self.content)
         if not rem.is_zero:
             return False
-        return _in_span(self.module_basis(), _vec(quot, self.n))
+        return _ints(self.field, _vec(quot, self.n)) in self._span()
 
     def same_module(self, other: "CurveIdeal") -> bool:
         if self.field != other.field or self.n != other.n:
@@ -190,41 +255,35 @@ def curve_ideal_from_generators(
         assert rem.is_zero
         reduced.append(quot)
 
-    w_basis = _closure(field, [_vec(g, n) for g in reduced], n)
-    if not w_basis or w_basis[0][0] != 0:
+    w = _closure(field, [_vec(g, n) for g in reduced])
+    w_rref = w.rref()
+    if not w_rref or w_rref[0][0] != 0:
         raise InternalCheckError("content-free module has no unit-valuation element")
-    p_row = w_basis[0][1]
-    p = _lift(field, p_row)
+    p_row = w_rref[0][1]
+    p = CurvePoly.from_coeffs(field, _elements(field, 0, p_row))
 
-    hat = _closure(field, [p_row], n)
-    dim_w, dim_hat = len(w_basis), len(hat)
-    if dim_w == dim_hat:
+    hat = _Span(field).close([p_row])
+    if len(w.rows) == len(hat.rows):
         if p == CurvePoly.one(field):
             q = CurvePoly.zero(field)
         else:
             q = CurvePoly.monomial(field, n - 1)
         nu = n - 1
     else:
-        candidate = _cyclic_candidate(field, n, w_basis, hat)
-        vec = candidate
+        vec = _cyclic_candidate(w_rref, hat)
         for j in range(0, n - 1, 2):
             if vec[j]:
-                shifted = _vec(p.shift(j), n)
-                c = vec[j]
-                vec = [vi - c * si for vi, si in zip(vec, shifted)]
+                vec = _eliminate(field.char, vec, [0] * j + p_row[: n - 1 - j], j)
         m = next((i for i, v in enumerate(vec) if v), None)
         if m is None or m % 2 == 0:
             raise InternalCheckError("pair reduction did not end at an odd valuation")
-        if not _in_span(w_basis, [field.zero] * m + [field.one] + [field.zero] * (n - 2 - m)):
+        if [0] * m + [1] + [0] * (n - 2 - m) not in w:
             raise InternalCheckError("reduced monomial escaped the module")
         q = CurvePoly.monomial(field, m)
         nu = m - 1
 
     ideal = CurveIdeal(field, n, content, p, q, nu)
-    check_rows = [_vec(ideal.p, n)]
-    if not ideal.q.is_zero:
-        check_rows.append(_vec(ideal.q, n))
-    if _closure(field, check_rows, n) != w_basis:
+    if ideal._span().rref() != w_rref:
         raise InternalCheckError("canonical pair spans a different module")
     if not ideal.q.is_zero and not poly_gcd_monic(ideal.p, ideal.q) == CurvePoly.one(field):
         raise InternalCheckError("canonical pair is not coprime")
@@ -236,23 +295,18 @@ def curve_ideal_from_generators(
     return ideal
 
 
-def _cyclic_candidate(
-    field: CoeffField, n: int, w_basis: list[tuple[int, list]], hat: list[tuple[int, list]]
-) -> list:
-    """A vector generating W/(closure of p) over K[x^2], verified."""
-    residues = []
-    for _, row in w_basis:
-        vec = list(row)
-        for piv, b in hat:
-            if vec[piv]:
-                c = vec[piv]
-                vec = [vi - c * bi for vi, bi in zip(vec, b)]
-        if any(vec):
-            residues.append(vec)
-    target = len(w_basis)
-    for cand in residues:
-        rows = [b for _, b in hat] + [cand]
-        if len(_closure(field, rows, n)) == target:
+def _cyclic_candidate(w_rref: list[tuple[int, list[int]]], hat: _Span) -> list[int]:
+    """A vector generating W/(closure of p) over K[x^2], verified.
+
+    Each row of W outside hat is tried in turn: hat's basis, which is
+    already x^2-stable, is extended by the row and closed, and the first row
+    whose closure reaches all of W is returned.
+    """
+    for _, row in w_rref:
+        lead, cand = hat.reduce(row)
+        if lead is None:
+            continue
+        if len(_Span(hat.field, hat.rows).close([cand]).rows) == len(w_rref):
             return cand
     raise InternalCheckError("no cyclic generator found; module is not two-generated")
 
@@ -351,15 +405,11 @@ def curve_fitt1(ideal: CurveIdeal) -> CurveFitt:
     for prod in products:
         if not claimed.contains(prod):
             raise InternalCheckError(f"product {prod} escapes {claimed}")
-    # images modulo x^(n-1)K[x] must agree; both sides contain it
-    truncated = []
-    for prod in products:
-        for shift in range(0, n - 1, 2):
-            truncated.append(_vec(prod.shift(shift), n))
-    product_span = _echelon(truncated)
-    claimed_span = _echelon(
-        [_vec(CurvePoly.monomial(field, j), n) for j in range(exponent, n - 1, 2)]
-    )
+    # images modulo x^(n-1)K[x] must agree; both sides contain it. The image
+    # of the product is the x^2-closure of the truncated products, and the
+    # image of the claimed module has the unit rows x^j, j even >= exponent.
+    product_span = _closure(field, [_vec(prod, n) for prod in products]).rref()
+    claimed_span = [(j, [0] * j + [1] + [0] * (n - 2 - j)) for j in range(exponent, n - 1, 2)]
     if product_span != claimed_span:
         raise InternalCheckError("Fitting ideal differs from its closed form")
     return claimed
@@ -394,21 +444,17 @@ def curve_multiplier_ring(ideal: CurveIdeal) -> CurveOrder:
     Verified on the spot: x^(nu+1) multiplies the module into itself and
     x^(nu-1) does not (when nu >= 2).
     """
-    field, n, nu = ideal.field, ideal.n, ideal.nu
-    basis = ideal.module_basis()
+    n, nu = ideal.n, ideal.nu
+    span = ideal._span()
 
     def _stable_under(k: int) -> bool:
-        for _, row in basis:
-            shifted = [field.zero] * k + row[: n - 1 - k] if k < n - 1 else [field.zero] * (n - 1)
-            if not _in_span(basis, shifted):
-                return False
-        return True
+        return all(([0] * k + row)[: n - 1] in span for row in span.rows.values())
 
     if not _stable_under(nu + 1):
         raise InternalCheckError(f"x^{nu + 1} does not multiply the module into itself")
     if nu >= 2 and _stable_under(nu - 1):
         raise InternalCheckError(f"x^{nu - 1} multiplies the module; nu is too large")
-    return CurveOrder(field, n, nu)
+    return CurveOrder(ideal.field, n, nu)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ the self-test, the tests and the demos.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .classnum import PicSize
-from .curvering import _check_n
+from .curvering import _Span, _check_n
 from .errors import UsageError
 from .fieldpoly import CoeffField
 from .genpairs import orbit_count_sl2_mod_units
@@ -34,33 +36,25 @@ def cusp_count_direct(order: Order, bound: int | None = None) -> int:
 
 def curve_unit_group_brute(field: CoeffField, n: int, nu: int) -> int:
     """Same count as curve_unit_group_order, by exhausting the finite
-    quotient ring."""
+    quotient ring.
+
+    R/Fitt_1 has the basis x^0, x^2, ..., x^(2k-2) with k = (n-1-nu)/2, and
+    an element a is a unit exactly when multiplication by a is a bijection,
+    that is when its k x k matrix on that basis has full rank mod q.
+    """
     _check_n(n)
     if field.char == 0:
         raise UsageError("unit counts need a finite coefficient field")
-    bound = n - 1 - nu
-    exps = list(range(0, bound, 2))
-    k = len(exps)
+    if nu % 2 or not 0 <= nu <= n - 1:
+        raise UsageError(f"nu must be even in [0, {n - 1}], got {nu}")
+    q, k = field.char, (n - 1 - nu) // 2
     if k == 0:
         return 1
-    elements = [[]]
-    for _ in range(k):
-        elements = [e + [v] for e in elements for v in field.all_elements()]
-
-    def mul(a: list, b: list) -> tuple:
-        out = [field.zero] * k
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if exps[i] + exps[j] < bound:
-                    idx = (exps[i] + exps[j]) // 2
-                    out[idx] = out[idx] + ai * bj
-        return tuple(out)
-
-    one = tuple([field.one] + [field.zero] * (k - 1))
     count = 0
-    for a in elements:
-        if any(mul(a, b) == one for b in elements):
-            count += 1
+    for a in product(range(q), repeat=k):
+        # row j is a * x^(2j), truncated at x^(2k)
+        span = _Span(field)
+        for j in range(k):
+            span.add([0] * j + list(a[: k - j]))
+        count += len(span.rows) == k
     return count

@@ -151,6 +151,14 @@ def test_selftest_passes(capsys):
     assert "[FAIL]" not in out
 
 
+@pytest.mark.parametrize("max_f", ["0", "-3"])
+def test_selftest_empty_grid_is_a_usage_error(capsys, max_f):
+    code, out, err = _run(capsys, ["selftest", "--max-f", max_f])
+    assert code == 1
+    assert "usage error: --max-f" in err
+    assert "[pass]" not in out
+
+
 def test_usage_errors_exit_one(capsys):
     cases = [
         ["cusps", "--m", "12", "--f", "1"],

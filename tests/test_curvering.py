@@ -1,12 +1,17 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cuspidal.curvering import (
     CurveFitt,
     CurveIdeal,
     CurveOrder,
+    _closure,
+    _echelon,
     conductor_h_solver,
     curve_fitt1,
     curve_ideal_from_generators,
@@ -20,6 +25,7 @@ from cuspidal.oracles import curve_unit_group_brute
 
 Q = CoeffField(0)
 F5 = CoeffField(5)
+F101 = CoeffField(101)
 
 
 def _poly(field, text):
@@ -328,3 +334,121 @@ def test_solver_degree_bound_is_enforced():
         conductor_h_solver(Q, 5, CurvePoly.one(Q), _poly(Q, "x^3"), degree=2)
     basis, val = conductor_h_solver(Q, 5, CurvePoly.one(Q), _poly(Q, "x^3"), degree=8)
     assert val == 2
+
+
+# ---------------------------------------------------------------------------
+# the integer elimination kernel against field-element elimination
+
+
+def _local_closure(field, rows):
+    """x^2-closure by re-echelonning the basis with its shifts until it stops growing."""
+    basis = _local_echelon(rows)
+    while True:
+        shifts = [[field.zero] * 2 + b[:-2] for _, b in basis]
+        grown = _local_echelon([b for _, b in basis] + shifts)
+        if len(grown) == len(basis):
+            return grown
+        basis = grown
+
+
+@st.composite
+def _field_rows(draw):
+    field = draw(st.sampled_from([Q, CoeffField(2), CoeffField(3), F5, F101]))
+    width = draw(st.integers(2, 10))
+    if field.char:
+        entry = st.integers(0, field.char - 1).map(field.coerce)
+    else:
+        entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    entry = st.one_of(st.just(field.zero), entry)
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width), max_size=8))
+    return field, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_field_rows())
+def test_integer_kernel_matches_field_elimination(case):
+    field, rows = case
+    assert _echelon(field, rows) == _local_echelon(rows)
+    span = _closure(field, rows)
+    basis = span.basis()
+    assert basis == _local_closure(field, rows)
+    for _, b in basis:
+        assert not any(_residual(basis, [field.zero] * 2 + b[:-2]))
+    for row in rows:
+        assert not any(_residual(basis, row))
+    # the integer form is canonical, so spans can be compared as int rows:
+    # pivot 1 and residues mod p, or primitive with a positive pivot over Z
+    for piv, vec in span.rref():
+        if field.char:
+            assert vec[piv] == 1 and all(0 <= x < field.char for x in vec)
+        else:
+            assert vec[piv] > 0 and math.gcd(*vec) == 1
+
+
+# ---------------------------------------------------------------------------
+# a planted ideal far beyond the benchmark's largest n
+
+
+def _planted_generators(field, n, nu, rng):
+    """Content c and generators l1*c*p, l2*c*(x^(nu+1) + h*p) with p(0) = 1 and
+    h in K[x^2], so the ideal is c*(R*p + R*x^(nu+1)) with invariant nu."""
+
+    def scalar(nonzero=False):
+        while True:
+            v = rng.randint(-3, 3) if field.char == 0 else rng.randrange(field.char)
+            if v or not nonzero:
+                return field.coerce(v)
+
+    content = CurvePoly.from_coeffs(field, [scalar(), scalar(), 1])
+    base = CurvePoly.from_coeffs(
+        field, [1] + [scalar() for _ in range(n - 3)] + [scalar(nonzero=True)]
+    )
+    h = CurvePoly.from_coeffs(field, [scalar(), 0, scalar()])
+    second = CurvePoly.monomial(field, nu + 1) + h * base
+    gens = [content * poly.scale(scalar(nonzero=True)) for poly in (base, second)]
+    return content, gens
+
+
+@pytest.mark.parametrize("field", [Q, F101], ids=["rational", "f101"])
+def test_planted_ideal_at_n121(field):
+    n, nu = 121, 60
+    content, gens = _planted_generators(field, n, nu, random.Random(121))
+    ideal = curve_ideal_from_generators(field, n, gens)
+    assert ideal.content == content
+    assert ideal.nu == nu
+    assert ideal.p.coeff(0) == field.one
+    assert ideal.q == CurvePoly.monomial(field, nu + 1)
+    assert curve_fitt1(ideal).exponent == n - 1 - nu
+    assert curve_multiplier_ring(ideal).nu == nu
+
+
+# ---------------------------------------------------------------------------
+# unit exhaustion by rank against the all-pairs count
+
+
+def _all_pairs_unit_count(q, k):
+    """Units of F_q[t]/t^k, counted as the a with some b such that ab = 1."""
+    if k == 0:
+        return 1
+    elements = list(itertools.product(range(q), repeat=k))
+    one = (1,) + (0,) * (k - 1)
+
+    def mul(a, b):
+        return tuple(sum(a[i] * b[j - i] for i in range(j + 1)) % q for j in range(k))
+
+    return sum(any(mul(a, b) == one for b in elements) for a in elements)
+
+
+def test_unit_exhaustion_by_rank_matches_all_pairs():
+    for q in (2, 3, 5, 7):
+        field = CoeffField(q)
+        k = 0
+        while q**k <= 125:
+            for n in (2 * k + 1, 2 * k + 3):
+                if n >= 3:
+                    rank_count = curve_unit_group_brute(field, n, n - 1 - 2 * k)
+                    assert rank_count == _all_pairs_unit_count(q, k), (q, n, k)
+            k += 1
+    for nu in (1, -2, 6):
+        with pytest.raises(UsageError):
+            curve_unit_group_brute(F5, 5, nu)
