@@ -45,6 +45,7 @@ from .quadideal import (
     QIdeal,
     QuadForm,
     associated_form,
+    class_key,
     enumerate_ideal_classes,
     fitt1,
     ideal_from_generators,
@@ -85,6 +86,7 @@ __all__ = [
     "ZeroIdealError",
     "associated_form",
     "brute_force_pic",
+    "class_key",
     "class_number_maximal",
     "conductor_h_solver",
     "curve_fitt1",

@@ -49,8 +49,9 @@ def reduced_form_count(disc: int) -> int:
     return count
 
 
+@lru_cache(maxsize=None)
 def class_number_maximal(field: QuadField, bound: int | None = None) -> PicSize:
-    """Class number of the maximal order."""
+    """Class number of the maximal order, computed once per field and bound."""
     order = Order(field, 1)
     if field.is_imaginary:
         return PicSize(order, reduced_form_count(field.disc_max), "reduced-forms")

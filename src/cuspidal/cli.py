@@ -10,6 +10,7 @@ identity failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -386,7 +387,9 @@ def _cmd_selftest(args):
                                        "failed": [n for n in failed]}, checks, lines
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on the first call; parse_args leaves it unchanged."""
     parser = _Parser(prog="cuspidal", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,9 +1,9 @@
 """Desk-scale search budgets.
 
-Bounded searches (principality, class enumeration, norm equations) never
-guess: when a budget is exhausted they raise InconclusiveError. The default
-budget can be overridden with the CUSPIDAL_BOUND environment variable or per
-call via a `bound` argument.
+The one bounded search, the candidate loop of class enumeration, never
+guesses: when its budget is exhausted it raises InconclusiveError. The
+default budget can be overridden with the CUSPIDAL_BOUND environment
+variable, the --bound option, or per call via a `bound` argument.
 """
 
 from __future__ import annotations

@@ -4,10 +4,15 @@ Every nonzero ideal is kept in the standard basis I = Z*a + Z*(d + e*f*omega)
 with a, e > 0, e | a, e | d, -a/2 <= d < a/2 and ae | norm(d + e*f*omega).
 The norm of I is a*e and I is primitive exactly when e = 1.
 
-The class decision (is_same_class) searches for an exact scalar lambda with
-lambda*J = I inside the colon lattice (I : J); for real fields the candidates
-are reduced modulo the fundamental unit of the order first, so the search box
-is finite and the verdict is exact in both directions.
+Classes are decided by the reduction theory of binary quadratic forms
+(Cohen, GTM 138, 5.3-5.6). An ideal I is a proper ideal of its multiplier
+ring, and lambda*I = J holds exactly when the primitive parts of q_I and q_J
+are SL2(Z)-equivalent, or, for a lambda of negative norm in a real field,
+when (A, B, C) is equivalent to (-A, B, -C). class_key maps I to the content
+of q_I and one canonical reduced form of that class: Gauss reduction for
+imaginary fields, the least form of the rho-cycle of reduced forms for real
+ones. Class comparison is key equality and class enumeration keeps one
+ideal per key; neither needs a search or a bound.
 """
 
 from __future__ import annotations
@@ -15,8 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import units
-from .arith import divisors, factorize, isqrt_ceil
+from .arith import divisors, factorize
 from .config import resolve_bound
 from .errors import InconclusiveError, InternalCheckError, UsageError, ZeroIdealError
 from .quadfield import QuadElt, QuadField
@@ -247,18 +251,15 @@ def multiplier_conductor(ideal: QIdeal) -> int:
     return f_prime
 
 
-def _colon_lattice(
-    order: Order, target: QIdeal, elements: list[QuadElt], scale: int = 1
-) -> QIdeal:
-    """{z in O_f : z*g in scale*target for every g in elements} as an ideal.
+def _colon_lattice(order: Order, target: QIdeal, elements: list[QuadElt]) -> QIdeal:
+    """{z in O_f : z*g in target for every g in elements} as an ideal.
 
     Membership is encoded with auxiliary integer unknowns and solved as one
     integer kernel; elements may live in the maximal order.
     """
-    assert elements and scale > 0
+    assert elements
     field = order.field
-    t1 = target.gen1 * scale
-    t2 = target.gen2 * scale
+    t1, t2 = target.gen1, target.gen2
     n_unknowns = 2 + 2 * len(elements)
     rows: list[list[int]] = []
     for idx, g in enumerate(elements):
@@ -303,115 +304,93 @@ def fitt1(ideal: QIdeal) -> QIdeal:
     return closed
 
 
-def _norm_form(order: Order, ideal: QIdeal) -> tuple[int, int, int]:
-    """Coefficients of N(p*gen1 + q*gen2) as a form in (p, q)."""
-    e1, e2 = ideal.gen1, ideal.gen2
-    A = e1.norm()
-    C = e2.norm()
-    B = (e1 * e2.conjugate()).trace()
-    return A, B, C
+_Form = tuple[int, int, int]
 
 
-def _unit_box_half_width(order: Order, target: int) -> int:
-    """Integer W >= sqrt(target * eps) for the fundamental unit eps of the order.
+def _reduce_definite(A: int, B: int, C: int) -> _Form:
+    """Gauss reduction of a positive definite form: |B| <= A <= C, B >= 0 when
+    |B| = A or A = C. It is the unique reduced form of its SL2(Z) class."""
+    disc = B * B - 4 * A * C
+    while True:
+        B %= 2 * A
+        if B > A:
+            B -= 2 * A
+        C = (B * B - disc) // (4 * A)
+        if A <= C:
+            break
+        A, B, C = C, -B, A
+    return (A, -B, C) if A == C and B < 0 else (A, B, C)
 
-    Any solution of |N(z)| = target has a unit multiple whose two real
-    embeddings both lie within [-W, W].
-    """
-    info = units.fundamental_unit(order.field, order.f)
-    eps = info.fundamental
-    assert eps is not None
-    if order.field.omega_kind.value == "half":
-        omega_ub_num, omega_ub_den = 3 + math.isqrt(order.field.m), 2
+
+def _rho(form: _Form, disc: int, s: int) -> _Form:
+    """Cohen's rho for disc > 0 non-square with s = isqrt(disc): the equivalent
+    form (C, r, (r^2 - disc)/(4C)) with r = -B mod 2|C| in the window
+    (-|C|, |C|] when |C| > sqrt(disc), (sqrt(disc) - 2|C|, sqrt(disc)) otherwise."""
+    B, C = form[1], form[2]
+    c = abs(C)
+    if c > s:
+        r = -B % (2 * c)
+        if r > c:
+            r -= 2 * c
     else:
-        omega_ub_num, omega_ub_den = 1 + math.isqrt(order.field.m), 1
-    # ceil of target * (|a| + |b| * omega_upper_bound)
-    num = target * (abs(eps.a) * omega_ub_den + abs(eps.b) * omega_ub_num)
-    bound_sq = -(-num // omega_ub_den)
-    return isqrt_ceil(bound_sq)
+        r = s - (s + B) % (2 * c)
+    return C, r, (r * r - disc) // (4 * C)
 
 
-def _norm_eq_candidates(
-    order: Order, ideal: QIdeal, target: int, budget: int
-) -> list[QuadElt]:
-    """All z in the lattice of `ideal` with |N(z)| = target, up to unit multiples.
+def _rho_cycle(form: _Form, disc: int, s: int) -> list[_Form]:
+    """The reduced indefinite forms properly equivalent to a reduced `form`,
+    which rho permutes in one cycle (Cohen, GTM 138, 5.6)."""
+    cycle = [form]
+    nxt = _rho(form, disc, s)
+    while nxt != form:
+        cycle.append(nxt)
+        nxt = _rho(nxt, disc, s)
+    return cycle
 
-    For imaginary fields the list is complete; for real fields it is complete
-    up to multiplication by units of the order, which is all the class
-    decision needs.
+
+def class_key(ideal: QIdeal, cycles: dict[_Form, _Form] | None = None) -> tuple[int, _Form]:
+    """Canonical invariant of the class of I: lambda*I = J in the field exactly
+    when two ideals of one order have equal keys.
+
+    The key is (g, q) with g the content of q_I, which fixes the multiplier
+    ring, and q the canonical reduced form of q_I/g. Imaginary fields: the
+    Gauss-reduced form. Real fields: the least form on the rho-cycle of
+    reduced forms, taken also over the cycle of (-A, B, -C), the form that a
+    lambda of negative norm sends q_I to. `cycles` maps every reduced form of
+    an already walked cycle to its key, so a caller keying many ideals walks
+    each cycle once.
     """
-    A, B, C = _norm_form(order, ideal)
-    field = order.field
-    out: list[QuadElt] = []
-    if field.is_imaginary:
-        disc = B * B - 4 * A * C
-        assert disc < 0
-        q_hi = isqrt_ceil(4 * A * target // -disc) + 1
-        targets = (target,)
-    else:
-        W = _unit_box_half_width(order, target)
-        # z = p*gen1 + q*gen2; the sqrt(m)-coefficient of z is q*e*f*(1 or 1/2),
-        # and |that coefficient| <= W / sqrt(m)
-        scale = ideal.e * order.f * (1 if field.omega_kind.value == "half" else 2)
-        q_hi = (2 * W) // (scale * math.isqrt(field.m)) + 2
-        targets = (target, -target)
-    if 2 * q_hi + 1 > budget:
-        raise InconclusiveError(
-            f"norm equation search width {2 * q_hi + 1} exceeds bound {budget}"
-        )
-    for q in range(-q_hi, q_hi + 1):
-        for t in targets:
-            # A p^2 + B p q + C q^2 = t, solved exactly for p
-            disc_p = B * B * q * q - 4 * A * (C * q * q - t)
-            if disc_p < 0:
-                continue
-            root = math.isqrt(disc_p)
-            if root * root != disc_p:
-                continue
-            for sgn in ((1,) if root == 0 else (1, -1)):
-                num = -B * q + sgn * root
-                if num % (2 * A):
-                    continue
-                p = num // (2 * A)
-                z = ideal.gen1 * p + ideal.gen2 * q
-                if not z.is_zero():
-                    out.append(z)
-    return out
+    form = associated_form(ideal)
+    g = form.content
+    A, B, C = form.A // g, form.B // g, form.C // g
+    disc = B * B - 4 * A * C
+    if disc < 0:
+        return g, _reduce_definite(A, B, C)
+    s = math.isqrt(disc)
+    q = (A, B, C)
+    # reduced: |sqrt(disc) - 2|A|| < B < sqrt(disc)
+    while not (2 * abs(q[0]) - q[1] <= s < 2 * abs(q[0]) + q[1] and q[1] <= s):
+        q = _rho(q, disc, s)
+    cycles = {} if cycles is None else cycles
+    if q not in cycles:
+        walked = set(_rho_cycle(q, disc, s))
+        neg = (-q[0], q[1], -q[2])
+        if neg not in walked:
+            walked.update(_rho_cycle(neg, disc, s))
+        key = min(walked)
+        cycles.update(dict.fromkeys(walked, key))
+    return g, cycles[q]
 
 
-def is_same_class(lhs: QIdeal, rhs: QIdeal, bound: int | None = None) -> bool:
-    """Whether r*I = s*J for some regular r, s, i.e. J = lambda*I in the field.
-
-    Exact in both directions: a candidate lambda is only accepted after the
-    lattice equality lambda*J = I is verified, and the candidate box is
-    complete (imaginary: definite form box; real: reduction modulo the
-    fundamental unit). Raises InconclusiveError only if the search width
-    exceeds `bound`.
-    """
+def is_same_class(lhs: QIdeal, rhs: QIdeal) -> bool:
+    """Whether r*I = s*J for some regular r, s, i.e. J = lambda*I in the field."""
     if lhs.order != rhs.order:
         raise UsageError("class comparison requires a common order")
-    if lhs == rhs:
-        return True
-    budget = resolve_bound(bound)
-    # the multiplier conductor is a class invariant; cheap negative filter
-    if multiplier_conductor(lhs) != multiplier_conductor(rhs):
-        return False
-    order = lhs.order
-    c = rhs.a
-    colon = _colon_lattice(order, lhs, [rhs.gen1, rhs.gen2], scale=c)
-    num = c * c * lhs.norm()
-    if num % rhs.norm():
-        return False
-    target = num // rhs.norm()
-    scaled_lhs = lhs.scaled(c)
-    for z in _norm_eq_candidates(order, colon, target, budget):
-        if ideal_from_generators(order, [z * rhs.gen1, z * rhs.gen2]) == scaled_lhs:
-            return True
-    return False
+    return class_key(lhs) == class_key(rhs)
 
 
-def is_principal(ideal: QIdeal, bound: int | None = None) -> bool:
-    return is_same_class(ideal, ideal.order.unit_ideal(), bound=bound)
+def is_principal(ideal: QIdeal) -> bool:
+    return is_same_class(ideal, ideal.order.unit_ideal())
 
 
 def _class_search_limit(order: Order) -> int:
@@ -428,34 +407,34 @@ def enumerate_ideal_classes(order: Order, bound: int | None = None) -> list[QIde
     """Representatives of all ideal classes (invertible or not) of the order.
 
     Enumerates standard bases (a, d, e) with a*e below a Minkowski-style
-    limit and merges by is_same_class. Representatives are minimal in the
-    ordering (norm, a, d, e), so the output is deterministic.
+    limit and keeps the first ideal of each class_key. Representatives are
+    minimal in the ordering (norm, a, d, e), so the output is deterministic.
     """
     budget = resolve_bound(bound)
     limit = _class_search_limit(order)
-    f = order.f
-    field = order.field
-    reps: list[QIdeal] = []
+    t, r = order.field.omega_trace, order.field.omega_sq[0]
+    reps: dict[tuple[int, _Form], QIdeal] = {}
+    cycles: dict[_Form, _Form] = {}
     candidates = 0
     for a in range(1, limit + 1):
         for e in divisors(a):
             if a * e > limit:
                 continue
-            for d in range(-(a // 2), (a + 1) // 2):
-                if d % e:
-                    continue
-                gen2 = QuadElt(field, d, e * f)
-                if gen2.norm() % (a * e):
+            # N(d + y*omega) = d^2 + t*y*d - r*y^2 with y = e*f, for d = 0 mod e
+            y = e * order.f
+            ty, ry2 = t * y, r * y * y
+            for d in range(-((a // 2) // e) * e, (a + 1) // 2, e):
+                if (d * d + ty * d - ry2) % (a * e):
                     continue
                 candidates += 1
                 if candidates > budget:
                     raise InconclusiveError(
-                        f"class enumeration exceeded bound {budget}"
+                        f"class enumeration exceeded bound {budget};"
+                        " raise it with --bound or CUSPIDAL_BOUND"
                     )
                 try:
                     ideal = QIdeal(order, a, d, e)
                 except UsageError:
                     continue
-                if not any(is_same_class(ideal, rep, bound=bound) for rep in reps):
-                    reps.append(ideal)
-    return reps
+                reps.setdefault(class_key(ideal, cycles), ideal)
+    return list(reps.values())

@@ -78,3 +78,14 @@ def test_methods_are_reported():
     assert brute_force_pic(Order(QuadField(-5), 2)).method == "brute-force"
     assert class_number_maximal(QuadField(-5)).method == "reduced-forms"
     assert class_number_maximal(QuadField(10)).method == "class-enumeration"
+
+
+def test_class_number_is_computed_once_per_field_and_bound():
+    class_number_maximal.cache_clear()
+    picard_order.cache_clear()
+    field = QuadField(79)
+    for f in (1, 2, 3, 4, 6, 12):
+        picard_order(Order(field, f))
+    assert class_number_maximal.cache_info().misses == 1
+    picard_order(Order(field, 5), bound=10**6)
+    assert class_number_maximal.cache_info().misses == 2

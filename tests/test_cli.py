@@ -196,3 +196,46 @@ def test_plain_output_has_pass_markers(capsys):
     assert code == 0
     assert "[pass] direct-count-agreement" in out
     assert "f'=1" in out
+
+
+def test_bound_exhaustion_names_the_knob(capsys):
+    code, out, err = _run(capsys, ["pic", "--m", "7", "--f", "3", "--bound", "3"])
+    assert code == 2
+    assert "--bound" in err and "CUSPIDAL_BOUND" in err
+
+
+def test_large_regulator_field_is_decided(capsys):
+    # a norm-equation class search needs a box of width ~3e8 here
+    payload = _run_json(capsys, ["cusps", "--m", "151", "--f", "2"])
+    assert payload["result"]["total"] == "2"
+    assert payload["assertions"] == [{"name": "direct-count-agreement", "status": "pass"}]
+    payload = _run_json(capsys, ["pic", "--m", "151", "--f", "2", "--brute"])
+    assert payload["assertions"] == [{"name": "enumeration-agreement", "status": "pass"}]
+    # and one of width ~4.7e122 here; h_K = 3
+    payload = _run_json(capsys, ["cusps", "--m", "1000003", "--f", "2", "--no-check"])
+    assert payload["result"]["total"] == "6"
+
+
+def test_successive_calls_share_the_parser_but_not_state(capsys, monkeypatch):
+    from cuspidal.cli import _build_parser
+
+    monkeypatch.delenv("CUSPIDAL_BOUND", raising=False)
+    assert _build_parser() is _build_parser()
+    payload = _run_json(capsys, ["cusps", "--m", "5", "--f", "6", "--no-check"])
+    assert payload["assertions"] == []
+    payload = _run_json(capsys, ["cusps", "--m", "5", "--f", "6"])
+    assert [e["name"] for e in payload["assertions"]] == ["direct-count-agreement"]
+    assert _run(capsys, ["cusps", "--m", "3", "--f", "5", "--bound", "2"])[0] == 2
+    assert _run(capsys, ["cusps", "--m", "3", "--f", "5"])[0] == 0
+    payload = _run_json(capsys, ["pic", "--m", "-5", "--f", "3", "--brute"])
+    assert [e["name"] for e in payload["assertions"]] == ["enumeration-agreement"]
+    payload = _run_json(capsys, ["pic", "--m", "-5", "--f", "3"])
+    assert payload["assertions"] == []
+    # the environment is read on every call, not when the parser is built
+    monkeypatch.setenv("CUSPIDAL_BOUND", "2")
+    code, out, err = _run(capsys, ["cusps", "--m", "3", "--f", "7"])
+    assert code == 2 and "bound 2" in err
+    monkeypatch.setenv("CUSPIDAL_BOUND", "abc")
+    assert _run(capsys, ["cusps", "--m", "3", "--f", "7"])[0] == 1
+    monkeypatch.delenv("CUSPIDAL_BOUND")
+    assert _run(capsys, ["cusps", "--m", "3", "--f", "7"])[0] == 0

@@ -1,15 +1,21 @@
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
-from cuspidal.errors import UsageError, ZeroIdealError
+from cuspidal.arith import divisors, isqrt_ceil
+from cuspidal.errors import InconclusiveError, UsageError, ZeroIdealError
 from cuspidal.quadfield import QuadElt, QuadField
 from cuspidal.quadideal import (
     Order,
     QIdeal,
+    _class_search_limit,
+    _colon_lattice,
     associated_form,
+    class_key,
     enumerate_ideal_classes,
     fitt1,
     ideal_from_generators,
@@ -19,6 +25,7 @@ from cuspidal.quadideal import (
     is_same_class,
     multiplier_conductor,
 )
+from cuspidal.units import fundamental_unit
 
 FIELDS = [QuadField(m) for m in (-1, -2, -3, -5, -7, -11, 2, 3, 5, 13)]
 
@@ -328,3 +335,175 @@ def test_ideal_norm_multiplicative_for_invertible():
         assert ideal_mul(i1, i2).norm() == i1.norm() * i2.norm()
         checked += 1
     assert checked >= 60
+
+
+# ---------------------------------------------------------------------------
+# class keys against an independent norm-equation search
+#
+# The oracle decides lambda*J = I by listing every z in the colon lattice
+# (I : J) with |N(z)| = N(I)/N(J) (scaled to integers), up to units of the
+# order, and testing each candidate lattice equality. It shares no reduction
+# theory with class_key.
+
+
+def _norm_form(ideal):
+    """Coefficients of N(p*gen1 + q*gen2) as a form in (p, q)."""
+    e1, e2 = ideal.gen1, ideal.gen2
+    return e1.norm(), (e1 * e2.conjugate()).trace(), e2.norm()
+
+
+def _unit_box_half_width(order, target):
+    """W >= sqrt(target * eps): every solution of |N(z)| = target has a unit
+    multiple whose two real embeddings lie in [-W, W]."""
+    eps = fundamental_unit(order.field, order.f).fundamental
+    m = order.field.m
+    if order.field.omega_kind.value == "half":
+        ub_num, ub_den = 3 + math.isqrt(m), 2
+    else:
+        ub_num, ub_den = 1 + math.isqrt(m), 1
+    num = target * (abs(eps.a) * ub_den + abs(eps.b) * ub_num)
+    return isqrt_ceil(-(-num // ub_den))
+
+
+def _norm_eq_candidates(order, ideal, target, budget=2_000_000):
+    """All z in `ideal` with |N(z)| = target, up to units of the order."""
+    A, B, C = _norm_form(ideal)
+    field = order.field
+    if field.is_imaginary:
+        q_hi = isqrt_ceil(4 * A * target // (4 * A * C - B * B)) + 1
+        targets = (target,)
+    else:
+        W = _unit_box_half_width(order, target)
+        scale = ideal.e * order.f * (1 if field.omega_kind.value == "half" else 2)
+        q_hi = (2 * W) // (scale * math.isqrt(field.m)) + 2
+        targets = (target, -target)
+    if 2 * q_hi + 1 > budget:
+        raise InconclusiveError(f"oracle search width {2 * q_hi + 1}")
+    out = []
+    for q in range(-q_hi, q_hi + 1):
+        for t in targets:
+            disc_p = B * B * q * q - 4 * A * (C * q * q - t)
+            if disc_p < 0:
+                continue
+            root = math.isqrt(disc_p)
+            if root * root != disc_p:
+                continue
+            for sgn in ((1,) if root == 0 else (1, -1)):
+                num = -B * q + sgn * root
+                if num % (2 * A) == 0:
+                    z = ideal.gen1 * (num // (2 * A)) + ideal.gen2 * q
+                    if not z.is_zero():
+                        out.append(z)
+    return out
+
+
+def _search_same_class(lhs, rhs):
+    """lambda*rhs = lhs for some lambda, decided by the norm-equation search."""
+    if lhs == rhs:
+        return True
+    if multiplier_conductor(lhs) != multiplier_conductor(rhs):
+        return False
+    order = lhs.order
+    c = rhs.a
+    colon = _colon_lattice(order, lhs.scaled(c), [rhs.gen1, rhs.gen2])
+    num = c * c * lhs.norm()
+    if num % rhs.norm():
+        return False
+    scaled_lhs = lhs.scaled(c)
+    return any(
+        ideal_from_generators(order, [z * rhs.gen1, z * rhs.gen2]) == scaled_lhs
+        for z in _norm_eq_candidates(order, colon, num // rhs.norm())
+    )
+
+
+def _pairwise_classes(order):
+    """Class enumeration by pairwise search: each candidate of the library's
+    loop against every class found so far."""
+    limit = _class_search_limit(order)
+    reps = []
+    for a in range(1, limit + 1):
+        for e in divisors(a):
+            if a * e > limit:
+                continue
+            for d in range(-(a // 2), (a + 1) // 2):
+                if d % e or QuadElt(order.field, d, e * order.f).norm() % (a * e):
+                    continue
+                try:
+                    ideal = QIdeal(order, a, d, e)
+                except UsageError:
+                    continue
+                if not any(_search_same_class(ideal, rep) for rep in reps):
+                    reps.append(ideal)
+    return reps
+
+
+# imaginary; real with a unit of norm -1; real without one
+KEY_FIELDS = (-1, -2, -3, -5, -15, -23, 2, 5, 10, 3, 6, 79, 94, 223)
+
+
+@functools.lru_cache(maxsize=None)
+def _small_ideals(order, max_norm=30):
+    """Every ideal of the order with norm a*e <= max_norm."""
+    out = []
+    for a in range(1, max_norm + 1):
+        for e in divisors(a):
+            if a * e > max_norm:
+                continue
+            for d in range(-(a // 2), (a + 1) // 2):
+                try:
+                    out.append(QIdeal(order, a, d, e))
+                except UsageError:
+                    pass
+    return out
+
+
+@st.composite
+def _ideal_pairs(draw):
+    """Two ideals of one order: independent, or a multiple or the conjugate of
+    the first. Each is a small ideal times Z*n0 + Z*f*omega for a drawn n0 | f,
+    which makes it non-invertible whenever n0 > 1. Norms stay small enough for
+    the search box of the oracle, which grows with sqrt(eps) in real fields."""
+    order = Order(QuadField(draw(st.sampled_from(KEY_FIELDS))), draw(st.integers(1, 4)))
+
+    def ideal():
+        n0 = draw(st.sampled_from(divisors(order.f)))
+        return ideal_mul(draw(st.sampled_from(_small_ideals(order))), QIdeal(order, n0, 0, 1))
+
+    lhs = ideal()
+    how = draw(st.sampled_from(["independent", "multiple", "conjugate"]))
+    if how == "independent":
+        rhs = ideal()
+    elif how == "multiple":
+        u, v = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any))
+        lam = order.from_coords(u, v)
+        rhs = ideal_from_generators(order, [lam * lhs.gen1, lam * lhs.gen2])
+    else:
+        rhs = lhs.conjugate()
+    return lhs, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ideal_pairs())
+def test_class_key_matches_norm_equation_search(pair):
+    lhs, rhs = pair
+    same = class_key(lhs) == class_key(rhs)
+    event(f"same class: {same}")
+    event(f"invertible: {multiplier_conductor(lhs) == lhs.order.f}")
+    assert same == _search_same_class(lhs, rhs) == is_same_class(lhs, rhs)
+
+
+@pytest.mark.parametrize(
+    "m", [-1, -2, -3, -5, -7, -11, -15, -23, -47, -71, 2, 3, 5, 6, 7, 10, 79, 94, 223]
+)
+def test_enumeration_matches_pairwise_search(m):
+    for f in (1, 2, 3, 4):
+        order = Order(QuadField(m), f)
+        assert enumerate_ideal_classes(order) == _pairwise_classes(order), (m, f)
+
+
+def test_shared_cycle_table_gives_the_same_keys():
+    order = Order(QuadField(79), 3)
+    cycles = {}
+    for rep in enumerate_ideal_classes(order):
+        assert class_key(rep, cycles) == class_key(rep)
+    assert cycles
