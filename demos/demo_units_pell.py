@@ -1,8 +1,8 @@
 """Fundamental units of quadratic orders and the norm -1 question.
 
 For real fields the unit group of O_f is generated by torsion and one
-fundamental unit, found through the continued-fraction expansion of the
-square root. Whether some unit has norm -1 decides the halving in cusp
+fundamental unit, found by walking the rho-cycle of the principal binary
+quadratic form. Whether some unit has norm -1 decides the halving in cusp
 counts. Imaginary fields only carry torsion. The script also shows how
 the fundamental unit of a suborder sits inside the maximal order's.
 """

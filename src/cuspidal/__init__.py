@@ -38,7 +38,7 @@ from .genpairs import (
     sl2_witness,
 )
 from .oracles import brute_force_pic, curve_unit_group_brute, cusp_count_direct
-from .quadfield import OmegaKind, QuadElt, QuadField, QuadRat, parse_element
+from .quadfield import OmegaKind, QuadElt, QuadField, parse_element
 from .quadideal import (
     FracIdeal,
     Order,
@@ -79,7 +79,6 @@ __all__ = [
     "QuadElt",
     "QuadField",
     "QuadForm",
-    "QuadRat",
     "UnimodularWitness",
     "UnitInfo",
     "UsageError",

@@ -1,21 +1,21 @@
-"""Class numbers: reduced-form counts and the conductor formula.
+"""Class numbers: reduced forms and the conductor formula.
 
-Imaginary maximal orders are counted through reduced primitive forms; real
-ones through the ideal-class enumeration. Non-maximal Picard groups come
-from the closed conductor formula; the brute-force enumeration that
-cross-checks it lives in `oracles`.
+Maximal orders of either sign are counted through the classes of their
+reduced primitive forms; non-maximal Picard groups come from the closed
+conductor formula. The brute-force enumeration that cross-checks it lives
+in `oracles`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import factorize
+from .config import resolve_bound
 from .errors import InternalCheckError
 from .quadfield import QuadField
-from .quadideal import Order, enumerate_ideal_classes
+from .quadideal import Order, QuadForm, canonical_form, reduced_forms
 from .units import unit_index
 
 
@@ -28,35 +28,14 @@ class PicSize:
     method: str
 
 
-def reduced_form_count(disc: int) -> int:
-    """Number of reduced primitive forms (A, B, C) of discriminant disc < 0.
-
-    Reduction: |B| <= A <= C with B >= 0 whenever |B| = A or A = C.
-    """
-    assert disc < 0 and disc % 4 in (0, 1)
-    count = 0
-    b = disc % 2
-    while b * b <= -disc // 3:
-        m4 = (b * b - disc) // 4
-        a = max(b, 1)
-        while a * a <= m4:
-            if a and m4 % a == 0:
-                c = m4 // a
-                if math.gcd(math.gcd(a, b), c) == 1:
-                    count += 1 if (b == 0 or a == b or a == c) else 2
-            a += 1
-        b += 2
-    return count
-
-
 @lru_cache(maxsize=None)
 def class_number_maximal(field: QuadField, bound: int | None = None) -> PicSize:
-    """Class number of the maximal order, computed once per field and bound."""
-    order = Order(field, 1)
-    if field.is_imaginary:
-        return PicSize(order, reduced_form_count(field.disc_max), "reduced-forms")
-    reps = enumerate_ideal_classes(order, bound=bound)
-    return PicSize(order, len(reps), "class-enumeration")
+    """Class number h_K: the number of distinct canonical forms among the
+    reduced forms of discriminant d_K, computed once per field and bound."""
+    cycles: dict[QuadForm, QuadForm] = {}
+    forms = reduced_forms(field.disc_max, resolve_bound(bound))
+    h = len({canonical_form(q, cycles) for q in forms})
+    return PicSize(Order(field, 1), h, "reduced-forms")
 
 
 def _kronecker_at_prime(disc: int, p: int) -> int:

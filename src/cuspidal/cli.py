@@ -401,7 +401,9 @@ def _build_parser() -> _Parser:
             p.add_argument("--gens", required=True,
                            help="semicolon-separated elements, e.g. '2; 1+2*w'")
         p.add_argument("--bound", type=int, default=None,
-                       help="search cap; overrides CUSPIDAL_BOUND")
+                       help="budget of candidate ideals in class enumeration or"
+                       " reduced forms listed for a class number; overrides"
+                       " CUSPIDAL_BOUND")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("cusps", help="cusp count with per-divisor breakdown")

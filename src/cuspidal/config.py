@@ -1,9 +1,10 @@
 """Desk-scale search budgets.
 
-The one bounded search, the candidate loop of class enumeration, never
-guesses: when its budget is exhausted it raises InconclusiveError. The
-default budget can be overridden with the CUSPIDAL_BOUND environment
-variable, the --bound option, or per call via a `bound` argument.
+The budget counts the candidate ideals of class enumeration or the
+reduced forms listed for a class number. Neither search guesses: when its
+budget is exhausted it raises InconclusiveError. The default budget can be
+overridden with the CUSPIDAL_BOUND environment variable, the --bound
+option, or per call via a `bound` argument.
 """
 
 from __future__ import annotations

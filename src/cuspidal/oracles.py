@@ -1,15 +1,17 @@
 """Exhaustive reference routes.
 
 Each function here recomputes by plain enumeration a number that the
-library obtains from a closed form, with no shared formula, so the two can
-be compared: Picard sizes against the conductor formula, cusp counts
-against the divisor sum, and curve unit counts against q^(k-1) * (q - 1).
+library obtains another way, with no shared formula, so the two can be
+compared: Picard sizes against the conductor formula, imaginary class
+numbers against the listing of reduced forms, cusp counts against the
+divisor sum, and curve unit counts against q^(k-1) * (q - 1).
 They are slow by design and serve the cross-checks of the command line,
 the self-test, the tests and the demos.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 from .classnum import PicSize
@@ -18,6 +20,27 @@ from .errors import UsageError
 from .fieldpoly import CoeffField
 from .genpairs import orbit_count_sl2_mod_units
 from .quadideal import Order, enumerate_ideal_classes, multiplier_conductor
+
+
+def reduced_form_count(disc: int) -> int:
+    """Number of reduced primitive forms (A, B, C) of discriminant disc < 0.
+
+    Reduction: |B| <= A <= C with B >= 0 whenever |B| = A or A = C.
+    """
+    assert disc < 0 and disc % 4 in (0, 1)
+    count = 0
+    b = disc % 2
+    while b * b <= -disc // 3:
+        m4 = (b * b - disc) // 4
+        a = max(b, 1)
+        while a * a <= m4:
+            if a and m4 % a == 0:
+                c = m4 // a
+                if math.gcd(math.gcd(a, b), c) == 1:
+                    count += 1 if (b == 0 or a == b or a == c) else 2
+            a += 1
+        b += 2
+    return count
 
 
 def brute_force_pic(order: Order, bound: int | None = None) -> PicSize:

@@ -8,7 +8,6 @@ pairs; nothing here ever touches floating point.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -70,12 +69,6 @@ class QuadField:
 
     @property
     def omega(self) -> QuadElt:
-        return QuadElt(self, 0, 1)
-
-    def sqrt_m(self) -> QuadElt:
-        """sqrt(m) itself as an element of the maximal order."""
-        if self.omega_kind is OmegaKind.HALF:
-            return QuadElt(self, -1, 2)
         return QuadElt(self, 0, 1)
 
     def __repr__(self) -> str:
@@ -170,62 +163,6 @@ class QuadElt:
         sign = "+" if self.b > 0 else "-"
         babs = w if abs(self.b) == 1 else f"{abs(self.b)}*{w}"
         return f"{self.a}{sign}{babs}"
-
-
-@dataclass(frozen=True)
-class QuadRat:
-    """Quotient num/den of an order element by a positive integer, in lowest terms."""
-
-    num: QuadElt
-    den: int
-
-    def __post_init__(self) -> None:
-        assert self.den != 0
-        if self.den < 0:
-            object.__setattr__(self, "num", -self.num)
-            object.__setattr__(self, "den", -self.den)
-        g = math.gcd(math.gcd(self.num.a, self.num.b), self.den)
-        if g > 1:
-            object.__setattr__(
-                self, "num", QuadElt(self.num.field, self.num.a // g, self.num.b // g)
-            )
-            object.__setattr__(self, "den", self.den // g)
-
-    @property
-    def field(self) -> QuadField:
-        return self.num.field
-
-    def __add__(self, other: QuadRat) -> QuadRat:
-        return QuadRat(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: QuadRat) -> QuadRat:
-        return QuadRat(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self) -> QuadRat:
-        return QuadRat(-self.num, self.den)
-
-    def __mul__(self, other: QuadRat | QuadElt | int) -> QuadRat:
-        if isinstance(other, QuadRat):
-            return QuadRat(self.num * other.num, self.den * other.den)
-        return QuadRat(self.num * other, self.den)
-
-    __rmul__ = __mul__
-
-    def norm(self) -> Fraction:
-        return Fraction(self.num.norm(), self.den * self.den)
-
-    def is_integral(self) -> bool:
-        return self.den == 1
-
-    def as_elt(self) -> QuadElt:
-        if not self.is_integral():
-            raise UsageError(f"{self} is not integral")
-        return self.num
-
-    def __str__(self) -> str:
-        if self.den == 1:
-            return str(self.num)
-        return f"({self.num})/{self.den}"
 
 
 _TERM_RE = re.compile(

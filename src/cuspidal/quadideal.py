@@ -9,16 +9,17 @@ Classes are decided by the reduction theory of binary quadratic forms
 ring, and lambda*I = J holds exactly when the primitive parts of q_I and q_J
 are SL2(Z)-equivalent, or, for a lambda of negative norm in a real field,
 when (A, B, C) is equivalent to (-A, B, -C). class_key maps I to the content
-of q_I and one canonical reduced form of that class: Gauss reduction for
-imaginary fields, the least form of the rho-cycle of reduced forms for real
-ones. Class comparison is key equality and class enumeration keeps one
-ideal per key; neither needs a search or a bound.
+of q_I and the canonical reduced form of q_I over it; class comparison is
+key equality and class enumeration keeps one ideal per key. The same
+reduction lists the forms whose classes classnum counts for h_K, and its
+rho-cycle of the principal form gives units the fundamental unit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import divisors, factorize
 from .config import resolve_bound
@@ -146,9 +147,8 @@ class FracIdeal:
         return f"({self.num})/{self.den}" if self.den != 1 else str(self.num)
 
 
-@dataclass(frozen=True)
-class QuadForm:
-    """Binary quadratic form A x^2 + B xy + C y^2 attached to an ideal."""
+class QuadForm(NamedTuple):
+    """Binary quadratic form A x^2 + B xy + C y^2; ordered as the tuple (A, B, C)."""
 
     A: int
     B: int
@@ -160,7 +160,7 @@ class QuadForm:
 
     @property
     def content(self) -> int:
-        return math.gcd(math.gcd(self.A, self.B), self.C)
+        return math.gcd(self.A, self.B, self.C)
 
 
 def _lattice_std_basis(order: Order, vectors: list[tuple[int, int]]) -> QIdeal:
@@ -304,10 +304,7 @@ def fitt1(ideal: QIdeal) -> QIdeal:
     return closed
 
 
-_Form = tuple[int, int, int]
-
-
-def _reduce_definite(A: int, B: int, C: int) -> _Form:
+def _reduce_definite(A: int, B: int, C: int) -> QuadForm:
     """Gauss reduction of a positive definite form: |B| <= A <= C, B >= 0 when
     |B| = A or A = C. It is the unique reduced form of its SL2(Z) class."""
     disc = B * B - 4 * A * C
@@ -319,14 +316,14 @@ def _reduce_definite(A: int, B: int, C: int) -> _Form:
         if A <= C:
             break
         A, B, C = C, -B, A
-    return (A, -B, C) if A == C and B < 0 else (A, B, C)
+    return QuadForm(A, -B, C) if A == C and B < 0 else QuadForm(A, B, C)
 
 
-def _rho(form: _Form, disc: int, s: int) -> _Form:
+def _rho(form: QuadForm, disc: int, s: int) -> QuadForm:
     """Cohen's rho for disc > 0 non-square with s = isqrt(disc): the equivalent
     form (C, r, (r^2 - disc)/(4C)) with r = -B mod 2|C| in the window
     (-|C|, |C|] when |C| > sqrt(disc), (sqrt(disc) - 2|C|, sqrt(disc)) otherwise."""
-    B, C = form[1], form[2]
+    B, C = form.B, form.C
     c = abs(C)
     if c > s:
         r = -B % (2 * c)
@@ -334,10 +331,10 @@ def _rho(form: _Form, disc: int, s: int) -> _Form:
             r -= 2 * c
     else:
         r = s - (s + B) % (2 * c)
-    return C, r, (r * r - disc) // (4 * C)
+    return QuadForm(C, r, (r * r - disc) // (4 * C))
 
 
-def _rho_cycle(form: _Form, disc: int, s: int) -> list[_Form]:
+def _rho_cycle(form: QuadForm, disc: int, s: int) -> list[QuadForm]:
     """The reduced indefinite forms properly equivalent to a reduced `form`,
     which rho permutes in one cycle (Cohen, GTM 138, 5.6)."""
     cycle = [form]
@@ -348,38 +345,67 @@ def _rho_cycle(form: _Form, disc: int, s: int) -> list[_Form]:
     return cycle
 
 
-def class_key(ideal: QIdeal, cycles: dict[_Form, _Form] | None = None) -> tuple[int, _Form]:
-    """Canonical invariant of the class of I: lambda*I = J in the field exactly
-    when two ideals of one order have equal keys.
-
-    The key is (g, q) with g the content of q_I, which fixes the multiplier
-    ring, and q the canonical reduced form of q_I/g. Imaginary fields: the
-    Gauss-reduced form. Real fields: the least form on the rho-cycle of
-    reduced forms, taken also over the cycle of (-A, B, -C), the form that a
-    lambda of negative norm sends q_I to. `cycles` maps every reduced form of
-    an already walked cycle to its key, so a caller keying many ideals walks
-    each cycle once.
-    """
-    form = associated_form(ideal)
-    g = form.content
-    A, B, C = form.A // g, form.B // g, form.C // g
-    disc = B * B - 4 * A * C
+def canonical_form(form: QuadForm, cycles: dict[QuadForm, QuadForm] | None = None) -> QuadForm:
+    """One reduced form per class of a primitive definite or indefinite form:
+    the Gauss-reduced form, or the least form on the rho-cycles of (A, B, C)
+    and of (-A, B, -C), the form that a lambda of negative norm sends q_I to.
+    `cycles` maps the forms of walked cycles to their result, so a caller
+    reducing many forms walks each cycle once."""
+    disc = form.disc
     if disc < 0:
-        return g, _reduce_definite(A, B, C)
+        return _reduce_definite(*form)
     s = math.isqrt(disc)
-    q = (A, B, C)
+    q = form
     # reduced: |sqrt(disc) - 2|A|| < B < sqrt(disc)
-    while not (2 * abs(q[0]) - q[1] <= s < 2 * abs(q[0]) + q[1] and q[1] <= s):
+    while not (2 * abs(q.A) - q.B <= s < 2 * abs(q.A) + q.B and q.B <= s):
         q = _rho(q, disc, s)
     cycles = {} if cycles is None else cycles
     if q not in cycles:
         walked = set(_rho_cycle(q, disc, s))
-        neg = (-q[0], q[1], -q[2])
+        neg = QuadForm(-q.A, q.B, -q.C)
         if neg not in walked:
             walked.update(_rho_cycle(neg, disc, s))
-        key = min(walked)
-        cycles.update(dict.fromkeys(walked, key))
-    return g, cycles[q]
+        cycles.update(dict.fromkeys(walked, min(walked)))
+    return cycles[q]
+
+
+def reduced_forms(disc: int, budget: int) -> list[QuadForm]:
+    """The reduced primitive forms of a non-square discriminant of either sign
+    (Cohen, GTM 138, 5.3 and 5.6): B runs over its window, up to sqrt(|disc|/3)
+    or sqrt(disc), and A over the divisors of (B^2 - disc)/4. More than
+    `budget` forms raise InconclusiveError."""
+    s = math.isqrt(-disc // 3 if disc < 0 else disc)
+    forms: list[QuadForm] = []
+    for b in range(disc % 2, s + 1, 2):
+        ac = (b * b - disc) // 4
+        for a in divisors(abs(ac)):
+            c = ac // a
+            if math.gcd(a, b, c) != 1:
+                continue
+            if disc < 0 and b <= a <= c:
+                forms.append(QuadForm(a, b, c))
+                if 0 < b < a < c:
+                    forms.append(QuadForm(a, -b, c))
+            elif disc > 0 and 2 * a - b <= s < 2 * a + b:
+                forms += [QuadForm(a, b, c), QuadForm(-a, b, -c)]
+            if len(forms) > budget:
+                raise InconclusiveError(
+                    f"reduced forms of discriminant {disc} exceed bound {budget};"
+                    " raise it with --bound or CUSPIDAL_BOUND"
+                )
+    return forms
+
+
+def class_key(
+    ideal: QIdeal, cycles: dict[QuadForm, QuadForm] | None = None
+) -> tuple[int, QuadForm]:
+    """Canonical invariant of the class of I: lambda*I = J in the field exactly
+    when two ideals of one order have equal keys. The key is (g, q) with g the
+    content of q_I, which fixes the multiplier ring, and q the canonical form
+    of q_I/g."""
+    form = associated_form(ideal)
+    g = form.content
+    return g, canonical_form(QuadForm(form.A // g, form.B // g, form.C // g), cycles)
 
 
 def is_same_class(lhs: QIdeal, rhs: QIdeal) -> bool:
@@ -413,8 +439,8 @@ def enumerate_ideal_classes(order: Order, bound: int | None = None) -> list[QIde
     budget = resolve_bound(bound)
     limit = _class_search_limit(order)
     t, r = order.field.omega_trace, order.field.omega_sq[0]
-    reps: dict[tuple[int, _Form], QIdeal] = {}
-    cycles: dict[_Form, _Form] = {}
+    reps: dict[tuple[int, QuadForm], QIdeal] = {}
+    cycles: dict[QuadForm, QuadForm] = {}
     candidates = 0
     for a in range(1, limit + 1):
         for e in divisors(a):

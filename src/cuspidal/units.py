@@ -1,9 +1,9 @@
 """Unit groups of quadratic orders.
 
 Real fields: the fundamental unit of the maximal order comes from the
-continued fraction of omega (integer state, period detected by state
-repetition); the unit of the order of conductor f is the least power whose
-omega-coefficient is divisible by f. Imaginary fields only carry torsion.
+rho-cycle of the principal form (the reduction theory of quadideal); the
+unit of the order of conductor f is the least power whose omega-coefficient
+is divisible by f. Imaginary fields only carry torsion.
 
 The memoization below (functools.lru_cache) is the only shared state in the
 package; everything returned is a frozen value type.
@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InternalCheckError, UsageError
-from .quadfield import OmegaKind, QuadElt, QuadField
+from .quadfield import QuadElt, QuadField
+from .quadideal import QuadForm, _rho
 
 
 @dataclass(frozen=True)
@@ -32,70 +33,31 @@ class UnitInfo:
     has_norm_minus_one: bool
 
 
-def _le_sqrt(x: int, d: int) -> bool:
-    """x <= sqrt(d) for non-square d > 0."""
-    return x <= 0 or x * x <= d
-
-
-def _floor_surd(p: int, d: int, q: int) -> int:
-    """floor((p + sqrt(d)) / q) for non-square d > 0 and q != 0."""
-    s = math.isqrt(d)
-    a = (p + s) // q
-
-    def le(aa: int) -> bool:
-        # aa <= (p + sqrt(d)) / q ?
-        x = aa * q - p
-        if q > 0:
-            return _le_sqrt(x, d)
-        return x >= 0 and x * x >= d
-
-    while le(a + 1):
-        a += 1
-    while not le(a):
-        a -= 1
-    return a
-
-
-def _cf_fundamental(field: QuadField) -> QuadElt:
-    """Fundamental unit (> 1) of the maximal order via the expansion of omega."""
-    d = field.m
-    assert d > 1
-    if field.omega_kind is OmegaKind.HALF:
-        p, q = 1, 2
-    else:
-        p, q = 0, 1
-    seen: dict[tuple[int, int], int] = {}
-    states: list[tuple[int, int]] = []
-    quots: list[int] = []
-    while (p, q) not in seen:
-        seen[(p, q)] = len(states)
-        states.append((p, q))
-        a = _floor_surd(p, d, q)
-        quots.append(a)
-        # alpha' = 1 / (alpha - a) => p' = a*q - p, q' = (d - p'^2) / q
-        p2 = a * q - p
-        q2 = (d - p2 * p2) // q
-        assert q2 * q == d - p2 * p2 and q2 != 0
-        p, q = p2, q2
-    start = seen[(p, q)]
-    pj, qj = states[start]
-    # product of the Moebius matrices [[a, 1], [1, 0]] over the cycle
-    m00, m01, m10, m11 = 1, 0, 0, 1
-    for a in quots[start:]:
-        m00, m01, m10, m11 = m00 * a + m01, m00, m10 * a + m11, m10
-    # eps = m10 * alpha_j + m11 with alpha_j = (pj + sqrt(d)) / qj
-    a_num = m10 * pj + m11 * qj
-    b_num = m10
-    if field.omega_kind is OmegaKind.HALF:
-        # sqrt(m) = 2*omega - 1
-        coeff_a, coeff_b = a_num - b_num, 2 * b_num
-    else:
-        coeff_a, coeff_b = a_num, b_num
-    if coeff_a % qj or coeff_b % qj:
-        raise InternalCheckError("cycle unit is not integral over the omega basis")
-    eps = QuadElt(field, coeff_a // qj, coeff_b // qj)
-    if abs(eps.norm()) != 1:
-        raise InternalCheckError(f"cycle element {eps} is not a unit")
+def _principal_cycle_unit(field: QuadField) -> QuadElt:
+    """Fundamental unit (> 1) of the maximal order from the rho-cycle of the
+    reduced principal form q0 = (1, b, (b^2 - D)/4), b the largest integer
+    below sqrt(D) with b = D mod 2 (Cohen, GTM 138, 5.7). The rho step
+    (A, B, C) -> (C, B', C') substitutes [[0, -1], [1, t]], t = (B' + B)/(2C);
+    the product up to q0 or (-1, b, -(b^2 - D)/4) has a first column (x0, y0)
+    giving (|2*x0 + b*y0| + |y0|*sqrt(D))/2, of norm -1 at the second stop."""
+    disc = field.disc_max
+    s = math.isqrt(disc)
+    b = s - (s - disc) % 2
+    q0 = QuadForm(1, b, (b * b - disc) // 4)
+    stops = (q0, QuadForm(-1, b, -q0.C))
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    q = q0
+    while True:
+        nxt = _rho(q, disc, s)
+        t = (nxt.B + q.B) // (2 * q.C)
+        q, x0, y0, x1, y1 = nxt, x1, y1, t * x1 - x0, t * y1 - y0
+        if q in stops:
+            break
+    # eps = (T + U*sqrt(D))/2 with sqrt(D) = 2*omega - trace(omega)
+    big_t, big_u = abs(2 * x0 + b * y0), abs(y0)
+    eps = QuadElt(field, (big_t - big_u * field.omega_trace) // 2, big_u)
+    if eps.norm() != (1 if q == q0 else -1):
+        raise InternalCheckError(f"cycle element {eps} is not a unit of the expected norm")
     return eps
 
 
@@ -115,7 +77,7 @@ def fundamental_unit(field: QuadField, f: int = 1) -> UnitInfo:
         assert torsion_gen.norm() == 1 or torsion_order == 2
         return UnitInfo(field, f, None, 1, torsion_gen, torsion_order, False)
 
-    eps = _cf_fundamental(field)
+    eps = _principal_cycle_unit(field)
     power = eps
     k = 1
     cap = f * f + 2

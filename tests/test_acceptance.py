@@ -11,7 +11,7 @@ import random
 import time
 
 from cuspidal.arith import divisors, euler_phi, is_squarefree
-from cuspidal.classnum import picard_order, reduced_form_count
+from cuspidal.classnum import picard_order
 from cuspidal.curvering import (
     conductor_h_solver,
     curve_fitt1,
@@ -33,7 +33,12 @@ from cuspidal.genpairs import (
     reduce_vector,
     sl2_witness,
 )
-from cuspidal.oracles import brute_force_pic, curve_unit_group_brute, cusp_count_direct
+from cuspidal.oracles import (
+    brute_force_pic,
+    curve_unit_group_brute,
+    cusp_count_direct,
+    reduced_form_count,
+)
 from cuspidal.quadfield import QuadField
 from cuspidal.quadideal import (
     Order,

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspidal.arith import is_squarefree
-from cuspidal.classnum import class_number_maximal, picard_order, reduced_form_count
-from cuspidal.oracles import brute_force_pic
+from cuspidal.errors import InconclusiveError
+from cuspidal.classnum import class_number_maximal, picard_order
+from cuspidal.oracles import brute_force_pic, reduced_form_count
 from cuspidal.quadfield import QuadField
 from cuspidal.quadideal import Order, enumerate_ideal_classes, multiplier_conductor
 
@@ -77,7 +78,7 @@ def test_methods_are_reported():
     assert picard_order(Order(QuadField(-5), 2)).method == "conductor-formula"
     assert brute_force_pic(Order(QuadField(-5), 2)).method == "brute-force"
     assert class_number_maximal(QuadField(-5)).method == "reduced-forms"
-    assert class_number_maximal(QuadField(10)).method == "class-enumeration"
+    assert class_number_maximal(QuadField(10)).method == "reduced-forms"
 
 
 def test_class_number_is_computed_once_per_field_and_bound():
@@ -89,3 +90,17 @@ def test_class_number_is_computed_once_per_field_and_bound():
     assert class_number_maximal.cache_info().misses == 1
     picard_order(Order(field, 5), bound=10**6)
     assert class_number_maximal.cache_info().misses == 2
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 10, 79, 94, 151, 223, 1009])
+def test_real_class_number_matches_enumeration(m):
+    order = Order(QuadField(m), 1)
+    invertible = [r for r in enumerate_ideal_classes(order) if multiplier_conductor(r) == 1]
+    assert class_number_maximal(QuadField(m)).h == len(invertible)
+
+
+@pytest.mark.parametrize("m,forms,h", [(-23, 3, 3), (7, 8, 1)])
+def test_form_listing_budget_names_both_knobs(m, forms, h):
+    with pytest.raises(InconclusiveError, match="--bound or CUSPIDAL_BOUND"):
+        class_number_maximal(QuadField(m), bound=forms - 1)
+    assert class_number_maximal(QuadField(m), bound=forms).h == h

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cuspidal.errors import UsageError
-from cuspidal.quadfield import OmegaKind, QuadElt, QuadField, QuadRat, parse_element
+from cuspidal.quadfield import OmegaKind, QuadElt, QuadField, parse_element
 
 def _squarefree_values():
     out = []
@@ -117,14 +117,3 @@ def test_rational_elements_and_powers():
     assert (-x) + x == k.zero
     assert 1 + x == QuadElt(k, 3, 1)
     assert 2 - x == QuadElt(k, 0, -1)
-
-
-def test_quadrat_integrality():
-    k = QuadField(-3)
-    half = QuadRat(QuadElt(k, 1, 1), 2)
-    assert not half.is_integral()
-    whole = QuadRat(QuadElt(k, 2, 4), 2)
-    assert whole.is_integral()
-    assert whole.as_elt() == QuadElt(k, 1, 2)
-    prod = half * QuadElt(k, 2, 0)
-    assert prod.is_integral()

@@ -12,9 +12,11 @@ from cuspidal.quadfield import QuadElt, QuadField
 from cuspidal.quadideal import (
     Order,
     QIdeal,
+    QuadForm,
     _class_search_limit,
     _colon_lattice,
     associated_form,
+    canonical_form,
     class_key,
     enumerate_ideal_classes,
     fitt1,
@@ -24,6 +26,7 @@ from cuspidal.quadideal import (
     is_principal,
     is_same_class,
     multiplier_conductor,
+    reduced_forms,
 )
 from cuspidal.units import fundamental_unit
 
@@ -507,3 +510,74 @@ def test_shared_cycle_table_gives_the_same_keys():
     for rep in enumerate_ideal_classes(order):
         assert class_key(rep, cycles) == class_key(rep)
     assert cycles
+
+
+def _lt_sqrt(n, disc):
+    """n < sqrt(disc) for a non-square disc > 0."""
+    return n < 0 or n * n < disc
+
+
+def _brute_reduced_forms(disc):
+    """Every primitive form of discriminant disc in a box around the
+    reduction conditions, kept when it meets them as stated."""
+    out = []
+    top = math.isqrt(abs(disc)) + 1
+    for A in range(-top, top + 1):
+        for B in range(-top, top + 1):
+            if A == 0 or (B * B - disc) % (4 * A):
+                continue
+            C = (B * B - disc) // (4 * A)
+            if math.gcd(math.gcd(A, B), C) != 1:
+                continue
+            if disc < 0:
+                keep = 0 < A and abs(B) <= A <= C and (B >= 0 or (-B != A and A != C))
+            else:
+                # |sqrt(disc) - 2|A|| < B < sqrt(disc)
+                window = _lt_sqrt(2 * abs(A) - B, disc) and not _lt_sqrt(2 * abs(A) + B, disc)
+                keep = _lt_sqrt(B, disc) and window
+            if keep:
+                out.append((A, B, C))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_reduced_forms_match_a_brute_box(sign):
+    for n in range(1, 1501):
+        disc = sign * n
+        if disc % 4 not in (0, 1) or math.isqrt(n) ** 2 == n:
+            continue
+        assert sorted(reduced_forms(disc, 10**6)) == _brute_reduced_forms(disc), disc
+
+
+def _transform(form, a, b, c, d):
+    """The form (A, B, C) evaluated at (a*x + b*y, c*x + d*y)."""
+    A, B, C = form
+    return QuadForm(
+        A * a * a + B * a * c + C * c * c,
+        2 * A * a * b + B * (a * d + b * c) + 2 * C * c * d,
+        A * b * b + B * b * d + C * d * d,
+    )
+
+
+@st.composite
+def _sl2_matrices(draw):
+    """A product of a few generators S and T^k of SL2(Z)."""
+    a, b, c, d = 1, 0, 0, 1
+    for k in draw(st.lists(st.integers(-3, 3), min_size=1, max_size=6)):
+        a, b, c, d = b, k * b - a, d, k * d - c  # times [[0, -1], [1, k]]
+    return a, b, c, d
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([-3, -4, -23, -47, -71, -84, 5, 8, 12, 40, 316, 404, 892, 4 * 79]),
+    st.data(),
+)
+def test_canonical_form_is_constant_on_classes(disc, data):
+    forms = reduced_forms(disc, 10**6)
+    form = data.draw(st.sampled_from(forms))
+    moved = _transform(form, *data.draw(_sl2_matrices()))
+    assert moved.disc == disc
+    assert canonical_form(moved) == canonical_form(form) in forms
+    if disc > 0:
+        assert canonical_form(QuadForm(-form.A, form.B, -form.C)) == canonical_form(form)

@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from cuspidal.errors import UsageError
-from cuspidal.quadfield import QuadElt, QuadField
+from cuspidal.arith import is_squarefree
+from cuspidal.errors import InternalCheckError, UsageError
+from cuspidal.quadfield import OmegaKind, QuadElt, QuadField
 from cuspidal.units import fundamental_unit, has_norm_minus_one, unit_index
 
 
@@ -120,3 +121,79 @@ def test_imaginary_fields_have_no_fundamental():
 def test_unit_index_rejects_bad_conductors():
     with pytest.raises(UsageError):
         fundamental_unit(QuadField(5), 0)
+
+
+# The continued-fraction expansion of omega: an independent route to the
+# fundamental unit, kept here as the oracle of the principal rho-cycle walk.
+def _le_sqrt(x: int, d: int) -> bool:
+    """x <= sqrt(d) for non-square d > 0."""
+    return x <= 0 or x * x <= d
+
+
+def _floor_surd(p: int, d: int, q: int) -> int:
+    """floor((p + sqrt(d)) / q) for non-square d > 0 and q != 0."""
+    s = math.isqrt(d)
+    a = (p + s) // q
+
+    def le(aa: int) -> bool:
+        # aa <= (p + sqrt(d)) / q ?
+        x = aa * q - p
+        if q > 0:
+            return _le_sqrt(x, d)
+        return x >= 0 and x * x >= d
+
+    while le(a + 1):
+        a += 1
+    while not le(a):
+        a -= 1
+    return a
+
+
+def _cf_fundamental(field: QuadField) -> QuadElt:
+    """Fundamental unit (> 1) of the maximal order via the expansion of omega."""
+    d = field.m
+    assert d > 1
+    if field.omega_kind is OmegaKind.HALF:
+        p, q = 1, 2
+    else:
+        p, q = 0, 1
+    seen: dict[tuple[int, int], int] = {}
+    states: list[tuple[int, int]] = []
+    quots: list[int] = []
+    while (p, q) not in seen:
+        seen[(p, q)] = len(states)
+        states.append((p, q))
+        a = _floor_surd(p, d, q)
+        quots.append(a)
+        # alpha' = 1 / (alpha - a) => p' = a*q - p, q' = (d - p'^2) / q
+        p2 = a * q - p
+        q2 = (d - p2 * p2) // q
+        assert q2 * q == d - p2 * p2 and q2 != 0
+        p, q = p2, q2
+    start = seen[(p, q)]
+    pj, qj = states[start]
+    # product of the Moebius matrices [[a, 1], [1, 0]] over the cycle
+    m00, m01, m10, m11 = 1, 0, 0, 1
+    for a in quots[start:]:
+        m00, m01, m10, m11 = m00 * a + m01, m00, m10 * a + m11, m10
+    # eps = m10 * alpha_j + m11 with alpha_j = (pj + sqrt(d)) / qj
+    a_num = m10 * pj + m11 * qj
+    b_num = m10
+    if field.omega_kind is OmegaKind.HALF:
+        # sqrt(m) = 2*omega - 1
+        coeff_a, coeff_b = a_num - b_num, 2 * b_num
+    else:
+        coeff_a, coeff_b = a_num, b_num
+    if coeff_a % qj or coeff_b % qj:
+        raise InternalCheckError("cycle unit is not integral over the omega basis")
+    eps = QuadElt(field, coeff_a // qj, coeff_b // qj)
+    if abs(eps.norm()) != 1:
+        raise InternalCheckError(f"cycle element {eps} is not a unit")
+    return eps
+
+
+def test_principal_cycle_unit_matches_continued_fraction():
+    ms = [m for m in range(2, 2000) if is_squarefree(m)] + [1000003, 9999991, 10000019]
+    for m in ms:
+        field = QuadField(m)
+        assert fundamental_unit(field).fundamental == _cf_fundamental(field), m
