@@ -88,3 +88,9 @@ def isqrt_ceil(n: int) -> int:
     assert n >= 0
     k = math.isqrt(n)
     return k if k * k == n else k + 1
+
+
+def primitive_part(vec: list[int]) -> list[int]:
+    """vec divided by the gcd of its entries; unchanged when that is 0 or 1."""
+    g = math.gcd(*vec)
+    return [x // g for x in vec] if g > 1 else vec

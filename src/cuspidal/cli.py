@@ -25,7 +25,7 @@ from .curvering import (
     curve_unit_group_order,
 )
 from .errors import InconclusiveError, InternalCheckError, UsageError
-from .fieldpoly import CoeffField, parse_curve_poly
+from .fieldpoly import MAX_EXPONENT, CoeffField, parse_curve_poly
 from .genpairs import (
     GenPair,
     GenVec,
@@ -292,16 +292,12 @@ def _cmd_vec(args):
     return inputs, result, assertions, lines
 
 
-def _curve_inputs(args, gens) -> dict:
-    return {"n": _s(args.n), "field": args.field, "gens": [str(g) for g in gens]}
-
-
 def _cmd_curve(args):
     field = CoeffField.from_name(args.field)
     parts = [p.strip() for p in args.gens.split(";") if p.strip()]
     gens = [parse_curve_poly(field, p) for p in parts]
     ideal = curve_ideal_from_generators(field, args.n, gens)
-    inputs = _curve_inputs(args, gens)
+    inputs = {"n": _s(args.n), "field": args.field, "gens": [str(g) for g in gens]}
     assertions = [("canonical-pair-spans-the-module", True),
                   ("colon-valuation-matches-nu", True)]
     if args.curve_op == "reduce":
@@ -445,7 +441,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--field", default="rational",
                    help="'rational' or a prime such as 'f5'")
     p.add_argument("--gens", required=True,
-                   help="semicolon-separated polynomials, e.g. '1 + x^2; x^3'")
+                   help="semicolon-separated polynomials, e.g. '1 + x^2; x^3',"
+                        f" with exponents at most {MAX_EXPONENT}")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_curve)
 

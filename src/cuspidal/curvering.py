@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from .arith import primitive_part
 from .errors import InternalCheckError, UsageError, ZeroIdealError
-from .fieldpoly import CoeffField, CurvePoly, FpElt, poly_gcd_monic
+from .fieldpoly import CoeffField, CurvePoly, poly_gcd_monic
 
 
 def _check_n(n: int) -> None:
@@ -29,32 +30,20 @@ def _check_n(n: int) -> None:
 def curve_ring_contains(n: int, poly: CurvePoly) -> bool:
     """Membership in K[x^2, x^n]: odd-degree coefficients below n vanish."""
     _check_n(n)
-    return not any(poly.coeff(j) for j in range(1, min(n, poly.degree + 1), 2))
+    return not any(poly.nums[1:n:2])
 
 
 # ---------------------------------------------------------------------------
 # linear algebra over the coefficient field, on plain integers
 #
-# Rows of field elements become lists of ints on the way in and go back
-# only on the way out. Over F_p a row holds residues mod p and every stored
-# row has pivot 1. Over Q a row is scaled by the lcm of its denominators and
-# kept primitive: elimination is fraction-free, v = d*v - c*b with d and c
-# divided by their gcd, and the result is divided by its content (Bareiss
+# Rows are lists of ints read straight off CurvePoly numerators: residues
+# mod p, or over Q the coefficients times their common denominator, which
+# spans the same line. Over F_p every stored row has pivot 1. Over Q rows
+# are kept primitive: elimination is fraction-free, v = d*v - c*b with d and
+# c divided by their gcd, and the result is divided by its content (Bareiss
 # 1968; Cohen, GTM 138, section 2.2). Stored rows over Z have a positive
-# pivot, so the reduced echelon form is canonical in both cases.
-
-
-def _primitive(vec: list[int]) -> list[int]:
-    g = gcd(*vec)
-    return [x // g for x in vec] if g > 1 else vec
-
-
-def _ints(field: CoeffField, row: list) -> list[int]:
-    """A row of field elements as ints: residues mod p, or primitive over Z."""
-    if field.char:
-        return [x.value for x in row]
-    den = lcm(*(x.denominator for x in row))
-    return _primitive([x.numerator * (den // x.denominator) for x in row])
+# pivot, so the reduced echelon form is canonical in both cases. Field
+# elements appear only in basis(), for the public module_basis.
 
 
 def _eliminate(p: int, vec: list[int], b: list[int], j: int) -> list[int]:
@@ -65,7 +54,7 @@ def _eliminate(p: int, vec: list[int], b: list[int], j: int) -> list[int]:
     d = b[j]
     g = gcd(c, d)
     c, d = c // g, d // g
-    return _primitive([d * x - c * y for x, y in zip(vec, b)])
+    return primitive_part([d * x - c * y for x, y in zip(vec, b)])
 
 
 class _Span:
@@ -103,7 +92,7 @@ class _Span:
             inv = pow(vec[lead], -1, p)
             vec = [x * inv % p for x in vec]
         else:
-            vec = _primitive(vec)
+            vec = primitive_part(vec)
             if vec[lead] < 0:
                 vec = [-x for x in vec]
         self.rows[lead] = vec
@@ -130,50 +119,38 @@ class _Span:
 
     def basis(self) -> list[tuple[int, list]]:
         """The reduced echelon basis in field elements, each pivot 1."""
-        return [(i, _elements(self.field, i, vec)) for i, vec in self.rref()]
+        coerce = self.field.coerce
+        return [(i, [coerce(Fraction(x, vec[i])) for x in vec]) for i, vec in self.rref()]
 
+    def kernel(self, width: int) -> list[CurvePoly]:
+        """The polynomials h with rows @ h = 0, one per free column.
 
-def _elements(field: CoeffField, piv: int, vec: list[int]) -> list:
-    """An integer row back in field elements, scaled so its pivot is 1."""
-    if field.char:
-        return [FpElt(field.char, x) for x in vec]
-    return [Fraction(x, vec[piv]) for x in vec]
-
-
-def _echelon(field: CoeffField, rows: list[list]) -> list[tuple[int, list]]:
-    """Reduced row echelon basis as (pivot, row) pairs, pivots increasing."""
-    span = _Span(field)
-    for row in rows:
-        span.add(_ints(field, row))
-    return span.basis()
-
-
-def _field_kernel(field: CoeffField, rows: list[list], width: int) -> list[list]:
-    """Basis of {x : rows @ x = 0} over the coefficient field."""
-    basis = _echelon(field, rows)
-    pivots = [piv for piv, _ in basis]
-    free = [j for j in range(width) if j not in pivots]
-    kernel = []
-    for j in free:
-        vec = [field.zero] * width
-        vec[j] = field.one
-        for piv, b in basis:
-            vec[piv] = -b[j]
-        kernel.append(vec)
-    return kernel
+        From the reduced rows b with pivot i: h_j = 1 at a free column j and
+        h_i = -b[j]/b[i], over a common denominator.
+        """
+        rref = self.rref()
+        pivots = {i for i, _ in rref}
+        out = []
+        for j in range(width):
+            if j in pivots:
+                continue
+            den = lcm(*(b[i] for i, b in rref if b[j]))
+            vec = [0] * width
+            vec[j] = den
+            for i, b in rref:
+                vec[i] = -b[j] * (den // b[i])
+            out.append(CurvePoly.from_ints(self.field, vec, den))
+        return out
 
 
 # ---------------------------------------------------------------------------
 # the quotient model W = M / x^(n-1)K[x]
 
 
-def _vec(poly: CurvePoly, n: int) -> list:
-    return [poly.coeff(i) for i in range(n - 1)]
-
-
-def _closure(field: CoeffField, rows: list[list]) -> _Span:
-    """The smallest x^2-stable subspace containing the rows."""
-    return _Span(field).close([_ints(field, row) for row in rows])
+def _vec(poly: CurvePoly, n: int) -> list[int]:
+    """The coefficients of x^0, ..., x^(n-2) as ints, over Q times their denominator."""
+    row = list(poly.nums[: n - 1])
+    return row + [0] * (n - 1 - len(row))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +175,7 @@ class CurveIdeal:
 
     def __post_init__(self) -> None:
         _check_n(self.n)
-        if self.content.is_zero or not self.content.coeffs[-1] == self.field.one:
+        if self.content.is_zero or self.content.coeff(self.content.degree) != self.field.one:
             raise UsageError("the content must be a monic polynomial")
         if self.nu % 2 or not 0 <= self.nu <= self.n - 1:
             raise UsageError(f"nu must be even in [0, {self.n - 1}], got {self.nu}")
@@ -214,10 +191,7 @@ class CurveIdeal:
                 raise UsageError("q must be the monomial x^(nu+1), or x^(n-1) at the top")
 
     def _span(self) -> _Span:
-        rows = [_vec(self.p, self.n)]
-        if not self.q.is_zero:
-            rows.append(_vec(self.q, self.n))
-        return _closure(self.field, rows)
+        return _Span(self.field).close([_vec(self.p, self.n), _vec(self.q, self.n)])
 
     def module_basis(self) -> list[tuple[int, list]]:
         """Echelon basis of the content-free module modulo x^(n-1)K[x]."""
@@ -230,12 +204,12 @@ class CurveIdeal:
         quot, rem = poly.divmod_by(self.content)
         if not rem.is_zero:
             return False
-        return _ints(self.field, _vec(quot, self.n)) in self._span()
+        return _vec(quot, self.n) in self._span()
 
     def same_module(self, other: "CurveIdeal") -> bool:
         if self.field != other.field or self.n != other.n:
             return False
-        return self.content == other.content and self.module_basis() == other.module_basis()
+        return self.content == other.content and self._span().rref() == other._span().rref()
 
 
 def curve_ideal_from_generators(
@@ -255,12 +229,12 @@ def curve_ideal_from_generators(
         assert rem.is_zero
         reduced.append(quot)
 
-    w = _closure(field, [_vec(g, n) for g in reduced])
+    w = _Span(field).close([_vec(g, n) for g in reduced])
     w_rref = w.rref()
     if not w_rref or w_rref[0][0] != 0:
         raise InternalCheckError("content-free module has no unit-valuation element")
     p_row = w_rref[0][1]
-    p = CurvePoly.from_coeffs(field, _elements(field, 0, p_row))
+    p = CurvePoly.from_ints(field, p_row, p_row[0])
 
     hat = _Span(field).close([p_row])
     if len(w.rows) == len(hat.rows):
@@ -334,19 +308,13 @@ def conductor_h_solver(
     if cap < n - 1:
         raise UsageError(f"degree bound {cap} is below n-1 = {n - 1}")
     width = cap + 1
-    rows = []
+    span = _Span(field)
     for g in (p, q):
-        if g.is_zero:
-            continue
         for j in range(1, n, 2):
-            row = [g.coeff(j - i) if j - i >= 0 else field.zero for i in range(width)]
-            if any(row):
-                rows.append(row)
-    if not rows:
-        rows = [[field.zero] * width]
-    kernel = _field_kernel(field, rows, width)
-    basis = [CurvePoly.from_coeffs(field, vec) for vec in kernel]
-    basis = [b for b in basis if not b.is_zero]
+            # the coefficient of x^j in h*g is sum_i h_i * g_(j-i)
+            row = [0] * (j + 1 - len(g.nums)) + list(g.nums[j::-1])
+            span.add(row + [0] * (width - j - 1))
+    basis = span.kernel(width)
     if not basis:
         raise InternalCheckError("colon module lost its conductor tail")
     min_val = min(b.valuation() for b in basis)
@@ -366,13 +334,7 @@ class CurveFitt:
         assert 0 <= self.exponent <= self.n - 1 and self.exponent % 2 == 0
 
     def contains(self, poly: CurvePoly) -> bool:
-        for j in range(min(self.n, poly.degree + 1)):
-            if j % 2 and j < self.n and poly.coeff(j):
-                if j < self.n - 1:
-                    return False
-            if j % 2 == 0 and j < self.exponent and poly.coeff(j):
-                return False
-        return True
+        return not any(poly.nums[1 : self.n - 1 : 2]) and not any(poly.nums[: self.exponent : 2])
 
     def generators(self) -> tuple[CurvePoly, ...]:
         return (
@@ -400,15 +362,14 @@ def curve_fitt1(ideal: CurveIdeal) -> CurveFitt:
         raise InternalCheckError(
             f"colon valuation {min_val} disagrees with claimed exponent {exponent}"
         )
-    pair = [g for g in (ideal.p, ideal.q) if not g.is_zero]
-    products = [h * g for h in basis for g in pair]
+    products = [h * g for h in basis for g in (ideal.p, ideal.q)]
     for prod in products:
         if not claimed.contains(prod):
             raise InternalCheckError(f"product {prod} escapes {claimed}")
     # images modulo x^(n-1)K[x] must agree; both sides contain it. The image
     # of the product is the x^2-closure of the truncated products, and the
     # image of the claimed module has the unit rows x^j, j even >= exponent.
-    product_span = _closure(field, [_vec(prod, n) for prod in products]).rref()
+    product_span = _Span(field).close([_vec(prod, n) for prod in products]).rref()
     claimed_span = [(j, [0] * j + [1] + [0] * (n - 2 - j)) for j in range(exponent, n - 1, 2)]
     if product_span != claimed_span:
         raise InternalCheckError("Fitting ideal differs from its closed form")
@@ -428,9 +389,7 @@ class CurveOrder:
         assert 0 <= self.nu <= self.n - 1 and self.nu % 2 == 0
 
     def contains(self, poly: CurvePoly) -> bool:
-        return not any(
-            poly.coeff(j) for j in range(1, min(self.nu, poly.degree + 1), 2)
-        )
+        return not any(poly.nums[1 : self.nu : 2])
 
     def __str__(self) -> str:
         if self.nu == 0:

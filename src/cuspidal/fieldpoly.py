@@ -1,7 +1,10 @@
 """Coefficient fields (rationals or a prime field) and dense polynomials.
 
-Scalars are Fraction for the rationals and FpElt for F_p, both supporting
-exact +, -, *, / and truth testing, so the polynomial layer is agnostic.
+A CurvePoly stores plain ints: residues mod p over F_p, and over Q integer
+numerators over one positive common denominator. Products, division and
+the gcd run on those ints. Scalars are Fraction for the rationals and FpElt
+for F_p only at the boundary: coeff, from_coeffs, CoeffField.coerce,
+parse_scalar and all_elements.
 """
 
 from __future__ import annotations
@@ -9,8 +12,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd, lcm
 
-from .arith import is_prime
+from .arith import is_prime, primitive_part
 from .errors import UsageError
 
 
@@ -24,21 +29,18 @@ class FpElt:
     def __post_init__(self) -> None:
         object.__setattr__(self, "value", self.value % self.p)
 
-    def _coerce(self, other) -> "FpElt":
+    def _residue(self, other) -> int | None:
+        """other as an integer, for an element of F_p, an int or an integral Fraction."""
         if isinstance(other, FpElt):
             assert other.p == self.p
-            return other
-        if isinstance(other, int):
-            return FpElt(self.p, other)
+            return other.value
         if isinstance(other, Fraction) and other.denominator == 1:
-            return FpElt(self.p, other.numerator)
-        return NotImplemented
+            return other.numerator
+        return other if isinstance(other, int) else None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElt(self.p, self.value + other.value)
+        v = self._residue(other)
+        return NotImplemented if v is None else FpElt(self.p, self.value + v)
 
     __radd__ = __add__
 
@@ -46,32 +48,26 @@ class FpElt:
         return FpElt(self.p, -self.value)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElt(self.p, self.value - other.value)
+        v = self._residue(other)
+        return NotImplemented if v is None else FpElt(self.p, self.value - v)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+        v = self._residue(other)
+        return NotImplemented if v is None else FpElt(self.p, v - self.value)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElt(self.p, self.value * other.value)
+        v = self._residue(other)
+        return NotImplemented if v is None else FpElt(self.p, self.value * v)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        v = self._residue(other)
+        if v is None:
             return NotImplemented
-        if other.value == 0:
+        if v % self.p == 0:
             raise ZeroDivisionError("division by zero in F_p")
-        return FpElt(self.p, self.value * pow(other.value, -1, self.p))
+        return FpElt(self.p, self.value * pow(v, -1, self.p))
 
     def __bool__(self) -> bool:
         return self.value != 0
@@ -103,24 +99,19 @@ class CoeffField:
         return Fraction(1) if self.char == 0 else FpElt(self.char, 1)
 
     def coerce(self, value):
-        if self.char == 0:
-            if isinstance(value, Fraction):
-                return value
-            if isinstance(value, int):
-                return Fraction(value)
-            raise UsageError(f"cannot coerce {value!r} into the rationals")
-        if isinstance(value, FpElt):
-            if value.p != self.char:
+        """value as a Fraction over Q, or as an FpElt over F_p."""
+        p = self.char
+        if p and isinstance(value, FpElt):
+            if value.p != p:
                 raise UsageError("element of a different prime field")
             return value
-        if isinstance(value, int):
-            return FpElt(self.char, value)
-        if isinstance(value, Fraction):
-            if value.denominator % self.char == 0:
-                raise UsageError(f"denominator of {value} vanishes mod {self.char}")
-            num = FpElt(self.char, value.numerator)
-            return num / FpElt(self.char, value.denominator)
-        raise UsageError(f"cannot coerce {value!r} into F_{self.char}")
+        if not isinstance(value, (int, Fraction)):
+            raise UsageError(f"cannot coerce {value!r} into {f'F_{p}' if p else 'the rationals'}")
+        if not p:
+            return Fraction(value)
+        if value.denominator % p == 0:
+            raise UsageError(f"denominator of {value} vanishes mod {p}")
+        return FpElt(p, value.numerator * pow(value.denominator, -1, p))
 
     def parse_scalar(self, text: str):
         try:
@@ -133,7 +124,7 @@ class CoeffField:
         name = text.strip().lower()
         if name in ("rational", "rationals", "q"):
             return CoeffField(0)
-        if re.fullmatch(r"f?\d+", name):
+        if re.fullmatch(r"f?\d+", name) and int(name.lstrip("f")):
             return CoeffField(int(name.lstrip("f")))
         raise UsageError(f"unknown coefficient field {text!r} (use 'rational' or 'f<p>')")
 
@@ -148,19 +139,42 @@ class CoeffField:
 class CurvePoly:
     """Dense polynomial in one variable over a coefficient field.
 
-    Coefficients ascend by degree and never end in zero, so the zero
-    polynomial has an empty tuple and degree -1.
+    The coefficient of x^i is nums[i] / den. Over F_p, nums are residues in
+    [0, p) and den is 1; over Q, den is positive and shares no factor with
+    all of nums. So equal polynomials have equal nums and den, and hash
+    alike. nums never end in zero: the zero polynomial has an empty tuple
+    and degree -1.
     """
 
     field: CoeffField
-    coeffs: tuple
+    nums: tuple
+    den: int = 1
+
+    @staticmethod
+    def from_ints(field: CoeffField, nums, den: int = 1) -> "CurvePoly":
+        """The polynomial with coefficients nums[i] / den, normalized."""
+        if field.char:
+            inv = pow(den, -1, field.char)
+            nums, den = [x * inv % field.char for x in nums], 1
+        else:
+            g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+            nums, den = [x // g for x in nums], den // g
+        while nums and not nums[-1]:
+            nums.pop()
+        return CurvePoly(field, tuple(nums), den)
 
     @staticmethod
     def from_coeffs(field: CoeffField, values) -> "CurvePoly":
-        cs = [field.coerce(v) for v in values]
-        while cs and not cs[-1]:
-            cs.pop()
-        return CurvePoly(field, tuple(cs))
+        return CurvePoly._from_terms(field, dict(enumerate(field.coerce(v) for v in values)))
+
+    @staticmethod
+    def _from_terms(field: CoeffField, terms: dict) -> "CurvePoly":
+        """The sum of c*x^e over {e: c}, each c already a field element."""
+        nums = [0] * (max(terms) + 1 if terms else 0)
+        den = 1 if field.char else lcm(*(c.denominator for c in terms.values()))
+        for e, c in terms.items():
+            nums[e] = c.value if field.char else c.numerator * (den // c.denominator)
+        return CurvePoly.from_ints(field, nums, den)
 
     @staticmethod
     def zero(field: CoeffField) -> "CurvePoly":
@@ -168,124 +182,146 @@ class CurvePoly:
 
     @staticmethod
     def one(field: CoeffField) -> "CurvePoly":
-        return CurvePoly.from_coeffs(field, [1])
+        return CurvePoly(field, (1,))
 
     @staticmethod
     def monomial(field: CoeffField, degree: int, coeff=1) -> "CurvePoly":
-        return CurvePoly.from_coeffs(field, [0] * degree + [coeff])
+        return CurvePoly.from_coeffs(field, [coeff]).shift(degree)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def coeff(self, i: int):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.field.zero
+        """The coefficient of x^i as a Fraction or an FpElt."""
+        x = self.nums[i] if 0 <= i < len(self.nums) else 0
+        return FpElt(self.field.char, x) if self.field.char else Fraction(x, self.den)
 
     def valuation(self) -> int | None:
         """Least degree with a nonzero coefficient; None for zero."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return None
+        return next((i for i, c in enumerate(self.nums) if c), None)
 
     def __add__(self, other: "CurvePoly") -> "CurvePoly":
         assert self.field == other.field
-        size = max(len(self.coeffs), len(other.coeffs))
-        return CurvePoly.from_coeffs(
-            self.field, [self.coeff(i) + other.coeff(i) for i in range(size)]
-        )
+        den = lcm(self.den, other.den)
+        a, b = ([x * (den // f.den) for x in f.nums] for f in (self, other))
+        out = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+        return CurvePoly.from_ints(self.field, out, den)
 
     def __neg__(self) -> "CurvePoly":
-        return CurvePoly(self.field, tuple(-c for c in self.coeffs))
+        return CurvePoly.from_ints(self.field, [-x for x in self.nums], self.den)
 
     def __sub__(self, other: "CurvePoly") -> "CurvePoly":
         return self + (-other)
 
     def __mul__(self, other: "CurvePoly") -> "CurvePoly":
         assert self.field == other.field
-        if self.is_zero or other.is_zero:
-            return CurvePoly.zero(self.field)
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return CurvePoly.from_coeffs(self.field, out)
+        a, b, width = self.nums, other.nums, len(other.nums)
+        out = [0] * (len(a) + width - 1)
+        for i, x in enumerate(a):
+            if x:
+                out[i:i + width] = [o + x * y for o, y in zip(out[i:i + width], b)]
+        return CurvePoly.from_ints(self.field, out, self.den * other.den)
 
     def scale(self, scalar) -> "CurvePoly":
-        s = self.field.coerce(scalar)
-        return CurvePoly.from_coeffs(self.field, [c * s for c in self.coeffs])
+        return self * CurvePoly.from_coeffs(self.field, [scalar])
 
     def shift(self, k: int) -> "CurvePoly":
         """Multiply by x^k."""
         assert k >= 0
         if self.is_zero:
             return self
-        return CurvePoly(self.field, (self.field.zero,) * k + self.coeffs)
+        return CurvePoly(self.field, (0,) * k + self.nums, self.den)
 
     def divmod_by(self, other: "CurvePoly") -> tuple["CurvePoly", "CurvePoly"]:
         assert self.field == other.field
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        quot = [self.field.zero] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        lead = other.coeffs[-1]
-        while len(rem) - 1 >= other.degree and any(bool(c) for c in rem):
-            while rem and not rem[-1]:
-                rem.pop()
-            if len(rem) - 1 < other.degree:
-                break
-            k = len(rem) - 1 - other.degree
-            factor = rem[-1] / lead
-            quot[k] = quot[k] + factor
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] = rem[k + j] - factor * b
-        return (
-            CurvePoly.from_coeffs(self.field, quot),
-            CurvePoly.from_coeffs(self.field, rem),
-        )
+        quot, rem, s = _pseudo_divmod(self.nums, other.nums, self.field.char)
+        # s*a = quot*b + rem on the numerators a and b, so over Q
+        # self = quot*other.den/(s*self.den) * other + rem/(s*self.den)
+        den = s * self.den
+        return (CurvePoly.from_ints(self.field, [x * other.den for x in quot], den),
+                CurvePoly.from_ints(self.field, rem, den))
 
     def monic(self) -> "CurvePoly":
         if self.is_zero:
             return self
-        return self.scale(self.field.one / self.coeffs[-1])
+        return CurvePoly.from_ints(self.field, self.nums, self.nums[-1])
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
         out = ""
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            text = str(c)
-            sign = " + "
-            if text.startswith("-"):
-                sign, text = " - ", text[1:]
-            if i > 0:
-                power = f"x^{i}" if i > 1 else "x"
-                text = power if text == "1" else f"{text}*{power}"
-            if not out:
-                out = text if sign == " + " else f"-{text}"
-            else:
-                out += sign + text
-        return out
+        for i, c in enumerate(self.nums):
+            if c:
+                g = gcd(c, self.den)
+                text = str(abs(c) // g) + ("" if g == self.den else f"/{self.den // g}")
+                if i:
+                    power = f"x^{i}" if i > 1 else "x"
+                    text = power if text == "1" else f"{text}*{power}"
+                out += (" - " if c < 0 else " + ") + text
+        return out[3:] if out[1] == "+" else "-" + out[3:]
+
+
+def _pseudo_divmod(a, b, p: int) -> tuple[list[int], list[int], int]:
+    """(quot, rem, s) with s*a = quot*b + rem and deg rem < deg b, on ints.
+
+    Mod p (p > 0) the lead of b is inverted once and s is 1. Over Z the
+    division is fraction-free: a step whose lead c is not a multiple of
+    lead(b) first multiplies everything by lead(b)/gcd(c, lead(b)), so s
+    divides a power of lead(b) (Cohen, GTM 138, Alg. 3.1.2, with the
+    smallest such factor at each step).
+    """
+    db, lead = len(b) - 1, b[-1]
+    inv = pow(lead, -1, p) if p else 1
+    quot, rem, s = [0] * max(0, len(a) - db), list(a), 1
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = rem[k + db] % p if p else rem[k + db]
+        if not c:
+            continue
+        if p:
+            f = c * inv % p
+        else:
+            g = gcd(c, lead)
+            m, f = lead // g, c // g
+            if m != 1:
+                quot = [x * m for x in quot]
+                rem = [x * m for x in rem]
+                s *= m
+        rem[k:k + db + 1] = [x - f * y for x, y in zip(rem[k:k + db + 1], b)]
+        quot[k] = f
+    rem = [x % p for x in rem[:db]] if p else rem[:db]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem, s
 
 
 def poly_gcd_monic(a: CurvePoly, b: CurvePoly) -> CurvePoly:
-    """Monic greatest common divisor; zero if both inputs are zero."""
-    assert a.field == b.field
-    while not b.is_zero:
-        _, r = a.divmod_by(b)
-        a, b = b, r
-    return a.monic()
+    """Monic greatest common divisor; zero if both inputs are zero.
 
+    Over F_p this is Euclid on residues, one inverse per step. Over Q it is
+    the primitive remainder sequence of the numerators over Z: by Gauss's
+    lemma its last term is the gcd up to a constant, which monic removes.
+    """
+    assert a.field == b.field
+    p = a.field.char
+    x, y = list(a.nums), list(b.nums)
+    if not p:
+        x, y = primitive_part(x), primitive_part(y)
+    while y:
+        rem = _pseudo_divmod(x, y, p)[1]
+        x, y = y, rem if p else primitive_part(rem)
+    return CurvePoly.from_ints(a.field, x, x[-1] if x else 1)
+
+
+# the largest exponent a parsed polynomial may have; the dense coefficient
+# list is as long as the exponent, so a larger one is refused before it is built
+MAX_EXPONENT = 10_000
 
 _POLY_TERM_RE = re.compile(
     r"^(?P<coeff>[+-]?[0-9/]*)\s*(?:(?P<star>\*)?\s*x(?:\^(?P<exp>\d+))?)?$"
@@ -305,25 +341,24 @@ def parse_curve_poly(field: CoeffField, text: str) -> CurvePoly:
     chunks = re.findall(r"[+-]?[^+-]+", compact)
     if not chunks or "".join(chunks) != compact:
         raise UsageError(f"cannot parse polynomial {text!r}")
-    coeffs: dict[int, object] = {}
+    one = field.one
+    terms: dict[int, object] = {}
     for chunk in chunks:
         match = _POLY_TERM_RE.match(chunk)
-        if not match or (match.group("star") and not match.group("coeff").strip("+-")):
-            raise UsageError(f"bad polynomial term {chunk!r} in {text!r}")
         has_x = "x" in chunk
-        raw = match.group("coeff")
-        if raw in ("", "+"):
-            scalar = field.one
-        elif raw == "-":
-            scalar = -field.one
-        else:
-            scalar = field.parse_scalar(raw)
+        if match:
+            raw, star, digits = match.group("coeff", "star", "exp")
+        if not match or (star or not has_x) and not raw.strip("+-"):
+            raise UsageError(f"bad polynomial term {chunk!r} in {text!r}")
+        scalar = field.parse_scalar(raw) if raw.strip("+-") else -one if raw == "-" else one
         if not has_x:
-            if raw.strip("+-") == "":
-                raise UsageError(f"bad polynomial term {chunk!r} in {text!r}")
             exp = 0
         else:
-            exp = int(match.group("exp") or 1)
-        coeffs[exp] = coeffs.get(exp, field.zero) + scalar
-    size = max(coeffs) + 1 if coeffs else 0
-    return CurvePoly.from_coeffs(field, [coeffs.get(i, field.zero) for i in range(size)])
+            digits = (digits or "1").lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise UsageError(
+                    f"the exponent of {chunk[:24]!r} exceeds the limit {MAX_EXPONENT}"
+                )
+            exp = int(digits)
+        terms[exp] = terms[exp] + scalar if exp in terms else scalar
+    return CurvePoly._from_terms(field, terms)

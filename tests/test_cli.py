@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -144,6 +149,82 @@ def test_curve_unit_count_over_f5(capsys):
     assert {e["name"] for e in payload["assertions"]} >= {"brute-force-agreement"}
 
 
+# output of the Fraction/FpElt implementation, compacted: the integer storage
+# of CurvePoly must print fractions, signs, contents and residues as it did
+PINNED_CURVE_JSON = [
+    (["reduce", "5", "rational", "1/2*x^3; -3/2"],
+     '"inputs":{"n":"5","field":"rational","gens":["1/2*x^3","-3/2"]},'
+     '"result":{"content":"1","p":"1","q":"x^3","nu":"2"}'),
+    (["reduce", "7", "rational", "-x + 2/3*x^2; x^5"],
+     '"inputs":{"n":"7","field":"rational","gens":["-x + 2/3*x^2","x^5"]},'
+     '"result":{"content":"x","p":"1 - 2/3*x","q":"x^5","nu":"4"}'),
+    (["reduce", "5", "rational", "2 + 2*x; x^3 + x^4"],
+     '"inputs":{"n":"5","field":"rational","gens":["2 + 2*x","x^3 + x^4"]},'
+     '"result":{"content":"1 + x","p":"1","q":"x^3","nu":"2"}'),
+    (["reduce", "7", "rational", "3*x + 3/2; x^4 + 1/2*x^3"],
+     '"inputs":{"n":"7","field":"rational","gens":["3/2 + 3*x","1/2*x^3 + x^4"]},'
+     '"result":{"content":"1/2 + x","p":"1","q":"x^3","nu":"2"}'),
+    (["reduce", "9", "rational", "-4/3 + 2*x^3 - 2/3*x^5; -2*x^7 + 1/5*x^8"],
+     '"inputs":{"n":"9","field":"rational","gens":["-4/3 + 2*x^3 - 2/3*x^5","-2*x^7 + 1/5*x^8"]},'
+     '"result":{"content":"1","p":"1 - 3/2*x^3 + 1/2*x^5","q":"x^7","nu":"6"}'),
+    (["fitt1", "9", "rational", "1 - 1/2*x + x^2; x^5"],
+     '"inputs":{"n":"9","field":"rational","gens":["1 - 1/2*x + x^2","x^5"]},'
+     '"result":{"exponent":"4","module":"x^4*K[x^2] + x^8*K[x]"}'),
+    (["mult-ring", "7", "rational", "-2/7 + x^3; 5*x^4"],
+     '"inputs":{"n":"7","field":"rational","gens":["-2/7 + x^3","5*x^4"]},'
+     '"result":{"nu":"6","ring":"K[x^2] + x^6*K[x]"}'),
+    (["reduce", "7", "f5", "3 + 4*x + 2*x^3; x^5"],
+     '"inputs":{"n":"7","field":"f5","gens":["3 + 4*x + 2*x^3","x^5"]},'
+     '"result":{"content":"1","p":"1 + 3*x + 4*x^3","q":"x^5","nu":"4"}'),
+    (["reduce", "9", "f7", "1/2*x + 3; x^6 - x^3"],
+     '"inputs":{"n":"9","field":"f7","gens":["3 + 4*x","6*x^3 + x^6"]},'
+     '"result":{"content":"6 + x","p":"1","q":"x^3","nu":"2"}'),
+    (["fitt1", "11", "f101", "-1 + 50*x^2 + x^5; 2*x^7 + 3*x^9"],
+     '"inputs":{"n":"11","field":"f101","gens":["100 + 50*x^2 + x^5","2*x^7 + 3*x^9"]},'
+     '"result":{"exponent":"4","module":"x^4*K[x^2] + x^10*K[x]"}'),
+    (["mult-ring", "5", "f3", "2*x + 1; x^2"],
+     '"inputs":{"n":"5","field":"f3","gens":["1 + 2*x","x^2"]},'
+     '"result":{"nu":"2","ring":"K[x^2] + x^2*K[x]"}'),
+    (["units", "7", "f5", "1; x^3"],
+     '"inputs":{"n":"7","field":"f5","gens":["1","x^3"]},'
+     '"result":{"count":"20","nu":"2"}'),
+    (["units", "9", "f3", "2 + x^2 + x^3; x^7"],
+     '"inputs":{"n":"9","field":"f3","gens":["2 + x^2 + x^3","x^7"]},'
+     '"result":{"count":"2","nu":"6"}'),
+]
+
+
+@pytest.mark.parametrize("case,expected", PINNED_CURVE_JSON,
+                         ids=[f"{c[0]}-n{c[1]}-{c[2]}" for c, _ in PINNED_CURVE_JSON])
+def test_curve_json_output_is_pinned(capsys, case, expected):
+    op, n, field, gens = case
+    payload = _run_json(capsys, ["curve", op, "--n", n, "--field", field, "--gens", gens])
+    compact = json.dumps(payload, separators=(",", ":"))
+    assert f'"command":"curve",{expected},"assertions"' in compact
+
+
+def test_huge_exponent_is_refused_at_once(capsys):
+    for gens in ("x^100000000", "1 + x^" + "9" * 5000, "x^10001"):
+        start = time.monotonic()
+        code, out, err = _run(capsys, ["curve", "reduce", "--n", "5", "--field", "rational",
+                                       "--gens", gens])
+        assert time.monotonic() - start < 1.0
+        assert code == 1
+        assert "usage error:" in err and "10000" in err
+
+
+def test_module_entry_point_runs():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cuspidal", "curve", "reduce", "--n", "5", "--gens", "1; x^3",
+         "--json"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["q"] == "x^3"
+
+
 def test_selftest_passes(capsys):
     code, out, err = _run(capsys, ["selftest", "--max-f", "4"])
     assert code == 0
@@ -170,6 +251,8 @@ def test_usage_errors_exit_one(capsys):
         ["no-such-command"],
         ["ideal", "std-basis", "--m", "5", "--f", "1", "--gens", "  "],
         ["pic", "--m", "-5", "--f", "3", "--bound", "0"],
+        ["curve", "reduce", "--n", "5", "--field", "f0", "--gens", "1; x^3"],
+        ["curve", "reduce", "--n", "5", "--field", "0", "--gens", "1; x^3"],
     ]
     for argv in cases:
         code, out, err = _run(capsys, argv)

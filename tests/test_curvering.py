@@ -10,8 +10,7 @@ from cuspidal.curvering import (
     CurveFitt,
     CurveIdeal,
     CurveOrder,
-    _closure,
-    _echelon,
+    _Span,
     conductor_h_solver,
     curve_fitt1,
     curve_ideal_from_generators,
@@ -364,12 +363,24 @@ def _field_rows(draw):
     return field, rows
 
 
+def _int_rows(field, rows):
+    """Field rows as the kernel's integer rows: residues mod p, or each row
+    times the lcm of its denominators."""
+    if field.char:
+        return [[x.value for x in row] for row in rows]
+    dens = [math.lcm(*(x.denominator for x in row)) for row in rows]
+    return [[x.numerator * (den // x.denominator) for x in row] for den, row in zip(dens, rows)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_field_rows())
 def test_integer_kernel_matches_field_elimination(case):
     field, rows = case
-    assert _echelon(field, rows) == _local_echelon(rows)
-    span = _closure(field, rows)
+    echelon = _Span(field)
+    for row in _int_rows(field, rows):
+        echelon.add(row)
+    assert echelon.basis() == _local_echelon(rows)
+    span = _Span(field).close(_int_rows(field, rows))
     basis = span.basis()
     assert basis == _local_closure(field, rows)
     for _, b in basis:

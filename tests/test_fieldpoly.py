@@ -1,10 +1,20 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from cuspidal import fieldpoly
 from cuspidal.errors import UsageError
-from cuspidal.fieldpoly import CoeffField, CurvePoly, FpElt, parse_curve_poly, poly_gcd_monic
+from cuspidal.fieldpoly import (
+    MAX_EXPONENT,
+    CoeffField,
+    CurvePoly,
+    FpElt,
+    parse_curve_poly,
+    poly_gcd_monic,
+)
 
 PRIMES = [2, 3, 5, 7]
 
@@ -31,8 +41,9 @@ def test_coeff_field_construction_and_names():
     assert CoeffField.from_name("q").char == 0
     assert CoeffField.from_name("f7").char == 7
     assert CoeffField.from_name("7").char == 7
-    with pytest.raises(UsageError):
-        CoeffField.from_name("gf9")
+    for name in ("gf9", "f0", "0", "f00"):
+        with pytest.raises(UsageError):
+            CoeffField.from_name(name)
 
 
 def test_coercion_and_scalar_parsing():
@@ -130,3 +141,159 @@ def test_parse_round_trips_rendering(p):
 @given(_polys(CoeffField(7)))
 def test_parse_round_trips_rendering_mod_p(p):
     assert parse_curve_poly(p.field, str(p)) == p
+
+
+def test_exponent_limit():
+    q = CoeffField(0)
+    assert parse_curve_poly(q, f"x^{MAX_EXPONENT}").degree == MAX_EXPONENT
+    assert parse_curve_poly(q, "x^007") == CurvePoly.monomial(q, 7)
+    for text in (f"x^{MAX_EXPONENT + 1}", "1 + x^100000000", "x^" + "9" * 5000):
+        with pytest.raises(UsageError, match=str(MAX_EXPONENT)):
+            parse_curve_poly(q, text)
+
+
+# ---------------------------------------------------------------------------
+# schoolbook arithmetic on Fraction and FpElt coefficient lists, the oracle
+# for the integer kernels of CurvePoly
+
+
+def _trim(cs):
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _oracle_mul(field, a, b):
+    if not a or not b:
+        return []
+    out = [field.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _trim(out)
+
+
+def _oracle_sub(field, a, b):
+    size = max(len(a), len(b))
+    a, b = (cs + [field.zero] * (size - len(cs)) for cs in (a, b))
+    return _trim([x - y for x, y in zip(a, b)])
+
+
+def _oracle_divmod(field, a, b):
+    quot = [field.zero] * max(0, len(a) - len(b) + 1)
+    rem = list(a)
+    deg_b, lead = len(b) - 1, b[-1]
+    while len(rem) - 1 >= deg_b and any(rem):
+        _trim(rem)
+        if len(rem) - 1 < deg_b:
+            break
+        k = len(rem) - 1 - deg_b
+        factor = rem[-1] / lead
+        quot[k] = quot[k] + factor
+        for j, y in enumerate(b):
+            rem[k + j] = rem[k + j] - factor * y
+    return _trim(quot), _trim(rem)
+
+
+def _oracle_gcd_monic(field, a, b):
+    while b:
+        _, r = _oracle_divmod(field, a, b)
+        a, b = b, r
+    return [x / a[-1] for x in a] if a else []
+
+
+def _coeffs(poly):
+    return [poly.coeff(i) for i in range(poly.degree + 1)]
+
+
+def _same(poly, expected):
+    """poly has the oracle's coefficients and the normalized storage."""
+    assert _coeffs(poly) == expected
+    other = CurvePoly.from_coeffs(poly.field, expected)
+    assert poly == other and hash(poly) == hash(other)
+
+
+@st.composite
+def _poly_triples(draw):
+    field = draw(st.sampled_from([CoeffField(0), CoeffField(2), CoeffField(3), CoeffField(5),
+                                  CoeffField(101)]))
+    if field.char:
+        scalar = st.integers(0, field.char - 1).map(field.coerce)
+    else:
+        scalar = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+    def poly(max_deg):
+        return _trim(draw(st.lists(scalar, max_size=max_deg + 1)))
+
+    return field, poly(7), poly(6), poly(3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_poly_triples())
+def test_integer_kernels_match_schoolbook_oracle(case):
+    field, a, b, c = case
+    pa, pb, pc = (CurvePoly.from_coeffs(field, cs) for cs in (a, b, c))
+    _same(pa, a)
+    _same(pa * pb, _oracle_mul(field, a, b))
+    _same(pa - pb, _oracle_sub(field, a, b))
+    if b:
+        quot, rem = pa.divmod_by(pb)
+        oq, orem = _oracle_divmod(field, a, b)
+        _same(quot, oq)
+        _same(rem, orem)
+        _same(pb.monic(), [x / b[-1] for x in b])
+    _same(poly_gcd_monic(pa, pb), _oracle_gcd_monic(field, a, b))
+    # a planted common factor c
+    ac, bc = _oracle_mul(field, a, c), _oracle_mul(field, b, c)
+    _same(poly_gcd_monic(pa * pc, pb * pc), _oracle_gcd_monic(field, ac, bc))
+
+
+def test_rational_gcd_runs_a_primitive_remainder_sequence(monkeypatch):
+    """Over Q every divisor of the remainder sequence has content 1, which
+    keeps its integers small; the oracle comparison cannot see this."""
+    divisors = []
+    pseudo_divmod = fieldpoly._pseudo_divmod
+
+    def spy(a, b, p):
+        divisors.append(b)
+        return pseudo_divmod(a, b, p)
+
+    monkeypatch.setattr(fieldpoly, "_pseudo_divmod", spy)
+    q, rng = CoeffField(0), random.Random(3)
+
+    def poly(deg):
+        return [Fraction(6 * rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(deg)] + [1]
+
+    for _ in range(20):
+        a, b, c = poly(6), poly(5), poly(2)
+        ac, bc = _oracle_mul(q, a, c), _oracle_mul(q, b, c)
+        got = poly_gcd_monic(CurvePoly.from_coeffs(q, ac), CurvePoly.from_coeffs(q, bc))
+        _same(got, _oracle_gcd_monic(q, ac, bc))
+    assert len(divisors) > 20 and all(math.gcd(*b) == 1 for b in divisors)
+
+
+def test_printed_form_is_pinned():
+    # (field, input, str, str of monic, str of square, str of x^2*p - p),
+    # taken from the Fraction and FpElt implementation this storage replaced
+    cases = [
+        ("rational", "1/2*x^3", "1/2*x^3", "x^3", "1/4*x^6", "-1/2*x^3 + 1/2*x^5"),
+        ("rational", "-3/2", "-3/2", "1", "9/4", "3/2 - 3/2*x^2"),
+        ("rational", "-x + 2/3*x^2 - 7/6*x^5", "-x + 2/3*x^2 - 7/6*x^5",
+         "6/7*x - 4/7*x^2 + x^5",
+         "x^2 - 4/3*x^3 + 4/9*x^4 + 7/3*x^6 - 14/9*x^7 + 49/36*x^10",
+         "x - 2/3*x^2 - x^3 + 2/3*x^4 + 7/6*x^5 - 7/6*x^7"),
+        ("rational", "[0, -1/4, 0, 3]", "-1/4*x + 3*x^3", "-1/12*x + x^3",
+         "1/16*x^2 - 3/2*x^4 + 9*x^6", "1/4*x - 13/4*x^3 + 3*x^5"),
+        ("rational", "-1 - x", "-1 - x", "1 + x", "1 + 2*x + x^2", "1 + x - x^2 - x^3"),
+        ("f5", "1/2*x - 1", "4 + 3*x", "3 + x", "1 + 4*x + 4*x^2", "1 + 2*x + 4*x^2 + 3*x^3"),
+        ("f7", "-x^3 + 10", "3 + 6*x^3", "4 + x^3", "2 + x^3 + x^6", "4 + 3*x^2 + x^3 + 6*x^5"),
+        ("f101", "-1/3 + 200*x^4", "67 + 99*x^4", "17 + x^4", "45 + 35*x^4 + 4*x^8",
+         "34 + 67*x^2 + 2*x^4 + 99*x^6"),
+    ]
+    for name, text, shown, monic, square, shifted in cases:
+        p = parse_curve_poly(CoeffField.from_name(name), text)
+        assert (str(p), str(p.monic()), str(p * p), str(p.shift(2) - p)) == (
+            shown, monic, square, shifted
+        )
