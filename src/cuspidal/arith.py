@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -21,33 +22,16 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def is_squarefree(n: int) -> bool:
-    n = abs(n)
-    if n == 0:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        while n % p == 0:
-            n //= p
-        p += 1
-    return True
+    return n != 0 and all(k == 1 for k in factorize(abs(n)).values())
 
 
 def is_prime(n: int) -> bool:
-    """Primality by trial division (desk scale)."""
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 by trial division (desk scale)."""
+    """Prime factorization of n >= 1 by trial division by 2 and the odd
+    numbers (desk scale)."""
     assert n >= 1
     out: dict[int, int] = {}
     p = 2
@@ -55,32 +39,22 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-        p += 1
+        p += 1 if p == 2 else 2
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
 
 
 def euler_phi(n: int) -> int:
-    assert n >= 1
-    val = n
-    for p in factorize(n):
-        val = val // p * (p - 1)
-    return val
+    return math.prod(p ** (k - 1) * (p - 1) for p, k in factorize(n).items())
 
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n >= 1, ascending."""
-    assert n >= 1
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    out = [1]
+    for p, k in factorize(n).items():
+        out = [d * p**i for d in out for i in range(k + 1)]
+    return sorted(out)
 
 
 def isqrt_ceil(n: int) -> int:
@@ -94,3 +68,58 @@ def primitive_part(vec: list[int]) -> list[int]:
     """vec divided by the gcd of its entries; unchanged when that is 0 or 1."""
     g = math.gcd(*vec)
     return [x // g for x in vec] if g > 1 else vec
+
+
+def _sqrt_mod_prime_power(c: int, p: int, q: int) -> list[int]:
+    """All roots of x^2 = c mod q = p^k. Mod p the root is c mod p when p = 2 or
+    p | c, and otherwise comes from Tonelli-Shanks (Cohen, GTM 138, Alg.
+    1.5.1); each root mod p^i then lifts to the x + t*p^i, 0 <= t < p, that
+    are roots mod p^(i+1), which covers p = 2 and p | c as well."""
+    xs = [c % p]
+    if p > 2 and c % p:
+        if pow(c, (p - 1) // 2, p) != 1:
+            return []
+        odd, s = p - 1, 0
+        while odd % 2 == 0:
+            odd, s = odd // 2, s + 1
+        z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+        gen, t, x = pow(z, odd, p), pow(c, odd, p), pow(c, (odd + 1) // 2, p)
+        while t != 1:
+            i = next(i for i in range(1, s) if pow(t, 1 << i, p) == 1)
+            b = pow(gen, 1 << (s - i - 1), p)
+            s, gen, t, x = i, b * b % p, t * b * b % p, x * b % p
+        xs = [x, p - x]
+    m = p
+    while m < q:
+        m *= p
+        xs = [y for x in xs for y in range(x, m, m // p) if (y * y - c) % m == 0]
+    return xs
+
+
+def sqrt_mods(c: int, moduli: range) -> Iterator[tuple[int, list[int]]]:
+    """(n, the x in [0, n) with x^2 = c mod n, ascending) for each n in
+    `moduli`, a range of positive integers. A least-prime-factor sieve splits
+    n into q = p^k || n, p its least prime, and n/q; the roots mod n are the
+    CRT combinations of those mod n/q and mod q, memoised so that each prime
+    power is solved once per call."""
+    top = moduli[-1] if moduli else 1
+    spf = [0] * (top + 1)  # least prime factors, 0 for primes: the last mark wins
+    for p in range(math.isqrt(top), 1, -1):
+        spf[p * p :: p] = [p] * len(range(p * p, top + 1, p))
+    memo: dict[int, list[int]] = {1: [0]}
+
+    def roots(n: int) -> list[int]:
+        if n not in memo:
+            p = q = spf[n] or n
+            while n // q % p == 0:
+                q *= p
+            rest = n // q
+            if rest == 1:
+                memo[n] = _sqrt_mod_prime_power(c, p, q)
+            else:
+                inv = pow(rest, -1, q)
+                memo[n] = [x + rest * ((y - x) * inv % q) for x in roots(rest) for y in roots(q)]
+        return memo[n]
+
+    for n in moduli:
+        yield n, sorted(roots(n))

@@ -19,6 +19,7 @@ from .classnum import class_number_maximal, picard_order
 from .config import resolve_bound
 from .cusps import cusp_count
 from .curvering import (
+    MAX_N,
     curve_fitt1,
     curve_ideal_from_generators,
     curve_multiplier_ring,
@@ -29,10 +30,10 @@ from .fieldpoly import MAX_EXPONENT, CoeffField, parse_curve_poly
 from .genpairs import (
     GenPair,
     GenVec,
+    _epsilon_subgroup,
+    _orbit_count_gl2,
+    _orbit_count_sl2_mod_units,
     det_pair,
-    epsilon_subgroup,
-    orbit_count_gl2,
-    orbit_count_sl2_mod_units,
     reduce_vector,
     sl2_witness,
 )
@@ -210,9 +211,9 @@ def _cmd_ideal(args):
     else:  # mult-ring
         f_prime = multiplier_conductor(ideal)
         n0 = order.f // f_prime
-        eps = epsilon_subgroup(ideal)
-        sl2 = orbit_count_sl2_mod_units(ideal)
-        gl2 = orbit_count_gl2(ideal)
+        eps = _epsilon_subgroup(order, f_prime)
+        sl2 = _orbit_count_sl2_mod_units(order, f_prime)
+        gl2 = _orbit_count_gl2(order, f_prime)
         result = {
             "f_prime": _s(f_prime),
             "n0": _s(n0),
@@ -228,21 +229,19 @@ def _cmd_ideal(args):
     return inputs, result, assertions, lines
 
 
-def _pair_of(args, order, ideal, text: str) -> GenPair:
+def _two_elements(order: Order, text: str, flag: str) -> list:
     gens = _elements(order, text)
     if len(gens) != 2:
-        raise UsageError(f"a pair needs exactly two elements, got {len(gens)}")
-    return GenPair(ideal, gens[0], gens[1])
+        raise UsageError(f"{flag} needs exactly two elements, got {len(gens)}")
+    return gens
 
 
 def _cmd_pair(args):
     order = _order_of(args)
-    first = _elements(order, args.pair)
-    if len(first) != 2:
-        raise UsageError("--pair needs exactly two elements")
+    first = _two_elements(order, args.pair, "--pair")
     ideal = ideal_from_generators(order, first)
-    pair = GenPair(ideal, first[0], first[1])
-    other = _pair_of(args, order, ideal, args.pair2)
+    pair = GenPair(ideal, *first)
+    other = GenPair(ideal, *_two_elements(order, args.pair2, "--pair2"))
     inputs = {
         "m": _s(args.m),
         "f": _s(args.f),
@@ -397,9 +396,9 @@ def _build_parser() -> _Parser:
             p.add_argument("--gens", required=True,
                            help="semicolon-separated elements, e.g. '2; 1+2*w'")
         p.add_argument("--bound", type=int, default=None,
-                       help="budget of candidate ideals in class enumeration or"
-                       " reduced forms listed for a class number; overrides"
-                       " CUSPIDAL_BOUND")
+                       help="budget of primitive candidate ideals in class"
+                       " enumeration, and of the A-window and the reduced forms"
+                       " listed for a class number; overrides CUSPIDAL_BOUND")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("cusps", help="cusp count with per-divisor breakdown")
@@ -437,7 +436,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("curve", help="ideals of K[x^2, x^n]")
     p.add_argument("curve_op", choices=["reduce", "fitt1", "mult-ring", "units"])
-    p.add_argument("--n", type=int, required=True, help="odd exponent of the curve ring")
+    p.add_argument("--n", type=int, required=True,
+                   help=f"odd exponent of the curve ring, at most {MAX_N}")
     p.add_argument("--field", default="rational",
                    help="'rational' or a prime such as 'f5'")
     p.add_argument("--gens", required=True,

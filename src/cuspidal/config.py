@@ -1,10 +1,12 @@
 """Desk-scale search budgets.
 
-The budget counts the candidate ideals of class enumeration or the
-reduced forms listed for a class number. Neither search guesses: when its
-budget is exhausted it raises InconclusiveError. The default budget can be
-overridden with the CUSPIDAL_BOUND environment variable, the --bound
-option, or per call via a `bound` argument.
+The budget counts the primitive candidate ideals of class enumeration
+(one per square root of the discriminant mod 4a), and caps both the window
+of A values and the number of reduced forms listed for a class number.
+Neither search guesses: when its budget is exhausted it raises
+InconclusiveError. The default budget can be overridden with the
+CUSPIDAL_BOUND environment variable, the --bound option, or per call via
+a `bound` argument.
 """
 
 from __future__ import annotations

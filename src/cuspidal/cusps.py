@@ -50,8 +50,9 @@ def cusp_count(order: Order, bound: int | None = None) -> CuspBreakdown:
     for f_prime in divisors(order.f):
         n0 = order.f // f_prime
         phi = euler_phi(n0)
-        halved = has_norm_minus_one(field, f_prime) and n0 > 2
+        # the budgeted class number first, so that an oversized field stops there
         pic = picard_order(Order(field, f_prime), bound=bound)
+        halved = has_norm_minus_one(field, f_prime) and n0 > 2
         terms.append(CuspTerm(f_prime, n0, phi, halved, pic))
     return CuspBreakdown(order, tuple(terms))
 

@@ -281,26 +281,28 @@ def sl2_witness(pair: GenPair, other: GenPair) -> UnimodularWitness:
     return witness
 
 
+def _epsilon_subgroup(order: Order, f_prime: int) -> tuple[int, ...]:
+    n0 = order.f // f_prime
+    residues = {1 % n0, -1 % n0} if has_norm_minus_one(order.field, f_prime) else {1 % n0}
+    return tuple(sorted(residues))
+
+
+def _orbit_count_sl2_mod_units(order: Order, f_prime: int) -> int:
+    n0 = order.f // f_prime
+    halve = has_norm_minus_one(order.field, f_prime) and n0 > 2
+    count = euler_phi(n0) // (2 if halve else 1)
+    assert count * len(_epsilon_subgroup(order, f_prime)) == euler_phi(n0)
+    return count
+
+
 def epsilon_subgroup(ideal: QIdeal) -> tuple[int, ...]:
     """Residues mod f/f' reachable as determinant classes of unit rescalings."""
-    order = ideal.order
-    f_prime = multiplier_conductor(ideal)
-    n0 = order.f // f_prime
-    residues = {1 % n0}
-    if has_norm_minus_one(order.field, f_prime):
-        residues.add(-1 % n0)
-    return tuple(sorted(residues))
+    return _epsilon_subgroup(ideal.order, multiplier_conductor(ideal))
 
 
 def orbit_count_sl2_mod_units(ideal: QIdeal) -> int:
     """Number of SL2 orbits on generating pairs, up to unit rescaling."""
-    order = ideal.order
-    f_prime = multiplier_conductor(ideal)
-    n0 = order.f // f_prime
-    halve = has_norm_minus_one(order.field, f_prime) and n0 > 2
-    count = euler_phi(n0) // (2 if halve else 1)
-    assert count * len(epsilon_subgroup(ideal)) == euler_phi(n0)
-    return count
+    return _orbit_count_sl2_mod_units(ideal.order, multiplier_conductor(ideal))
 
 
 def _unit_residues(order: Order, n0: int) -> set[int]:
@@ -328,15 +330,17 @@ def _unit_residues(order: Order, n0: int) -> set[int]:
     return subgroup
 
 
-def orbit_count_gl2(ideal: QIdeal) -> int:
-    """Number of GL2 orbits on generating pairs of the ideal."""
-    order = ideal.order
-    f_prime = multiplier_conductor(ideal)
+def _orbit_count_gl2(order: Order, f_prime: int) -> int:
     n0 = order.f // f_prime
     image = _unit_residues(order, n0)
     total = euler_phi(n0)
     assert total % len(image) == 0
     return total // len(image)
+
+
+def orbit_count_gl2(ideal: QIdeal) -> int:
+    """Number of GL2 orbits on generating pairs of the ideal."""
+    return _orbit_count_gl2(ideal.order, multiplier_conductor(ideal))
 
 
 def _gcd_column_reduce(xs: list[int], target: int) -> tuple[list[int], list[list[int]]]:

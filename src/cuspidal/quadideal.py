@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .arith import divisors, factorize
+from .arith import divisors, factorize, sqrt_mods
 from .config import resolve_bound
 from .errors import InconclusiveError, InternalCheckError, UsageError, ZeroIdealError
 from .quadfield import QuadElt, QuadField
@@ -102,10 +102,6 @@ class QIdeal:
         """Index of the ideal in its order, equal to a*e."""
         return self.a * self.e
 
-    @property
-    def is_primitive(self) -> bool:
-        return self.e == 1
-
     def contains(self, x: QuadElt) -> bool:
         if not self.order.contains(x):
             return False
@@ -139,9 +135,6 @@ class FracIdeal:
             n = self.num
             object.__setattr__(self, "num", QIdeal(n.order, n.a // g, n.d // g, n.e // g))
             object.__setattr__(self, "den", self.den // g)
-
-    def is_integral(self) -> bool:
-        return self.den == 1
 
     def __str__(self) -> str:
         return f"({self.num})/{self.den}" if self.den != 1 else str(self.num)
@@ -371,28 +364,34 @@ def canonical_form(form: QuadForm, cycles: dict[QuadForm, QuadForm] | None = Non
 
 def reduced_forms(disc: int, budget: int) -> list[QuadForm]:
     """The reduced primitive forms of a non-square discriminant of either sign
-    (Cohen, GTM 138, 5.3 and 5.6): B runs over its window, up to sqrt(|disc|/3)
-    or sqrt(disc), and A over the divisors of (B^2 - disc)/4. More than
-    `budget` forms raise InconclusiveError."""
+    (Cohen, GTM 138, 5.3 and 5.6): A runs over its window, up to
+    sqrt(|disc|/3) or sqrt(disc), and B over the square roots of disc mod 4A
+    in (-A, A] or in the reduction window below sqrt(disc). A window wider
+    than `budget`, or more than `budget` forms, raise InconclusiveError."""
     s = math.isqrt(-disc // 3 if disc < 0 else disc)
+    knob = f"bound {budget}; raise it with --bound or CUSPIDAL_BOUND"
+    if s > budget:
+        raise InconclusiveError(f"the A-window {s} of discriminant {disc} exceeds {knob}")
     forms: list[QuadForm] = []
-    for b in range(disc % 2, s + 1, 2):
-        ac = (b * b - disc) // 4
-        for a in divisors(abs(ac)):
-            c = ac // a
-            if math.gcd(a, b, c) != 1:
-                continue
-            if disc < 0 and b <= a <= c:
-                forms.append(QuadForm(a, b, c))
-                if 0 < b < a < c:
-                    forms.append(QuadForm(a, -b, c))
-            elif disc > 0 and 2 * a - b <= s < 2 * a + b:
-                forms += [QuadForm(a, b, c), QuadForm(-a, b, -c)]
-            if len(forms) > budget:
-                raise InconclusiveError(
-                    f"reduced forms of discriminant {disc} exceed bound {budget};"
-                    " raise it with --bound or CUSPIDAL_BOUND"
-                )
+    for n, roots in sqrt_mods(disc, range(4, 4 * s + 1, 4)):
+        a = n // 4
+        # the roots below 2a are the residues of B mod 2a
+        for r in roots[: len(roots) // 2]:
+            if disc < 0:
+                bs = [r if r <= a else r - 2 * a]
+            else:  # |sqrt(disc) - 2a| < B < sqrt(disc)
+                lo = max(2 * a - s, s - 2 * a + 1)
+                bs = range(lo + (r - lo) % (2 * a), s + 1, 2 * a)
+            for b in bs:
+                c = (b * b - disc) // n
+                if math.gcd(a, b, c) != 1:
+                    continue
+                if disc > 0:
+                    forms += [QuadForm(a, b, c), QuadForm(-a, b, -c)]
+                elif a < c or (a == c and b >= 0):
+                    forms.append(QuadForm(a, b, c))
+        if len(forms) > budget:
+            raise InconclusiveError(f"reduced forms of discriminant {disc} exceed {knob}")
     return forms
 
 
@@ -403,7 +402,10 @@ def class_key(
     when two ideals of one order have equal keys. The key is (g, q) with g the
     content of q_I, which fixes the multiplier ring, and q the canonical form
     of q_I/g."""
-    form = associated_form(ideal)
+    return _form_key(associated_form(ideal), cycles)
+
+
+def _form_key(form: QuadForm, cycles: dict[QuadForm, QuadForm] | None) -> tuple[int, QuadForm]:
     g = form.content
     return g, canonical_form(QuadForm(form.A // g, form.B // g, form.C // g), cycles)
 
@@ -432,35 +434,31 @@ def _class_search_limit(order: Order) -> int:
 def enumerate_ideal_classes(order: Order, bound: int | None = None) -> list[QIdeal]:
     """Representatives of all ideal classes (invertible or not) of the order.
 
-    Enumerates standard bases (a, d, e) with a*e below a Minkowski-style
-    limit and keeps the first ideal of each class_key. Representatives are
-    minimal in the ordering (norm, a, d, e), so the output is deterministic.
-    """
+    The candidates are the primitive ideals Z*a + Z*(d + f*omega), a up to
+    _class_search_limit (an ideal (a, d, e) is e times the primitive ideal
+    (a/e, d/e, 1) of its class), -a/2 <= d < a/2, with B = 2d + t*f (t the
+    trace of omega) a square root of the discriminant mod 4a (Cohen, GTM 138,
+    5.2). The first ideal of each class_key by ascending (a, d) is kept. More
+    than `bound` candidates raise InconclusiveError."""
     budget = resolve_bound(bound)
     limit = _class_search_limit(order)
-    t, r = order.field.omega_trace, order.field.omega_sq[0]
+    disc, tf = order.disc, order.field.omega_trace * order.f
     reps: dict[tuple[int, QuadForm], QIdeal] = {}
     cycles: dict[QuadForm, QuadForm] = {}
     candidates = 0
-    for a in range(1, limit + 1):
-        for e in divisors(a):
-            if a * e > limit:
-                continue
-            # N(d + y*omega) = d^2 + t*y*d - r*y^2 with y = e*f, for d = 0 mod e
-            y = e * order.f
-            ty, ry2 = t * y, r * y * y
-            for d in range(-((a // 2) // e) * e, (a + 1) // 2, e):
-                if (d * d + ty * d - ry2) % (a * e):
-                    continue
-                candidates += 1
-                if candidates > budget:
-                    raise InconclusiveError(
-                        f"class enumeration exceeded bound {budget};"
-                        " raise it with --bound or CUSPIDAL_BOUND"
-                    )
-                try:
-                    ideal = QIdeal(order, a, d, e)
-                except UsageError:
-                    continue
-                reps.setdefault(class_key(ideal, cycles), ideal)
+    for n, roots in sqrt_mods(disc, range(4, 4 * limit + 1, 4)):
+        a = n // 4
+        # B mod 2a runs over the roots below 2a; d = (B - t*f)/2 mod a
+        ds = sorted(((r - tf) // 2 + a // 2) % a - a // 2 for r in roots[: len(roots) // 2])
+        candidates += len(ds)
+        if candidates > budget:
+            raise InconclusiveError(
+                f"class enumeration exceeded bound {budget};"
+                " raise it with --bound or CUSPIDAL_BOUND"
+            )
+        for d in ds:
+            b = 2 * d + tf
+            key = _form_key(QuadForm(a, b, (b * b - disc) // n), cycles)
+            if key not in reps:
+                reps[key] = QIdeal(order, a, d, 1)
     return list(reps.values())

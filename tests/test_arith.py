@@ -9,6 +9,7 @@ from cuspidal.arith import (
     is_prime,
     is_squarefree,
     isqrt_ceil,
+    sqrt_mods,
     xgcd,
 )
 
@@ -57,3 +58,35 @@ def test_isqrt_ceil(n):
     r = isqrt_ceil(n)
     assert r * r >= n
     assert r == 0 or (r - 1) * (r - 1) < n
+
+
+def _squares_table(n):
+    """Residue mod n -> every x in [0, n) squaring to it, ascending."""
+    table = {}
+    for x in range(n):
+        table.setdefault(x * x % n, []).append(x)
+    return table
+
+
+def test_sqrt_mod_matches_brute_force():
+    tables = {n: _squares_table(n) for n in range(1, 2001)}
+    # one c against every modulus n <= 2000: zero, squares, discriminants,
+    # c with many small prime factors, and c that are non-residues mod many n
+    for c in (0, 1, 144, 12345**2, -3, -4, -23, -4 * 10000019, 1000003, 3 * 2**9, 2 * 7**3,
+              2**7 * 3**4 * 5**3 * 7**2 * 11):
+        for n, roots in sqrt_mods(c, range(1, 2001)):
+            assert roots == tables[n].get(c % n, []), (c, n)
+    # per modulus: a non-residue and values sharing the least prime p of n
+    for n in range(2, 2001):
+        p = min(factorize(n))
+        nonres = next((c for c in range(n) if c not in tables[n]), 1)
+        for c in (nonres, p, p**3, p * nonres, n // p * 3, 5 * n):
+            ((m, roots),) = sqrt_mods(c, range(n, n + 1))
+            assert m == n and roots == tables[n].get(c % n, []), (c, n)
+    # every residue c mod every n <= 300
+    for c in range(300):
+        for n, roots in sqrt_mods(c, range(1, 301)):
+            assert roots == tables[n].get(c % n, []), (c, n)
+    # a stepped range, as class enumeration asks for the roots mod 4a
+    for n, roots in sqrt_mods(-23 * 36, range(4, 2001, 4)):
+        assert roots == tables[n].get(-23 * 36 % n, []), n

@@ -213,6 +213,44 @@ def test_huge_exponent_is_refused_at_once(capsys):
         assert "usage error:" in err and "10000" in err
 
 
+def test_huge_curve_exponent_is_refused_at_once(capsys):
+    for n in ("2003", "100001", "10" * 40 + "1"):
+        start = time.monotonic()
+        code, out, err = _run(capsys, ["curve", "reduce", "--n", n, "--gens", "1; x^3"])
+        assert time.monotonic() - start < 1.0
+        assert code == 1
+        assert "usage error:" in err and "2001" in err
+
+
+@pytest.mark.parametrize("m", ["99999999999973", "-99999999999973"])
+def test_form_window_beyond_the_budget_exits_two_at_once(capsys, m):
+    start = time.monotonic()
+    code, out, err = _run(capsys, ["pic", "--m", m, "--f", "1"])
+    assert time.monotonic() - start < 10.0
+    assert code == 2
+    assert "A-window" in err and "--bound" in err and "CUSPIDAL_BOUND" in err
+
+
+def test_multiplier_ring_report_computes_the_conductor_once(capsys, monkeypatch):
+    import cuspidal.cli
+    import cuspidal.genpairs
+
+    calls = []
+
+    def counted(ideal, real=cuspidal.cli.multiplier_conductor):
+        calls.append(ideal)
+        return real(ideal)
+
+    monkeypatch.setattr(cuspidal.cli, "multiplier_conductor", counted)
+    monkeypatch.setattr(cuspidal.genpairs, "multiplier_conductor", counted)
+    payload = _run_json(capsys, ["ideal", "mult-ring", "--m", "-1", "--f", "5", "--gens", "5; 5*w"])
+    assert len(calls) == 1
+    # the public count also computes it once, and the orbit identity holds
+    assert payload["result"]["sl2_orbits"] == "4"
+    assert cuspidal.genpairs.orbit_count_sl2_mod_units(calls[0]) == 4
+    assert len(calls) == 2
+
+
 def test_module_entry_point_runs():
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))

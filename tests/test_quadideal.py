@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from cuspidal.arith import divisors, isqrt_ceil
+from cuspidal.arith import divisors, is_squarefree, isqrt_ceil
+from cuspidal.config import resolve_bound
 from cuspidal.errors import InconclusiveError, UsageError, ZeroIdealError
 from cuspidal.quadfield import QuadElt, QuadField
 from cuspidal.quadideal import (
@@ -502,6 +503,78 @@ def test_enumeration_matches_pairwise_search(m):
     for f in (1, 2, 3, 4):
         order = Order(QuadField(m), f)
         assert enumerate_ideal_classes(order) == _pairwise_classes(order), (m, f)
+
+
+def _scan_classes(order: Order, bound: int | None = None) -> list[QIdeal]:
+    """Representatives of all ideal classes (invertible or not) of the order.
+
+    Enumerates standard bases (a, d, e) with a*e below a Minkowski-style
+    limit and keeps the first ideal of each class_key. Representatives are
+    minimal in the ordering (norm, a, d, e), so the output is deterministic.
+    """
+    budget = resolve_bound(bound)
+    limit = _class_search_limit(order)
+    t, r = order.field.omega_trace, order.field.omega_sq[0]
+    reps: dict[tuple[int, QuadForm], QIdeal] = {}
+    cycles: dict[QuadForm, QuadForm] = {}
+    candidates = 0
+    for a in range(1, limit + 1):
+        for e in divisors(a):
+            if a * e > limit:
+                continue
+            # N(d + y*omega) = d^2 + t*y*d - r*y^2 with y = e*f, for d = 0 mod e
+            y = e * order.f
+            ty, ry2 = t * y, r * y * y
+            for d in range(-((a // 2) // e) * e, (a + 1) // 2, e):
+                if (d * d + ty * d - ry2) % (a * e):
+                    continue
+                candidates += 1
+                if candidates > budget:
+                    raise InconclusiveError(
+                        f"class enumeration exceeded bound {budget};"
+                        " raise it with --bound or CUSPIDAL_BOUND"
+                    )
+                try:
+                    ideal = QIdeal(order, a, d, e)
+                except UsageError:
+                    continue
+                reps.setdefault(class_key(ideal, cycles), ideal)
+    return list(reps.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(-5000, 5000).filter(lambda m: m not in (0, 1) and is_squarefree(m)),
+    st.integers(1, 6),
+)
+def test_enumeration_matches_the_full_standard_basis_scan(m, f):
+    """The oracle is the scan over every standard basis (a, d, e) with
+    a*e <= limit, which the root-driven enumeration replaced."""
+    order = Order(QuadField(m), f)
+    event(f"real: {m > 0}")
+    assert enumerate_ideal_classes(order) == _scan_classes(order)
+
+
+def _primitive_ideal_count(order):
+    """Primitive ideals (a, d, 1) with a up to the search limit, by trial."""
+    count = 0
+    for a in range(1, _class_search_limit(order) + 1):
+        for d in range(-(a // 2), (a + 1) // 2):
+            try:
+                QIdeal(order, a, d, 1)
+            except UsageError:
+                continue
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("m,f", [(-23, 1), (-3, 4), (5, 6), (79, 3), (-5, 2)])
+def test_enumeration_budget_counts_primitive_candidates(m, f):
+    order = Order(QuadField(m), f)
+    count = _primitive_ideal_count(order)
+    assert enumerate_ideal_classes(order, bound=count) == _scan_classes(order)
+    with pytest.raises(InconclusiveError, match="--bound or CUSPIDAL_BOUND"):
+        enumerate_ideal_classes(order, bound=count - 1)
 
 
 def test_shared_cycle_table_gives_the_same_keys():
