@@ -395,19 +395,22 @@ def _build_parser() -> _Parser:
         if gens:
             p.add_argument("--gens", required=True,
                            help="semicolon-separated elements, e.g. '2; 1+2*w'")
-        p.add_argument("--bound", type=int, default=None,
-                       help="budget of primitive candidate ideals in class"
-                       " enumeration, and of the A-window and the reduced forms"
-                       " listed for a class number; overrides CUSPIDAL_BOUND")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
-    p = sub.add_parser("cusps", help="cusp count with per-divisor breakdown")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--bound", type=int, default=None,
+                        help="budget of primitive candidate ideals in class"
+                        " enumeration, and of the A-window and the reduced forms"
+                        " listed for a class number; overrides CUSPIDAL_BOUND,"
+                        " which alone caps the rho-steps of the unit walk")
+
+    p = sub.add_parser("cusps", parents=[budget], help="cusp count with per-divisor breakdown")
     order_args(p)
     p.add_argument("--no-check", action="store_true",
                    help="skip the independent enumeration cross-check")
     p.set_defaults(handler=_cmd_cusps)
 
-    p = sub.add_parser("pic", help="Picard group order of Z + Z*f*omega")
+    p = sub.add_parser("pic", parents=[budget], help="Picard group order of Z + Z*f*omega")
     order_args(p)
     p.add_argument("--brute", action="store_true",
                    help="cross-check against plain class enumeration")

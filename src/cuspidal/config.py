@@ -1,12 +1,12 @@
 """Desk-scale search budgets.
 
 The budget counts the primitive candidate ideals of class enumeration
-(one per square root of the discriminant mod 4a), and caps both the window
-of A values and the number of reduced forms listed for a class number.
-Neither search guesses: when its budget is exhausted it raises
-InconclusiveError. The default budget can be overridden with the
-CUSPIDAL_BOUND environment variable, the --bound option, or per call via
-a `bound` argument.
+(one per square root of the discriminant mod 4a) and the rho-steps of the
+fundamental unit's principal-cycle walk, and caps the window of A values
+and the reduced forms listed for a class number. No search guesses: an
+exhausted budget raises InconclusiveError. The default budget can be
+overridden with CUSPIDAL_BOUND, with --bound on `cusps` and `pic`, or per
+call via a `bound` argument, which the unit walk does not take.
 """
 
 from __future__ import annotations

@@ -8,7 +8,9 @@ linear algebra over the coefficient field. The canonical presentation of
 an ideal is a pair (p, x^(nu+1)) with p of constant term 1; nu is the
 even invariant whose complement n-1-nu is the least valuation in the
 colon module (R : I), which is recomputed independently as a nullspace
-and compared.
+and compared. nu is twice the codimension of that subspace, which contains
+K[x^2]*p, of dimension (n-1)/2, and meets the odd monomials, uniserial over
+K[x^2], in x^(nu+1)K[x^2].
 """
 
 from __future__ import annotations
@@ -66,9 +68,9 @@ def _eliminate(p: int, vec: list[int], b: list[int], j: int) -> list[int]:
 class _Span:
     """A subspace of K^width held as echelon rows of ints, keyed by leading column."""
 
-    def __init__(self, field: CoeffField, rows: dict[int, list[int]] | None = None):
+    def __init__(self, field: CoeffField):
         self.field = field
-        self.rows = dict(rows or {})
+        self.rows: dict[int, list[int]] = {}
 
     def reduce(self, vec: list[int]) -> tuple[int | None, list[int]]:
         """Clear vec at each pivot column up to its first column with no pivot.
@@ -191,9 +193,8 @@ class CurveIdeal:
             if self.nu != self.n - 1 or self.p != CurvePoly.one(self.field):
                 raise UsageError("a zero q is only allowed for the unit ideal")
         else:
-            val = self.q.valuation()
             expected = self.nu + 1 if self.nu < self.n - 1 else self.n - 1
-            if self.q != CurvePoly.monomial(self.field, expected) or val != expected:
+            if self.q != CurvePoly.monomial(self.field, expected):
                 raise UsageError("q must be the monomial x^(nu+1), or x^(n-1) at the top")
 
     def _span(self) -> _Span:
@@ -242,25 +243,15 @@ def curve_ideal_from_generators(
     p_row = w_rref[0][1]
     p = CurvePoly.from_ints(field, p_row, p_row[0])
 
-    hat = _Span(field).close([p_row])
-    if len(w.rows) == len(hat.rows):
-        if p == CurvePoly.one(field):
-            q = CurvePoly.zero(field)
-        else:
-            q = CurvePoly.monomial(field, n - 1)
-        nu = n - 1
+    # K[x]/x^(n-1) = P + O, P = K[x^2]*p of dimension (n-1)/2, O the odd part,
+    # uniserial over K[x^2]: W = P + x^(nu+1)K[x^2], so nu = 2 * codim W.
+    nu = 2 * (n - 1 - len(w.rows))
+    if nu < n - 1:
+        q = CurvePoly.monomial(field, nu + 1)
+    elif p == CurvePoly.one(field):
+        q = CurvePoly.zero(field)
     else:
-        vec = _cyclic_candidate(w_rref, hat)
-        for j in range(0, n - 1, 2):
-            if vec[j]:
-                vec = _eliminate(field.char, vec, [0] * j + p_row[: n - 1 - j], j)
-        m = next((i for i, v in enumerate(vec) if v), None)
-        if m is None or m % 2 == 0:
-            raise InternalCheckError("pair reduction did not end at an odd valuation")
-        if [0] * m + [1] + [0] * (n - 2 - m) not in w:
-            raise InternalCheckError("reduced monomial escaped the module")
-        q = CurvePoly.monomial(field, m)
-        nu = m - 1
+        q = CurvePoly.monomial(field, n - 1)
 
     ideal = CurveIdeal(field, n, content, p, q, nu)
     if ideal._span().rref() != w_rref:
@@ -275,22 +266,6 @@ def curve_ideal_from_generators(
     return ideal
 
 
-def _cyclic_candidate(w_rref: list[tuple[int, list[int]]], hat: _Span) -> list[int]:
-    """A vector generating W/(closure of p) over K[x^2], verified.
-
-    Each row of W outside hat is tried in turn: hat's basis, which is
-    already x^2-stable, is extended by the row and closed, and the first row
-    whose closure reaches all of W is returned.
-    """
-    for _, row in w_rref:
-        lead, cand = hat.reduce(row)
-        if lead is None:
-            continue
-        if len(_Span(hat.field, hat.rows).close([cand]).rows) == len(w_rref):
-            return cand
-    raise InternalCheckError("no cyclic generator found; module is not two-generated")
-
-
 # ---------------------------------------------------------------------------
 # colon module, Fitting ideal, multiplier ring
 
@@ -300,20 +275,15 @@ def conductor_h_solver(
     n: int,
     p: CurvePoly,
     q: CurvePoly,
-    degree: int | None = None,
 ) -> tuple[list[CurvePoly], int]:
-    """Basis of {h : h*p and h*q lie in the ring} up to the degree bound.
+    """Basis of {h : h*p and h*q lie in the ring} in degrees at most n.
 
     Returns the nullspace basis and its least valuation, which equals
-    n - 1 - nu. The bound must be at least n - 1 so the tail x^(n-1) of
-    the colon module is visible; coefficients above the bound are free
-    and add nothing below it.
+    n - 1 - nu. Degree n keeps the tail x^(n-1) of the colon module
+    visible; coefficients above it are free and add nothing below it.
     """
     _check_n(n)
-    cap = n if degree is None else degree
-    if cap < n - 1:
-        raise UsageError(f"degree bound {cap} is below n-1 = {n - 1}")
-    width = cap + 1
+    width = n + 1
     span = _Span(field)
     for g in (p, q):
         for j in range(1, n, 2):

