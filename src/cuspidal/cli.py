@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 
@@ -154,9 +155,20 @@ def _cmd_pic(args):
 def _cmd_unit(args):
     field = QuadField(args.m)
     info = fundamental_unit(field, args.f)
+    try:
+        unit = None if info.fundamental is None else str(info.fundamental)
+    except ValueError:  # past the interpreter's int-to-str digit limit
+        big = max(abs(info.fundamental.a), abs(info.fundamental.b))
+        digits = int(big.bit_length() * math.log10(2)) + 1
+        digits -= 10 ** (digits - 1) > big
+        limit = sys.get_int_max_str_digits()
+        raise InconclusiveError(
+            f"the fundamental unit has {digits} digits, past the {limit}-digit limit on"
+            " printing an int; raise it with PYTHONINTMAXSTRDIGITS or -X int_max_str_digits"
+        ) from None
     inputs = {"m": _s(args.m), "f": _s(args.f)}
     result = {
-        "fundamental": None if info.fundamental is None else str(info.fundamental),
+        "fundamental": unit,
         "power_in_maximal": _s(info.power_in_maximal),
         "torsion_gen": str(info.torsion_gen),
         "torsion_order": _s(info.torsion_order),
@@ -167,7 +179,7 @@ def _cmd_unit(args):
         lines.append(f"unit group of conductor {args.f} in Q(sqrt({args.m})) is torsion")
     else:
         norm = info.fundamental.norm()
-        lines.append(f"fundamental unit: {info.fundamental}  (norm {norm})")
+        lines.append(f"fundamental unit: {unit}  (norm {norm})")
         lines.append(
             f"equals the maximal-order fundamental unit to the power {info.power_in_maximal}"
         )
@@ -238,10 +250,8 @@ def _two_elements(order: Order, text: str, flag: str) -> list:
 
 def _cmd_pair(args):
     order = _order_of(args)
-    first = _two_elements(order, args.pair, "--pair")
-    ideal = ideal_from_generators(order, first)
-    pair = GenPair(ideal, *first)
-    other = GenPair(ideal, *_two_elements(order, args.pair2, "--pair2"))
+    pair = GenPair.generating(order, *_two_elements(order, args.pair, "--pair"))
+    other = GenPair(pair.ideal, *_two_elements(order, args.pair2, "--pair2"))
     inputs = {
         "m": _s(args.m),
         "f": _s(args.f),

@@ -43,6 +43,13 @@ class GenPair:
         if generated != self.ideal:
             raise UsageError(f"({self.g1}, {self.g2}) does not generate {self.ideal}")
 
+    @classmethod
+    def generating(cls, order: Order, g1: QuadElt, g2: QuadElt) -> GenPair:
+        """(g1, g2) with the ideal it generates, built once: nothing to check."""
+        pair = object.__new__(cls)
+        pair.__dict__.update(ideal=ideal_from_generators(order, [g1, g2]), g1=g1, g2=g2)
+        return pair
+
     @property
     def elements(self) -> tuple[QuadElt, QuadElt]:
         return (self.g1, self.g2)
@@ -131,13 +138,6 @@ class UnimodularWitness:
         return tuple(out)
 
 
-def _identity_witness(order: Order, n: int) -> UnimodularWitness:
-    one, zero = order.field.one, order.field.zero
-    return UnimodularWitness(
-        tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-    )
-
-
 def _int_witness(order: Order, rows: list[list[int]]) -> UnimodularWitness:
     return UnimodularWitness(
         tuple(tuple(order.field.element(x) for x in row) for row in rows)
@@ -146,38 +146,41 @@ def _int_witness(order: Order, rows: list[list[int]]) -> UnimodularWitness:
 
 def _coeff_columns(pair: GenPair) -> list[list[int]]:
     """Coordinate columns of g1, gen*g1, g2, gen*g2 over (1, omega)."""
-    order = pair.ideal.order
-    cols = []
-    for g in pair.elements:
-        for mult in (order.field.one, order.gen):
-            prod = g * mult
-            cols.append([prod.a, prod.b])
-    rows = [[cols[j][i] for j in range(4)] for i in range(2)]
-    return rows
+    gen = pair.ideal.order.gen
+    cols = [p for g in pair.elements for p in (g, g * gen)]
+    return [[p.a for p in cols], [p.b for p in cols]]
 
 
 def _solve_in_pair(pair: GenPair, target: QuadElt) -> tuple[QuadElt, QuadElt]:
     """Coefficients (x, y) in the order with g1*x + g2*y = target."""
     order = pair.ideal.order
-    rows = _coeff_columns(pair)
-    sol = solve_int(rows, [target.a, target.b])
+    sol = solve_int(_coeff_columns(pair), [target.a, target.b])
     if sol is None:
         raise InternalCheckError(f"{target} is not reachable from {pair.elements}")
     x = order.from_coords(sol[0], sol[1])
     y = order.from_coords(sol[2], sol[3])
-    assert pair.g1 * x + pair.g2 * y == target
+    if pair.g1 * x + pair.g2 * y != target:
+        raise InternalCheckError(f"coefficients {(x, y)} do not reach {target}")
     return x, y
-
-
-def _coefficient_matrix(pair: GenPair, other: GenPair) -> list[list[QuadElt]]:
-    """A with pair.elements @ A = other.elements, entries in the order."""
-    col1 = _solve_in_pair(pair, other.g1)
-    col2 = _solve_in_pair(pair, other.g2)
-    return [[col1[0], col2[0]], [col1[1], col2[1]]]
 
 
 def _det2(mat: list[list[QuadElt]]) -> QuadElt:
     return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
+
+
+def _transition(pair: GenPair, other: GenPair) -> tuple[list[list[QuadElt]], DetClass]:
+    """The coefficient matrix A with pair.elements @ A = other.elements and
+    the class of det A: its first coordinate over (1, f*omega) in Z/(f/f')."""
+    if pair.ideal != other.ideal:
+        raise UsageError("pairs generate different ideals, no determinant class")
+    order = pair.ideal.order
+    n0 = order.f // multiplier_conductor(pair.ideal)
+    (x1, y1), (x2, y2) = (_solve_in_pair(pair, h) for h in other.elements)
+    mat = [[x1, x2], [y1, y2]]
+    cls = DetClass(order.coords(_det2(mat))[0], n0)
+    if math.gcd(cls.value, n0) != 1:
+        raise InternalCheckError(f"determinant residue {cls.value} mod {n0} not a unit")
+    return mat, cls
 
 
 def det_pair(pair: GenPair, other: GenPair, check: bool = False) -> DetClass:
@@ -185,27 +188,19 @@ def det_pair(pair: GenPair, other: GenPair, check: bool = False) -> DetClass:
 
     Both pairs must generate the same ideal. The residue lives in
     Z/(f/f') via the first coordinate over (1, f*omega), and is a unit.
+    With check, every lift A + (kernel vector) gives the same class.
     """
-    if pair.ideal != other.ideal:
-        raise UsageError("pairs generate different ideals, no determinant class")
-    order = pair.ideal.order
-    f_prime = multiplier_conductor(pair.ideal)
-    n0 = order.f // f_prime
-    mat = _coefficient_matrix(pair, other)
-    det = _det2(mat)
-    u, v = order.coords(det)
-    cls = DetClass(u, n0)
-    if math.gcd(cls.value, n0) != 1:
-        raise InternalCheckError(f"determinant residue {cls.value} mod {n0} not a unit")
+    mat, cls = _transition(pair, other)
     if check:
-        rows = _coeff_columns(pair)
-        for kern in kernel_int(rows):
+        order = pair.ideal.order
+        for kern in kernel_int(_coeff_columns(pair)):
             dx = order.from_coords(kern[0], kern[1])
             dy = order.from_coords(kern[2], kern[3])
-            assert pair.g1 * dx + pair.g2 * dy == order.field.zero
+            if pair.g1 * dx + pair.g2 * dy != order.field.zero:
+                raise InternalCheckError(f"{(dx, dy)} is not a relation of {pair.elements}")
             alt = [[mat[0][0] + dx, mat[0][1]], [mat[1][0] + dy, mat[1][1]]]
-            u_alt, _ = order.coords(_det2(alt))
-            assert u_alt % n0 == cls.value, "determinant class depends on the lift"
+            if order.coords(_det2(alt))[0] % cls.modulus != cls.value:
+                raise InternalCheckError("determinant class depends on the lift")
     return cls
 
 
@@ -231,34 +226,26 @@ def sl2_witness(pair: GenPair, other: GenPair) -> UnimodularWitness:
     order = pair.ideal.order
     field = order.field
     if pair.elements == other.elements:
-        return _identity_witness(order, 2)
-    cls = det_pair(pair, other)
+        return _int_witness(order, identity(2))
+    mat, cls = _transition(pair, other)
     if not cls.is_one:
         raise UsageError(f"pairs are not SL2-equivalent, class {cls.value} mod {cls.modulus}")
-    mat = _coefficient_matrix(pair, other)
-    det = _det2(mat)
-    t = field.one - det
-    fitting = fitt1(pair.ideal)
-    assert fitting.contains(t)
+    t = field.one - _det2(mat)
+    if not fitt1(pair.ideal).contains(t):
+        raise InternalCheckError(f"1 - det A = {t} is not in Fitt_1")
 
     conj = pair.ideal.conjugate()
     c = pair.ideal.norm()
     scaled_t = t * c
     basis = (conj.gen1, conj.gen2)
-    cols = []
-    for g in basis:
-        prod = g * other.g2
-        cols.append([prod.a, prod.b])
-    for g in basis:
-        prod = g * other.g1
-        cols.append([-prod.a, -prod.b])
-    rows = [[cols[j][i] for j in range(4)] for i in range(2)]
-    sol = solve_int(rows, [scaled_t.a, scaled_t.b])
+    cols = [g * other.g2 for g in basis] + [-(g * other.g1) for g in basis]
+    sol = solve_int([[p.a for p in cols], [p.b for p in cols]], [scaled_t.a, scaled_t.b])
     if sol is None:
         raise InternalCheckError("correction equation has no solution over sigma(I)^2")
     rho = basis[0] * sol[0] + basis[1] * sol[1]
     sigma = basis[0] * sol[2] + basis[1] * sol[3]
-    assert rho * other.g2 - sigma * other.g1 == scaled_t
+    if rho * other.g2 - sigma * other.g1 != scaled_t:
+        raise InternalCheckError("correction equation solution does not check")
 
     a, b = pair.elements
     n11 = _divide_exact(rho * b, c)

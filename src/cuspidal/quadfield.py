@@ -180,7 +180,7 @@ def parse_element(field: QuadField, text: str) -> QuadElt:
 
     Coefficients may be fractions such as 1/2, which is how e.g. omega is
     written in the s-basis for m = 1 mod 4; anything that does not land in
-    the maximal order is rejected.
+    the maximal order is rejected. Text without '/' is read on ints.
     """
     compact = text.replace(" ", "")
     if not compact:
@@ -188,15 +188,16 @@ def parse_element(field: QuadField, text: str) -> QuadElt:
     pieces = re.findall(r"[+-]?[^+-]+", compact)
     if "".join(pieces) != compact:
         raise UsageError(f"cannot parse element {text!r}")
-    alpha = Fraction(0)  # coefficient of 1
-    beta = Fraction(0)  # coefficient of omega
+    num = Fraction if "/" in compact else int
+    alpha = num(0)  # coefficient of 1
+    beta = num(0)  # coefficient of omega
     for piece in pieces:
         mt = _TERM_RE.match(piece)
         if not mt:
             raise UsageError(f"cannot parse term {piece!r} in {text!r}")
         sign = -1 if mt.group("sign") == "-" else 1
         sym = mt.group("sym1") or mt.group("sym2")
-        coeff = Fraction(mt.group("coeff")) if mt.group("coeff") else Fraction(1)
+        coeff = num(mt.group("coeff")) if mt.group("coeff") else num(1)
         coeff *= sign
         if sym is None:
             alpha += coeff

@@ -21,11 +21,11 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .arith import divisors, factorize, sqrt_mods
+from .arith import divisors, factorize, sqrt_mods, xgcd
 from .config import resolve_bound
 from .errors import InconclusiveError, InternalCheckError, UsageError, ZeroIdealError
 from .quadfield import QuadElt, QuadField
-from .zlinalg import hnf_columns, kernel_int
+from .zlinalg import kernel_int
 
 
 @dataclass(frozen=True)
@@ -84,11 +84,13 @@ class QIdeal:
             raise UsageError(f"standard basis needs e | a and e | d: {(a, d, e)}")
         if not -a <= 2 * d < a:
             raise UsageError(f"standard basis needs -a/2 <= d < a/2: {(a, d, e)}")
-        # closure under multiplication by f*omega makes the lattice an ideal
-        for g in (self.gen1, self.gen2):
-            if not self.contains(g * self.order.gen):
-                raise UsageError(f"{(a, d, e)} is not an ideal of {self.order}")
-        assert self.gen2.norm() % (a * e) == 0
+        # closure under multiplication by f*omega makes the lattice an ideal:
+        # a*f*omega = (0, a) and (d + e*f*omega)*f*omega = (e*f^2*r, d + e*f*s)
+        f = self.order.f
+        r, s = self.order.field.omega_sq
+        if not (self._has(0, a) and self._has(e * f * f * r, d + e * f * s)):
+            raise UsageError(f"{(a, d, e)} is not an ideal of {self.order}")
+        assert (d * d + d * e * f * s - e * e * f * f * r) % (a * e) == 0
 
     @property
     def gen1(self) -> QuadElt:
@@ -105,10 +107,11 @@ class QIdeal:
     def contains(self, x: QuadElt) -> bool:
         if not self.order.contains(x):
             return False
-        u, v = self.order.coords(x)
-        if v % self.e:
-            return False
-        return (u - (v // self.e) * self.d) % self.a == 0
+        return self._has(*self.order.coords(x))
+
+    def _has(self, u: int, v: int) -> bool:
+        """Membership of u + v*f*omega, given by its order coordinates."""
+        return v % self.e == 0 and (u - v // self.e * self.d) % self.a == 0
 
     def conjugate(self) -> QIdeal:
         return ideal_from_generators(self.order, [self.gen1, self.gen2.conjugate()])
@@ -157,15 +160,20 @@ class QuadForm(NamedTuple):
 
 
 def _lattice_std_basis(order: Order, vectors: list[tuple[int, int]]) -> QIdeal:
-    """Standard basis of the lattice spanned by (1, f*omega)-coordinate pairs."""
-    ys = [v for (_, v) in vectors]
-    xs = [u for (u, _) in vectors]
-    H, _ = hnf_columns([ys, xs])
-    n = len(vectors)
-    e = H[0][0] if n >= 1 else 0
-    d0 = H[1][0] if n >= 1 else 0
-    a = H[1][1] if n >= 2 else 0
-    if e == 0 or a == 0:
+    """Standard basis of the lattice spanned by (1, f*omega)-coordinate pairs,
+    its Hermite form (Cohen, GTM 138, 2.4.2): e = gcd(v_i) with a lattice
+    vector (d0, e) from an xgcd chain, then a = gcd(u_i - (v_i/e)*d0), the
+    generator of the lattice's vectors with v = 0, and d = d0 mod a."""
+    e = d0 = 0
+    for u, v in vectors:
+        if v:
+            e, s, t = xgcd(e, v)
+            d0 = s * d0 + t * u
+    a = 0
+    if e:
+        for u, v in vectors:
+            a = math.gcd(a, u - v // e * d0)
+    if a == 0:
         raise ZeroIdealError("generators span a lattice of rank < 2")
     r = d0 % a
     if 2 * r >= a:
@@ -177,15 +185,17 @@ def ideal_from_generators(order: Order, gens: list[QuadElt]) -> QIdeal:
     """Ideal of `order` generated by `gens`, in standard basis.
 
     The Z-span of the generators and their f*omega multiples is already
-    closed under the order action, so one Hermite pass suffices.
+    closed under the order action, so it is the ideal: g = a + b*omega
+    gives (a, b/f) and g*f*omega = (f*b*r, a + b*s) with omega^2 = r + s*omega.
     """
     live = [g for g in gens if not g.is_zero()]
     if not live:
         raise ZeroIdealError("the zero ideal has no standard basis")
+    f = order.f
+    r, s = order.field.omega_sq
     vectors = []
     for g in live:
-        vectors.append(order.coords(g))
-        vectors.append(order.coords(g * order.gen))
+        vectors += [order.coords(g), (f * g.b * r, g.a + g.b * s)]
     return _lattice_std_basis(order, vectors)
 
 

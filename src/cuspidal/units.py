@@ -34,6 +34,18 @@ class UnitInfo:
     has_norm_minus_one: bool
 
 
+def _step_product(ts: list[int]) -> tuple[int, int, int, int]:
+    """Row-major product of the matrices [[0, -1], [1, t]] over ts, in order,
+    multiplied as a balanced tree: neighbours pair up level by level, so the
+    big products are few and of equal size, not one per step."""
+    mats = [(0, -1, 1, t) for t in ts] or [(1, 0, 0, 1)]
+    while len(mats) > 1:
+        nxt = [(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+               for (a, b, c, d), (e, f, g, h) in zip(mats[0::2], mats[1::2])]
+        mats = nxt + mats[len(nxt) * 2:]
+    return mats[0]
+
+
 def _principal_cycle_unit(field: QuadField) -> QuadElt:
     """Fundamental unit (> 1) of the maximal order from the rho-cycle of the
     reduced principal form q0 = (1, b, (b^2 - D)/4), b the largest integer
@@ -42,8 +54,8 @@ def _principal_cycle_unit(field: QuadField) -> QuadElt:
     the product up to q0 or (-1, b, -(b^2 - D)/4) has a first column (x0, y0)
     giving (|2*x0 + b*y0| + |y0|*sqrt(D))/2, of norm -1 at the second stop.
     The walk keeps only the t's, whose product grows to the size of the unit,
-    and multiplies them out once the cycle closes within resolve_bound()
-    rho-steps; a longer walk raises InconclusiveError."""
+    and multiplies them out (_step_product) once the cycle closes within
+    resolve_bound() rho-steps; a longer walk raises InconclusiveError."""
     disc = field.disc_max
     bound = resolve_bound()
     s = math.isqrt(disc)
@@ -62,9 +74,7 @@ def _principal_cycle_unit(field: QuadField) -> QuadElt:
             f"the principal rho-cycle of discriminant {disc} exceeds bound {bound}"
             " rho-steps; raise it with CUSPIDAL_BOUND"
         )
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    for t in ts:
-        x0, y0, x1, y1 = x1, y1, t * x1 - x0, t * y1 - y0
+    x0, _, y0, _ = _step_product(ts)
     # eps = (T + U*sqrt(D))/2 with sqrt(D) = 2*omega - trace(omega)
     big_t, big_u = abs(2 * x0 + b * y0), abs(y0)
     eps = QuadElt(field, (big_t - big_u * field.omega_trace) // 2, big_u)

@@ -64,40 +64,29 @@ def hnf_columns(rows: Matrix) -> tuple[Matrix, Matrix]:
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    H = [list(r) for r in rows]
-    U = identity(n)
-
-    def _combine(c1: int, c2: int, s: int, t: int, p: int, q: int) -> None:
-        # (col_c1, col_c2) <- (s*col_c1 + t*col_c2, -q*col_c1 + p*col_c2)
-        for M in (H, U):
-            for i in range(len(M)):
-                a, b = M[i][c1], M[i][c2]
-                M[i][c1] = s * a + t * b
-                M[i][c2] = -q * a + p * b
-
+    # column j of A stacked on column j of U, so a column operation is one list op
+    cols = [[r[j] for r in rows] + [int(i == j) for i in range(n)] for j in range(n)]
     col = 0
     for row in range(m):
         if col >= n:
             break
-        piv = next((j for j in range(col, n) if H[row][j] != 0), None)
+        piv = next((j for j in range(col, n) if cols[j][row] != 0), None)
         if piv is None:
             continue
-        if piv != col:
-            for M in (H, U):
-                for i in range(len(M)):
-                    M[i][col], M[i][piv] = M[i][piv], M[i][col]
+        cols[col], cols[piv] = cols[piv], cols[col]
         for j in range(col + 1, n):
-            if H[row][j] == 0:
+            if cols[j][row] == 0:
                 continue
-            g, s, t = xgcd(H[row][col], H[row][j])
-            _combine(col, j, s, t, H[row][col] // g, H[row][j] // g)
-            assert H[row][j] == 0
-        if H[row][col] < 0:
-            for M in (H, U):
-                for i in range(len(M)):
-                    M[i][col] = -M[i][col]
+            c1, c2 = cols[col], cols[j]
+            g, s, t = xgcd(c1[row], c2[row])
+            p, q = c1[row] // g, c2[row] // g
+            cols[col] = [s * x + t * y for x, y in zip(c1, c2)]
+            cols[j] = [p * y - q * x for x, y in zip(c1, c2)]
+            assert cols[j][row] == 0
+        if cols[col][row] < 0:
+            cols[col] = [-x for x in cols[col]]
         col += 1
-    return H, U
+    return [[c[i] for c in cols] for i in range(m)], [[c[i] for c in cols] for i in range(m, m + n)]
 
 
 def solve_int(rows: Matrix, rhs: list[int]) -> list[int] | None:

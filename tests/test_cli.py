@@ -7,7 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from cuspidal import genpairs
 from cuspidal.cli import main
+from cuspidal.errors import InternalCheckError
+from cuspidal.genpairs import GenPair
+from cuspidal.quadfield import QuadField, parse_element
+from cuspidal.quadideal import Order, ideal_from_generators
 from cuspidal.units import fundamental_unit
 
 
@@ -394,3 +399,53 @@ def test_successive_calls_share_the_parser_but_not_state(capsys, monkeypatch):
     assert _run(capsys, ["cusps", "--m", "3", "--f", "7"])[0] == 1
     monkeypatch.delenv("CUSPIDAL_BOUND")
     assert _run(capsys, ["cusps", "--m", "3", "--f", "7"])[0] == 0
+
+
+def test_unit_past_the_int_print_limit_exits_two(capsys):
+    # the fundamental unit of Q(sqrt(10000000019)) has 63,911 decimal digits
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        for extra in ([], ["--json"]):
+            start = time.perf_counter()
+            code, out, err = _run(capsys, ["unit", "--m", "10000000019", *extra])
+            assert time.perf_counter() - start < 10
+            assert code == 2 and out == ""
+            assert err.startswith("inconclusive: the fundamental unit has 63911 digits")
+            assert "PYTHONINTMAXSTRDIGITS" in err and "-X int_max_str_digits" in err
+        sys.set_int_max_str_digits(0)  # the knob: no limit
+        payload = _run_json(capsys, ["unit", "--m", "10000000019"])
+        assert len(payload["result"]["fundamental"].split("+")[0]) == 63911
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+_DET_ARGV = ["pair", "det", "--m", "-1", "--f", "5", "--pair", "5; 5*w", "--pair2", "5*w; -5"]
+_BAD_KERNEL = """
+import sys
+from cuspidal import cli, genpairs
+genpairs.kernel_int = lambda rows, n_cols=None: [[1, 0, 0, 0]]
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_lift_check_fails_loudly_also_under_python_O(capsys, monkeypatch):
+    # (1, 0, 0, 0) is no relation of (5, 5*w): 5*1 + 5*w*0 != 0
+    monkeypatch.setattr(genpairs, "kernel_int", lambda rows, n_cols=None: [[1, 0, 0, 0]])
+    order = Order(QuadField(-1), 5)
+    g = [parse_element(order.field, t) for t in ("5", "5*w", "-5")]
+    pair = GenPair(ideal_from_generators(order, g[:2]), g[0], g[1])
+    other = GenPair(pair.ideal, g[1], g[2])
+    with pytest.raises(InternalCheckError, match="not a relation"):
+        genpairs.det_pair(pair, other, check=True)
+    code, out, err = _run(capsys, _DET_ARGV + ["--json"])
+    assert code == 3 and out == "" and "internal check failed" in err
+    # python -O drops assert statements; the checks are raises and stay
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BAD_KERNEL, *_DET_ARGV, "--json"],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3 and proc.stdout == "", proc.stdout
+    assert "internal check failed" in proc.stderr

@@ -1,10 +1,11 @@
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cuspidal.errors import UsageError
-from cuspidal.quadfield import OmegaKind, QuadElt, QuadField, parse_element
+from cuspidal.quadfield import _TERM_RE, OmegaKind, QuadElt, QuadField, parse_element
 
 def _squarefree_values():
     out = []
@@ -117,3 +118,61 @@ def test_rational_elements_and_powers():
     assert (-x) + x == k.zero
     assert 1 + x == QuadElt(k, 3, 1)
     assert 2 - x == QuadElt(k, 0, -1)
+
+
+def _fraction_parse(field, text):
+    """Reference parser: every coefficient read as a Fraction."""
+    compact = text.replace(" ", "")
+    if not compact:
+        raise UsageError("empty element")
+    pieces = re.findall(r"[+-]?[^+-]+", compact)
+    if "".join(pieces) != compact:
+        raise UsageError(f"cannot parse element {text!r}")
+    alpha = beta = Fraction(0)
+    for piece in pieces:
+        mt = _TERM_RE.match(piece)
+        if not mt:
+            raise UsageError(f"cannot parse term {piece!r} in {text!r}")
+        coeff = Fraction(mt.group("coeff") or 1) * (-1 if mt.group("sign") == "-" else 1)
+        sym = mt.group("sym1") or mt.group("sym2")
+        if sym is None:
+            alpha += coeff
+        elif sym == "s" and field.omega_kind is OmegaKind.HALF:
+            alpha, beta = alpha - coeff, beta + 2 * coeff  # sqrt(m) = 2*omega - 1
+        else:
+            beta += coeff
+    if alpha.denominator != 1 or beta.denominator != 1:
+        raise UsageError(f"{text!r} is not in the maximal order of {field}")
+    return QuadElt(field, int(alpha), int(beta))
+
+
+_numbers = st.one_of(
+    st.integers(0, 400).map(str),
+    st.tuples(st.integers(0, 40), st.integers(0, 6)).map(lambda nd: f"{nd[0]}/{nd[1]}"),
+)
+_terms = st.tuples(
+    st.sampled_from(["", "+", "-", " - ", "+ "]),
+    st.one_of(
+        _numbers,
+        st.sampled_from(["w", "s"]),
+        st.tuples(_numbers, st.sampled_from(["*w", "*s", " * w", "w", "**s"])).map("".join),
+    ),
+).map("".join)
+_texts = st.one_of(
+    st.lists(_terms, min_size=1, max_size=4).map("".join),
+    st.lists(st.sampled_from(["1", "2", "/", "+", "-", " ", "*", "w", "s", "x"]),
+             max_size=8).map("".join),
+)
+
+
+def _outcome(parse, field, text):
+    try:
+        return parse(field, text)
+    except (UsageError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from([QuadField(5), QuadField(-3), QuadField(2), QuadField(-1)]), _texts)
+def test_parse_matches_the_fraction_parser(field, text):
+    assert _outcome(parse_element, field, text) == _outcome(_fraction_parse, field, text)

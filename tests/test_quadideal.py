@@ -9,6 +9,7 @@ from hypothesis import event, given, settings, strategies as st
 from cuspidal.arith import divisors, is_squarefree, isqrt_ceil
 from cuspidal.config import resolve_bound
 from cuspidal.errors import InconclusiveError, UsageError, ZeroIdealError
+from cuspidal import quadideal
 from cuspidal.quadfield import QuadElt, QuadField
 from cuspidal.quadideal import (
     Order,
@@ -30,6 +31,7 @@ from cuspidal.quadideal import (
     reduced_forms,
 )
 from cuspidal.units import fundamental_unit
+from cuspidal.zlinalg import hnf_columns
 
 FIELDS = [QuadField(m) for m in (-1, -2, -3, -5, -7, -11, 2, 3, 5, 13)]
 
@@ -143,6 +145,69 @@ def test_rejects_non_ideal_standard_triples():
         QIdeal(order, 4, 1, 2)  # e does not divide d
     with pytest.raises(UsageError):
         QIdeal(order, 4, 1, 1)  # lattice not closed under f*omega
+
+
+def _hnf_std_basis(vectors):
+    """Oracle: (a, d, e) read off the column Hermite form of the 2-row matrix
+    of v- and u-coordinates, as a general HNF computes it."""
+    H, _ = hnf_columns([[v for _, v in vectors], [u for u, _ in vectors]])
+    e = H[0][0] if vectors else 0
+    d0 = H[1][0] if vectors else 0
+    a = H[1][1] if len(vectors) >= 2 else 0
+    if e == 0 or a == 0:
+        raise ZeroIdealError("generators span a lattice of rank < 2")
+    r = d0 % a
+    return a, r - a if 2 * r >= a else r, e
+
+
+_pairs = st.tuples(st.integers(-40, 40), st.integers(-40, 40))
+_lattices = st.one_of(
+    st.lists(_pairs, min_size=1, max_size=8),
+    st.lists(st.tuples(st.integers(-40, 40), st.just(0)), min_size=1, max_size=8),
+    st.builds(  # rank 1: multiples of one vector
+        lambda vec, ks: [(k * vec[0], k * vec[1]) for k in ks],
+        _pairs,
+        st.lists(st.integers(-5, 5), min_size=1, max_size=8),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_lattices)
+def test_closed_form_standard_basis_matches_hermite_form(vectors):
+    order = Order(QuadField(-5), 1)
+    try:
+        expected = _hnf_std_basis(vectors)
+    except ZeroIdealError:
+        expected = ZeroIdealError
+    # read (a, d, e) before QIdeal, which accepts only ideals among lattices
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadideal, "QIdeal", lambda order, a, d, e: (a, d, e))
+        try:
+            got = quadideal._lattice_std_basis(order, vectors)
+        except ZeroIdealError:
+            got = ZeroIdealError
+    assert got == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(FIELDS),
+    st.integers(1, 12),
+    st.lists(_pairs, min_size=1, max_size=4),
+)
+def test_ideal_from_generators_matches_the_product_route(field, f, coords):
+    """g*f*omega on ints against QuadElt products and the Hermite oracle."""
+    order = Order(field, f)
+    gens = [order.from_coords(u, v) for u, v in coords]
+    vectors = [order.coords(x) for g in gens for x in (g, g * order.gen)]
+    try:
+        expected = QIdeal(order, *_hnf_std_basis(vectors))
+    except ZeroIdealError:
+        with pytest.raises(ZeroIdealError):
+            ideal_from_generators(order, gens)
+        return
+    assert ideal_from_generators(order, gens) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cuspidal.arith import is_squarefree
 from cuspidal.errors import InternalCheckError, UsageError
 from cuspidal.quadfield import OmegaKind, QuadElt, QuadField
-from cuspidal.units import fundamental_unit, has_norm_minus_one, unit_index
+from cuspidal.units import _step_product, fundamental_unit, has_norm_minus_one, unit_index
 
 
 def _real_value(elt):
@@ -197,3 +198,12 @@ def test_principal_cycle_unit_matches_continued_fraction():
     for m in ms:
         field = QuadField(m)
         assert fundamental_unit(field).fundamental == _cf_fundamental(field), m
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), max_size=70))
+def test_step_product_tree_matches_the_left_fold(ts):
+    x0, y0, x1, y1 = 1, 0, 0, 1  # the columns of the running product
+    for t in ts:
+        x0, y0, x1, y1 = x1, y1, t * x1 - x0, t * y1 - y0
+    assert _step_product(ts) == (x0, x1, y0, y1)
