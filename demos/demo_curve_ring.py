@@ -9,14 +9,13 @@ and counts units of the quotient over the finite field.
 
 from cuspidal import (
     CoeffField,
-    conductor_h_solver,
     curve_fitt1,
     curve_ideal_from_generators,
     curve_multiplier_ring,
     curve_unit_group_order,
     parse_curve_poly,
 )
-from cuspidal.oracles import curve_unit_group_brute
+from cuspidal.oracles import conductor_h_solver, curve_unit_group_brute
 
 
 def show(field: CoeffField, n: int, texts: list[str]) -> None:
@@ -39,7 +38,7 @@ if __name__ == "__main__":
     show(q_field, 5, ["2 + 2*x", "x^3 + x^4"])   # content (1 + x) pulled out
     show(q_field, 3, ["1 + x", "x^2"])           # invertible yet not free
     show(q_field, 7, ["1 + x^2", "x^5 + x^6"])
-    show(q_field, 5, ["1 + x"])                  # one generator, q = x^(n-1)
+    show(q_field, 5, ["1 + x"])                  # one generator: content, unit ideal
 
     f5 = CoeffField(5)
     show(f5, 7, ["1", "x^3"])

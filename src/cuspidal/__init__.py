@@ -13,7 +13,6 @@ from .curvering import (
     CurveFitt,
     CurveIdeal,
     CurveOrder,
-    conductor_h_solver,
     curve_fitt1,
     curve_ideal_from_generators,
     curve_multiplier_ring,
@@ -37,7 +36,7 @@ from .genpairs import (
     reduce_vector,
     sl2_witness,
 )
-from .oracles import brute_force_pic, curve_unit_group_brute, cusp_count_direct
+from .oracles import brute_force_pic, conductor_h_solver, curve_unit_group_brute, cusp_count_direct
 from .quadfield import OmegaKind, QuadElt, QuadField, parse_element
 from .quadideal import (
     FracIdeal,

@@ -303,8 +303,7 @@ def _cmd_vec(args):
 
 def _cmd_curve(args):
     field = CoeffField.from_name(args.field)
-    parts = [p.strip() for p in args.gens.split(";") if p.strip()]
-    gens = [parse_curve_poly(field, p) for p in parts]
+    gens = [parse_curve_poly(field, p) for p in args.gens.split(";") if p.strip()]
     ideal = curve_ideal_from_generators(field, args.n, gens)
     inputs = {"n": _s(args.n), "field": args.field, "gens": [str(g) for g in gens]}
     assertions = [("canonical-pair-spans-the-module", True),

@@ -1,38 +1,48 @@
-"""Ideals of the monomial curve ring K[x^2, x^n] for odd n >= 3.
+"""Ideals of the monomial curve ring R = K[x^2, x^n] for odd n >= 3.
 
-A polynomial lies in the ring exactly when its odd-degree coefficients
-below n vanish. Every fractional ideal, once its polynomial content is
-pulled out, contains the conductor x^(n-1)K[x], so it is captured by an
-x^2-stable subspace of K[x]/x^(n-1) and all computations reduce to exact
-linear algebra over the coefficient field. The canonical presentation of
-an ideal is a pair (p, x^(nu+1)) with p of constant term 1; nu is the
-even invariant whose complement n-1-nu is the least valuation in the
-colon module (R : I), which is recomputed independently as a nullspace
-and compared. nu is twice the codimension of that subspace, which contains
-K[x^2]*p, of dimension (n-1)/2, and meets the odd monomials, uniserial over
-K[x^2], in x^(nu+1)K[x^2].
+R holds the polynomials whose odd-degree coefficients below n vanish. An
+ideal without its polynomial content contains C = x^(n-1)K[x]. With t = x^2
+and m = (n-1)/2, R/C = K[t]/t^m and K[x]/C = (K[t]/t^m)^2 via a(t) + x*b(t),
+so the ideal is the K[t]-span W of its generators' halves (a_j, b_j). Some
+a_i(0) != 0; with beta = b_i/a_i mod t^m and s = min_j val(b_j - a_j*beta),
+W = K[t](1, beta) + K[t](0, t^s): nu = 2s, p = 1 + x*(beta mod t^s) and
+q = x^(nu+1) (x^(n-1) or 0 at s = m). These are truncated power series on
+plain ints: residues mod p, or over Q numerators after t -> a_i(0)*t, which
+makes every divisor start with 1 and every quotient integral. Each step is
+certified on the spot, raising InternalCheckError:
+  - a_i*beta = b_i, so (1, beta) lies in W;
+  - the least residual is t^s*u with u*u^-1 = 1, so (0, t^s) lies in W;
+  - b_j = a_j*beta mod t^s for every j, so each generator is a_j*p + d_j*q
+    with d_j = (b_j - a_j*beta)/t^s, and W = K[t]p + K[t]q;
+  - p(0) != 0, so p and the monomial q are coprime;
+  - h* = t^k*p(-x), k = m - s, has h*p = t^k*p(x)p(-x), t^k times a unit,
+    and h*q in C. Any h with hq in R has even part of valuation >= k, and
+    hp in R bounds its odd part: (R : I) = R*h* + C, and since I*C = C,
+    Fitt_1 = I*(R : I) = t^k*K[t] + C.
+The dense elimination these replace is kept in cuspidal.oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from functools import reduce
+from operator import mul
 
-from .arith import primitive_part
 from .errors import InternalCheckError, UsageError, ZeroIdealError
 from .fieldpoly import CoeffField, CurvePoly, poly_gcd_monic
 
 
-# A module is held as up to (n-1)/2 dense rows of width n-1, so memory grows
-# as n^2: reduction, Fitt_1 and the multiplier ring peak at about 125 MB at
-# n = 2001 (CPython 3.11, x86-64).
+# Planted ideals at n = 2001 peak at 0.3 MB of traced allocations over F_101
+# and 2 MB over Q (CPython 3.11, x86-64); the bound keeps the content gcd over
+# Z, quadratic in n and most of the time over Q, within a minute.
 MAX_N = 2001
 
 
-def _check_n(n: int) -> None:
+def _check_n(n: int, nu: int = 0, name: str = "nu") -> None:
     if n < 3 or n % 2 == 0 or n > MAX_N:
         raise UsageError(f"the curve exponent must be odd and in [3, {MAX_N}], got {n}")
+    if nu % 2 or not 0 <= nu <= n - 1:
+        raise UsageError(f"{name} must be even in [0, {n - 1}], got {nu}")
 
 
 def curve_ring_contains(n: int, poly: CurvePoly) -> bool:
@@ -41,138 +51,97 @@ def curve_ring_contains(n: int, poly: CurvePoly) -> bool:
     return not any(poly.nums[1:n:2])
 
 
-# ---------------------------------------------------------------------------
-# linear algebra over the coefficient field, on plain integers
-#
-# Rows are lists of ints read straight off CurvePoly numerators: residues
-# mod p, or over Q the coefficients times their common denominator, which
-# spans the same line. Over F_p every stored row has pivot 1. Over Q rows
-# are kept primitive: elimination is fraction-free, v = d*v - c*b with d and
-# c divided by their gcd, and the result is divided by its content (Bareiss
-# 1968; Cohen, GTM 138, section 2.2). Stored rows over Z have a positive
-# pivot, so the reduced echelon form is canonical in both cases. Field
-# elements appear only in basis(), for the public module_basis.
+def _halves(poly: CurvePoly, n: int) -> tuple[list[int], list[int]]:
+    """(a, b) with poly = a(t) + x*b(t) mod x^(n-1), over Q times the denominator."""
+    a, b, m = list(poly.nums[0:n - 1:2]), list(poly.nums[1:n - 1:2]), (n - 1) // 2
+    return a + [0] * (m - len(a)), b + [0] * (m - len(b))
 
 
-def _eliminate(p: int, vec: list[int], b: list[int], j: int) -> list[int]:
-    """vec with column j cleared by the stored row b (b[j] is 1 mod p, or > 0)."""
-    c = vec[j]
+def _reduce(f: list[int], p: int) -> list[int]:
+    return [x % p for x in f] if p else f
+
+
+def _mul(f: list[int], g: list[int], m: int, p: int) -> list[int]:
+    """f*g mod t^m."""
+    out = [0] * m
+    for i, x in enumerate(f[:m]):
+        if x:
+            seg = g[:m - i]
+            out[i:i + len(seg)] = [o + x * y for o, y in zip(out[i:], seg)]
+    return _reduce(out, p)
+
+
+def _div(b: list[int], f: list[int], m: int, p: int) -> list[int]:
+    """b/f mod t^m for f(0) = 1, so integral over Z."""
+    out: list[int] = []
+    for k in range(m):
+        c = (b[k] if k < len(b) else 0) - sum(map(mul, f[1:k + 1], reversed(out)))
+        out.append(c % p if p else c)
+    return out
+
+
+def _subst(f: list[int], c: int) -> list[int]:
+    """f(c*t): the coefficient of t^k times c^k."""
+    return [x * c**k for k, x in enumerate(f)]
+
+
+def _monic(f: list[int], p: int) -> tuple[list[int], int]:
+    """(g, sigma) with f(sigma*t) = f(0)*g(t) and g(0) = 1: sigma is 1 mod p, f(0) over Q."""
     if p:
-        return [(x - c * y) % p for x, y in zip(vec, b)]
-    d = b[j]
-    g = gcd(c, d)
-    c, d = c // g, d // g
-    return primitive_part([d * x - c * y for x, y in zip(vec, b)])
+        inv = pow(f[0], -1, p)
+        return [x * inv % p for x in f], 1
+    return [x // f[0] for x in _subst(f, f[0])], f[0]
 
 
-class _Span:
-    """A subspace of K^width held as echelon rows of ints, keyed by leading column."""
-
-    def __init__(self, field: CoeffField):
-        self.field = field
-        self.rows: dict[int, list[int]] = {}
-
-    def reduce(self, vec: list[int]) -> tuple[int | None, list[int]]:
-        """Clear vec at each pivot column up to its first column with no pivot.
-
-        Returns that column and the reduced vector; the column is None
-        exactly when vec lies in the span.
-        """
-        p, rows = self.field.char, self.rows
-        for j in range(len(vec)):
-            if vec[j]:
-                b = rows.get(j)
-                if b is None:
-                    return j, vec
-                vec = _eliminate(p, vec, b, j)
-        return None, vec
-
-    def __contains__(self, vec: list[int]) -> bool:
-        return self.reduce(vec)[0] is None
-
-    def add(self, vec: list[int]) -> list[int] | None:
-        """Insert vec unless it lies in the span; return the stored row."""
-        lead, vec = self.reduce(vec)
-        if lead is None:
-            return None
-        p = self.field.char
-        if p:
-            inv = pow(vec[lead], -1, p)
-            vec = [x * inv % p for x in vec]
-        else:
-            vec = primitive_part(vec)
-            if vec[lead] < 0:
-                vec = [-x for x in vec]
-        self.rows[lead] = vec
-        return vec
-
-    def close(self, todo: list[list[int]]) -> "_Span":
-        """Grow to the smallest x^2-stable span that also contains todo."""
-        while todo:
-            row = self.add(todo.pop())
-            if row is not None:
-                todo.append([0, 0] + row[:-2])
-        return self
-
-    def rref(self) -> list[tuple[int, list[int]]]:
-        """Reduced echelon rows by back-substitution, pivots increasing."""
-        p, done = self.field.char, {}
-        for i in sorted(self.rows, reverse=True):
-            vec = self.rows[i]
-            for j, b in done.items():
-                if vec[j]:
-                    vec = _eliminate(p, vec, b, j)
-            done[i] = vec
-        return sorted(done.items())
-
-    def basis(self) -> list[tuple[int, list]]:
-        """The reduced echelon basis in field elements, each pivot 1."""
-        coerce = self.field.coerce
-        return [(i, [coerce(Fraction(x, vec[i])) for x in vec]) for i, vec in self.rref()]
-
-    def kernel(self, width: int) -> list[CurvePoly]:
-        """The polynomials h with rows @ h = 0, one per free column.
-
-        From the reduced rows b with pivot i: h_j = 1 at a free column j and
-        h_i = -b[j]/b[i], over a common denominator.
-        """
-        rref = self.rref()
-        pivots = {i for i, _ in rref}
-        out = []
-        for j in range(width):
-            if j in pivots:
-                continue
-            den = lcm(*(b[i] for i, b in rref if b[j]))
-            vec = [0] * width
-            vec[j] = den
-            for i, b in rref:
-                vec[i] = -b[j] * (den // b[i])
-            out.append(CurvePoly.from_ints(self.field, vec, den))
-        return out
+def _valuation(f: list[int]) -> int:
+    return next((k for k, x in enumerate(f) if x), len(f))
 
 
-# ---------------------------------------------------------------------------
-# the quotient model W = M / x^(n-1)K[x]
+def _canonical_pair(field: CoeffField, n: int, reduced: list[CurvePoly]) -> tuple[CurvePoly, int]:
+    """p and s = nu/2 of the content-free module spanned by reduced, certified."""
+    p, m = field.char, (n - 1) // 2
+    rows = [_halves(g, n) for g in reduced]
+    i = next((j for j, (a, _) in enumerate(rows) if a[0]), None)
+    if i is None:
+        raise InternalCheckError("content-free module has no unit-valuation element")
+    a0 = rows[i][0][0]
+    unit, sigma = _monic(rows[i][0], p)
+    rows = [(_subst(a, sigma), _subst(b, sigma)) for a, b in rows] if sigma != 1 else rows
+    beta = _div(rows[i][1], unit, m, p)  # a0 times beta(sigma*t)
+    if _mul(unit, beta, m, p) != rows[i][1]:
+        raise InternalCheckError("a_i * beta differs from b_i")
+    residuals = [_reduce([a0 * y - z for y, z in zip(b, _mul(a, beta, m, p))], p)
+                 for j, (a, b) in enumerate(rows) if j != i]
+    vals = [_valuation(r) for r in residuals]
+    s = min(vals, default=m)
+    if s < m:
+        u = residuals[vals.index(s)][s:]
+        if not u[0]:
+            raise InternalCheckError("residual of least valuation has a higher valuation")
+        u = _monic(u, p)[0]
+        if _mul(u, _div([1], u, m - s, p), m - s, p) != [1] + [0] * (m - s - 1):
+            raise InternalCheckError("residual of least valuation is not t^s times a unit")
+    head = beta[:s]
+    if any(_mul(a, head, s, p) != _reduce([a0 * y for y in b[:s]], p) for a, b in rows):
+        raise InternalCheckError("a generator lies outside K[t]*p + K[t]*q")
+    # the coefficient of x^(2k+1) in p is beta_k / (a0 * sigma^k), over a0 * sigma^(s-1)
+    den = a0 * sigma ** (s - 1) if s else 1
+    nums = [den] + [0] * (2 * s - 1)
+    nums[1::2] = [x * sigma ** (s - 1 - k) for k, x in enumerate(head)]
+    return CurvePoly.from_ints(field, nums, den), s
 
 
-def _vec(poly: CurvePoly, n: int) -> list[int]:
-    """The coefficients of x^0, ..., x^(n-2) as ints, over Q times their denominator."""
-    row = list(poly.nums[: n - 1])
-    return row + [0] * (n - 1 - len(row))
-
-
-# ---------------------------------------------------------------------------
-# ideals in canonical form
+def _canonical_q(field: CoeffField, n: int, p: CurvePoly, nu: int) -> CurvePoly:
+    """x^(nu+1); at nu = n-1 zero for the unit ideal and x^(n-1) otherwise."""
+    if nu < n - 1:
+        return CurvePoly.monomial(field, nu + 1)
+    return CurvePoly.zero(field) if p == CurvePoly.one(field) else CurvePoly.monomial(field, n - 1)
 
 
 @dataclass(frozen=True)
 class CurveIdeal:
-    """content * (R*p + R*q) with canonical p and monomial q.
-
-    p has constant term 1 and degree at most n-2; q is zero exactly for
-    the unit ideal, x^(nu+1) when nu < n-1, and x^(n-1) when nu = n-1
-    for a non-principal module. nu is always even.
-    """
+    """content * (R*p + R*q), with p 1 plus odd terms of degree below nu and
+    q = _canonical_q(p, nu): the same module exactly when equal."""
 
     field: CoeffField
     n: int
@@ -182,119 +151,73 @@ class CurveIdeal:
     nu: int
 
     def __post_init__(self) -> None:
-        _check_n(self.n)
+        _check_n(self.n, self.nu)
         if self.content.is_zero or self.content.coeff(self.content.degree) != self.field.one:
             raise UsageError("the content must be a monic polynomial")
-        if self.nu % 2 or not 0 <= self.nu <= self.n - 1:
-            raise UsageError(f"nu must be even in [0, {self.n - 1}], got {self.nu}")
-        if self.p.is_zero or self.p.coeff(0) != self.field.one or self.p.degree > self.n - 2:
-            raise UsageError("p must have constant term 1 and degree below n-1")
-        if self.q.is_zero:
-            if self.nu != self.n - 1 or self.p != CurvePoly.one(self.field):
-                raise UsageError("a zero q is only allowed for the unit ideal")
-        else:
-            expected = self.nu + 1 if self.nu < self.n - 1 else self.n - 1
-            if self.q != CurvePoly.monomial(self.field, expected):
-                raise UsageError("q must be the monomial x^(nu+1), or x^(n-1) at the top")
+        p = self.p  # p.coeff(0) of the zero polynomial is 0
+        if p.coeff(0) != self.field.one or any(p.nums[2::2]) or p.degree >= max(self.nu, 1):
+            raise UsageError("p must be 1 plus odd-degree terms of degree below nu")
+        if self.q != _canonical_q(self.field, self.n, p, self.nu):
+            raise UsageError("q must be x^(nu+1), or at nu = n-1 x^(n-1), or 0 for the unit ideal")
 
-    def _span(self) -> _Span:
-        return _Span(self.field).close([_vec(self.p, self.n), _vec(self.q, self.n)])
+    def _in_module(self, poly: CurvePoly) -> bool:
+        """Whether poly lies in R*p + R*q + C: its halves (e, o) have o = e*beta mod t^s."""
+        s, char = self.nu // 2, self.field.char
+        e, o = (half[:s] for half in _halves(poly, self.n))
+        return _mul(e, list(self.p.nums[1::2]), s, char) == _reduce(
+            [x * self.p.den for x in o], char)
 
     def module_basis(self) -> list[tuple[int, list]]:
-        """Echelon basis of the content-free module modulo x^(n-1)K[x]."""
-        return self._span().basis()
+        """Reduced echelon basis of the content-free module modulo x^(n-1)K[x]:
+        x^j*p cut below x^nu at even pivots j, unit rows at odd pivots above nu."""
+        field, width, nu = self.field, self.n - 1, self.nu
+        rows = []
+        for j in [*range(0, width, 2), *range(nu + 1, width, 2)]:
+            row = [field.zero] * width
+            row[j] = field.one
+            row[j + 1:nu:2] = [self.p.coeff(k) for k in range(1, nu - j, 2)]  # empty for odd j
+            rows.append((j, row))
+        return sorted(rows, key=lambda r: r[0])
 
     def contains(self, poly: CurvePoly) -> bool:
         """Membership of a polynomial in content * (R*p + R*q)."""
-        if poly.is_zero:
-            return True
         quot, rem = poly.divmod_by(self.content)
-        if not rem.is_zero:
-            return False
-        return _vec(quot, self.n) in self._span()
+        return rem.is_zero and self._in_module(quot)
 
     def same_module(self, other: "CurveIdeal") -> bool:
-        if self.field != other.field or self.n != other.n:
-            return False
-        return self.content == other.content and self._span().rref() == other._span().rref()
+        return self == other
 
 
-def curve_ideal_from_generators(
-    field: CoeffField, n: int, gens: list[CurvePoly]
-) -> CurveIdeal:
+def curve_ideal_from_generators(field: CoeffField, n: int, gens: list[CurvePoly]) -> CurveIdeal:
     """Canonical form of the ideal generated by the given polynomials."""
     _check_n(n)
     live = [g for g in gens if not g.is_zero]
     if not live:
         raise ZeroIdealError("all generators are zero")
-    content = CurvePoly.zero(field)
-    for g in live:
-        content = poly_gcd_monic(content, g)
-    reduced = []
-    for g in live:
-        quot, rem = g.divmod_by(content)
-        assert rem.is_zero
-        reduced.append(quot)
-
-    w = _Span(field).close([_vec(g, n) for g in reduced])
-    w_rref = w.rref()
-    if not w_rref or w_rref[0][0] != 0:
-        raise InternalCheckError("content-free module has no unit-valuation element")
-    p_row = w_rref[0][1]
-    p = CurvePoly.from_ints(field, p_row, p_row[0])
-
-    # K[x]/x^(n-1) = P + O, P = K[x^2]*p of dimension (n-1)/2, O the odd part,
-    # uniserial over K[x^2]: W = P + x^(nu+1)K[x^2], so nu = 2 * codim W.
-    nu = 2 * (n - 1 - len(w.rows))
-    if nu < n - 1:
-        q = CurvePoly.monomial(field, nu + 1)
-    elif p == CurvePoly.one(field):
-        q = CurvePoly.zero(field)
-    else:
-        q = CurvePoly.monomial(field, n - 1)
-
-    ideal = CurveIdeal(field, n, content, p, q, nu)
-    if ideal._span().rref() != w_rref:
-        raise InternalCheckError("canonical pair spans a different module")
-    if not ideal.q.is_zero and not poly_gcd_monic(ideal.p, ideal.q) == CurvePoly.one(field):
+    content = reduce(poly_gcd_monic, live, CurvePoly.zero(field))
+    divided = [g.divmod_by(content) for g in live]
+    if any(not rem.is_zero for _, rem in divided):
+        raise InternalCheckError("the content does not divide a generator")
+    p, s = _canonical_pair(field, n, [quot for quot, _ in divided])
+    if not p.nums[0]:
         raise InternalCheckError("canonical pair is not coprime")
-    solver_val = conductor_h_solver(field, n, ideal.p, ideal.q)[1]
-    if solver_val != n - 1 - nu:
-        raise InternalCheckError(
-            f"colon-module valuation {solver_val} disagrees with nu={nu}"
-        )
+    ideal = CurveIdeal(field, n, content, p, _canonical_q(field, n, p, 2 * s), 2 * s)
+    _colon_generator(ideal)
     return ideal
 
 
-# ---------------------------------------------------------------------------
-# colon module, Fitting ideal, multiplier ring
-
-
-def conductor_h_solver(
-    field: CoeffField,
-    n: int,
-    p: CurvePoly,
-    q: CurvePoly,
-) -> tuple[list[CurvePoly], int]:
-    """Basis of {h : h*p and h*q lie in the ring} in degrees at most n.
-
-    Returns the nullspace basis and its least valuation, which equals
-    n - 1 - nu. Degree n keeps the tail x^(n-1) of the colon module
-    visible; coefficients above it are free and add nothing below it.
-    """
-    _check_n(n)
-    width = n + 1
-    span = _Span(field)
-    for g in (p, q):
-        for j in range(1, n, 2):
-            # the coefficient of x^j in h*g is sum_i h_i * g_(j-i)
-            row = [0] * (j + 1 - len(g.nums)) + list(g.nums[j::-1])
-            span.add(row + [0] * (width - j - 1))
-    basis = span.kernel(width)
-    if not basis:
-        raise InternalCheckError("colon module lost its conductor tail")
-    min_val = min(b.valuation() for b in basis)
-    return basis, min_val
+def _colon_generator(ideal: CurveIdeal) -> CurvePoly:
+    """h* = x^(n-1-nu)*p(-x), certified: (R : I) = R*h* + x^(n-1)K[x]. Modulo
+    the conductor h*p must be t^k times a unit inside R, and h*q must vanish."""
+    field, n, nu, p = ideal.field, ideal.n, ideal.nu, ideal.p
+    conj = [-x if j % 2 else x for j, x in enumerate(p.nums)]
+    h = CurvePoly.from_ints(field, conj, p.den).shift(n - 1 - nu)
+    even, odd = _halves(h * p, n)
+    if any(odd) or _valuation(even) != (n - 1 - nu) // 2:
+        raise InternalCheckError(f"h*p is not x^{n - 1 - nu} times a unit of the ring")
+    if any(map(any, _halves(h * ideal.q, n))):
+        raise InternalCheckError("h*q escapes the conductor")
+    return h
 
 
 @dataclass(frozen=True)
@@ -306,50 +229,24 @@ class CurveFitt:
     exponent: int
 
     def __post_init__(self) -> None:
-        _check_n(self.n)
-        assert 0 <= self.exponent <= self.n - 1 and self.exponent % 2 == 0
+        _check_n(self.n, self.exponent, "the exponent")
 
     def contains(self, poly: CurvePoly) -> bool:
         return not any(poly.nums[1 : self.n - 1 : 2]) and not any(poly.nums[: self.exponent : 2])
 
     def generators(self) -> tuple[CurvePoly, ...]:
-        return (
-            CurvePoly.monomial(self.field, self.exponent),
-            CurvePoly.monomial(self.field, self.n - 1),
-            CurvePoly.monomial(self.field, self.n),
-        )
+        exponents = self.exponent, self.n - 1, self.n
+        return tuple(CurvePoly.monomial(self.field, e) for e in exponents)
 
     def __str__(self) -> str:
         return f"x^{self.exponent}*K[x^2] + x^{self.n - 1}*K[x]"
 
 
 def curve_fitt1(ideal: CurveIdeal) -> CurveFitt:
-    """First Fitting ideal I*(R : I) of the content-free part, verified.
-
-    The claimed closed form x^(n-1-nu)K[x^2] + x^(n-1)K[x] is checked in
-    both directions against the product of the ideal with the solved
-    colon module.
-    """
-    field, n, nu = ideal.field, ideal.n, ideal.nu
-    exponent = n - 1 - nu
-    claimed = CurveFitt(field, n, exponent)
-    basis, min_val = conductor_h_solver(field, n, ideal.p, ideal.q)
-    if min_val != exponent:
-        raise InternalCheckError(
-            f"colon valuation {min_val} disagrees with claimed exponent {exponent}"
-        )
-    products = [h * g for h in basis for g in (ideal.p, ideal.q)]
-    for prod in products:
-        if not claimed.contains(prod):
-            raise InternalCheckError(f"product {prod} escapes {claimed}")
-    # images modulo x^(n-1)K[x] must agree; both sides contain it. The image
-    # of the product is the x^2-closure of the truncated products, and the
-    # image of the claimed module has the unit rows x^j, j even >= exponent.
-    product_span = _Span(field).close([_vec(prod, n) for prod in products]).rref()
-    claimed_span = [(j, [0] * j + [1] + [0] * (n - 2 - j)) for j in range(exponent, n - 1, 2)]
-    if product_span != claimed_span:
-        raise InternalCheckError("Fitting ideal differs from its closed form")
-    return claimed
+    """First Fitting ideal I*(R : I) = R*h*p + R*h*q + C of the content-free
+    part, which the certificate of h* makes x^(n-1-nu)K[x^2] + C."""
+    _colon_generator(ideal)
+    return CurveFitt(ideal.field, ideal.n, ideal.n - 1 - ideal.nu)
 
 
 @dataclass(frozen=True)
@@ -361,49 +258,31 @@ class CurveOrder:
     nu: int
 
     def __post_init__(self) -> None:
-        _check_n(self.n)
-        assert 0 <= self.nu <= self.n - 1 and self.nu % 2 == 0
+        _check_n(self.n, self.nu)
 
     def contains(self, poly: CurvePoly) -> bool:
         return not any(poly.nums[1 : self.nu : 2])
 
     def __str__(self) -> str:
-        if self.nu == 0:
-            return "K[x]"
-        return f"K[x^2] + x^{self.nu}*K[x]"
+        return "K[x]" if self.nu == 0 else f"K[x^2] + x^{self.nu}*K[x]"
 
 
 def curve_multiplier_ring(ideal: CurveIdeal) -> CurveOrder:
-    """The ring of multipliers {h : h*I <= I}, equal to K[x^2] + x^nu*K[x].
-
-    Verified on the spot: x^(nu+1) multiplies the module into itself and
-    x^(nu-1) does not (when nu >= 2).
-    """
-    n, nu = ideal.n, ideal.nu
-    span = ideal._span()
-
-    def _stable_under(k: int) -> bool:
-        return all(([0] * k + row)[: n - 1] in span for row in span.rows.values())
-
-    if not _stable_under(nu + 1):
+    """The ring of multipliers {h : h*I <= I}, equal to K[x^2] + x^nu*K[x]: x^(nu+1)
+    multiplies p and q into the module and x^(nu-1) does not (when nu >= 2), checked.
+    x^(2j+1)*(1, beta) = t^j*(t*beta, 1) is in W iff t^j*(1 - t*beta^2) = 0 mod t^s."""
+    nu, gens = ideal.nu, (ideal.p, ideal.q)
+    if not all(ideal._in_module(g.shift(nu + 1)) for g in gens):
         raise InternalCheckError(f"x^{nu + 1} does not multiply the module into itself")
-    if nu >= 2 and _stable_under(nu - 1):
+    if nu >= 2 and all(ideal._in_module(g.shift(nu - 1)) for g in gens):
         raise InternalCheckError(f"x^{nu - 1} multiplies the module; nu is too large")
-    return CurveOrder(ideal.field, n, nu)
-
-
-# ---------------------------------------------------------------------------
-# unit counts over a finite field
+    return CurveOrder(ideal.field, ideal.n, nu)
 
 
 def curve_unit_group_order(field: CoeffField, n: int, nu: int) -> int:
     """Order of (R / Fitt)^x over F_q for Fitt of exponent n-1-nu."""
-    _check_n(n)
+    _check_n(n, nu)
     if field.char == 0:
         raise UsageError("unit counts need a finite coefficient field")
-    if nu % 2 or not 0 <= nu <= n - 1:
-        raise UsageError(f"nu must be even in [0, {n - 1}], got {nu}")
     k = (n - 1 - nu) // 2
-    if k == 0:
-        return 1
-    return field.char ** (k - 1) * (field.char - 1)
+    return field.char ** (k - 1) * (field.char - 1) if k else 1

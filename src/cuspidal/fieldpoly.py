@@ -114,10 +114,11 @@ class CoeffField:
         return FpElt(p, value.numerator * pow(value.denominator, -1, p))
 
     def parse_scalar(self, text: str):
+        tok = text.strip()  # plain integers are read with int(), the rest with Fraction
         try:
-            return self.coerce(Fraction(text.strip()))
+            return self.coerce(int(tok) if re.fullmatch(r"[+-]?[0-9]+", tok) else Fraction(tok))
         except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad scalar {text!r}: {exc}") from None
+            raise UsageError(f"bad scalar {text[:24]!r}: {exc}") from None
 
     @staticmethod
     def from_name(text: str) -> "CoeffField":

@@ -197,8 +197,10 @@ def parse_element(field: QuadField, text: str) -> QuadElt:
             raise UsageError(f"cannot parse term {piece!r} in {text!r}")
         sign = -1 if mt.group("sign") == "-" else 1
         sym = mt.group("sym1") or mt.group("sym2")
-        coeff = num(mt.group("coeff")) if mt.group("coeff") else num(1)
-        coeff *= sign
+        try:
+            coeff = sign * num(mt.group("coeff") or "1")
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"bad coefficient in {text[:24]!r}: {exc}") from None
         if sym is None:
             alpha += coeff
         elif sym == "w":

@@ -13,7 +13,6 @@ import time
 from cuspidal.arith import divisors, euler_phi, is_squarefree
 from cuspidal.classnum import picard_order
 from cuspidal.curvering import (
-    conductor_h_solver,
     curve_fitt1,
     curve_ideal_from_generators,
     curve_multiplier_ring,
@@ -35,6 +34,7 @@ from cuspidal.genpairs import (
 )
 from cuspidal.oracles import (
     brute_force_pic,
+    conductor_h_solver,
     curve_unit_group_brute,
     cusp_count_direct,
     reduced_form_count,

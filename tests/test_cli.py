@@ -449,3 +449,43 @@ def test_lift_check_fails_loudly_also_under_python_O(capsys, monkeypatch):
     )
     assert proc.returncode == 3 and proc.stdout == "", proc.stdout
     assert "internal check failed" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["ideal", "norm", "--m", "5", "--gens", "1/0; 2"],
+    ["ideal", "norm", "--m", "5", "--gens", "9" * 5000 + "; 2"],
+    ["curve", "reduce", "--n", "5", "--gens", "9" * 5000 + "*x; 1"],
+], ids=["zero-denominator", "huge-element-coefficient", "huge-curve-coefficient"])
+def test_bad_coefficients_are_usage_errors_with_short_messages(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:") and "Traceback" not in err
+    assert len(err) < 400
+
+
+_CURVE_ARGV = ["curve", "reduce", "--n", "7", "--gens", "2 + x; x^3"]
+_BAD_SERIES = """
+import sys
+from cuspidal import cli, curvering
+real = curvering._div
+curvering._div = lambda *args: [x + 1 for x in real(*args)]
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_curve_certificates_fail_loudly_also_under_python_O(capsys, monkeypatch):
+    # a quotient off by one in every coefficient is no beta with a_i * beta = b_i
+    from cuspidal import curvering
+
+    real = curvering._div
+    monkeypatch.setattr(curvering, "_div", lambda *args: [x + 1 for x in real(*args)])
+    code, out, err = _run(capsys, _CURVE_ARGV + ["--json"])
+    assert code == 3 and out == "" and "internal check failed" in err
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BAD_SERIES, *_CURVE_ARGV, "--json"],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3 and proc.stdout == "", proc.stdout
+    assert "internal check failed" in proc.stderr

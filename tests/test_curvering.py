@@ -6,21 +6,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cuspidal import curvering, oracles
 from cuspidal.curvering import (
     CurveFitt,
     CurveIdeal,
     CurveOrder,
-    _Span,
-    conductor_h_solver,
+    _colon_generator,
     curve_fitt1,
     curve_ideal_from_generators,
     curve_multiplier_ring,
     curve_ring_contains,
     curve_unit_group_order,
 )
-from cuspidal.errors import UsageError, ZeroIdealError
-from cuspidal.fieldpoly import CoeffField, CurvePoly, parse_curve_poly
-from cuspidal.oracles import curve_unit_group_brute
+from cuspidal.errors import InternalCheckError, UsageError, ZeroIdealError
+from cuspidal.fieldpoly import CoeffField, CurvePoly, parse_curve_poly, poly_gcd_monic
+from cuspidal.oracles import _Span, conductor_h_solver, curve_unit_group_brute
 
 Q = CoeffField(0)
 F5 = CoeffField(5)
@@ -499,3 +499,189 @@ def test_unit_exhaustion_by_rank_matches_all_pairs():
     for nu in (1, -2, 6):
         with pytest.raises(UsageError):
             curve_unit_group_brute(F5, 5, nu)
+
+
+# ---------------------------------------------------------------------------
+# the power-series route against the dense oracles
+
+
+def _dense_vec(poly, n):
+    row = list(poly.nums[: n - 1])
+    return row + [0] * (n - 1 - len(row))
+
+
+def _dense_reduction(field, n, gens):
+    """content, p, q, nu and the span W by x^2-closure and reduced echelon form."""
+    live = [g for g in gens if not g.is_zero]
+    content = CurvePoly.zero(field)
+    for g in live:
+        content = poly_gcd_monic(content, g)
+    w = _Span(field).close([_dense_vec(g.divmod_by(content)[0], n) for g in live])
+    lead, p_row = w.rref()[0]
+    assert lead == 0
+    p = CurvePoly.from_ints(field, p_row, p_row[0])
+    nu = 2 * (n - 1 - len(w.rows))
+    if nu < n - 1:
+        q = CurvePoly.monomial(field, nu + 1)
+    elif p == CurvePoly.one(field):
+        q = CurvePoly.zero(field)
+    else:
+        q = CurvePoly.monomial(field, n - 1)
+    return content, p, q, nu, w
+
+
+def _dense_contains(field, n, content, w, poly):
+    quot, rem = poly.divmod_by(content)
+    return rem.is_zero and _dense_vec(quot, n) in w
+
+
+def _dense_multiplier_nu(n, w):
+    """nu + 1 is the least odd j with x^j * W inside W."""
+    for j in range(1, n + 1, 2):
+        if all(([0] * j + row)[: n - 1] in w for row in w.rows.values()):
+            return j - 1
+    raise AssertionError("x^n does not multiply W into itself")
+
+
+def _ring_element(field, rng, n):
+    """A random polynomial with its odd coefficients below n cleared: an element of R."""
+    g = _random_poly(field, rng, rng.randrange(n + 3))
+    return CurvePoly.from_coeffs(
+        field, [g.coeff(i) if i % 2 == 0 or i >= n else 0 for i in range(g.degree + 1)])
+
+
+@st.composite
+def _differential_case(draw):
+    """1-4 generators over Q or F_p with odd n <= 31: planted pairs
+    content * (a*p + b*x^m), random polynomials, or content times the unit
+    ideal; the content is monic of degree at most 3."""
+    field = draw(st.sampled_from([Q, CoeffField(2), CoeffField(3), F5, F101]))
+    n = draw(st.sampled_from(range(3, 32, 2)))
+    kind = draw(st.sampled_from(["planted", "random", "unit"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    d = rng.randrange(4)
+    content = _random_poly(field, rng, d - 1) + CurvePoly.monomial(field, d)
+    k = rng.randint(1, 4)
+    if kind == "planted":
+        p = CurvePoly.one(field) + _random_poly(field, rng, rng.randrange(n)).shift(1)
+        x_m = CurvePoly.monomial(field, rng.randrange(1, n + 1, 2))
+        gens = [content * (_ring_element(field, rng, n) * p + _ring_element(field, rng, n) * x_m)
+                for _ in range(k)]
+    elif kind == "random":
+        gens = [content * _random_poly(field, rng, rng.randrange(n + 3)) for _ in range(k)]
+    else:
+        gens = [content] + [content * _ring_element(field, rng, n) for _ in range(k - 1)]
+    assume(any(not g.is_zero for g in gens))
+    return field, n, kind, gens, rng.randrange(2**32)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_differential_case())
+def test_series_route_matches_the_dense_oracles(case):
+    field, n, kind, gens, seed = case
+    rng = random.Random(seed)
+    ideal = curve_ideal_from_generators(field, n, gens)
+    content, p, q, nu, w = _dense_reduction(field, n, gens)
+    assert (ideal.content, ideal.p, ideal.q, ideal.nu) == (content, p, q, nu)
+    if kind == "unit":
+        assert ideal.q.is_zero and ideal.p == CurvePoly.one(field)
+    assert ideal.module_basis() == w.basis()
+    # members, near-members and random polynomials
+    members = [ideal.content * (_ring_element(field, rng, n) * ideal.p
+                                + _ring_element(field, rng, n) * ideal.q) for _ in range(3)]
+    assert all(ideal.contains(g) for g in members + gens)
+    near = [ideal.content * (ideal.p * _random_poly(field, rng, 3) + ideal.q) for _ in range(3)]
+    others = [_random_poly(field, rng, rng.randrange(n + 2)) for _ in range(4)]
+    for poly in members + near + others + [g + CurvePoly.monomial(field, 1) for g in gens]:
+        assert ideal.contains(poly) == _dense_contains(field, n, content, w, poly)
+    # the same module from another generating set, and an unrelated one
+    again = curve_ideal_from_generators(
+        field, n, gens + [ideal.content * ideal.p * CurvePoly.monomial(field, 2)])
+    assert ideal.same_module(again)
+    other_gens = [_random_poly(field, rng, rng.randrange(n + 2)) for _ in range(2)]
+    if any(not g.is_zero for g in other_gens):
+        other = curve_ideal_from_generators(field, n, other_gens)
+        o_content, _, _, _, o_w = _dense_reduction(field, n, other_gens)
+        assert ideal.same_module(other) == (o_content == content and o_w.rref() == w.rref())
+    # the colon module: the oracle's least valuation, and h* in its nullspace
+    basis, min_val = conductor_h_solver(field, n, ideal.p, ideal.q)
+    assert curve_fitt1(ideal).exponent == min_val
+    h = _colon_generator(ideal)
+    assert h.valuation() == min_val
+    for g in (ideal.p, ideal.q):
+        assert curve_ring_contains(n, h * g)
+    assert curve_multiplier_ring(ideal).nu == _dense_multiplier_nu(n, w)
+
+
+def _series_quotient(field, num, den, length):
+    """num/den mod t^length on field elements, for den(0) != 0."""
+    out = []
+    for k in range(length):
+        c = num[k] if k < len(num) else field.zero
+        for j in range(1, min(k, len(den) - 1) + 1):
+            c = c - den[j] * out[k - j]
+        out.append(c / den[0])
+    return out
+
+
+@pytest.mark.parametrize("field,n,nu", [(Q, 241, 120), (F101, 2001, 1000)],
+                         ids=["rational-n241", "f101-n2001"])
+def test_planted_ideal_far_beyond_the_dense_route(field, n, nu):
+    content, gens = _planted_generators(field, n, nu, random.Random(n))
+    ideal = curve_ideal_from_generators(field, n, gens)
+    assert ideal.content == content
+    assert ideal.nu == nu
+    # p = 1 + x*(b/a mod t^(nu/2)) for the first generator base = a(t) + x*b(t)
+    base = gens[0].divmod_by(content)[0]
+    even = [base.coeff(i) for i in range(0, n - 1, 2)]
+    odd = [base.coeff(i) for i in range(1, n - 1, 2)]
+    beta = _series_quotient(field, odd, even, nu // 2)
+    expected = CurvePoly.from_coeffs(
+        field, [field.one] + [c for b in beta for c in (b, field.zero)][:-1])
+    assert ideal.p == expected
+    assert ideal.q == CurvePoly.monomial(field, nu + 1)
+    assert curve_fitt1(ideal).exponent == n - 1 - nu
+    assert curve_multiplier_ring(ideal).nu == nu
+
+
+def test_request_path_never_reaches_the_dense_oracles(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense elimination on the request path")
+
+    monkeypatch.setattr(oracles._Span, "__init__", refuse)
+    monkeypatch.setattr(oracles, "conductor_h_solver", refuse)
+    for field in (Q, F5):
+        ideal = curve_ideal_from_generators(field, 9, [_poly(field, "1 + x + x^4"), _poly(field, "x^5")])
+        assert (ideal.nu, curve_fitt1(ideal).exponent, curve_multiplier_ring(ideal).nu) == (4, 4, 4)
+        assert ideal.contains(_poly(field, "x^5 + x^6")) and not ideal.contains(_poly(field, "x"))
+        assert len(ideal.module_basis()) == 6 and ideal.same_module(ideal)
+
+
+def _shifted(real, by):
+    return lambda *args: real(*args) + by
+
+
+@pytest.mark.parametrize("name,fake", [
+    ("_div", lambda real: lambda *args: [x + 1 for x in real(*args)]),  # a wrong beta
+    ("_valuation", lambda real: _shifted(real, 1)),  # s + 1
+    ("_valuation", lambda real: _shifted(real, -1)),  # s - 1
+], ids=["beta", "s-plus-1", "s-minus-1"])
+def test_certificates_catch_a_sabotaged_step(monkeypatch, name, fake):
+    monkeypatch.setattr(curvering, name, fake(getattr(curvering, name)))
+    for field in (Q, F5):
+        with pytest.raises(InternalCheckError):
+            curve_ideal_from_generators(field, 7, [_poly(field, "2 + x"), _poly(field, "x^3")])
+
+
+def test_non_canonical_pairs_are_refused():
+    one = CurvePoly.one(Q)
+    for n, p, q, nu in ((7, "1 + x^2", "x^5", 4),  # an even term
+                        (7, "1 + x^5", "x^5", 4),  # an odd term at or above nu
+                        (7, "1 + x", "x", 0),
+                        (5, "1", "x^4", 4)):  # the unit ideal written with q = x^(n-1)
+        with pytest.raises(UsageError):
+            CurveIdeal(Q, n, one, _poly(Q, p), _poly(Q, q), nu)
+    with pytest.raises(UsageError):
+        CurveFitt(Q, 7, 3)
+    with pytest.raises(UsageError):
+        CurveOrder(Q, 7, 8)

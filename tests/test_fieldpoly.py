@@ -297,3 +297,62 @@ def test_printed_form_is_pinned():
         assert (str(p), str(p.monic()), str(p * p), str(p.shift(2) - p)) == (
             shown, monic, square, shifted
         )
+
+
+# ---------------------------------------------------------------------------
+# scalar parsing against a Fraction-only reference
+
+
+def _reference_scalar(field, text):
+    """Every token through Fraction, as before plain integers were read with int()."""
+    try:
+        return field.coerce(Fraction(text.strip()))
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"bad scalar {text!r}") from None
+
+
+def _outcome(parse, field, text):
+    try:
+        return parse(field, text)
+    except UsageError:
+        return "usage error"
+
+
+_SCALAR_TEXT = st.one_of(
+    st.integers().map(str),
+    st.builds(lambda s, a, b, pad: f"{pad}{s}{a}/{b}{pad}", st.sampled_from(["", "+", "-"]),
+              st.integers(0, 10**30), st.integers(0, 60), st.sampled_from(["", " ", "\t"])),
+    st.builds(lambda s, d, pad: f"{pad}{s}{d}{pad}", st.sampled_from(["", "+", "-", "--", "+-"]),
+              st.text("0123456789", min_size=0, max_size=40), st.sampled_from(["", " ", "\n"])),
+    st.text("0123456789+-/._e ", max_size=12),
+    st.sampled_from(["9" * 5000, "-" + "7" * 4301, "1" * 4300, "٣", "1_000", "0x1f", "1e3"]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([CoeffField(0), CoeffField(2), CoeffField(3), CoeffField(101)]),
+       _SCALAR_TEXT)
+def test_scalar_parsing_matches_the_fraction_reference(field, text):
+    got = _outcome(CoeffField.parse_scalar, field, text)
+    assert got == _outcome(_reference_scalar, field, text)
+    assert type(got) is type(_outcome(_reference_scalar, field, text))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([CoeffField(0), CoeffField(3), CoeffField(101)]),
+       st.lists(st.tuples(st.integers(-10**6, 10**6), st.integers(1, 9), st.integers(0, 30)),
+                min_size=1, max_size=6))
+def test_polynomial_parsing_matches_the_fraction_reference(field, terms):
+    text = " + ".join(f"{a}/{b}*x^{e}" if b > 1 else f"{a}*x^{e}" for a, b, e in terms)
+    bracket = "[" + ", ".join(str(a) for a, _, _ in terms) + "]"
+    with pytest.MonkeyPatch.context() as mp:
+        got = [_outcome(parse_curve_poly, field, t) for t in (text, bracket)]
+        mp.setattr(CoeffField, "parse_scalar", _reference_scalar)
+        reference = [_outcome(parse_curve_poly, field, t) for t in (text, bracket)]
+    assert got == reference
+
+
+def test_long_scalars_are_cut_short_in_the_message():
+    with pytest.raises(UsageError) as info:
+        CoeffField(0).parse_scalar("9" * 5000)
+    assert len(str(info.value)) < 300 and "'" + "9" * 24 + "'" in str(info.value)

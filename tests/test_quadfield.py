@@ -133,7 +133,10 @@ def _fraction_parse(field, text):
         mt = _TERM_RE.match(piece)
         if not mt:
             raise UsageError(f"cannot parse term {piece!r} in {text!r}")
-        coeff = Fraction(mt.group("coeff") or 1) * (-1 if mt.group("sign") == "-" else 1)
+        try:
+            coeff = Fraction(mt.group("coeff") or 1) * (-1 if mt.group("sign") == "-" else 1)
+        except ZeroDivisionError as exc:  # a zero denominator is a usage error
+            raise UsageError(f"bad coefficient in {text[:24]!r}: {exc}") from None
         sym = mt.group("sym1") or mt.group("sym2")
         if sym is None:
             alpha += coeff
