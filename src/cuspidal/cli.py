@@ -42,6 +42,7 @@ from .oracles import brute_force_pic, curve_unit_group_brute, cusp_count_direct
 from .quadfield import QuadField, parse_element
 from .quadideal import (
     Order,
+    _fitt1,
     fitt1,
     ideal_from_generators,
     ideal_inverse,
@@ -205,8 +206,8 @@ def _cmd_ideal(args):
         result = {"norm": _s(ideal.norm())}
         lines = [f"norm = {ideal.norm()}"]
     elif args.ideal_op == "fitt1":
-        fitting = fitt1(ideal)
         f_prime = multiplier_conductor(ideal)
+        fitting = _fitt1(ideal, f_prime)
         assertions.append(("fitting-norm-is-conductor-quotient",
                            fitting.norm() == order.f // f_prime))
         result = _ideal_dict(fitting)

@@ -341,7 +341,7 @@ def parse_curve_poly(field: CoeffField, text: str) -> CurvePoly:
     compact = body.replace(" ", "")
     chunks = re.findall(r"[+-]?[^+-]+", compact)
     if not chunks or "".join(chunks) != compact:
-        raise UsageError(f"cannot parse polynomial {text!r}")
+        raise UsageError(f"cannot parse polynomial {text[:24]!r}")
     one = field.one
     terms: dict[int, object] = {}
     for chunk in chunks:
@@ -350,7 +350,7 @@ def parse_curve_poly(field: CoeffField, text: str) -> CurvePoly:
         if match:
             raw, star, digits = match.group("coeff", "star", "exp")
         if not match or (star or not has_x) and not raw.strip("+-"):
-            raise UsageError(f"bad polynomial term {chunk!r} in {text!r}")
+            raise UsageError(f"bad polynomial term {chunk[:24]!r} in {text[:24]!r}")
         scalar = field.parse_scalar(raw) if raw.strip("+-") else -one if raw == "-" else one
         if not has_x:
             exp = 0

@@ -4,9 +4,11 @@ A pair (g1, g2) generating an ideal I is compared to another pair of the
 same ideal through any coefficient matrix A with (g1, g2) A = (h1, h2).
 The determinant of A is well defined modulo the Fitting ideal, and its
 residue in Z/(f/f') is a complete invariant for the SL2(O_f) action.
-When the residue is 1 an explicit unimodular witness matrix is produced
-and verified entry by entry. Longer generating vectors are compressed to
-length two by an explicit SL_n(Z) witness.
+Both columns of A, and the kernel that the lift check walks, come from one
+reduction of the 2x4 integer system of the pair. When the residue is 1 an
+explicit unimodular witness matrix is produced and verified entry by
+entry. Longer generating vectors are compressed to length two by an
+explicit SL_n(Z) witness.
 """
 
 from __future__ import annotations
@@ -21,12 +23,13 @@ from .quadideal import (
     Order,
     QIdeal,
     _colon_lattice,
-    fitt1,
+    _echelon2,
+    _Echelon2,
+    _fitt1,
     ideal_from_generators,
     multiplier_conductor,
 )
 from .units import fundamental_unit, has_norm_minus_one
-from .zlinalg import det_int, identity, kernel_int, mat_mul, solve_int
 
 
 @dataclass(frozen=True)
@@ -144,17 +147,18 @@ def _int_witness(order: Order, rows: list[list[int]]) -> UnimodularWitness:
     )
 
 
-def _coeff_columns(pair: GenPair) -> list[list[int]]:
-    """Coordinate columns of g1, gen*g1, g2, gen*g2 over (1, omega)."""
+def _pair_system(pair: GenPair) -> _Echelon2:
+    """The reduced 2x4 system of g1*x + g2*y over the coordinates of x, y in
+    (1, f*omega): its columns are g1, g1*f*omega, g2, g2*f*omega over (1, omega)."""
     gen = pair.ideal.order.gen
     cols = [p for g in pair.elements for p in (g, g * gen)]
-    return [[p.a for p in cols], [p.b for p in cols]]
+    return _echelon2([p.a for p in cols], [p.b for p in cols])
 
 
-def _solve_in_pair(pair: GenPair, target: QuadElt) -> tuple[QuadElt, QuadElt]:
+def _solve_in_pair(pair: GenPair, system: _Echelon2, target: QuadElt) -> tuple[QuadElt, QuadElt]:
     """Coefficients (x, y) in the order with g1*x + g2*y = target."""
     order = pair.ideal.order
-    sol = solve_int(_coeff_columns(pair), [target.a, target.b])
+    sol = system.solve(target.a, target.b)
     if sol is None:
         raise InternalCheckError(f"{target} is not reachable from {pair.elements}")
     x = order.from_coords(sol[0], sol[1])
@@ -168,19 +172,23 @@ def _det2(mat: list[list[QuadElt]]) -> QuadElt:
     return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
 
 
-def _transition(pair: GenPair, other: GenPair) -> tuple[list[list[QuadElt]], DetClass]:
-    """The coefficient matrix A with pair.elements @ A = other.elements and
-    the class of det A: its first coordinate over (1, f*omega) in Z/(f/f')."""
+def _transition(
+    pair: GenPair, other: GenPair
+) -> tuple[list[list[QuadElt]], DetClass, _Echelon2]:
+    """The coefficient matrix A with pair.elements @ A = other.elements, the
+    class of det A (its first coordinate over (1, f*omega) in Z/(f/f')), and
+    the reduced pair system that both columns of A were solved from."""
     if pair.ideal != other.ideal:
         raise UsageError("pairs generate different ideals, no determinant class")
     order = pair.ideal.order
     n0 = order.f // multiplier_conductor(pair.ideal)
-    (x1, y1), (x2, y2) = (_solve_in_pair(pair, h) for h in other.elements)
+    system = _pair_system(pair)
+    (x1, y1), (x2, y2) = (_solve_in_pair(pair, system, h) for h in other.elements)
     mat = [[x1, x2], [y1, y2]]
     cls = DetClass(order.coords(_det2(mat))[0], n0)
     if math.gcd(cls.value, n0) != 1:
         raise InternalCheckError(f"determinant residue {cls.value} mod {n0} not a unit")
-    return mat, cls
+    return mat, cls, system
 
 
 def det_pair(pair: GenPair, other: GenPair, check: bool = False) -> DetClass:
@@ -190,10 +198,10 @@ def det_pair(pair: GenPair, other: GenPair, check: bool = False) -> DetClass:
     Z/(f/f') via the first coordinate over (1, f*omega), and is a unit.
     With check, every lift A + (kernel vector) gives the same class.
     """
-    mat, cls = _transition(pair, other)
+    mat, cls, system = _transition(pair, other)
     if check:
         order = pair.ideal.order
-        for kern in kernel_int(_coeff_columns(pair)):
+        for kern in system.kernel:
             dx = order.from_coords(kern[0], kern[1])
             dy = order.from_coords(kern[2], kern[3])
             if pair.g1 * dx + pair.g2 * dy != order.field.zero:
@@ -227,11 +235,11 @@ def sl2_witness(pair: GenPair, other: GenPair) -> UnimodularWitness:
     field = order.field
     if pair.elements == other.elements:
         return _int_witness(order, identity(2))
-    mat, cls = _transition(pair, other)
+    mat, cls, _ = _transition(pair, other)
     if not cls.is_one:
         raise UsageError(f"pairs are not SL2-equivalent, class {cls.value} mod {cls.modulus}")
     t = field.one - _det2(mat)
-    if not fitt1(pair.ideal).contains(t):
+    if not _fitt1(pair.ideal, order.f // cls.modulus).contains(t):
         raise InternalCheckError(f"1 - det A = {t} is not in Fitt_1")
 
     conj = pair.ideal.conjugate()
@@ -239,7 +247,7 @@ def sl2_witness(pair: GenPair, other: GenPair) -> UnimodularWitness:
     scaled_t = t * c
     basis = (conj.gen1, conj.gen2)
     cols = [g * other.g2 for g in basis] + [-(g * other.g1) for g in basis]
-    sol = solve_int([[p.a for p in cols], [p.b for p in cols]], [scaled_t.a, scaled_t.b])
+    sol = _echelon2([p.a for p in cols], [p.b for p in cols]).solve(scaled_t.a, scaled_t.b)
     if sol is None:
         raise InternalCheckError("correction equation has no solution over sigma(I)^2")
     rho = basis[0] * sol[0] + basis[1] * sol[1]
@@ -328,6 +336,44 @@ def _orbit_count_gl2(order: Order, f_prime: int) -> int:
 def orbit_count_gl2(ideal: QIdeal) -> int:
     """Number of GL2 orbits on generating pairs of the ideal."""
     return _orbit_count_gl2(ideal.order, multiplier_conductor(ideal))
+
+
+def identity(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def mat_mul(lhs: list[list[int]], rhs: list[list[int]]) -> list[list[int]]:
+    inner = len(rhs)
+    assert all(len(row) == inner for row in lhs)
+    cols = len(rhs[0])
+    return [
+        [sum(lrow[k] * rhs[k][j] for k in range(inner)) for j in range(cols)]
+        for lrow in lhs
+    ]
+
+
+def det_int(rows: list[list[int]]) -> int:
+    """Determinant by fraction-free (Bareiss) elimination."""
+    n = len(rows)
+    assert all(len(r) == n for r in rows)
+    if n == 0:
+        return 1
+    work = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if work[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if work[i][k] != 0), None)
+            if swap is None:
+                return 0
+            work[k], work[swap] = work[swap], work[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                work[i][j] = (work[i][j] * work[k][k] - work[i][k] * work[k][j]) // prev
+            work[i][k] = 0
+        prev = work[k][k]
+    return sign * work[n - 1][n - 1]
 
 
 def _gcd_column_reduce(xs: list[int], target: int) -> tuple[list[int], list[list[int]]]:

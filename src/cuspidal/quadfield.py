@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .arith import is_squarefree
 from .errors import UsageError
@@ -49,9 +50,9 @@ class QuadField:
     def omega_trace(self) -> int:
         return 1 if self.omega_kind is OmegaKind.HALF else 0
 
-    @property
+    @cached_property
     def omega_sq(self) -> tuple[int, int]:
-        """(r, s) with omega^2 = r + s*omega."""
+        """(r, s) with omega^2 = r + s*omega, computed once per field."""
         if self.omega_kind is OmegaKind.HALF:
             return (self.m - 1) // 4, 1
         return self.m, 0
@@ -76,7 +77,7 @@ class QuadField:
 
 
 def _same_field(x: QuadElt, y: QuadElt) -> None:
-    if x.field != y.field:
+    if x.field is not y.field and x.field != y.field:
         raise UsageError(f"field mismatch: {x.field} vs {y.field}")
 
 
@@ -187,14 +188,14 @@ def parse_element(field: QuadField, text: str) -> QuadElt:
         raise UsageError("empty element")
     pieces = re.findall(r"[+-]?[^+-]+", compact)
     if "".join(pieces) != compact:
-        raise UsageError(f"cannot parse element {text!r}")
+        raise UsageError(f"cannot parse element {text[:24]!r}")
     num = Fraction if "/" in compact else int
     alpha = num(0)  # coefficient of 1
     beta = num(0)  # coefficient of omega
     for piece in pieces:
         mt = _TERM_RE.match(piece)
         if not mt:
-            raise UsageError(f"cannot parse term {piece!r} in {text!r}")
+            raise UsageError(f"cannot parse term {piece[:24]!r} in {text[:24]!r}")
         sign = -1 if mt.group("sign") == "-" else 1
         sym = mt.group("sym1") or mt.group("sym2")
         try:
@@ -213,5 +214,5 @@ def parse_element(field: QuadField, text: str) -> QuadElt:
             else:
                 beta += coeff
     if alpha.denominator != 1 or beta.denominator != 1:
-        raise UsageError(f"{text!r} is not in the maximal order of {field}")
+        raise UsageError(f"{text[:24]!r} is not in the maximal order of {field}")
     return QuadElt(field, int(alpha), int(beta))

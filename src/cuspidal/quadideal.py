@@ -2,7 +2,11 @@
 
 Every nonzero ideal is kept in the standard basis I = Z*a + Z*(d + e*f*omega)
 with a, e > 0, e | a, e | d, -a/2 <= d < a/2 and ae | norm(d + e*f*omega).
-The norm of I is a*e and I is primitive exactly when e = 1.
+The norm of I is a*e and I is primitive exactly when e = 1. Standard
+bases, products and the multiplier conductor are computed on these integer
+coordinates. The 2-row integer systems of generating pairs and colon
+ideals go through one column reduction with its transform, _echelon2, which
+gives both particular solutions and kernels.
 
 Classes are decided by the reduction theory of binary quadratic forms
 (Cohen, GTM 138, 5.3-5.6). An ideal I is a proper ideal of its multiplier
@@ -25,7 +29,6 @@ from .arith import divisors, factorize, sqrt_mods, xgcd
 from .config import resolve_bound
 from .errors import InconclusiveError, InternalCheckError, UsageError, ZeroIdealError
 from .quadfield import QuadElt, QuadField
-from .zlinalg import kernel_int
 
 
 @dataclass(frozen=True)
@@ -181,6 +184,62 @@ def _lattice_std_basis(order: Order, vectors: list[tuple[int, int]]) -> QIdeal:
     return QIdeal(order, a, r, e)
 
 
+class _Echelon2(NamedTuple):
+    """H = A*U for a 2-row integer matrix A and a unimodular U: `pivots` lists
+    the nonzero columns of H as (pivot row, top entry, bottom entry), and `u`
+    holds the columns of U, of which those past the pivots span the kernel."""
+
+    pivots: list[tuple[int, int, int]]
+    u: list[list[int]]
+
+    @property
+    def kernel(self) -> list[list[int]]:
+        return self.u[len(self.pivots) :]
+
+    def solve(self, top: int, bottom: int) -> list[int] | None:
+        """One integer x with A*x = (top, bottom), or None if there is none."""
+        rem, x = [top, bottom], [0] * len(self.u)
+        for (row, *h), col in zip(self.pivots, self.u):
+            y, left = divmod(rem[row], h[row])
+            if left:
+                return None
+            rem = [rem[0] - y * h[0], rem[1] - y * h[1]]
+            x = [xi + y * ci for xi, ci in zip(x, col)]
+        return None if any(rem) else x
+
+
+def _echelon2(top: list[int], bottom: list[int]) -> _Echelon2:
+    """Column Hermite reduction of the 2-row matrix (top; bottom) with its
+    transform, by xgcd column steps as in _lattice_std_basis: row 0 first, the
+    first column with a nonzero entry swapped in as pivot, the entries right of
+    it cleared, the pivot made positive; then row 1 over the columns left."""
+    n = len(top)
+    # column j of A stacked on column j of U, so a column operation is one list op
+    cols = [[x, y] + [0] * n for x, y in zip(top, bottom)]
+    for j, c in enumerate(cols):
+        c[2 + j] = 1
+    pivots = []
+    for row in (0, 1):
+        col = len(pivots)
+        piv = next((j for j in range(col, n) if cols[j][row]), None)
+        if piv is None:
+            continue
+        cols[col], cols[piv] = cols[piv], cols[col]
+        c1 = cols[col]
+        for j in range(col + 1, n):
+            c2 = cols[j]
+            if c2[row]:
+                g, s, t = xgcd(c1[row], c2[row])
+                p, q = c1[row] // g, c2[row] // g
+                cols[j] = [p * y - q * x for x, y in zip(c1, c2)]
+                c1 = [s * x + t * y for x, y in zip(c1, c2)]
+        if c1[row] < 0:
+            c1 = [-x for x in c1]
+        cols[col] = c1
+        pivots.append((row, c1[0], c1[1]))
+    return _Echelon2(pivots, [c[2:] for c in cols])
+
+
 def ideal_from_generators(order: Order, gens: list[QuadElt]) -> QIdeal:
     """Ideal of `order` generated by `gens`, in standard basis.
 
@@ -200,15 +259,19 @@ def ideal_from_generators(order: Order, gens: list[QuadElt]) -> QIdeal:
 
 
 def ideal_mul(lhs: QIdeal, rhs: QIdeal) -> QIdeal:
+    """The product: the Z-span of the four products of the standard bases,
+    which is already an ideal since both factors are. Over (1, f*omega),
+    (d1 + e1*f*omega)(d2 + e2*f*omega) = d1*d2 + e1*e2*f^2*r +
+    (d1*e2 + d2*e1 + e1*e2*f*s)*f*omega with omega^2 = r + s*omega."""
     if lhs.order != rhs.order:
         raise UsageError("ideal product requires a common order")
-    gens = [
-        lhs.gen1 * rhs.gen1,
-        lhs.gen1 * rhs.gen2,
-        lhs.gen2 * rhs.gen1,
-        lhs.gen2 * rhs.gen2,
-    ]
-    return ideal_from_generators(lhs.order, gens)
+    f = lhs.order.f
+    r, s = lhs.order.field.omega_sq
+    (a1, d1, e1), (a2, d2, e2) = (lhs.a, lhs.d, lhs.e), (rhs.a, rhs.d, rhs.e)
+    e12 = e1 * e2
+    vectors = [(a1 * a2, 0), (a1 * d2, a1 * e2), (a2 * d1, a2 * e1),
+               (d1 * d2 + e12 * f * f * r, d1 * e2 + d2 * e1 + e12 * f * s)]
+    return _lattice_std_basis(lhs.order, vectors)
 
 
 def ideal_inverse(ideal: QIdeal) -> FracIdeal:
@@ -228,6 +291,18 @@ def associated_form(ideal: QIdeal) -> QuadForm:
     return form
 
 
+def _multiplies(ideal: QIdeal, k: int) -> bool:
+    """Whether k*omega maps I into I: with omega^2 = r + s*omega, the basis
+    products are a*k*omega = (0, a*k/f) and (d + e*f*omega)*k*omega =
+    (e*f*k*r, d*k/f + e*k*s) over (1, f*omega), when they lie in the order."""
+    f = ideal.order.f
+    r, s = ideal.order.field.omega_sq
+    a, d, e = ideal.a, ideal.d, ideal.e
+    if a * k % f or d * k % f:
+        return False
+    return ideal._has(0, a * k // f) and ideal._has(e * f * k * r, d * k // f + e * k * s)
+
+
 def multiplier_conductor(ideal: QIdeal) -> int:
     """Conductor f' of the multiplier ring {x : x*I <= I}, an order Z + Z*f'*omega.
 
@@ -235,49 +310,46 @@ def multiplier_conductor(ideal: QIdeal) -> int:
     by direct membership: f'*omega must multiply I into I while f'/p * omega
     must not, for every prime p dividing f'.
     """
-    order = ideal.order
-    f = order.f
+    f = ideal.order.f
     form = associated_form(ideal)
     if f % form.content:
         raise InternalCheckError("form content does not divide the conductor")
     f_prime = f // form.content
     # the order of conductor f' multiplies I into itself ...
-    mult = QuadElt(order.field, 0, f_prime)
-    for gen in (ideal.gen1, ideal.gen2):
-        if not ideal.contains(gen * mult):
-            raise InternalCheckError("multiplier ring membership failed")
+    if not _multiplies(ideal, f_prime):
+        raise InternalCheckError("multiplier ring membership failed")
     # ... and no strictly larger order does
-    for p in factorize(f_prime):
-        wider = QuadElt(order.field, 0, f_prime // p)
-        if all(ideal.contains(gen * wider) for gen in (ideal.gen1, ideal.gen2)):
-            raise InternalCheckError("multiplier ring is larger than computed")
+    if any(_multiplies(ideal, f_prime // p) for p in factorize(f_prime)):
+        raise InternalCheckError("multiplier ring is larger than computed")
     return f_prime
 
 
 def _colon_lattice(order: Order, target: QIdeal, elements: list[QuadElt]) -> QIdeal:
     """{z in O_f : z*g in target for every g in elements} as an ideal.
 
-    Membership is encoded with auxiliary integer unknowns and solved as one
-    integer kernel; elements may live in the maximal order.
+    For each g, the kernel of the 2x4 system z*g = c1*t1 + c2*t2 in the
+    unknowns (u, v, c1, c2), z = u + v*f*omega and (t1, t2) the basis of
+    target, gives a basis of {z : z*g in target}; the kernel of (P | Q) for
+    two such bases P, Q gives their intersection. Elements may live in the
+    maximal order.
     """
     assert elements
-    field = order.field
+    f = order.f
+    r, s = order.field.omega_sq
     t1, t2 = target.gen1, target.gen2
-    n_unknowns = 2 + 2 * len(elements)
-    rows: list[list[int]] = []
-    for idx, g in enumerate(elements):
-        zg_u = g  # z = u + v*f*omega; coefficient of u
-        zg_v = order.gen * g  # coefficient of v
-        for part in (0, 1):  # omega-coordinate index
-            row = [0] * n_unknowns
-            row[0] = (zg_u.a, zg_u.b)[part]
-            row[1] = (zg_v.a, zg_v.b)[part]
-            row[2 + 2 * idx] = -((t1.a, t1.b)[part])
-            row[3 + 2 * idx] = -((t2.a, t2.b)[part])
-            rows.append(row)
-    basis = kernel_int(rows, n_unknowns)
-    vectors = [(vec[0], vec[1]) for vec in basis]
-    return _lattice_std_basis(order, vectors)
+    basis = None
+    for g in elements:
+        # z*g over (1, omega) for z = 1 and z = f*omega
+        top = [g.a, f * g.b * r, -t1.a, -t2.a]
+        bottom = [g.b, f * (g.a + g.b * s), -t1.b, -t2.b]
+        lattice = [(u, v) for u, v, _, _ in _echelon2(top, bottom).kernel]
+        if basis is not None:
+            cols = basis + lattice
+            meet = _echelon2([u for u, _ in cols], [v for _, v in cols]).kernel
+            (u1, v1), (u2, v2) = basis
+            lattice = [(x1 * u1 + x2 * u2, x1 * v1 + x2 * v2) for x1, x2, _, _ in meet]
+        basis = lattice
+    return _lattice_std_basis(order, basis)
 
 
 def fitt1(ideal: QIdeal) -> QIdeal:
@@ -287,9 +359,13 @@ def fitt1(ideal: QIdeal) -> QIdeal:
     Z*(f/f') + Z*f*omega, the lattice product with the conjugate divided by
     the norm, and the generic conductor of the multiplier ring.
     """
+    return _fitt1(ideal, multiplier_conductor(ideal))
+
+
+def _fitt1(ideal: QIdeal, f_prime: int) -> QIdeal:
+    """fitt1 for a caller that already has the multiplier conductor f'."""
     order = ideal.order
     f = order.f
-    f_prime = multiplier_conductor(ideal)
     closed = QIdeal(order, f // f_prime, 0, 1)
 
     product = ideal_mul(ideal, ideal.conjugate())

@@ -424,14 +424,26 @@ _DET_ARGV = ["pair", "det", "--m", "-1", "--f", "5", "--pair", "5; 5*w", "--pair
 _BAD_KERNEL = """
 import sys
 from cuspidal import cli, genpairs
-genpairs.kernel_int = lambda rows, n_cols=None: [[1, 0, 0, 0]]
+real = genpairs._echelon2
+def bad(top, bottom):
+    system = real(top, bottom)
+    return system._replace(u=system.u[:len(system.pivots)] + [[1, 0, 0, 0]] * len(system.kernel))
+genpairs._echelon2 = bad
 sys.exit(cli.main(sys.argv[1:]))
 """
 
 
 def test_lift_check_fails_loudly_also_under_python_O(capsys, monkeypatch):
-    # (1, 0, 0, 0) is no relation of (5, 5*w): 5*1 + 5*w*0 != 0
-    monkeypatch.setattr(genpairs, "kernel_int", lambda rows, n_cols=None: [[1, 0, 0, 0]])
+    # (1, 0, 0, 0) is no relation of (5, 5*w): 5*1 + 5*w*0 != 0; the sabotaged
+    # reduction keeps its particular solutions and replaces only its kernel
+    real = genpairs._echelon2
+
+    def bad(top, bottom):
+        system = real(top, bottom)
+        kernel = [[1, 0, 0, 0]] * len(system.kernel)
+        return system._replace(u=system.u[: len(system.pivots)] + kernel)
+
+    monkeypatch.setattr(genpairs, "_echelon2", bad)
     order = Order(QuadField(-1), 5)
     g = [parse_element(order.field, t) for t in ("5", "5*w", "-5")]
     pair = GenPair(ideal_from_generators(order, g[:2]), g[0], g[1])
@@ -451,6 +463,46 @@ def test_lift_check_fails_loudly_also_under_python_O(capsys, monkeypatch):
     assert "internal check failed" in proc.stderr
 
 
+def test_pair_queries_reduce_their_pair_system_once(capsys, monkeypatch):
+    systems = []
+    real = genpairs._echelon2
+
+    def counted(top, bottom):
+        systems.append((top, bottom))
+        return real(top, bottom)
+
+    monkeypatch.setattr(genpairs, "_echelon2", counted)
+    assert _run(capsys, _DET_ARGV)[0] == 0
+    assert len(systems) == 1
+    systems.clear()
+    # the witness adds one reduction, for its correction equation over sigma(I)^2
+    assert _run(capsys, ["pair", "witness", *_DET_ARGV[2:]])[0] == 0
+    assert 1 <= len(systems) <= 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["ideal", "fitt1", "--gens", "3; 6*w"],
+    ["ideal", "inverse", "--gens", "3; 6*w"],
+    ["pair", "det", "--pair", "3; 6*w", "--pair2", "6*w; -3"],
+    ["pair", "witness", "--pair", "3; 6*w", "--pair2", "6*w; -3"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_each_query_computes_the_multiplier_conductor_once(capsys, monkeypatch, argv):
+    import cuspidal.cli
+    import cuspidal.quadideal
+
+    calls = []
+
+    def counted(ideal, real=cuspidal.quadideal.multiplier_conductor):
+        calls.append(ideal)
+        return real(ideal)
+
+    for module in (cuspidal.cli, genpairs, cuspidal.quadideal):
+        monkeypatch.setattr(module, "multiplier_conductor", counted)
+    code, out, err = _run(capsys, argv + ["--m", "-1", "--f", "6", "--json"])
+    assert code == 0, err
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["ideal", "norm", "--m", "5", "--gens", "1/0; 2"],
     ["ideal", "norm", "--m", "5", "--gens", "9" * 5000 + "; 2"],
@@ -461,6 +513,20 @@ def test_bad_coefficients_are_usage_errors_with_short_messages(capsys, argv):
     assert code == 1 and out == ""
     assert err.startswith("usage error:") and "Traceback" not in err
     assert len(err) < 400
+
+
+@pytest.mark.parametrize("argv", [
+    ["ideal", "norm", "--m", "5", "--gens", "1 + " + "y" * 5000 + "; 2"],
+    ["ideal", "norm", "--m", "5", "--gens", "y" * 5000 + "+; 2"],
+    ["curve", "reduce", "--n", "5", "--gens", "1 + " + "y" * 5000 + "; 1"],
+    ["curve", "reduce", "--n", "5", "--gens", "x" * 5000 + "+; 1"],
+], ids=["element-term", "element", "curve-term", "curve-polynomial"])
+def test_unparsable_long_input_is_not_echoed_whole(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:")
+    assert "cannot parse" in err or "bad polynomial term" in err
+    assert len(err) < 200
 
 
 _CURVE_ARGV = ["curve", "reduce", "--n", "7", "--gens", "2 + x; x^3"]

@@ -127,12 +127,12 @@ def _fraction_parse(field, text):
         raise UsageError("empty element")
     pieces = re.findall(r"[+-]?[^+-]+", compact)
     if "".join(pieces) != compact:
-        raise UsageError(f"cannot parse element {text!r}")
+        raise UsageError(f"cannot parse element {text[:24]!r}")
     alpha = beta = Fraction(0)
     for piece in pieces:
         mt = _TERM_RE.match(piece)
         if not mt:
-            raise UsageError(f"cannot parse term {piece!r} in {text!r}")
+            raise UsageError(f"cannot parse term {piece[:24]!r} in {text[:24]!r}")
         try:
             coeff = Fraction(mt.group("coeff") or 1) * (-1 if mt.group("sign") == "-" else 1)
         except ZeroDivisionError as exc:  # a zero denominator is a usage error
@@ -145,7 +145,7 @@ def _fraction_parse(field, text):
         else:
             beta += coeff
     if alpha.denominator != 1 or beta.denominator != 1:
-        raise UsageError(f"{text!r} is not in the maximal order of {field}")
+        raise UsageError(f"{text[:24]!r} is not in the maximal order of {field}")
     return QuadElt(field, int(alpha), int(beta))
 
 

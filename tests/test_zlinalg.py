@@ -1,13 +1,7 @@
-import random
-from fractions import Fraction
+from hypothesis import given, strategies as st
 
-from hypothesis import given, settings, strategies as st
-
-from cuspidal.zlinalg import det_int, hnf_columns, identity, kernel_int, mat_mul, mat_mul_vec, solve_int
-
-
-def _rand_matrix(rng, rows, cols, lo=-9, hi=9):
-    return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+from cuspidal.genpairs import det_int, identity, mat_mul
+from test_hnf_oracle import mat_mul_vec
 
 
 def _det_by_permanent_expansion(rows):
@@ -34,77 +28,6 @@ def test_det_matches_laplace_expansion(rows):
 )
 def test_det_multiplicative(a, b):
     assert det_int(mat_mul(a, b)) == det_int(a) * det_int(b)
-
-
-def test_hnf_transform_is_unimodular():
-    rng = random.Random(11)
-    for _ in range(200):
-        rows = rng.randrange(1, 5)
-        cols = rng.randrange(1, 5)
-        mat = _rand_matrix(rng, rows, cols)
-        h, u = hnf_columns(mat)
-        assert det_int(u) in (1, -1)
-        assert mat_mul(mat, u) == h
-        # column echelon: pivot rows strictly increase, trailing columns zero
-        pivots = []
-        for col in range(cols):
-            column = [h[r][col] for r in range(rows)]
-            nz = [r for r, v in enumerate(column) if v]
-            if nz:
-                pivots.append(nz[0])
-        assert pivots == sorted(pivots) and len(set(pivots)) == len(pivots)
-
-
-def test_solve_recovers_planted_solution():
-    rng = random.Random(23)
-    solved = 0
-    for _ in range(300):
-        rows = rng.randrange(1, 5)
-        cols = rng.randrange(1, 5)
-        mat = _rand_matrix(rng, rows, cols)
-        x = [rng.randint(-7, 7) for _ in range(cols)]
-        b = mat_mul_vec(mat, x)
-        y = solve_int(mat, b)
-        assert y is not None
-        assert mat_mul_vec(mat, y) == b
-        solved += 1
-    assert solved == 300
-
-
-def test_solve_detects_unsolvable():
-    # 2x = 1 has no integer solution; parallel rows force failure
-    assert solve_int([[2]], [1]) is None
-    assert solve_int([[2, 4], [1, 2]], [2, 0]) is None
-
-
-def test_kernel_vectors_annihilate_and_span():
-    rng = random.Random(37)
-    for _ in range(200):
-        rows = rng.randrange(1, 4)
-        cols = rng.randrange(1, 5)
-        mat = _rand_matrix(rng, rows, cols, -5, 5)
-        kern = kernel_int(mat)
-        for vec in kern:
-            assert mat_mul_vec(mat, vec) == [0] * rows
-        # rank-nullity over Q
-        rank = _rank_over_q(mat)
-        assert len(kern) == cols - rank
-
-
-def _rank_over_q(mat):
-    work = [[Fraction(x) for x in row] for row in mat]
-    rank = 0
-    for col in range(len(work[0]) if work else 0):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                c = work[r][col] / work[rank][col]
-                work[r] = [a - c * b for a, b in zip(work[r], work[rank])]
-        rank += 1
-    return rank
 
 
 def test_identity_and_mat_mul_shapes():
