@@ -21,7 +21,7 @@ DEFAULT_BOUND = 2_000_000
 def resolve_bound(bound: int | None = None) -> int:
     if bound is not None:
         if bound < 1:
-            raise UsageError(f"bound must be positive, got {bound}")
+            raise UsageError(f"bound must be positive, got {str(bound)[:24]}")
         return bound
     env = os.environ.get("CUSPIDAL_BOUND")
     if not env:
@@ -31,5 +31,5 @@ def resolve_bound(bound: int | None = None) -> int:
     except ValueError:
         value = 0
     if value < 1:
-        raise UsageError(f"CUSPIDAL_BOUND must be a positive integer, got {env!r}")
+        raise UsageError(f"CUSPIDAL_BOUND must be a positive integer, got {env[:24]!r}")
     return value

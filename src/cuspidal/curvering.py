@@ -40,7 +40,7 @@ MAX_N = 2001
 
 def _check_n(n: int, nu: int = 0, name: str = "nu") -> None:
     if n < 3 or n % 2 == 0 or n > MAX_N:
-        raise UsageError(f"the curve exponent must be odd and in [3, {MAX_N}], got {n}")
+        raise UsageError(f"the curve exponent must be odd and in [3, {MAX_N}], got {str(n)[:24]}")
     if nu % 2 or not 0 <= nu <= n - 1:
         raise UsageError(f"{name} must be even in [0, {n - 1}], got {nu}")
 

@@ -127,7 +127,7 @@ class CoeffField:
             return CoeffField(0)
         if re.fullmatch(r"f?\d+", name) and int(name.lstrip("f")):
             return CoeffField(int(name.lstrip("f")))
-        raise UsageError(f"unknown coefficient field {text!r} (use 'rational' or 'f<p>')")
+        raise UsageError(f"unknown coefficient field {text[:24]!r} (use 'rational' or 'f<p>')")
 
     def all_elements(self):
         """Every element; finite fields only."""

@@ -4,11 +4,13 @@ A pair (g1, g2) generating an ideal I is compared to another pair of the
 same ideal through any coefficient matrix A with (g1, g2) A = (h1, h2).
 The determinant of A is well defined modulo the Fitting ideal, and its
 residue in Z/(f/f') is a complete invariant for the SL2(O_f) action.
-Both columns of A, and the kernel that the lift check walks, come from one
-reduction of the 2x4 integer system of the pair. When the residue is 1 an
-explicit unimodular witness matrix is produced and verified entry by
-entry. Longer generating vectors are compressed to length two by an
-explicit SL_n(Z) witness.
+Both columns of A come from one reduction of the 2x4 integer system of the
+pair, and every call walks that reduction's kernel to check that each lift
+of A gives the same class. When the residue is 1 an explicit unimodular
+witness matrix is produced and verified entry by entry. Longer generating
+vectors are compressed to length two by an explicit SL_n(Z) witness: the
+transform of the same 2-row reduction, applied to the coordinates of the
+vector.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import euler_phi, xgcd
+from .arith import euler_phi
 from .errors import InternalCheckError, UsageError
 from .quadfield import QuadElt
 from .quadideal import (
@@ -172,12 +174,11 @@ def _det2(mat: list[list[QuadElt]]) -> QuadElt:
     return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
 
 
-def _transition(
-    pair: GenPair, other: GenPair
-) -> tuple[list[list[QuadElt]], DetClass, _Echelon2]:
-    """The coefficient matrix A with pair.elements @ A = other.elements, the
-    class of det A (its first coordinate over (1, f*omega) in Z/(f/f')), and
-    the reduced pair system that both columns of A were solved from."""
+def _transition(pair: GenPair, other: GenPair) -> tuple[list[list[QuadElt]], DetClass]:
+    """The coefficient matrix A with pair.elements @ A = other.elements and the
+    class of det A: its first coordinate over (1, f*omega) in Z/(f/f'), a unit.
+    Both columns of A are solved from one reduction of the pair system, whose
+    kernel then checks that every lift A + (kernel vector) gives the same class."""
     if pair.ideal != other.ideal:
         raise UsageError("pairs generate different ideals, no determinant class")
     order = pair.ideal.order
@@ -188,28 +189,24 @@ def _transition(
     cls = DetClass(order.coords(_det2(mat))[0], n0)
     if math.gcd(cls.value, n0) != 1:
         raise InternalCheckError(f"determinant residue {cls.value} mod {n0} not a unit")
-    return mat, cls, system
+    for kern in system.kernel:
+        dx = order.from_coords(kern[0], kern[1])
+        dy = order.from_coords(kern[2], kern[3])
+        if pair.g1 * dx + pair.g2 * dy != order.field.zero:
+            raise InternalCheckError(f"{(dx, dy)} is not a relation of {pair.elements}")
+        alt = [[x1 + dx, x2], [y1 + dy, y2]]
+        if order.coords(_det2(alt))[0] % n0 != cls.value:
+            raise InternalCheckError("determinant class depends on the lift")
+    return mat, cls
 
 
-def det_pair(pair: GenPair, other: GenPair, check: bool = False) -> DetClass:
+def det_pair(pair: GenPair, other: GenPair) -> DetClass:
     """Determinant class of the transition from pair to other.
 
     Both pairs must generate the same ideal. The residue lives in
     Z/(f/f') via the first coordinate over (1, f*omega), and is a unit.
-    With check, every lift A + (kernel vector) gives the same class.
     """
-    mat, cls, system = _transition(pair, other)
-    if check:
-        order = pair.ideal.order
-        for kern in system.kernel:
-            dx = order.from_coords(kern[0], kern[1])
-            dy = order.from_coords(kern[2], kern[3])
-            if pair.g1 * dx + pair.g2 * dy != order.field.zero:
-                raise InternalCheckError(f"{(dx, dy)} is not a relation of {pair.elements}")
-            alt = [[mat[0][0] + dx, mat[0][1]], [mat[1][0] + dy, mat[1][1]]]
-            if order.coords(_det2(alt))[0] % cls.modulus != cls.value:
-                raise InternalCheckError("determinant class depends on the lift")
-    return cls
+    return _transition(pair, other)[1]
 
 
 def is_sl2_equivalent(pair: GenPair, other: GenPair) -> bool:
@@ -234,8 +231,8 @@ def sl2_witness(pair: GenPair, other: GenPair) -> UnimodularWitness:
     order = pair.ideal.order
     field = order.field
     if pair.elements == other.elements:
-        return _int_witness(order, identity(2))
-    mat, cls, _ = _transition(pair, other)
+        return _int_witness(order, [[1, 0], [0, 1]])
+    mat, cls = _transition(pair, other)
     if not cls.is_one:
         raise UsageError(f"pairs are not SL2-equivalent, class {cls.value} mod {cls.modulus}")
     t = field.one - _det2(mat)
@@ -283,11 +280,7 @@ def _epsilon_subgroup(order: Order, f_prime: int) -> tuple[int, ...]:
 
 
 def _orbit_count_sl2_mod_units(order: Order, f_prime: int) -> int:
-    n0 = order.f // f_prime
-    halve = has_norm_minus_one(order.field, f_prime) and n0 > 2
-    count = euler_phi(n0) // (2 if halve else 1)
-    assert count * len(_epsilon_subgroup(order, f_prime)) == euler_phi(n0)
-    return count
+    return euler_phi(order.f // f_prime) // len(_epsilon_subgroup(order, f_prime))
 
 
 def epsilon_subgroup(ideal: QIdeal) -> tuple[int, ...]:
@@ -338,20 +331,6 @@ def orbit_count_gl2(ideal: QIdeal) -> int:
     return _orbit_count_gl2(ideal.order, multiplier_conductor(ideal))
 
 
-def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(lhs: list[list[int]], rhs: list[list[int]]) -> list[list[int]]:
-    inner = len(rhs)
-    assert all(len(row) == inner for row in lhs)
-    cols = len(rhs[0])
-    return [
-        [sum(lrow[k] * rhs[k][j] for k in range(inner)) for j in range(cols)]
-        for lrow in lhs
-    ]
-
-
 def det_int(rows: list[list[int]]) -> int:
     """Determinant by fraction-free (Bareiss) elimination."""
     n = len(rows)
@@ -376,61 +355,28 @@ def det_int(rows: list[list[int]]) -> int:
     return sign * work[n - 1][n - 1]
 
 
-def _gcd_column_reduce(xs: list[int], target: int) -> tuple[list[int], list[list[int]]]:
-    """SL_n(Z) gamma with xs @ gamma supported at index target only.
-
-    Returns the new coordinate list and gamma as a full integer matrix.
-    The entry left at the target index is the gcd of the inputs, with
-    sign inherited from the construction.
-    """
-    n = len(xs)
-    gamma = identity(n)
-    cur = list(xs)
-    for j in range(n):
-        if j == target or cur[j] == 0:
-            continue
-        g, s, t = xgcd(cur[target], cur[j])
-        p, q = cur[target] // g, cur[j] // g
-        for row in gamma:
-            ct, cj = row[target], row[j]
-            row[target] = s * ct + t * cj
-            row[j] = -q * ct + p * cj
-        ct, cj = cur[target], cur[j]
-        cur[target] = s * ct + t * cj
-        cur[j] = -q * ct + p * cj
-        assert cur[j] == 0
-    return cur, gamma
-
-
 def reduce_vector(vec: GenVec) -> tuple[GenPair, UnimodularWitness]:
     """Compress a generating vector of length n > 2 to a pair.
 
     Returns the pair together with an SL_n(Z) witness sigma satisfying
-    vec.elements @ sigma = (h1, h2, 0, ..., 0) exactly.
+    vec.elements @ sigma = (h1, h2, 0, ..., 0) exactly. sigma is the
+    transform of the 2-row reduction of the coordinates (y_i; x_i) of the
+    entries over (1, f*omega): its columns past the (at most two) pivots are
+    relations of the vector.
     """
     n = len(vec.elements)
     if n <= 2:
         raise UsageError("reduction needs a vector of length at least 3")
     order = vec.ideal.order
-    xs = [order.coords(v)[0] for v in vec.elements]
-    ys = [order.coords(v)[1] for v in vec.elements]
-
-    ys1, gamma1 = _gcd_column_reduce(ys, n - 1)
-    xs1 = [sum(xs[i] * gamma1[i][j] for i in range(n)) for j in range(n)]
-    assert all(y == 0 for y in ys1[: n - 1])
-
-    head, delta_small = _gcd_column_reduce(xs1[: n - 1], 0)
-    delta = identity(n)
-    for i in range(n - 1):
-        for j in range(n - 1):
-            delta[i][j] = delta_small[i][j]
-    assert all(h == 0 for h in head[1:])
-
-    perm = identity(n)
-    perm[1][1], perm[1][n - 1] = 0, -1
-    perm[n - 1][n - 1], perm[n - 1][1] = 0, 1
-
-    sigma = mat_mul(mat_mul(gamma1, delta), perm)
+    xs, ys = zip(*(order.coords(v) for v in vec.elements))
+    system = _echelon2(list(ys), list(xs))
+    cols = system.u
+    if len(system.pivots) == 2:
+        # the pivot on x first, so (6; 2+2*w; 4*w) reduces to (2; 2+2*w)
+        cols = [cols[1], cols[0], *cols[2:]]
+    if det_int(cols) == -1:
+        cols[-1] = [-x for x in cols[-1]]  # a kernel column, as n > 2
+    sigma = [list(row) for row in zip(*cols)]
     if det_int(sigma) != 1:
         raise InternalCheckError("reduction witness is not in SL_n(Z)")
     witness = _int_witness(order, sigma)

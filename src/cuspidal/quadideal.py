@@ -40,7 +40,7 @@ class Order:
 
     def __post_init__(self) -> None:
         if self.f < 1:
-            raise UsageError(f"conductor must be >= 1, got {self.f}")
+            raise UsageError(f"conductor must be >= 1, got {str(self.f)[:24]}")
 
     @property
     def disc(self) -> int:

@@ -433,34 +433,53 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-def test_lift_check_fails_loudly_also_under_python_O(capsys, monkeypatch):
-    # (1, 0, 0, 0) is no relation of (5, 5*w): 5*1 + 5*w*0 != 0; the sabotaged
-    # reduction keeps its particular solutions and replaces only its kernel
-    real = genpairs._echelon2
-
+def _bad_kernel(real):
+    """The reduction with its particular solutions kept and its kernel replaced."""
     def bad(top, bottom):
         system = real(top, bottom)
         kernel = [[1, 0, 0, 0]] * len(system.kernel)
         return system._replace(u=system.u[: len(system.pivots)] + kernel)
+    return bad
 
-    monkeypatch.setattr(genpairs, "_echelon2", bad)
+
+def _run_sabotaged_under_python_O(argv):
+    # python -O drops assert statements; the checks are raises and stay
+    root = Path(__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, "-O", "-c", _BAD_KERNEL, *argv],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_lift_check_fails_loudly_also_under_python_O(capsys, monkeypatch):
+    # (1, 0, 0, 0) is no relation of (5, 5*w): 5*1 + 5*w*0 != 0; the sabotaged
+    # reduction keeps its particular solutions and replaces only its kernel
+    monkeypatch.setattr(genpairs, "_echelon2", _bad_kernel(genpairs._echelon2))
     order = Order(QuadField(-1), 5)
     g = [parse_element(order.field, t) for t in ("5", "5*w", "-5")]
     pair = GenPair(ideal_from_generators(order, g[:2]), g[0], g[1])
     other = GenPair(pair.ideal, g[1], g[2])
     with pytest.raises(InternalCheckError, match="not a relation"):
-        genpairs.det_pair(pair, other, check=True)
+        genpairs.det_pair(pair, other)
     code, out, err = _run(capsys, _DET_ARGV + ["--json"])
     assert code == 3 and out == "" and "internal check failed" in err
-    # python -O drops assert statements; the checks are raises and stay
-    root = Path(__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", _BAD_KERNEL, *_DET_ARGV, "--json"],
-        env=dict(os.environ, PYTHONPATH=str(root / "src")),
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = _run_sabotaged_under_python_O(_DET_ARGV + ["--json"])
     assert proc.returncode == 3 and proc.stdout == "", proc.stdout
     assert "internal check failed" in proc.stderr
+
+
+@pytest.mark.parametrize("op", ["equiv", "witness"])
+def test_every_pair_query_runs_the_lift_check(capsys, monkeypatch, op):
+    # `pair det` is the test above; `equiv` and `witness` run the same check
+    # through det_pair and sl2_witness
+    argv = ["pair", op, *_DET_ARGV[2:], "--json"]
+    monkeypatch.setattr(genpairs, "_echelon2", _bad_kernel(genpairs._echelon2))
+    code, out, err = _run(capsys, argv)
+    assert code == 3 and out == "" and "is not a relation" in err
+    proc = _run_sabotaged_under_python_O(argv)
+    assert proc.returncode == 3 and proc.stdout == "", proc.stdout
+    assert "is not a relation" in proc.stderr
 
 
 def test_pair_queries_reduce_their_pair_system_once(capsys, monkeypatch):
@@ -527,6 +546,29 @@ def test_unparsable_long_input_is_not_echoed_whole(capsys, argv):
     assert err.startswith("usage error:")
     assert "cannot parse" in err or "bad polynomial term" in err
     assert len(err) < 200
+
+
+_LONG = "9" * 3000
+
+
+@pytest.mark.parametrize("env, argv", [
+    (None, ["curve", "reduce", "--n", "5", "--field", "f" * 3000, "--gens", "1; x^3"]),
+    ("-" + _LONG, ["pic", "--m", "-5", "--f", "3"]),
+    (None, ["pic", "--m", "-5", "--f", "3", "--bound", "-" + _LONG]),
+    (None, ["curve", "reduce", "--n", _LONG, "--gens", "1; x^3"]),
+    (None, ["ideal", "norm", "--m", "9" * 5000, "--gens", "1"]),
+    (None, ["ideal", "x" * 3000, "--m", "5", "--gens", "1"]),
+    (None, ["ideal", "norm", "--m", "-1", "--f", "-" + _LONG, "--gens", "1"]),
+    (None, ["selftest", "--max-f", "-" + _LONG]),
+], ids=["field", "bound-env", "bound-flag", "curve-n", "argparse-int", "argparse-choice",
+        "conductor", "max-f"])
+def test_long_rejected_values_are_not_echoed_whole(capsys, monkeypatch, env, argv):
+    if env is not None:
+        monkeypatch.setenv("CUSPIDAL_BOUND", env)
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:")
+    assert len(err) < 200, err
 
 
 _CURVE_ARGV = ["curve", "reduce", "--n", "7", "--gens", "2 + x; x^3"]

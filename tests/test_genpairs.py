@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from cuspidal.arith import euler_phi
 from cuspidal.errors import UsageError
@@ -10,6 +11,7 @@ from cuspidal.genpairs import (
     GenPair,
     GenVec,
     UnimodularWitness,
+    det_int,
     det_pair,
     epsilon_subgroup,
     is_sl2_equivalent,
@@ -114,7 +116,7 @@ def test_unimodular_action_is_sl2_trivial():
         pair = _base_pair(ideal)
         mat = _random_sl(order, rng)
         moved = GenPair(ideal, *mat.apply_to(pair.elements))
-        assert det_pair(pair, moved, check=True).is_one
+        assert det_pair(pair, moved).is_one
         assert is_sl2_equivalent(pair, moved)
         witness = sl2_witness(pair, moved)
         assert witness.apply_to(pair.elements) == moved.elements
@@ -252,6 +254,50 @@ def test_vector_reduction_single_nonzero_entry():
     reduced = witness.apply_to(vec.elements)
     assert reduced[:2] == pair.elements
     assert all(x.is_zero() for x in reduced[2:])
+
+
+@given(
+    st.sampled_from([-1, -2, -3, -5, -7, -15, 2, 3, 5, 6, 7, 13]),
+    st.integers(1, 12),
+    st.sampled_from(["any", "rational", "multiples of f*w"]),
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=3, max_size=6),
+    st.integers(1, 6),
+)
+def test_vector_reduction_covers_rank_one_spans_and_zero_entries(m, f, shape, coords, scale):
+    # coordinates (x, y) over (1, f*w), times a common scale; "rational" and
+    # "multiples of f*w" give spans of rank 1 with several nonzero entries
+    order = Order(QuadField(m), f)
+    if shape == "rational":
+        coords = [(x, 0) for x, _ in coords]
+    elif shape == "multiples of f*w":
+        coords = [(0, y) for _, y in coords]
+    assume(any(x or y for x, y in coords))
+    vec_elements = tuple(order.from_coords(scale * x, scale * y) for x, y in coords)
+    vec = GenVec(ideal_from_generators(order, list(vec_elements)), vec_elements)
+    pair, witness = reduce_vector(vec)
+    assert all(e.b == 0 for row in witness.entries for e in row)
+    assert det_int([[e.a for e in row] for row in witness.entries]) == 1
+    zero = order.field.zero
+    assert witness.apply_to(vec.elements) == (pair.g1, pair.g2) + (zero,) * (len(coords) - 2)
+    assert pair.ideal == vec.ideal
+
+
+def _det_by_permanent_expansion(rows):
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    total = 0
+    sign = 1
+    for j in range(n):
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        total += sign * rows[0][j] * _det_by_permanent_expansion(minor)
+        sign = -sign
+    return total
+
+
+@given(st.lists(st.lists(st.integers(-20, 20), min_size=4, max_size=4), min_size=4, max_size=4))
+def test_det_matches_laplace_expansion(rows):
+    assert det_int(rows) == _det_by_permanent_expansion(rows)
 
 
 def test_generating_pair_validation():

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cuspidal.arith import divisors, xgcd
 from cuspidal.errors import ZeroIdealError
-from cuspidal.genpairs import det_int, identity, mat_mul
+from cuspidal.genpairs import det_int
 from cuspidal.quadfield import QuadElt, QuadField
 from cuspidal.quadideal import (
     Order,
@@ -23,6 +23,20 @@ from cuspidal.quadideal import (
     ideal_from_generators,
     multiplier_conductor,
 )
+
+
+def identity(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def mat_mul(lhs: list[list[int]], rhs: list[list[int]]) -> list[list[int]]:
+    inner = len(rhs)
+    assert all(len(row) == inner for row in lhs)
+    cols = len(rhs[0])
+    return [
+        [sum(lrow[k] * rhs[k][j] for k in range(inner)) for j in range(cols)]
+        for lrow in lhs
+    ]
 
 
 def mat_mul_vec(rows, vec):
@@ -102,6 +116,20 @@ def kernel_int(rows, n_cols=None):
 
 # ---------------------------------------------------------------------------
 # the oracle itself
+
+
+@given(
+    st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3), min_size=3, max_size=3),
+    st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3), min_size=3, max_size=3),
+)
+def test_det_multiplicative(a, b):
+    assert det_int(mat_mul(a, b)) == det_int(a) * det_int(b)
+
+
+def test_identity_and_mat_mul_shapes():
+    assert identity(3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert mat_mul([[1, 2]], [[3], [4]]) == [[11]]
+    assert mat_mul_vec([[1, 2], [3, 4]], [1, 1]) == [3, 7]
 
 
 def _rand_matrix(rng, rows, cols, lo=-9, hi=9):
