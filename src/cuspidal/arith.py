@@ -5,6 +5,9 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 
+from .config import resolve_bound
+from .errors import InconclusiveError
+
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g."""
@@ -22,7 +25,20 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def is_squarefree(n: int) -> bool:
-    return n != 0 and all(k == 1 for k in factorize(abs(n)).values())
+    """Trial division up to P = resolve_bound(), stopped at the first square factor. The
+    cofactor left has no prime factor up to P: below P^3 it is 0, 1, q, qr or q^2 for
+    primes q, r, so squarefree unless a square other than 1; past P^3 it is undecided."""
+    n, bound, p = abs(n), resolve_bound(), 2
+    while p * p <= n and p <= bound:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return False
+        p += 1 if p == 2 else 2
+    if p * p <= n and n >= bound**3:  # p * p > n leaves 0, 1 or a prime
+        raise InconclusiveError(f"squarefree test: trial division up to {bound} leaves a"
+                                f" {len(str(n))}-digit cofactor; raise CUSPIDAL_BOUND")
+    return n == 1 or math.isqrt(n) ** 2 != n
 
 
 def is_prime(n: int) -> bool:

@@ -9,13 +9,11 @@ identity failed.
 
 from __future__ import annotations
 
-import argparse
-import functools
-import json
 import math
-import re
 import sys
 import time
+from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .classnum import class_number_maximal, picard_order
 from .config import resolve_bound
@@ -43,8 +41,8 @@ from .oracles import brute_force_pic, curve_unit_group_brute, cusp_count_direct
 from .quadfield import QuadField, parse_element
 from .quadideal import (
     Order,
+    QIdeal,
     _fitt1,
-    fitt1,
     ideal_from_generators,
     ideal_inverse,
     ideal_mul,
@@ -53,17 +51,11 @@ from .quadideal import (
 from .units import fundamental_unit, unit_index
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:
-        # argparse quotes a rejected value in full; echo at most 24 characters
-        raise UsageError(re.sub(r"'([^']{24})[^']+'", r"'\1'", message))
-
-
 def _s(x: int) -> str:
     return str(int(x))
 
 
-def _order_of(args: argparse.Namespace) -> Order:
+def _order_of(args: SimpleNamespace) -> Order:
     return Order(QuadField(args.m), args.f)
 
 
@@ -80,7 +72,7 @@ def _elements(order: Order, text: str) -> list:
     return out
 
 
-def _ideal_of(args: argparse.Namespace) -> tuple[Order, list, object]:
+def _ideal_of(args: SimpleNamespace) -> tuple[Order, list, object]:
     order = _order_of(args)
     gens = _elements(order, args.gens)
     return order, gens, ideal_from_generators(order, gens)
@@ -218,9 +210,8 @@ def _cmd_ideal(args):
     elif args.ideal_op == "inverse":
         inv = ideal_inverse(ideal)
         product = ideal_mul(ideal, inv.num)
-        fitting = fitt1(ideal)
-        assertions.append(("product-is-fitting-ideal",
-                           product == fitting.scaled(inv.den)))
+        closed = QIdeal(order, order.f // multiplier_conductor(ideal), 0, 1)  # Z*(f/f') + Z*f*w
+        assertions.append(("product-is-fitting-ideal", product == closed.scaled(inv.den)))
         result = {"num": _ideal_dict(inv.num), "den": _s(inv.den)}
         lines = [f"I^(-1) = ({inv.num.gen1}, {inv.num.gen2}) / {inv.den}"]
     else:  # mult-ring
@@ -394,85 +385,134 @@ def _cmd_selftest(args):
                                        "failed": [n for n in failed]}, checks, lines
 
 
-@functools.cache
-def _build_parser() -> _Parser:
-    """The parser, built on the first call; parse_args leaves it unchanged."""
-    parser = _Parser(prog="cuspidal", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+def _cmd_help(args):
+    """Usage of the program, or of args.command with its operation and flags."""
+    if args.command is None:
+        rows = [f"  {name:<9} {spec[1]}" for name, spec in _COMMANDS.items()]
+        return None, None, [], ["usage: cuspidal COMMAND [--help | flags]", "commands:", *rows]
+    _, text, op, choices, flags = _COMMANDS[args.command]
+    lines = [f"usage: cuspidal {args.command} " + (f"{{{','.join(choices)}}} " if op else "")
+             + "[--flag value | --flag=value ...]", "", text, "", "flags:"]
+    for flag, (kind, default, required, about) in flags.items():
+        note = " (required)" if required else f" (default {default})" if kind and default else ""
+        lines.append(f"  {flag + (f' {flag[2:].upper()}' if kind else ''):<14} {about}{note}")
+    return None, None, [], lines
 
-    def order_args(p, gens=False):
-        p.add_argument("--m", type=int, required=True,
-                       help="squarefree integer defining Q(sqrt(m))")
-        p.add_argument("--f", type=int, default=1, help="conductor of the order")
-        if gens:
-            p.add_argument("--gens", required=True,
-                           help="semicolon-separated elements, e.g. '2; 1+2*w'")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
 
-    budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--bound", type=int, default=None,
-                        help="budget of primitive candidate ideals in class"
-                        " enumeration, and of the A-window and the reduced forms"
-                        " listed for a class number; overrides CUSPIDAL_BOUND,"
-                        " which alone caps the rho-steps of the unit walk")
+# ---------------------------------------------------------------------------
+# the command table: name -> (handler, help, operation positional, its choices,
+# flags); a flag is name -> (type, default, required, help), where the type int
+# or str takes the next token (or the text after '=') and None is a switch
 
-    p = sub.add_parser("cusps", parents=[budget], help="cusp count with per-divisor breakdown")
-    order_args(p)
-    p.add_argument("--no-check", action="store_true",
-                   help="skip the independent enumeration cross-check")
-    p.set_defaults(handler=_cmd_cusps)
+_ORDER = {"--m": (int, None, True, "squarefree integer defining Q(sqrt(m))"),
+          "--f": (int, 1, False, "conductor of the order")}
+_GENS = {"--gens": (str, None, True, "semicolon-separated elements, e.g. '2; 1+2*w'")}
+_JSON = {"--json": (None, False, False, "machine-readable output")}
+_BOUND = {"--bound": (int, None, False, "budget of the class searches; overrides CUSPIDAL_BOUND")}
+_COMMANDS = {
+    "cusps": (_cmd_cusps, "cusp count with per-divisor breakdown", None, (), {
+        **_BOUND, **_ORDER, **_JSON,
+        "--no-check": (None, False, False, "skip the independent enumeration cross-check")}),
+    "pic": (_cmd_pic, "Picard group order of Z + Z*f*omega", None, (), {
+        **_BOUND, **_ORDER, **_JSON,
+        "--brute": (None, False, False, "cross-check against plain class enumeration")}),
+    "unit": (_cmd_unit, "fundamental unit and torsion of an order", None, (), {**_ORDER, **_JSON}),
+    "ideal": (_cmd_ideal, "invariants of one ideal", "ideal_op",
+              ("std-basis", "norm", "fitt1", "inverse", "mult-ring"),
+              {**_ORDER, **_GENS, **_JSON}),
+    "pair": (_cmd_pair, "compare two generating pairs of an ideal", "pair_op",
+             ("det", "equiv", "witness"), {
+                 **_ORDER, **_JSON, "--pair": (str, None, True, "two elements 'g1; g2'"),
+                 "--pair2": (str, None, True, "two elements 'h1; h2'")}),
+    "vec": (_cmd_vec, "reduce a generating vector to a pair", "vec_op", ("reduce",),
+            {**_ORDER, **_GENS, **_JSON}),
+    "curve": (_cmd_curve, "ideals of K[x^2, x^n]", "curve_op",
+              ("reduce", "fitt1", "mult-ring", "units"), {
+                  "--n": (int, None, True, f"odd exponent of the curve ring, at most {MAX_N}"),
+                  "--field": (str, "rational", False, "'rational' or a prime such as 'f5'"),
+                  "--gens": (str, None, True, "semicolon-separated polynomials, e.g."
+                             f" '1 + x^2; x^3', with exponents at most {MAX_EXPONENT}"), **_JSON}),
+    "selftest": (_cmd_selftest, "run the built-in consistency matrix", None, (), {
+        "--max-f": (int, 6, False, "largest conductor of the enumeration grid"), **_JSON}),
+}
 
-    p = sub.add_parser("pic", parents=[budget], help="Picard group order of Z + Z*f*omega")
-    order_args(p)
-    p.add_argument("--brute", action="store_true",
-                   help="cross-check against plain class enumeration")
-    p.set_defaults(handler=_cmd_pic)
 
-    p = sub.add_parser("unit", help="fundamental unit and torsion of an order")
-    order_args(p)
-    p.set_defaults(handler=_cmd_unit)
+def _choice(name: str, value: str, choices) -> str:
+    if value not in choices:
+        raise UsageError(f"argument {name}: invalid choice: {value[:24]!r}"
+                         f" (choose from {', '.join(map(repr, choices))})")
+    return value
 
-    p = sub.add_parser("ideal", help="invariants of one ideal")
-    p.add_argument("ideal_op", choices=["std-basis", "norm", "fitt1", "inverse", "mult-ring"])
-    order_args(p, gens=True)
-    p.set_defaults(handler=_cmd_ideal)
 
-    p = sub.add_parser("pair", help="compare two generating pairs of an ideal")
-    p.add_argument("pair_op", choices=["det", "equiv", "witness"])
-    order_args(p)
-    p.add_argument("--pair", required=True, help="two elements 'g1; g2'")
-    p.add_argument("--pair2", required=True, help="two elements 'h1; h2'")
-    p.set_defaults(handler=_cmd_pair)
+def _option(token: str, flags: dict) -> tuple[str | None, str | None]:
+    """(the flag a token names by its name or a unique prefix, or None; its '=' value or None)"""
+    name, eq, value = token.partition("=")
+    if name not in flags and name not in ("-h", "--help"):
+        hits = [f for f in (*flags, "--help") if f.startswith(name)] if name[:2] == "--" else []
+        if len(hits) > 1:
+            raise UsageError(f"ambiguous option: {token[:24]} could match {', '.join(hits)}")
+        name = hits[0] if hits else None
+    return name, value if eq else None
 
-    p = sub.add_parser("vec", help="reduce a generating vector to a pair")
-    p.add_argument("vec_op", choices=["reduce"])
-    order_args(p, gens=True)
-    p.set_defaults(handler=_cmd_vec)
 
-    p = sub.add_parser("curve", help="ideals of K[x^2, x^n]")
-    p.add_argument("curve_op", choices=["reduce", "fitt1", "mult-ring", "units"])
-    p.add_argument("--n", type=int, required=True,
-                   help=f"odd exponent of the curve ring, at most {MAX_N}")
-    p.add_argument("--field", default="rational",
-                   help="'rational' or a prime such as 'f5'")
-    p.add_argument("--gens", required=True,
-                   help="semicolon-separated polynomials, e.g. '1 + x^2; x^3',"
-                        f" with exponents at most {MAX_EXPONENT}")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_curve)
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """argv read by argparse's rules and wording; a flag takes the next token, whatever it is."""
+    if not argv:
+        raise UsageError("the following arguments are required: command")
+    if _option(argv[0], {}) in (("-h", None), ("--help", None)):
+        return SimpleNamespace(command=None, handler=_cmd_help)
+    command = _choice("command", argv[0], _COMMANDS)
+    handler, _, op, choices, flags = _COMMANDS[command]
+    values, extras, tokens = {}, [], iter(argv[1:])
+    for token in tokens:
+        flag, value = _option(token, flags) if token[:1] == "-" else (None, None)
+        kind = flags[flag][0] if flag in flags else None
+        if flag is None and (token[:1] == "-" or not op or op in values):
+            extras.append(token[:24])
+        elif flag is None:
+            values[op] = _choice(op, token, choices)
+        elif kind is None and value is not None:
+            raise UsageError(f"argument {flag}: ignored explicit argument {value[:24]!r}")
+        elif flag not in flags:  # -h or --help
+            return SimpleNamespace(command=command, handler=_cmd_help)
+        elif kind is None:
+            values[flag] = True
+        else:
+            value = next(tokens, None) if value is None else value
+            if value is None:
+                raise UsageError(f"argument {flag}: expected one argument")
+            try:
+                values[flag] = kind(value)
+            except ValueError:
+                raise UsageError(f"argument {flag}: invalid int value: {value[:24]!r}") from None
+    required = [op] * bool(op) + [flag for flag, spec in flags.items() if spec[2]]
+    if missing := [name for name in required if name not in values]:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    args = {flag[2:].replace("-", "_"): values.get(flag, spec[1]) for flag, spec in flags.items()}
+    return SimpleNamespace(command=command, handler=handler, **args,
+                           **({op: values[op]} if op else {}))
 
-    p = sub.add_parser("selftest", help="run the built-in consistency matrix")
-    p.add_argument("--max-f", type=int, default=6)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_selftest)
 
-    return parser
+def _json(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, indent=2) for the payload types: dict, list, str, bool, None, int."""
+    kind, inner = type(obj), indent + "  "
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is dict:
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in obj.items()]
+    elif kind is list:
+        items = [_json(v, inner) for v in obj]
+    else:  # None, a bool or an int: str(True).lower() is "true"
+        return "null" if obj is None else str(obj).lower()
+    ends = "{}" if kind is dict else "[]"
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         inputs, result, assertions, lines = args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -494,7 +534,7 @@ def main(argv: list[str] | None = None) -> int:
                 for name, ok in assertions
             ],
         }
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     else:
         for line in lines:
             print(line)

@@ -2,11 +2,12 @@
 
 The budget counts the primitive candidate ideals of class enumeration
 (one per square root of the discriminant mod 4a) and the rho-steps of the
-fundamental unit's principal-cycle walk, and caps the window of A values
-and the reduced forms listed for a class number. No search guesses: an
-exhausted budget raises InconclusiveError. The default budget can be
-overridden with CUSPIDAL_BOUND, with --bound on `cusps` and `pic`, or per
-call via a `bound` argument, which the unit walk does not take.
+fundamental unit's principal-cycle walk, and caps the window of A values,
+the reduced forms listed for a class number and the trial divisors of the
+squarefree test. No search guesses: an exhausted budget raises
+InconclusiveError. The default budget can be overridden with CUSPIDAL_BOUND,
+with --bound on `cusps` and `pic`, or per call via a `bound` argument, which
+the unit walk and the squarefree test do not take.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ class QuadField:
 
     def __post_init__(self) -> None:
         if self.m in (0, 1) or not is_squarefree(self.m):
-            raise UsageError(f"m must be squarefree and not 0 or 1, got {self.m}")
+            raise UsageError(f"m must be squarefree and not 0 or 1, got {str(self.m)[:24]}")
 
     @property
     def omega_kind(self) -> OmegaKind:

@@ -87,7 +87,7 @@ def _principal_cycle_unit(field: QuadField) -> QuadElt:
 def fundamental_unit(field: QuadField, f: int = 1) -> UnitInfo:
     """Unit group description of the order of conductor f."""
     if f < 1:
-        raise UsageError(f"conductor must be >= 1, got {f}")
+        raise UsageError(f"conductor must be >= 1, got {str(f)[:24]}")
     minus_one = QuadElt(field, -1, 0)
     if field.is_imaginary:
         if f == 1 and field.m == -1:

@@ -1,5 +1,6 @@
 import math
 
+import pytest
 from hypothesis import given, strategies as st
 
 from cuspidal.arith import (
@@ -12,6 +13,7 @@ from cuspidal.arith import (
     sqrt_mods,
     xgcd,
 )
+from cuspidal.errors import InconclusiveError
 
 
 @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
@@ -51,6 +53,23 @@ def test_divisors_complete_and_sorted(n):
 def test_is_squarefree_by_trial(n):
     expected = n != 0 and all(n % (d * d) for d in range(2, int(abs(n)) + 1) if d * d <= abs(n))
     assert is_squarefree(n) == expected
+
+
+@given(st.integers(-10**9, 10**9), st.integers(1, 60))
+def test_budgeted_squarefree_test_is_exact_or_inconclusive(n, bound):
+    expected = n != 0 and all(k == 1 for k in factorize(abs(n)).values())
+    rest = abs(n)
+    for p in range(2, bound + 1):
+        while rest and rest % p == 0:
+            rest //= p
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("CUSPIDAL_BOUND", str(bound))
+        try:
+            assert is_squarefree(n) == expected
+        except InconclusiveError as exc:
+            # only for a cofactor free of primes up to the bound and past its cube
+            assert rest >= bound**3
+            assert f"up to {bound}" in str(exc) and "CUSPIDAL_BOUND" in str(exc)
 
 
 @given(st.integers(0, 10**9))

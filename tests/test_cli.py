@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from cuspidal import genpairs
+from cuspidal.arith import is_prime
 from cuspidal.cli import main
 from cuspidal.errors import InternalCheckError
 from cuspidal.genpairs import GenPair
@@ -255,6 +256,27 @@ def test_multiplier_ring_report_computes_the_conductor_once(capsys, monkeypatch)
     assert payload["result"]["sl2_orbits"] == "4"
     assert cuspidal.genpairs.orbit_count_sl2_mod_units(calls[0]) == 4
     assert len(calls) == 2
+    # ideal inverse builds one conjugate, one product and one conductor
+    import cuspidal.quadideal
+
+    calls.clear()
+    products, conjugates = [], []
+
+    def mul(lhs, rhs, real=cuspidal.quadideal.ideal_mul):
+        products.append((lhs, rhs))
+        return real(lhs, rhs)
+
+    def conjugate(ideal, real=cuspidal.quadideal.QIdeal.conjugate):
+        conjugates.append(ideal)
+        return real(ideal)
+
+    monkeypatch.setattr(cuspidal.quadideal, "multiplier_conductor", counted)
+    monkeypatch.setattr(cuspidal.quadideal, "ideal_mul", mul)
+    monkeypatch.setattr(cuspidal.cli, "ideal_mul", mul)
+    monkeypatch.setattr(cuspidal.quadideal.QIdeal, "conjugate", conjugate)
+    payload = _run_json(capsys, ["ideal", "inverse", "--m", "-5", "--f", "3", "--gens", "3; 3*w"])
+    assert payload["assertions"] == [{"name": "product-is-fitting-ideal", "status": "pass"}]
+    assert (len(calls), len(products), len(conjugates)) == (1, 1, 1)
 
 
 def test_module_entry_point_runs():
@@ -267,6 +289,44 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"]["q"] == "x^3"
+
+
+def test_help_and_a_missing_command_through_the_module_entry_point():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+
+    def run(*args):
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    for argv in (["--help"], ["pair", "--help"]):
+        proc = run("-m", "cuspidal", *argv)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert proc.stdout.startswith("usage: cuspidal")
+    assert all(flag in proc.stdout for flag in ("--m", "--f", "--json", "--pair ", "--pair2"))
+    proc = run("-m", "cuspidal")
+    assert proc.returncode == 1 and proc.stderr.startswith("usage error:")
+    # the command table is the only parser: argparse is never imported
+    proc = run("-c", "import cuspidal.cli, sys; print('argparse' in sys.modules)")
+    assert proc.stdout == "False\n", proc.stderr
+
+
+def test_squarefree_test_of_a_large_m_stops_at_its_budget(capsys, monkeypatch):
+    monkeypatch.delenv("CUSPIDAL_BOUND", raising=False)
+    start = time.monotonic()
+    code, out, err = _run(capsys, ["ideal", "norm", "--m", "1" + "0" * 39 + "7", "--gens", "1"])
+    assert time.monotonic() - start < 10
+    assert code == 2 and out == ""
+    assert "squarefree" in err and "2000000" in err and "CUSPIDAL_BOUND" in err
+
+
+def test_squarefree_test_decides_a_cofactor_below_the_cube_of_the_budget(capsys, monkeypatch):
+    assert is_prime(10007) and is_prime(10009)
+    monkeypatch.setenv("CUSPIDAL_BOUND", "1000")
+    code, out, err = _run(capsys, ["ideal", "norm", "--m", str(10007 * 10009), "--gens", "1"])
+    assert code == 0 and out == "norm = 1\n", err
+    code, out, err = _run(capsys, ["ideal", "norm", "--m", str(10007**2), "--gens", "1"])
+    assert code == 1 and "usage error: m must be squarefree" in err
 
 
 def test_selftest_passes(capsys):
@@ -377,10 +437,7 @@ def test_large_regulator_field_is_decided(capsys):
 
 
 def test_successive_calls_share_the_parser_but_not_state(capsys, monkeypatch):
-    from cuspidal.cli import _build_parser
-
     monkeypatch.delenv("CUSPIDAL_BOUND", raising=False)
-    assert _build_parser() is _build_parser()
     payload = _run_json(capsys, ["cusps", "--m", "5", "--f", "6", "--no-check"])
     assert payload["assertions"] == []
     payload = _run_json(capsys, ["cusps", "--m", "5", "--f", "6"])
@@ -391,7 +448,7 @@ def test_successive_calls_share_the_parser_but_not_state(capsys, monkeypatch):
     assert [e["name"] for e in payload["assertions"]] == ["enumeration-agreement"]
     payload = _run_json(capsys, ["pic", "--m", "-5", "--f", "3"])
     assert payload["assertions"] == []
-    # the environment is read on every call, not when the parser is built
+    # the environment is read on every call
     monkeypatch.setenv("CUSPIDAL_BOUND", "2")
     code, out, err = _run(capsys, ["cusps", "--m", "3", "--f", "7"])
     assert code == 2 and "bound 2" in err
@@ -560,8 +617,10 @@ _LONG = "9" * 3000
     (None, ["ideal", "x" * 3000, "--m", "5", "--gens", "1"]),
     (None, ["ideal", "norm", "--m", "-1", "--f", "-" + _LONG, "--gens", "1"]),
     (None, ["selftest", "--max-f", "-" + _LONG]),
+    (None, ["ideal", "norm", "--m", "4" + "0" * 3999, "--gens", "1"]),
+    (None, ["unit", "--m", "2", "--f=-" + _LONG]),
 ], ids=["field", "bound-env", "bound-flag", "curve-n", "argparse-int", "argparse-choice",
-        "conductor", "max-f"])
+        "conductor", "max-f", "squarefree", "unit-conductor"])
 def test_long_rejected_values_are_not_echoed_whole(capsys, monkeypatch, env, argv):
     if env is not None:
         monkeypatch.setenv("CUSPIDAL_BOUND", env)
