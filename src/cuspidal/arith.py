@@ -46,12 +46,16 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 by trial division by 2 and the odd
-    numbers (desk scale)."""
+    """Prime factorization of n >= 1 by trial division by 2 and the odd numbers
+    up to P = max(resolve_bound(), 10^4), read only past 10^4. A cofactor past
+    P^2 with no prime factor up to P is undecided and raises InconclusiveError."""
     assert n >= 1
     out: dict[int, int] = {}
-    p = 2
+    p, top = 2, 0
     while p * p <= n:
+        if p > 10_000 and p > (top := top or max(resolve_bound(), 10_000)):
+            raise InconclusiveError(f"factorization: trial division up to {top} leaves a"
+                                    f" {len(str(n))}-digit cofactor; raise CUSPIDAL_BOUND")
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p

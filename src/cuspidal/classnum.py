@@ -15,7 +15,7 @@ from .arith import factorize
 from .config import resolve_bound
 from .errors import InternalCheckError
 from .quadfield import QuadField
-from .quadideal import Order, QuadForm, canonical_form, reduced_forms
+from .quadideal import Order, canonical_form, reduced_forms
 from .units import unit_index
 
 
@@ -32,9 +32,8 @@ class PicSize:
 def class_number_maximal(field: QuadField, bound: int | None = None) -> PicSize:
     """Class number h_K: the number of distinct canonical forms among the
     reduced forms of discriminant d_K, computed once per field and bound."""
-    cycles: dict[QuadForm, QuadForm] = {}
     forms = reduced_forms(field.disc_max, resolve_bound(bound))
-    h = len({canonical_form(q, cycles) for q in forms})
+    h = len({canonical_form(q) for q in forms})
     return PicSize(Order(field, 1), h, "reduced-forms")
 
 

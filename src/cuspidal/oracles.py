@@ -12,6 +12,7 @@ the self-test, the tests and the demos.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -21,8 +22,8 @@ from .classnum import PicSize
 from .curvering import _check_n
 from .errors import InternalCheckError, UsageError
 from .fieldpoly import CoeffField, CurvePoly
-from .genpairs import orbit_count_sl2_mod_units
-from .quadideal import Order, enumerate_ideal_classes, multiplier_conductor
+from .genpairs import _orbit_count_sl2_mod_units
+from .quadideal import Order, _checked_conductor, _keyed_classes
 
 
 def reduced_form_count(disc: int) -> int:
@@ -46,18 +47,21 @@ def reduced_form_count(disc: int) -> int:
     return count
 
 
+def _class_conductors(order: Order, bound: int | None) -> list[int]:
+    """The multiplier conductor f/g of each class, g its key's content, verified."""
+    return [_checked_conductor(rep, g) for (g, _), rep in _keyed_classes(order, bound).items()]
+
+
 def brute_force_pic(order: Order, bound: int | None = None) -> PicSize:
     """|Pic(O_f)| by enumerating ideal classes and keeping the invertible ones."""
-    reps = enumerate_ideal_classes(order, bound=bound)
-    invertible = [r for r in reps if multiplier_conductor(r) == order.f]
-    return PicSize(order, len(invertible), "brute-force")
+    return PicSize(order, _class_conductors(order, bound).count(order.f), "brute-force")
 
 
 def cusp_count_direct(order: Order, bound: int | None = None) -> int:
-    """Cusp count with no class-number formula: enumerate the ideal
-    classes and add each class's orbit count on generating pairs."""
-    reps = enumerate_ideal_classes(order, bound=bound)
-    return sum(orbit_count_sl2_mod_units(rep) for rep in reps)
+    """Cusp count with no class-number formula: enumerate the ideal classes and
+    add each class's orbit count on generating pairs, a function of f' alone."""
+    counts = Counter(_class_conductors(order, bound))
+    return sum(k * _orbit_count_sl2_mod_units(order, f_prime) for f_prime, k in counts.items())
 
 
 def curve_unit_group_brute(field: CoeffField, n: int, nu: int) -> int:

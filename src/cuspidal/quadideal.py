@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import divisors, factorize, sqrt_mods, xgcd
@@ -304,17 +305,18 @@ def _multiplies(ideal: QIdeal, k: int) -> bool:
 
 
 def multiplier_conductor(ideal: QIdeal) -> int:
-    """Conductor f' of the multiplier ring {x : x*I <= I}, an order Z + Z*f'*omega.
+    """Conductor f' = f/content(q_I) of the multiplier ring {x : x*I <= I}."""
+    return _checked_conductor(ideal, associated_form(ideal).content)
 
-    Computed as f' = f / content(q_I) from the associated form, then verified
-    by direct membership: f'*omega must multiply I into I while f'/p * omega
-    must not, for every prime p dividing f'.
-    """
+
+def _checked_conductor(ideal: QIdeal, g: int) -> int:
+    """f' = f/g for the content g of q_I, verified by direct membership:
+    f'*omega must multiply I into I while f'/p * omega must not, for every
+    prime p dividing f'."""
     f = ideal.order.f
-    form = associated_form(ideal)
-    if f % form.content:
+    if f % g:
         raise InternalCheckError("form content does not divide the conductor")
-    f_prime = f // form.content
+    f_prime = f // g
     # the order of conductor f' multiplies I into itself ...
     if not _multiplies(ideal, f_prime):
         raise InternalCheckError("multiplier ring membership failed")
@@ -398,11 +400,11 @@ def _reduce_definite(A: int, B: int, C: int) -> QuadForm:
     return QuadForm(A, -B, C) if A == C and B < 0 else QuadForm(A, B, C)
 
 
-def _rho(form: QuadForm, disc: int, s: int) -> QuadForm:
+def _rho(form: tuple[int, int, int], disc: int, s: int) -> QuadForm:
     """Cohen's rho for disc > 0 non-square with s = isqrt(disc): the equivalent
     form (C, r, (r^2 - disc)/(4C)) with r = -B mod 2|C| in the window
     (-|C|, |C|] when |C| > sqrt(disc), (sqrt(disc) - 2|C|, sqrt(disc)) otherwise."""
-    B, C = form.B, form.C
+    _, B, C = form
     c = abs(C)
     if c > s:
         r = -B % (2 * c)
@@ -424,28 +426,38 @@ def _rho_cycle(form: QuadForm, disc: int, s: int) -> list[QuadForm]:
     return cycle
 
 
-def canonical_form(form: QuadForm, cycles: dict[QuadForm, QuadForm] | None = None) -> QuadForm:
-    """One reduced form per class of a primitive definite or indefinite form:
-    the Gauss-reduced form, or the least form on the rho-cycles of (A, B, C)
-    and of (-A, B, -C), the form that a lambda of negative norm sends q_I to.
-    `cycles` maps the forms of walked cycles to their result, so a caller
-    reducing many forms walks each cycle once."""
-    disc = form.disc
+@lru_cache(maxsize=None)
+def _cycle_table(disc: int) -> dict[QuadForm, QuadForm]:
+    """Reduced forms of disc > 0 on the rho-cycles walked so far, mapped to their
+    canonical form; cache_clear empties every table."""
+    return {}
+
+
+def canonical_form(form: tuple[int, int, int]) -> QuadForm:
+    """One reduced form per class of a primitive definite or indefinite form
+    (A, B, C): Gauss's reduced form (Cohen, GTM 138, 5.3), or the least form
+    on the rho-cycles (5.6) of (A, B, C) and of (-A, B, -C), the form that a
+    lambda of negative norm sends q_I to. The cycles come from _cycle_table,
+    which walks each pair once."""
+    A, B, C = form
+    disc = B * B - 4 * A * C
     if disc < 0:
-        return _reduce_definite(*form)
+        return _reduce_definite(A, B, C)
     s = math.isqrt(disc)
     q = form
     # reduced: |sqrt(disc) - 2|A|| < B < sqrt(disc)
-    while not (2 * abs(q.A) - q.B <= s < 2 * abs(q.A) + q.B and q.B <= s):
+    while not (2 * abs(q[0]) - q[1] <= s < 2 * abs(q[0]) + q[1] and q[1] <= s):
         q = _rho(q, disc, s)
-    cycles = {} if cycles is None else cycles
-    if q not in cycles:
-        walked = set(_rho_cycle(q, disc, s))
-        neg = QuadForm(-q.A, q.B, -q.C)
+    table = _cycle_table(disc)
+    canon = table.get(q)
+    if canon is None:
+        walked = set(_rho_cycle(QuadForm(*q), disc, s))
+        neg = QuadForm(-q[0], q[1], -q[2])
         if neg not in walked:
             walked.update(_rho_cycle(neg, disc, s))
-        cycles.update(dict.fromkeys(walked, min(walked)))
-    return cycles[q]
+        canon = min(walked)
+        table.update(dict.fromkeys(walked, canon))
+    return canon
 
 
 def reduced_forms(disc: int, budget: int) -> list[QuadForm]:
@@ -481,19 +493,14 @@ def reduced_forms(disc: int, budget: int) -> list[QuadForm]:
     return forms
 
 
-def class_key(
-    ideal: QIdeal, cycles: dict[QuadForm, QuadForm] | None = None
-) -> tuple[int, QuadForm]:
+def class_key(ideal: QIdeal) -> tuple[int, QuadForm]:
     """Canonical invariant of the class of I: lambda*I = J in the field exactly
     when two ideals of one order have equal keys. The key is (g, q) with g the
     content of q_I, which fixes the multiplier ring, and q the canonical form
     of q_I/g."""
-    return _form_key(associated_form(ideal), cycles)
-
-
-def _form_key(form: QuadForm, cycles: dict[QuadForm, QuadForm] | None) -> tuple[int, QuadForm]:
-    g = form.content
-    return g, canonical_form(QuadForm(form.A // g, form.B // g, form.C // g), cycles)
+    A, B, C = associated_form(ideal)
+    g = math.gcd(A, B, C)
+    return g, canonical_form((A // g, B // g, C // g))
 
 
 def is_same_class(lhs: QIdeal, rhs: QIdeal) -> bool:
@@ -508,12 +515,17 @@ def is_principal(ideal: QIdeal) -> bool:
 
 
 def _class_search_limit(order: Order) -> int:
-    """Every ideal class contains a primitive ideal of norm at most this."""
+    """Every ideal class contains a primitive ideal of norm at most this. A class
+    of key content g = f/f' holds g*q for the primitive forms q of one class of
+    disc D = f'^2*d_K under SL2(Z) and (A, B, C) -> (-A, B, -C), and one has
+    0 < A <= sqrt(|D|/3) if D < 0 (Gauss; Cohen, GTM 138, 5.3) or sqrt(D/5) if
+    D > 0 (Markov, Math. Ann. 15, 1879; Cassels, An Introduction to Diophantine
+    Approximation, ch. II); so a = g*A <= f*sqrt(|d_K|/3) or f*sqrt(d_K/5)."""
     limit = 1
     for f_prime in divisors(order.f):
         d = f_prime * f_prime * abs(order.field.disc_max)
-        mink = math.isqrt(d // 3) + 1 if order.field.is_imaginary else math.isqrt(d) + 1
-        limit = max(limit, (order.f // f_prime) * mink)
+        window = math.isqrt(d // 3 if order.field.is_imaginary else d // 5) + 1
+        limit = max(limit, (order.f // f_prime) * window)
     return limit
 
 
@@ -521,16 +533,20 @@ def enumerate_ideal_classes(order: Order, bound: int | None = None) -> list[QIde
     """Representatives of all ideal classes (invertible or not) of the order.
 
     The candidates are the primitive ideals Z*a + Z*(d + f*omega), a up to
-    _class_search_limit (an ideal (a, d, e) is e times the primitive ideal
-    (a/e, d/e, 1) of its class), -a/2 <= d < a/2, with B = 2d + t*f (t the
-    trace of omega) a square root of the discriminant mod 4a (Cohen, GTM 138,
-    5.2). The first ideal of each class_key by ascending (a, d) is kept. More
-    than `bound` candidates raise InconclusiveError."""
+    _class_search_limit by Gauss or Markov (an ideal (a, d, e) is e times the
+    primitive ideal (a/e, d/e, 1) of its class), -a/2 <= d < a/2, with
+    B = 2d + t*f (t the trace of omega) a square root of the discriminant mod
+    4a (Cohen, GTM 138, 5.2). The first ideal of each class_key by ascending
+    (a, d) is kept. More than `bound` candidates raise InconclusiveError."""
+    return list(_keyed_classes(order, bound).values())
+
+
+def _keyed_classes(order: Order, bound: int | None) -> dict[tuple[int, QuadForm], QIdeal]:
+    """enumerate_ideal_classes with the class_key of each representative."""
     budget = resolve_bound(bound)
     limit = _class_search_limit(order)
     disc, tf = order.disc, order.field.omega_trace * order.f
     reps: dict[tuple[int, QuadForm], QIdeal] = {}
-    cycles: dict[QuadForm, QuadForm] = {}
     candidates = 0
     for n, roots in sqrt_mods(disc, range(4, 4 * limit + 1, 4)):
         a = n // 4
@@ -544,7 +560,9 @@ def enumerate_ideal_classes(order: Order, bound: int | None = None) -> list[QIde
             )
         for d in ds:
             b = 2 * d + tf
-            key = _form_key(QuadForm(a, b, (b * b - disc) // n), cycles)
+            c = (b * b - disc) // n
+            g = math.gcd(a, b, c)
+            key = (g, canonical_form((a // g, b // g, c // g)))
             if key not in reps:
                 reps[key] = QIdeal(order, a, d, 1)
-    return list(reps.values())
+    return reps

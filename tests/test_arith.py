@@ -13,7 +13,7 @@ from cuspidal.arith import (
     sqrt_mods,
     xgcd,
 )
-from cuspidal.errors import InconclusiveError
+from cuspidal.errors import InconclusiveError, UsageError
 
 
 @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
@@ -31,6 +31,20 @@ def test_factorize_reassembles(n):
         assert all(p % q for q in range(2, p) if q * q <= p)
         prod *= p**k
     assert prod == n
+
+
+def test_factorization_reads_its_budget_only_past_the_free_trial_divisors(monkeypatch):
+    monkeypatch.setenv("CUSPIDAL_BOUND", "junk")
+    # 9967 and 9973 are prime: every trial divisor stays below 10^4
+    assert factorize(2 * 9967 * 9973) == {2: 1, 9967: 1, 9973: 1}
+    with pytest.raises(UsageError, match="CUSPIDAL_BOUND"):
+        factorize(10007 * 10009)
+    monkeypatch.setenv("CUSPIDAL_BOUND", "1")
+    with pytest.raises(InconclusiveError, match="up to 10000 leaves a 9-digit cofactor"):
+        factorize(2 * 10007 * 10009)
+    assert factorize(3 * 10007) == {3: 1, 10007: 1}
+    monkeypatch.setenv("CUSPIDAL_BOUND", "10007")
+    assert factorize(10007 * 10009) == {10007: 1, 10009: 1}
 
 
 @given(st.integers(-5, 5000))

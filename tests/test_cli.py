@@ -320,6 +320,20 @@ def test_squarefree_test_of_a_large_m_stops_at_its_budget(capsys, monkeypatch):
     assert "squarefree" in err and "2000000" in err and "CUSPIDAL_BOUND" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["curve", "reduce", "--n", "5", "--field", "f1" + "0" * 37 + "121", "--gens", "1; x^3"],
+    ["cusps", "--m", "-1", "--f", "1" + "0" * 37 + "121"],
+], ids=["prime-test", "conductor"])
+def test_factorization_of_a_large_number_stops_at_its_budget(capsys, monkeypatch, argv):
+    monkeypatch.delenv("CUSPIDAL_BOUND", raising=False)
+    start = time.monotonic()
+    code, out, err = _run(capsys, argv)
+    assert time.monotonic() - start < 10
+    assert code == 2 and out == ""
+    assert "factorization" in err and "2000000" in err and "41-digit" in err
+    assert "CUSPIDAL_BOUND" in err
+
+
 def test_squarefree_test_decides_a_cofactor_below_the_cube_of_the_budget(capsys, monkeypatch):
     assert is_prime(10007) and is_prime(10009)
     monkeypatch.setenv("CUSPIDAL_BOUND", "1000")

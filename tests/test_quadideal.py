@@ -4,18 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
-from cuspidal.arith import divisors, is_squarefree, isqrt_ceil
+from cuspidal.arith import divisors, is_squarefree, isqrt_ceil, sqrt_mods
+from cuspidal.classnum import class_number_maximal
 from cuspidal.config import resolve_bound
 from cuspidal.errors import InconclusiveError, UsageError, ZeroIdealError
 from cuspidal import quadideal
+from cuspidal.oracles import cusp_count_direct
 from cuspidal.quadfield import QuadElt, QuadField
 from cuspidal.quadideal import (
     Order,
     QIdeal,
     QuadForm,
-    _class_search_limit,
     _colon_lattice,
     associated_form,
     canonical_form,
@@ -485,10 +486,23 @@ def _search_same_class(lhs, rhs):
     )
 
 
+def _search_limit(order, real_divisor):
+    """f/f' times isqrt(|D|/3) + 1 if D < 0, or isqrt(D/real_divisor) + 1 if
+    D > 0, maximised over the discriminants D = f'^2*d_K of the f' | f. The
+    enumeration oracles take real_divisor = 1, the loose limit, which needs
+    no Markov bound: reduced forms have |A| < sqrt(D) when D > 0."""
+    limit = 1
+    for f_prime in divisors(order.f):
+        d = f_prime * f_prime * abs(order.field.disc_max)
+        window = math.isqrt(d // 3 if order.field.is_imaginary else d // real_divisor) + 1
+        limit = max(limit, (order.f // f_prime) * window)
+    return limit
+
+
 def _pairwise_classes(order):
     """Class enumeration by pairwise search: each candidate of the library's
-    loop against every class found so far."""
-    limit = _class_search_limit(order)
+    loop, up to the loose limit, against every class found so far."""
+    limit = _search_limit(order, 1)
     reps = []
     for a in range(1, limit + 1):
         for e in divisors(a):
@@ -573,15 +587,14 @@ def test_enumeration_matches_pairwise_search(m):
 def _scan_classes(order: Order, bound: int | None = None) -> list[QIdeal]:
     """Representatives of all ideal classes (invertible or not) of the order.
 
-    Enumerates standard bases (a, d, e) with a*e below a Minkowski-style
-    limit and keeps the first ideal of each class_key. Representatives are
-    minimal in the ordering (norm, a, d, e), so the output is deterministic.
+    Enumerates standard bases (a, d, e) with a*e up to the loose limit and
+    keeps the first ideal of each class_key. Representatives are minimal in
+    the ordering (norm, a, d, e), so the output is deterministic.
     """
     budget = resolve_bound(bound)
-    limit = _class_search_limit(order)
+    limit = _search_limit(order, 1)
     t, r = order.field.omega_trace, order.field.omega_sq[0]
     reps: dict[tuple[int, QuadForm], QIdeal] = {}
-    cycles: dict[QuadForm, QuadForm] = {}
     candidates = 0
     for a in range(1, limit + 1):
         for e in divisors(a):
@@ -603,7 +616,7 @@ def _scan_classes(order: Order, bound: int | None = None) -> list[QIdeal]:
                     ideal = QIdeal(order, a, d, e)
                 except UsageError:
                     continue
-                reps.setdefault(class_key(ideal, cycles), ideal)
+                reps.setdefault(class_key(ideal), ideal)
     return list(reps.values())
 
 
@@ -614,16 +627,17 @@ def _scan_classes(order: Order, bound: int | None = None) -> list[QIdeal]:
 )
 def test_enumeration_matches_the_full_standard_basis_scan(m, f):
     """The oracle is the scan over every standard basis (a, d, e) with
-    a*e <= limit, which the root-driven enumeration replaced."""
+    a*e up to the loose limit, which the root-driven enumeration replaced."""
     order = Order(QuadField(m), f)
     event(f"real: {m > 0}")
     assert enumerate_ideal_classes(order) == _scan_classes(order)
 
 
 def _primitive_ideal_count(order):
-    """Primitive ideals (a, d, 1) with a up to the search limit, by trial."""
+    """Primitive ideals (a, d, 1) with a up to the library's documented search
+    limit, Markov's sqrt(D/5) in real fields, by trial."""
     count = 0
-    for a in range(1, _class_search_limit(order) + 1):
+    for a in range(1, _search_limit(order, 5) + 1):
         for d in range(-(a // 2), (a + 1) // 2):
             try:
                 QIdeal(order, a, d, 1)
@@ -633,7 +647,7 @@ def _primitive_ideal_count(order):
     return count
 
 
-@pytest.mark.parametrize("m,f", [(-23, 1), (-3, 4), (5, 6), (79, 3), (-5, 2)])
+@pytest.mark.parametrize("m,f", [(-23, 1), (-3, 4), (5, 6), (79, 3), (-5, 2), (223, 4)])
 def test_enumeration_budget_counts_primitive_candidates(m, f):
     order = Order(QuadField(m), f)
     count = _primitive_ideal_count(order)
@@ -642,12 +656,87 @@ def test_enumeration_budget_counts_primitive_candidates(m, f):
         enumerate_ideal_classes(order, bound=count - 1)
 
 
+def _loose_classes(order):
+    """The primitive ideals (a, d, 1) up to the loose limit, found from the
+    square roots of the discriminant mod 4a, keeping the first ideal of each
+    class_key of its QIdeal by ascending (a, d)."""
+    disc, tf = order.disc, order.field.omega_trace * order.f
+    reps = {}
+    for n, roots in sqrt_mods(disc, range(4, 4 * _search_limit(order, 1) + 1, 4)):
+        a = n // 4
+        for d in sorted({((r - tf) // 2 + a // 2) % a - a // 2 for r in roots}):
+            ideal = QIdeal(order, a, d, 1)
+            reps.setdefault(class_key(ideal), ideal)
+    return list(reps.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5000).filter(is_squarefree), st.integers(1, 12))
+@example(221, 1)
+@example(1517, 1)
+def test_markov_window_misses_no_real_class(m, f):
+    """Real fields search a <= f*sqrt(d_K/5) + f; the loose window
+    f*sqrt(d_K) + f finds no class that it misses, and the same first ideal
+    of each. 221 and 1517 are 9k^2 - 4 for the Markov numbers k = 5, 13:
+    their Markov forms take no value below k, about sqrt(d_K/9)."""
+    order = Order(QuadField(m), f)
+    assert enumerate_ideal_classes(order) == _loose_classes(order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(5, 200_000).filter(lambda n: n % 4 in (0, 1) and math.isqrt(n) ** 2 != n))
+def test_every_cycle_pair_holds_a_form_within_markovs_bound(disc):
+    """Each class of reduced forms under SL2(Z) and (A, B, C) -> (-A, B, -C)
+    has a form with |A| <= sqrt(disc/5) (Markov)."""
+    least: dict[QuadForm, int] = {}
+    for form in reduced_forms(disc, 10**6):
+        canon = canonical_form(form)
+        least[canon] = min(least.get(canon, abs(form.A)), abs(form.A))
+    assert max(least.values()) <= math.isqrt(disc // 5)
+
+
+def test_each_rho_cycle_is_walked_once_per_session(monkeypatch):
+    """class_number_maximal and the cusp cross-check for f = 1..4 share one
+    cycle table per discriminant: every reduced form of each discriminant lies
+    on exactly one walked cycle, and cache_clear starts the walks over."""
+    walks = []
+
+    def counted(form, disc, s, real=quadideal._rho_cycle):
+        cycle = real(form, disc, s)
+        walks.append((disc, cycle))
+        return cycle
+
+    monkeypatch.setattr(quadideal, "_rho_cycle", counted)
+    field = QuadField(223)
+    counts = []
+    for _ in range(2):
+        quadideal._cycle_table.cache_clear()
+        class_number_maximal.cache_clear()
+        walks.clear()
+        class_number_maximal(field)
+        for f in (1, 2, 3, 4):
+            cusp_count_direct(Order(field, f))
+        for k in (1, 2, 3, 4):
+            disc = k * k * field.disc_max
+            walked = sorted(form for d, cycle in walks if d == disc for form in cycle)
+            assert walked == sorted(reduced_forms(disc, 10**6)), k
+        counts.append(len(walks))
+    assert counts[0] == counts[1] == len({(d, min(c)) for d, c in walks})
+
+
 def test_shared_cycle_table_gives_the_same_keys():
+    """Keys read from the cycle tables that the enumeration filled equal keys
+    computed on emptied tables."""
     order = Order(QuadField(79), 3)
-    cycles = {}
-    for rep in enumerate_ideal_classes(order):
-        assert class_key(rep, cycles) == class_key(rep)
-    assert cycles
+    quadideal._cycle_table.cache_clear()
+    reps = enumerate_ideal_classes(order)
+    assert quadideal._cycle_table(order.disc)
+    shared = [class_key(rep) for rep in reps]
+    fresh = []
+    for rep in reps:
+        quadideal._cycle_table.cache_clear()
+        fresh.append(class_key(rep))
+    assert shared == fresh and len(set(shared)) == len(reps)
 
 
 def _lt_sqrt(n, disc):
