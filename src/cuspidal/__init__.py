@@ -21,7 +21,7 @@ from .curvering import (
 )
 from .cusps import CuspBreakdown, CuspTerm, cusp_count
 from .errors import InconclusiveError, InternalCheckError, UsageError, ZeroIdealError
-from .fieldpoly import CoeffField, CurvePoly, FpElt, parse_curve_poly, poly_gcd_monic
+from .fieldpoly import CoeffField, CurvePoly, parse_curve_poly, poly_gcd_monic
 from .genpairs import (
     DetClass,
     GenPair,
@@ -54,7 +54,7 @@ from .quadideal import (
     is_same_class,
     multiplier_conductor,
 )
-from .units import UnitInfo, fundamental_unit, has_norm_minus_one, unit_index
+from .units import UnitInfo, fundamental_unit, unit_index
 
 __all__ = [
     "CoeffField",
@@ -65,7 +65,6 @@ __all__ = [
     "CuspBreakdown",
     "CuspTerm",
     "DetClass",
-    "FpElt",
     "FracIdeal",
     "GenPair",
     "GenVec",
@@ -100,7 +99,6 @@ __all__ = [
     "epsilon_subgroup",
     "fitt1",
     "fundamental_unit",
-    "has_norm_minus_one",
     "ideal_from_generators",
     "ideal_inverse",
     "ideal_mul",

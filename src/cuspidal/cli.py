@@ -277,8 +277,6 @@ def _cmd_pair(args):
 def _cmd_vec(args):
     order = _order_of(args)
     gens = _elements(order, args.gens)
-    if len(gens) < 2:
-        raise UsageError("vector reduction needs at least two elements")
     ideal = ideal_from_generators(order, gens)
     vec = GenVec(ideal, tuple(gens))
     pair, witness = reduce_vector(vec)

@@ -184,9 +184,6 @@ class CurveIdeal:
         quot, rem = poly.divmod_by(self.content)
         return rem.is_zero and self._in_module(quot)
 
-    def same_module(self, other: "CurveIdeal") -> bool:
-        return self == other
-
 
 def curve_ideal_from_generators(field: CoeffField, n: int, gens: list[CurvePoly]) -> CurveIdeal:
     """Canonical form of the ideal generated by the given polynomials."""

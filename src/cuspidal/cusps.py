@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .arith import divisors, euler_phi
 from .classnum import PicSize, picard_order
 from .quadideal import Order
-from .units import has_norm_minus_one
+from .units import fundamental_unit
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def cusp_count(order: Order, bound: int | None = None) -> CuspBreakdown:
         phi = euler_phi(n0)
         # the budgeted class number first, so that an oversized field stops there
         pic = picard_order(Order(field, f_prime), bound=bound)
-        halved = has_norm_minus_one(field, f_prime) and n0 > 2
+        halved = fundamental_unit(field, f_prime).has_norm_minus_one and n0 > 2
         terms.append(CuspTerm(f_prime, n0, phi, halved, pic))
     return CuspBreakdown(order, tuple(terms))
 

@@ -2,9 +2,9 @@
 
 A CurvePoly stores plain ints: residues mod p over F_p, and over Q integer
 numerators over one positive common denominator. Products, division and
-the gcd run on those ints. Scalars are Fraction for the rationals and FpElt
-for F_p only at the boundary: coeff, from_coeffs, CoeffField.coerce,
-parse_scalar and all_elements.
+the gcd run on those ints. A scalar of F_p is an int in [0, p) and one of
+the rationals a Fraction, as coeff, CoeffField.coerce, parse_scalar and
+all_elements return them.
 """
 
 from __future__ import annotations
@@ -17,63 +17,6 @@ from math import gcd, lcm
 
 from .arith import is_prime, primitive_part
 from .errors import UsageError
-
-
-@dataclass(frozen=True)
-class FpElt:
-    """An element of the prime field F_p, normalized to [0, p)."""
-
-    p: int
-    value: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _residue(self, other) -> int | None:
-        """other as an integer, for an element of F_p, an int or an integral Fraction."""
-        if isinstance(other, FpElt):
-            assert other.p == self.p
-            return other.value
-        if isinstance(other, Fraction) and other.denominator == 1:
-            return other.numerator
-        return other if isinstance(other, int) else None
-
-    def __add__(self, other):
-        v = self._residue(other)
-        return NotImplemented if v is None else FpElt(self.p, self.value + v)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "FpElt":
-        return FpElt(self.p, -self.value)
-
-    def __sub__(self, other):
-        v = self._residue(other)
-        return NotImplemented if v is None else FpElt(self.p, self.value - v)
-
-    def __rsub__(self, other):
-        v = self._residue(other)
-        return NotImplemented if v is None else FpElt(self.p, v - self.value)
-
-    def __mul__(self, other):
-        v = self._residue(other)
-        return NotImplemented if v is None else FpElt(self.p, self.value * v)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._residue(other)
-        if v is None:
-            return NotImplemented
-        if v % self.p == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return FpElt(self.p, self.value * pow(v, -1, self.p))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __str__(self) -> str:
-        return str(self.value)
 
 
 @dataclass(frozen=True)
@@ -92,26 +35,22 @@ class CoeffField:
 
     @property
     def zero(self):
-        return Fraction(0) if self.char == 0 else FpElt(self.char, 0)
+        return Fraction(0) if self.char == 0 else 0
 
     @property
     def one(self):
-        return Fraction(1) if self.char == 0 else FpElt(self.char, 1)
+        return Fraction(1) if self.char == 0 else 1
 
     def coerce(self, value):
-        """value as a Fraction over Q, or as an FpElt over F_p."""
+        """value as a Fraction over Q, or as a residue in [0, p) over F_p."""
         p = self.char
-        if p and isinstance(value, FpElt):
-            if value.p != p:
-                raise UsageError("element of a different prime field")
-            return value
         if not isinstance(value, (int, Fraction)):
             raise UsageError(f"cannot coerce {value!r} into {f'F_{p}' if p else 'the rationals'}")
         if not p:
             return Fraction(value)
         if value.denominator % p == 0:
             raise UsageError(f"denominator of {value} vanishes mod {p}")
-        return FpElt(p, value.numerator * pow(value.denominator, -1, p))
+        return value.numerator * pow(value.denominator, -1, p) % p
 
     def parse_scalar(self, text: str):
         tok = text.strip()  # plain integers are read with int(), the rest with Fraction
@@ -133,7 +72,7 @@ class CoeffField:
         """Every element; finite fields only."""
         if self.char == 0:
             raise UsageError("the rationals cannot be enumerated")
-        return [FpElt(self.char, v) for v in range(self.char)]
+        return list(range(self.char))
 
 
 @dataclass(frozen=True)
@@ -170,11 +109,11 @@ class CurvePoly:
 
     @staticmethod
     def _from_terms(field: CoeffField, terms: dict) -> "CurvePoly":
-        """The sum of c*x^e over {e: c}, each c already a field element."""
+        """The sum of c*x^e over {e: c}, each c an int or a Fraction."""
         nums = [0] * (max(terms) + 1 if terms else 0)
-        den = 1 if field.char else lcm(*(c.denominator for c in terms.values()))
+        den = lcm(*(c.denominator for c in terms.values()))
         for e, c in terms.items():
-            nums[e] = c.value if field.char else c.numerator * (den // c.denominator)
+            nums[e] = c.numerator * (den // c.denominator)
         return CurvePoly.from_ints(field, nums, den)
 
     @staticmethod
@@ -198,9 +137,9 @@ class CurvePoly:
         return not self.nums
 
     def coeff(self, i: int):
-        """The coefficient of x^i as a Fraction or an FpElt."""
+        """The coefficient of x^i as a Fraction, or over F_p a residue."""
         x = self.nums[i] if 0 <= i < len(self.nums) else 0
-        return FpElt(self.field.char, x) if self.field.char else Fraction(x, self.den)
+        return x if self.field.char else Fraction(x, self.den)
 
     def valuation(self) -> int | None:
         """Least degree with a nonzero coefficient; None for zero."""

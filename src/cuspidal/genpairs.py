@@ -10,7 +10,7 @@ of A gives the same class. When the residue is 1 an explicit unimodular
 witness matrix is produced and verified entry by entry. Longer generating
 vectors are compressed to length two by an explicit SL_n(Z) witness: the
 transform of the same 2-row reduction, applied to the coordinates of the
-vector.
+vector. realize_det_class reads the index of (gen1 : gen2) as a/e, a closed form.
 """
 
 from __future__ import annotations
@@ -24,14 +24,13 @@ from .quadfield import QuadElt
 from .quadideal import (
     Order,
     QIdeal,
-    _colon_lattice,
     _echelon2,
     _Echelon2,
     _fitt1,
     ideal_from_generators,
     multiplier_conductor,
 )
-from .units import fundamental_unit, has_norm_minus_one
+from .units import fundamental_unit
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,7 @@ class UnimodularWitness:
         n = self.size
         field = self.entries[0][0].field
         if all(e.b == 0 for row in self.entries for e in row):
-            return field.element(det_int([[e.a for e in row] for row in self.entries]))
+            return QuadElt(field, det_int([[e.a for e in row] for row in self.entries]), 0)
         return self._det_laplace(tuple(range(n)), tuple(range(n)))
 
     def _det_laplace(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> QuadElt:
@@ -145,7 +144,7 @@ class UnimodularWitness:
 
 def _int_witness(order: Order, rows: list[list[int]]) -> UnimodularWitness:
     return UnimodularWitness(
-        tuple(tuple(order.field.element(x) for x in row) for row in rows)
+        tuple(tuple(QuadElt(order.field, x, 0) for x in row) for row in rows)
     )
 
 
@@ -275,8 +274,8 @@ def sl2_witness(pair: GenPair, other: GenPair) -> UnimodularWitness:
 
 def _epsilon_subgroup(order: Order, f_prime: int) -> tuple[int, ...]:
     n0 = order.f // f_prime
-    residues = {1 % n0, -1 % n0} if has_norm_minus_one(order.field, f_prime) else {1 % n0}
-    return tuple(sorted(residues))
+    minus_one = fundamental_unit(order.field, f_prime).has_norm_minus_one
+    return tuple(sorted({1 % n0, -1 % n0} if minus_one else {1 % n0}))
 
 
 def _orbit_count_sl2_mod_units(order: Order, f_prime: int) -> int:
@@ -401,12 +400,9 @@ def realize_det_class(ideal: QIdeal, residue: int) -> GenPair:
     if math.gcd(residue, n0) != 1:
         raise UsageError(f"residue {residue} is not a unit mod {n0}")
     base = GenPair(ideal, ideal.gen1, ideal.gen2)
-    colon = _colon_lattice(
-        order,
-        ideal_from_generators(order, [ideal.gen1]),
-        [ideal.gen2],
-    )
-    index = colon.norm()
+    # z -> z*gen2 maps O_f onto I/a*O_f (I = a*O_f + gen2*O_f) with kernel
+    # (gen1 : gen2), so the index of the colon is [I : a*O_f] = a^2/(a*e) = a/e
+    index = ideal.a // ideal.e
     r = residue if n0 > 1 else 1
     steps = 0
     while math.gcd(r, index) != 1:

@@ -57,9 +57,6 @@ class QuadField:
             return (self.m - 1) // 4, 1
         return self.m, 0
 
-    def element(self, a: int, b: int = 0) -> QuadElt:
-        return QuadElt(self, a, b)
-
     @property
     def zero(self) -> QuadElt:
         return QuadElt(self, 0, 0)

@@ -113,10 +113,6 @@ def fundamental_unit(field: QuadField, f: int = 1) -> UnitInfo:
     return UnitInfo(field, f, power, k, minus_one, 2, power.norm() == -1)
 
 
-def has_norm_minus_one(field: QuadField, f: int = 1) -> bool:
-    return fundamental_unit(field, f).has_norm_minus_one
-
-
 def unit_index(field: QuadField, f_sub: int, f_sup: int = 1) -> int:
     """Index [O_{f_sup}^x : O_{f_sub}^x]; requires f_sup | f_sub."""
     if f_sub % f_sup:

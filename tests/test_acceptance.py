@@ -50,10 +50,15 @@ from cuspidal.quadideal import (
     ideal_mul,
     multiplier_conductor,
 )
-from cuspidal.units import has_norm_minus_one
+from cuspidal.units import fundamental_unit
 
 TWELVE_FIELDS = (-1, -2, -3, -5, -7, -11, -15, 2, 3, 5, 6, 7)
 GRID_FIELDS = (-1, -2, -3, -5, 2, 3, 5)
+
+
+def has_norm_minus_one(field, f_prime):
+    """Whether the order of conductor f' has a unit of norm -1."""
+    return fundamental_unit(field, f_prime).has_norm_minus_one
 
 
 def _random_order(rng, ms=GRID_FIELDS, max_f=6):

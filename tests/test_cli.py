@@ -134,6 +134,16 @@ def test_vector_reduction(capsys):
     }
 
 
+@pytest.mark.parametrize("gens,message", [
+    ("2", "a generating vector needs at least two entries"),
+    ("2; 1+w", "reduction needs a vector of length at least 3"),
+], ids=["one-element", "two-elements"])
+def test_vector_reduction_needs_three_elements(capsys, gens, message):
+    code, out, err = _run(capsys, ["vec", "reduce", "--m", "-1", "--gens", gens])
+    assert code == 1 and out == ""
+    assert err == f"usage error: {message}\n"
+
+
 def test_curve_reduce_and_fitting(capsys):
     base = ["--n", "5", "--gens", "2 + 2*x; x^3 + x^4"]
     payload = _run_json(capsys, ["curve", "reduce"] + base)
@@ -332,6 +342,14 @@ def test_factorization_of_a_large_number_stops_at_its_budget(capsys, monkeypatch
     assert code == 2 and out == ""
     assert "factorization" in err and "2000000" in err and "41-digit" in err
     assert "CUSPIDAL_BOUND" in err
+
+
+def test_fitting_ideal_of_a_large_conductor_needs_no_factoring_of_f_over_f_prime(capsys):
+    # the ideal P*O_1 has f' = 1, so the conductor certificate sees n0 = P
+    big = "1" + "0" * 37 + "121"
+    payload = _run_json(capsys, ["ideal", "fitt1", "--m", "-1", "--f", big,
+                                 "--gens", f"{big}; {big}*w"])
+    assert payload["result"]["norm"] == big
 
 
 def test_squarefree_test_decides_a_cofactor_below_the_cube_of_the_budget(capsys, monkeypatch):

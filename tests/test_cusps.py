@@ -6,7 +6,7 @@ from cuspidal.errors import InconclusiveError
 from cuspidal.oracles import cusp_count_direct
 from cuspidal.quadfield import QuadField
 from cuspidal.quadideal import Order
-from cuspidal.units import has_norm_minus_one
+from cuspidal.units import fundamental_unit
 
 # at conductor 1 the count collapses to the class number
 MAXIMAL_CASES = [-1, -2, -3, -5, -7, -11, -15, 2, 3, 5, 6, 7]
@@ -59,7 +59,7 @@ def test_imaginary_conductor_four_breakdown():
 def test_no_halving_at_quotient_two():
     # the norm -1 unit exists, but -1 is trivial mod n0 = 2
     field = QuadField(5)
-    assert has_norm_minus_one(field, 1)
+    assert fundamental_unit(field, 1).has_norm_minus_one
     order = Order(field, 2)
     breakdown = cusp_count(order)
     term = next(t for t in breakdown.terms if t.f_prime == 1)

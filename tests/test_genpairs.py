@@ -29,7 +29,7 @@ from cuspidal.quadideal import (
     ideal_from_generators,
     multiplier_conductor,
 )
-from cuspidal.units import has_norm_minus_one
+from cuspidal.units import fundamental_unit
 
 FIELDS = [QuadField(m) for m in (-1, -2, -3, -5, 2, 3, 5)]
 
@@ -189,7 +189,7 @@ def test_epsilon_subgroup_matches_unit_norms():
         f_prime = multiplier_conductor(ideal)
         n0 = order.f // f_prime
         eps = epsilon_subgroup(ideal)
-        if has_norm_minus_one(order.field, f_prime):
+        if fundamental_unit(order.field, f_prime).has_norm_minus_one:
             assert eps == tuple(sorted({1 % n0, -1 % n0}))
         else:
             assert eps == (1 % n0,)
@@ -220,7 +220,7 @@ def test_orbit_counts_frozen_examples():
     # real field with a norm -1 unit: epsilon halves the count
     order3 = Order(QuadField(2), 5)
     ideal3 = QIdeal(order3, 5, 0, 1)
-    assert has_norm_minus_one(QuadField(2), 1)
+    assert fundamental_unit(QuadField(2), 1).has_norm_minus_one
     assert orbit_count_sl2_mod_units(ideal3) == 2
 
 

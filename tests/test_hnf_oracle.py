@@ -2,8 +2,10 @@
 
 The library reduces only 2-row systems, with quadideal._echelon2. The m x n
 reduction below, its one-solution solve and its kernel are the reference it
-is checked against, together with the routes of _colon_lattice and
-multiplier_conductor that were built on them.
+is checked against. Its colon ideal by one kernel is the reference for the
+closed forms the library uses in place of colon lattices: the index a/e of
+(gen1 : gen2) in realize_det_class and (O_f : O_f') = Z*(f/f') + Z*f*omega
+in fitt1. The membership route of multiplier_conductor is checked here too.
 """
 
 import random
@@ -17,9 +19,10 @@ from cuspidal.genpairs import det_int
 from cuspidal.quadfield import QuadElt, QuadField
 from cuspidal.quadideal import (
     Order,
-    _colon_lattice,
+    QIdeal,
     _echelon2,
     _lattice_std_basis,
+    fitt1,
     ideal_from_generators,
     multiplier_conductor,
 )
@@ -275,11 +278,24 @@ def _ideals(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_ideals(), st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=3))
-def test_colon_lattice_matches_the_one_kernel_route(target, coords):
-    order = target.order
-    elements = [QuadElt(order.field, a, b) for a, b in coords]
-    assert _colon_lattice(order, target, elements) == _colon_by_one_kernel(order, target, elements)
+@given(_ideals())
+def test_colon_of_the_standard_pair_has_index_a_over_e(ideal):
+    # realize_det_class reads [O_f : (gen1 : gen2)] as a/e
+    order = ideal.order
+    gen1_ideal = ideal_from_generators(order, [ideal.gen1])
+    colon = _colon_by_one_kernel(order, gen1_ideal, [ideal.gen2])
+    assert colon.norm() == ideal.a // ideal.e
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ideals())
+def test_conductor_of_the_multiplier_ring_is_the_closed_form(ideal):
+    # fitt1 certifies (O_f : O_f') = Z*(f/f') + Z*f*omega by membership
+    order = ideal.order
+    f_prime = multiplier_conductor(ideal)
+    one, mult_gen = QuadElt(order.field, 1, 0), QuadElt(order.field, 0, f_prime)
+    conductor = _colon_by_one_kernel(order, order.unit_ideal(), [one, mult_gen])
+    assert conductor == QIdeal(order, order.f // f_prime, 0, 1) == fitt1(ideal)
 
 
 @settings(max_examples=300, deadline=None)

@@ -9,7 +9,7 @@ from hypothesis import event, example, given, settings, strategies as st
 from cuspidal.arith import divisors, is_squarefree, isqrt_ceil, sqrt_mods
 from cuspidal.classnum import class_number_maximal
 from cuspidal.config import resolve_bound
-from cuspidal.errors import InconclusiveError, UsageError, ZeroIdealError
+from cuspidal.errors import InconclusiveError, InternalCheckError, UsageError, ZeroIdealError
 from cuspidal import quadideal
 from cuspidal.oracles import cusp_count_direct
 from cuspidal.quadfield import QuadElt, QuadField
@@ -17,7 +17,7 @@ from cuspidal.quadideal import (
     Order,
     QIdeal,
     QuadForm,
-    _colon_lattice,
+    _fitt1,
     associated_form,
     canonical_form,
     class_key,
@@ -32,7 +32,7 @@ from cuspidal.quadideal import (
     reduced_forms,
 )
 from cuspidal.units import fundamental_unit
-from test_hnf_oracle import hnf_columns
+from test_hnf_oracle import _colon_by_one_kernel, hnf_columns
 
 FIELDS = [QuadField(m) for m in (-1, -2, -3, -5, -7, -11, 2, 3, 5, 13)]
 
@@ -305,6 +305,22 @@ def test_fitt1_norm_is_conductor_quotient():
         assert ideal_mul(ideal, inv.num) == fitting.scaled(inv.den)
 
 
+@pytest.mark.parametrize("m,f,wrong", [(-5, 6, 4), (2, 12, 5), (-1, 12, 8)])
+def test_fitt1_conductor_certificate_refuses_a_wrong_conductor(monkeypatch, m, f, wrong):
+    """With the product route made to agree with an f' that does not divide
+    f, the membership certificate of (O_f : O_f') alone must refuse it."""
+    order = Order(QuadField(m), f)
+    ideal = order.unit_ideal()
+
+    def agreeing_product(lhs, rhs):
+        n = lhs.norm()
+        return QIdeal(order, f // wrong * n, 0, n)
+
+    monkeypatch.setattr(quadideal, "ideal_mul", agreeing_product)
+    with pytest.raises(InternalCheckError, match=r"\(O_f : O_f'\)"):
+        _fitt1(ideal, wrong)
+
+
 def test_multiplier_conductor_against_divisor_scan():
     rng = random.Random(108)
     from cuspidal.arith import divisors
@@ -475,7 +491,7 @@ def _search_same_class(lhs, rhs):
         return False
     order = lhs.order
     c = rhs.a
-    colon = _colon_lattice(order, lhs.scaled(c), [rhs.gen1, rhs.gen2])
+    colon = _colon_by_one_kernel(order, lhs.scaled(c), [rhs.gen1, rhs.gen2])
     num = c * c * lhs.norm()
     if num % rhs.norm():
         return False

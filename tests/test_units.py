@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from cuspidal.arith import is_squarefree
 from cuspidal.errors import InternalCheckError, UsageError
 from cuspidal.quadfield import OmegaKind, QuadElt, QuadField
-from cuspidal.units import _step_product, fundamental_unit, has_norm_minus_one, unit_index
+from cuspidal.units import _step_product, fundamental_unit, unit_index
 
 
 def _real_value(elt):
@@ -59,16 +59,16 @@ def test_frozen_fundamental_units():
      (11, False), (13, True), (-1, False), (-3, False), (-5, False)],
 )
 def test_norm_minus_one_flags(m, expected):
-    assert has_norm_minus_one(QuadField(m)) == expected
+    assert fundamental_unit(QuadField(m)).has_norm_minus_one == expected
 
 
 def test_norm_minus_one_in_suborders():
     field = QuadField(5)
     # omega has norm -1; its cube 2+w is the conductor-2 fundamental unit
-    assert has_norm_minus_one(field, 1)
+    assert fundamental_unit(field, 1).has_norm_minus_one
     info2 = fundamental_unit(field, 2)
     assert info2.fundamental.norm() == -1
-    assert has_norm_minus_one(field, 2)
+    assert fundamental_unit(field, 2).has_norm_minus_one
     # squares only: conductor where the least power landing in the order is even
     field2 = QuadField(2)
     info = fundamental_unit(field2)
@@ -78,7 +78,7 @@ def test_norm_minus_one_in_suborders():
     while power.b % 4:
         power = power * eps
         k += 1
-    assert has_norm_minus_one(field2, 4) == (power.norm() == -1 and k % 2 == 1)
+    assert fundamental_unit(field2, 4).has_norm_minus_one == (power.norm() == -1 and k % 2 == 1)
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 10, 13])
