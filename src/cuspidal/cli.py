@@ -26,7 +26,7 @@ from .curvering import (
     curve_unit_group_order,
 )
 from .errors import InconclusiveError, InternalCheckError, UsageError
-from .fieldpoly import MAX_EXPONENT, CoeffField, parse_curve_poly
+from .fieldpoly import MAX_EXPONENT, CoeffField, CurvePoly, parse_curve_poly
 from .genpairs import (
     GenPair,
     GenVec,
@@ -38,7 +38,7 @@ from .genpairs import (
     sl2_witness,
 )
 from .oracles import brute_force_pic, curve_unit_group_brute, cusp_count_direct
-from .quadfield import QuadField, parse_element
+from .quadfield import QuadElt, QuadField, parse_element
 from .quadideal import (
     Order,
     QIdeal,
@@ -51,8 +51,21 @@ from .quadideal import (
 from .units import fundamental_unit, unit_index
 
 
-def _s(x: int) -> str:
-    return str(int(x))
+def _s(x, what: str = "a result") -> str:
+    """str(x) for an int, a CurvePoly or a QuadElt of the result; exit 2, naming the knob,
+    when one of its ints is past the interpreter's limit on printing an int."""
+    try:
+        return str(x)
+    except ValueError:
+        ints = ([*x.nums, x.den] if isinstance(x, CurvePoly)
+                else [x.a, x.b] if isinstance(x, QuadElt) else [x])
+        big = max(map(abs, ints))
+        digits = int(big.bit_length() * math.log10(2)) + 1
+        digits -= 10 ** (digits - 1) > big
+        raise InconclusiveError(
+            f"{what} has {digits} digits, past the {sys.get_int_max_str_digits()}-digit limit"
+            " on printing an int; raise it with PYTHONINTMAXSTRDIGITS or -X int_max_str_digits"
+        ) from None
 
 
 def _order_of(args: SimpleNamespace) -> Order:
@@ -83,17 +96,17 @@ def _ideal_dict(ideal) -> dict:
         "a": _s(ideal.a),
         "d": _s(ideal.d),
         "e": _s(ideal.e),
-        "basis": [str(ideal.gen1), str(ideal.gen2)],
+        "basis": [_s(ideal.gen1), _s(ideal.gen2)],
         "norm": _s(ideal.norm()),
     }
 
 
 def _witness_dict(witness) -> dict:
-    return {"rows": [[str(x) for x in row] for row in witness.entries]}
+    return {"rows": [[_s(x) for x in row] for row in witness.entries]}
 
 
 def _witness_lines(witness) -> list[str]:
-    return ["[" + ", ".join(str(x) for x in row) + "]" for row in witness.entries]
+    return ["[" + ", ".join(_s(x) for x in row) + "]" for row in witness.entries]
 
 
 # ---------------------------------------------------------------------------
@@ -150,22 +163,13 @@ def _cmd_pic(args):
 def _cmd_unit(args):
     field = QuadField(args.m)
     info = fundamental_unit(field, args.f)
-    try:
-        unit = None if info.fundamental is None else str(info.fundamental)
-    except ValueError:  # past the interpreter's int-to-str digit limit
-        big = max(abs(info.fundamental.a), abs(info.fundamental.b))
-        digits = int(big.bit_length() * math.log10(2)) + 1
-        digits -= 10 ** (digits - 1) > big
-        limit = sys.get_int_max_str_digits()
-        raise InconclusiveError(
-            f"the fundamental unit has {digits} digits, past the {limit}-digit limit on"
-            " printing an int; raise it with PYTHONINTMAXSTRDIGITS or -X int_max_str_digits"
-        ) from None
+    eps = info.fundamental
+    unit = None if eps is None else _s(eps, "the fundamental unit")
     inputs = {"m": _s(args.m), "f": _s(args.f)}
     result = {
         "fundamental": unit,
         "power_in_maximal": _s(info.power_in_maximal),
-        "torsion_gen": str(info.torsion_gen),
+        "torsion_gen": _s(info.torsion_gen),
         "torsion_order": _s(info.torsion_order),
         "has_norm_minus_one": info.has_norm_minus_one,
     }
@@ -189,7 +193,7 @@ def _cmd_unit(args):
 
 def _cmd_ideal(args):
     order, gens, ideal = _ideal_of(args)
-    inputs = {"m": _s(args.m), "f": _s(args.f), "gens": [str(g) for g in gens]}
+    inputs = {"m": _s(args.m), "f": _s(args.f), "gens": [_s(g) for g in gens]}
     assertions = []
     if args.ideal_op == "std-basis":
         result = _ideal_dict(ideal)
@@ -249,8 +253,8 @@ def _cmd_pair(args):
     inputs = {
         "m": _s(args.m),
         "f": _s(args.f),
-        "pair": [str(g) for g in (pair.g1, pair.g2)],
-        "pair2": [str(g) for g in (other.g1, other.g2)],
+        "pair": [_s(g) for g in (pair.g1, pair.g2)],
+        "pair2": [_s(g) for g in (other.g1, other.g2)],
     }
     assertions = []
     if args.pair_op == "det":
@@ -280,9 +284,9 @@ def _cmd_vec(args):
     ideal = ideal_from_generators(order, gens)
     vec = GenVec(ideal, tuple(gens))
     pair, witness = reduce_vector(vec)
-    inputs = {"m": _s(args.m), "f": _s(args.f), "gens": [str(g) for g in gens]}
+    inputs = {"m": _s(args.m), "f": _s(args.f), "gens": [_s(g) for g in gens]}
     result = {
-        "pair": [str(pair.g1), str(pair.g2)],
+        "pair": [_s(pair.g1), _s(pair.g2)],
         "matrix": _witness_dict(witness),
     }
     assertions = [("witness-determinant-one", True),
@@ -297,19 +301,15 @@ def _cmd_curve(args):
     field = CoeffField.from_name(args.field)
     gens = [parse_curve_poly(field, p) for p in args.gens.split(";") if p.strip()]
     ideal = curve_ideal_from_generators(field, args.n, gens)
-    inputs = {"n": _s(args.n), "field": args.field, "gens": [str(g) for g in gens]}
+    inputs = {"n": _s(args.n), "field": args.field, "gens": [_s(g, "a generator") for g in gens]}
     assertions = [("canonical-pair-spans-the-module", True),
                   ("colon-valuation-matches-nu", True)]
     if args.curve_op == "reduce":
-        result = {
-            "content": str(ideal.content),
-            "p": str(ideal.p),
-            "q": str(ideal.q),
-            "nu": _s(ideal.nu),
-        }
-        lines = [f"canonical pair: content ({ideal.content}) times (p; q) with",
-                 f"  p = {ideal.p}",
-                 f"  q = {ideal.q}",
+        result = {k: _s(getattr(ideal, k), f"a coefficient of {k}") for k in ("content", "p", "q")}
+        result["nu"] = _s(ideal.nu)
+        lines = [f"canonical pair: content ({result['content']}) times (p; q) with",
+                 f"  p = {result['p']}",
+                 f"  q = {result['q']}",
                  f"  nu = {ideal.nu}"]
     elif args.curve_op == "fitt1":
         fitting = curve_fitt1(ideal)
@@ -326,11 +326,11 @@ def _cmd_curve(args):
             raise UsageError("unit counts need a finite coefficient field, e.g. --field f5")
         count = curve_unit_group_order(field, args.n, ideal.nu)
         k = (args.n - 1 - ideal.nu) // 2
-        result = {"count": _s(count), "nu": _s(ideal.nu)}
+        result = {"count": _s(count, "the unit count"), "nu": _s(ideal.nu)}
         if field.char ** k <= 4000:
             brute = curve_unit_group_brute(field, args.n, ideal.nu)
             assertions.append(("brute-force-agreement", brute == count))
-        lines = [f"|(R/Fitt_1)^x| over {field.name}: {count}"]
+        lines = [f"|(R/Fitt_1)^x| over {field.name}: {result['count']}"]
     return inputs, result, assertions, lines
 
 

@@ -25,16 +25,15 @@ The dense elimination these replace is kept in cuspidal.oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from operator import mul
 
 from .errors import InternalCheckError, UsageError, ZeroIdealError
-from .fieldpoly import CoeffField, CurvePoly, poly_gcd_monic
+from .fieldpoly import CoeffField, CurvePoly, gcd_cofactors
 
 
-# Planted ideals at n = 2001 peak at 0.3 MB of traced allocations over F_101
-# and 2 MB over Q (CPython 3.11, x86-64); the bound keeps the content gcd over
-# Z, quadratic in n and most of the time over Q, within a minute.
+# Planted ideals at n = 2001 peak at 0.3 MB of traced allocations over F_101 and
+# 1.2 MB over Q (CPython 3.11, x86-64). The bound keeps the quadratic steps, Euclid
+# mod primes near 2^30 and the canonical pair's series over Z, within seconds.
 MAX_N = 2001
 
 
@@ -152,10 +151,10 @@ class CurveIdeal:
 
     def __post_init__(self) -> None:
         _check_n(self.n, self.nu)
-        if self.content.is_zero or self.content.coeff(self.content.degree) != self.field.one:
+        content, p = self.content, self.p
+        if content.is_zero or content.nums[-1] != content.den:
             raise UsageError("the content must be a monic polynomial")
-        p = self.p  # p.coeff(0) of the zero polynomial is 0
-        if p.coeff(0) != self.field.one or any(p.nums[2::2]) or p.degree >= max(self.nu, 1):
+        if p.is_zero or p.nums[0] != p.den or any(p.nums[2::2]) or p.degree >= max(self.nu, 1):
             raise UsageError("p must be 1 plus odd-degree terms of degree below nu")
         if self.q != _canonical_q(self.field, self.n, p, self.nu):
             raise UsageError("q must be x^(nu+1), or at nu = n-1 x^(n-1), or 0 for the unit ideal")
@@ -191,11 +190,8 @@ def curve_ideal_from_generators(field: CoeffField, n: int, gens: list[CurvePoly]
     live = [g for g in gens if not g.is_zero]
     if not live:
         raise ZeroIdealError("all generators are zero")
-    content = reduce(poly_gcd_monic, live, CurvePoly.zero(field))
-    divided = [g.divmod_by(content) for g in live]
-    if any(not rem.is_zero for _, rem in divided):
-        raise InternalCheckError("the content does not divide a generator")
-    p, s = _canonical_pair(field, n, [quot for quot, _ in divided])
+    content, cofactors = gcd_cofactors(live)
+    p, s = _canonical_pair(field, n, cofactors)
     if not p.nums[0]:
         raise InternalCheckError("canonical pair is not coprime")
     ideal = CurveIdeal(field, n, content, p, _canonical_q(field, n, p, 2 * s), 2 * s)
@@ -206,13 +202,15 @@ def curve_ideal_from_generators(field: CoeffField, n: int, gens: list[CurvePoly]
 def _colon_generator(ideal: CurveIdeal) -> CurvePoly:
     """h* = x^(n-1-nu)*p(-x), certified: (R : I) = R*h* + x^(n-1)K[x]. Modulo
     the conductor h*p must be t^k times a unit inside R, and h*q must vanish."""
-    field, n, nu, p = ideal.field, ideal.n, ideal.nu, ideal.p
+    field, n, nu, p, q = ideal.field, ideal.n, ideal.nu, ideal.p, ideal.q
     conj = [-x if j % 2 else x for j, x in enumerate(p.nums)]
     h = CurvePoly.from_ints(field, conj, p.den).shift(n - 1 - nu)
-    even, odd = _halves(h * p, n)
-    if any(odd) or _valuation(even) != (n - 1 - nu) // 2:
+    # below x^(n-1), h*p is x^(n-1-nu) times p(x)p(-x) mod x^nu: even, with valuation
+    # n-1-nu iff below has no odd terms and a nonzero constant (or nu = 0); q is a monomial
+    below = _mul(list(p.nums), conj, nu, field.char)
+    if any(below[1::2]) or _valuation(below[0::2]):
         raise InternalCheckError(f"h*p is not x^{n - 1 - nu} times a unit of the ring")
-    if any(map(any, _halves(h * ideal.q, n))):
+    if any(map(any, _halves(q if q.is_zero else h.shift(q.degree), n))):
         raise InternalCheckError("h*q escapes the conductor")
     return h
 

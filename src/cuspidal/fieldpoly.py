@@ -4,19 +4,22 @@ A CurvePoly stores plain ints: residues mod p over F_p, and over Q integer
 numerators over one positive common denominator. Products, division and
 the gcd run on those ints. A scalar of F_p is an int in [0, p) and one of
 the rationals a Fraction, as coeff, CoeffField.coerce, parse_scalar and
-all_elements return them.
-"""
+all_elements return them. The gcd over Q is Brown's modular gcd (von zur
+Gathen and Gerhard, Modern Computer Algebra, ch. 6), certified on every call:
+it divides each input exactly, and has the degree of the gcd modulo a prime
+dividing no leading coefficient, which bounds every common divisor's."""
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
-from math import gcd, lcm
+from functools import cache
+from itertools import count, zip_longest
+from math import gcd, isqrt, lcm
 
 from .arith import is_prime, primitive_part
-from .errors import UsageError
+from .errors import InternalCheckError, UsageError
 
 
 @dataclass(frozen=True)
@@ -96,25 +99,19 @@ class CurvePoly:
         if field.char:
             inv = pow(den, -1, field.char)
             nums, den = [x * inv % field.char for x in nums], 1
-        else:
-            g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        elif (g := gcd(den, *nums) if den > 0 else -gcd(den, *nums)) != 1:
             nums, den = [x // g for x in nums], den // g
-        while nums and not nums[-1]:
-            nums.pop()
-        return CurvePoly(field, tuple(nums), den)
+        end = len(nums)
+        while end and not nums[end - 1]:
+            end -= 1
+        return CurvePoly(field, tuple(nums[:end]), den)
 
     @staticmethod
     def from_coeffs(field: CoeffField, values) -> "CurvePoly":
-        return CurvePoly._from_terms(field, dict(enumerate(field.coerce(v) for v in values)))
-
-    @staticmethod
-    def _from_terms(field: CoeffField, terms: dict) -> "CurvePoly":
-        """The sum of c*x^e over {e: c}, each c an int or a Fraction."""
-        nums = [0] * (max(terms) + 1 if terms else 0)
-        den = lcm(*(c.denominator for c in terms.values()))
-        for e, c in terms.items():
-            nums[e] = c.numerator * (den // c.denominator)
-        return CurvePoly.from_ints(field, nums, den)
+        """The polynomial with coefficients values[i]; from_ints reduces the ints mod p."""
+        cs = [v if type(v) is int else field.coerce(v) for v in values]
+        den = lcm(*(c.denominator for c in cs))
+        return CurvePoly.from_ints(field, [c.numerator * (den // c.denominator) for c in cs], den)
 
     @staticmethod
     def zero(field: CoeffField) -> "CurvePoly":
@@ -196,15 +193,16 @@ class CurvePoly:
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        out = ""
+        den, parts = self.den, []
         for i, c in enumerate(self.nums):
             if c:
-                g = gcd(c, self.den)
-                text = str(abs(c) // g) + ("" if g == self.den else f"/{self.den // g}")
+                text = str(abs(c)) if den == 1 else str(abs(c) // (g := gcd(c, den))) + (
+                    "" if g == den else f"/{den // g}")
                 if i:
                     power = f"x^{i}" if i > 1 else "x"
                     text = power if text == "1" else f"{text}*{power}"
-                out += (" - " if c < 0 else " + ") + text
+                parts.append((" - " if c < 0 else " + ") + text)
+        out = "".join(parts)
         return out[3:] if out[1] == "+" else "-" + out[3:]
 
 
@@ -241,22 +239,73 @@ def _pseudo_divmod(a, b, p: int) -> tuple[list[int], list[int], int]:
     return quot, rem, s
 
 
-def poly_gcd_monic(a: CurvePoly, b: CurvePoly) -> CurvePoly:
-    """Monic greatest common divisor; zero if both inputs are zero.
+def _exact_quotient(a: list[int], b: list[int], p: int) -> list[int] | None:
+    """a / b if b divides a over Z (p = 0) or, for monic b, mod p; else None. Over Z a
+    quotient coefficient past Mignotte's bound 2^deg*|a|_2 for factors of a stops it."""
+    db, rem, quot, tail = len(b) - 1, list(a), [], b[:-1]
+    limit = 2 * len(a) + max(map(abs, a)).bit_length()
+    for k in range(len(a) - 1, db - 1, -1):
+        f, r = divmod(rem[k] % p if p else rem[k], b[-1])
+        if r or f.bit_length() > limit:
+            return None
+        rem[k - db:k] = [x - f * y for x, y in zip(rem[k - db:k], tail)]
+        quot.append(f)
+    return quot[::-1] if len(a) > db and not any(x % p if p else x for x in rem[:db]) else None
 
-    Over F_p this is Euclid on residues, one inverse per step. Over Q it is
-    the primitive remainder sequence of the numerators over Z: by Gauss's
-    lemma its last term is the gcd up to a constant, which monic removes.
-    """
+
+@cache
+def _gcd_prime(i: int) -> int:
+    """The i-th prime below 2^30, largest first, by trial division up to 2^15: unlike
+    arith.is_prime it draws on no search budget, so CUSPIDAL_BOUND cannot stop it."""
+    c = (_gcd_prime(i - 1) if i else 2**30 + 1) - 2
+    while any(c % d == 0 for d in range(3, isqrt(c) + 1, 2)):
+        c -= 2
+    return c
+
+
+def gcd_cofactors(polys: list[CurvePoly]) -> tuple[CurvePoly, list[CurvePoly]]:
+    """(c, [g / c for g in polys]), c the monic gcd (zero if every g is). With A_i the
+    primitive parts and b the gcd of their leads, b*gcd(A_i)/lead is b times Euclid's monic
+    gcd mod any prime dividing no lead, unless that gcd has too high a degree (dropped). Over
+    F_p the prime is p; over Q images join by CRT until the primitive lift divides every A_i."""
+    field, char = polys[0].field, polys[0].field.char
+    live = [g for g in polys if g.nums]
+    if not live:
+        return polys[0], list(polys)
+    scales = [gcd(*g.nums) for g in live]  # g = k*A/den with A primitive
+    rows = [[x // k for x in g.nums] for g, k in zip(live, scales)]
+    b = 1 if char else gcd(*(a[-1] for a in rows))
+    crt, modulus = [0] * (len(rows[0]) + 1), 1
+    for p in [char] if char else map(_gcd_prime, count()):
+        if any(a[-1] % p == 0 for a in rows):
+            continue
+        x = [v % p for v in rows[0]]
+        for y in rows[1:]:
+            y = [v % p for v in y]
+            while y:
+                x, y = y, _pseudo_divmod(x, y, p)[1]
+        if len(x) < len(crt):  # every earlier image had too high a degree
+            crt, modulus = [0] * len(x), 1
+        if len(x) > len(crt):
+            continue
+        t, u = pow(modulus, -1, p), b * pow(x[-1], -1, p)
+        crt = [r + modulus * ((y * u - r) * t % p) for r, y in zip(crt, x)]
+        modulus *= p
+        c = crt if char else primitive_part([r - modulus if 2 * r > modulus else r for r in crt])
+        if None not in (quots := [_exact_quotient(a, c, char) for a in rows]):
+            break
+    if None in quots:
+        raise InternalCheckError("the content does not divide a generator")
+    cofactors = iter(CurvePoly.from_ints(field, [x * k * c[-1] for x in q], g.den)
+                     for q, k, g in zip(quots, scales, live))
+    return CurvePoly.from_ints(field, c, c[-1]), [next(cofactors) if g.nums else g for g in polys]
+
+
+def poly_gcd_monic(a: CurvePoly, b: CurvePoly) -> CurvePoly:
+    """Monic greatest common divisor, zero if both inputs are: gcd_cofactors' content, which
+    divides a and b exactly and has their gcd's degree mod a prime dividing neither lead."""
     assert a.field == b.field
-    p = a.field.char
-    x, y = list(a.nums), list(b.nums)
-    if not p:
-        x, y = primitive_part(x), primitive_part(y)
-    while y:
-        rem = _pseudo_divmod(x, y, p)[1]
-        x, y = y, rem if p else primitive_part(rem)
-    return CurvePoly.from_ints(a.field, x, x[-1] if x else 1)
+    return gcd_cofactors([a, b])[0]
 
 
 # the largest exponent a parsed polynomial may have; the dense coefficient
@@ -281,24 +330,19 @@ def parse_curve_poly(field: CoeffField, text: str) -> CurvePoly:
     chunks = re.findall(r"[+-]?[^+-]+", compact)
     if not chunks or "".join(chunks) != compact:
         raise UsageError(f"cannot parse polynomial {text[:24]!r}")
-    one = field.one
-    terms: dict[int, object] = {}
+    terms: dict[int, int | Fraction] = {}
     for chunk in chunks:
-        match = _POLY_TERM_RE.match(chunk)
-        has_x = "x" in chunk
-        if match:
-            raw, star, digits = match.group("coeff", "star", "exp")
+        match, has_x = _POLY_TERM_RE.match(chunk), "x" in chunk
+        raw, star, digits = match.groups() if match else ("", None, None)
         if not match or (star or not has_x) and not raw.strip("+-"):
             raise UsageError(f"bad polynomial term {chunk[:24]!r} in {text[:24]!r}")
-        scalar = field.parse_scalar(raw) if raw.strip("+-") else -one if raw == "-" else one
-        if not has_x:
-            exp = 0
-        else:
-            digits = (digits or "1").lstrip("0") or "0"
-            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
-                raise UsageError(
-                    f"the exponent of {chunk[:24]!r} exceeds the limit {MAX_EXPONENT}"
-                )
-            exp = int(digits)
-        terms[exp] = terms[exp] + scalar if exp in terms else scalar
-    return CurvePoly._from_terms(field, terms)
+        try:  # int() reads ints (a bare sign as 1); parse_scalar fractions and int()'s errors
+            scalar = field.parse_scalar(raw) if "/" in raw else int(raw + "1" * (raw in "+-"))
+        except ValueError:
+            scalar = field.parse_scalar(raw)
+        digits = (digits or "1").lstrip("0") or "0" if has_x else "0"
+        if len(digits) > len(str(MAX_EXPONENT)) or (exp := int(digits)) > MAX_EXPONENT:
+            raise UsageError(f"the exponent of {chunk[:24]!r} exceeds the limit {MAX_EXPONENT}")
+        terms[exp] = terms.get(exp, 0) + scalar
+    nums = [terms.get(e, 0) for e in range(max(terms) + 1)]  # ints unless a '/' was read
+    return (CurvePoly.from_coeffs if "/" in compact else CurvePoly.from_ints)(field, nums)

@@ -509,6 +509,37 @@ def test_unit_past_the_int_print_limit_exits_two(capsys):
         sys.set_int_max_str_digits(limit)
 
 
+
+def test_results_past_the_int_print_limit_exit_two(capsys):
+    # at n = 301 the unit count 100003^148 * 100002 and the coefficient
+    # (-100000)^149 of x^299 in p both pass a 640-digit limit, and so does an
+    # entry of the SL2 witness between two pairs of 601-digit generators
+    units = ["curve", "units", "--n", "301", "--field", "f100003", "--gens", "1; x^3"]
+    reduce = ["curve", "reduce", "--n", "301", "--gens", "1 + 100000*x^2 + x; x^300"]
+    a, b = 10**600 + 1, 10**600 + 3
+    witness = ["pair", "witness", "--m", "-1", "--pair", f"{a}; {b}*w", "--pair2", f"{b}*w; {a}"]
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        digits = len(str(100003**148 * 100002)), len(str(100000**149))
+        assert max(len(e) for row in _run_json(capsys, witness)["result"]["matrix"]["rows"]
+                   for e in row) > 640
+        sys.set_int_max_str_digits(640)
+        for argv, what in ((units, f"the unit count has {digits[0]} digits"),
+                           (reduce, f"a coefficient of p has {digits[1]} digits"),
+                           (witness, "a result has")):
+            for extra in ([], ["--json"]):
+                code, out, err = _run(capsys, argv + extra)
+                assert code == 2 and out == ""
+                assert err.startswith(f"inconclusive: {what}") and "past the 640-digit limit" in err
+                assert "PYTHONINTMAXSTRDIGITS" in err and "-X int_max_str_digits" in err
+        sys.set_int_max_str_digits(0)  # the knob: no limit
+        assert _run_json(capsys, units)["result"]["count"] == str(100003**148 * 100002)
+        assert _run_json(capsys, reduce)["result"]["p"].endswith(f" - {100000**149}*x^299")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 _DET_ARGV = ["pair", "det", "--m", "-1", "--f", "5", "--pair", "5; 5*w", "--pair2", "5*w; -5"]
 _BAD_KERNEL = """
 import sys

@@ -1,12 +1,15 @@
 import itertools
+import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cuspidal import curvering, oracles
+from cuspidal import curvering, fieldpoly, oracles
+from cuspidal.cli import main
 from cuspidal.curvering import (
     CurveFitt,
     CurveIdeal,
@@ -663,6 +666,52 @@ def test_request_path_never_reaches_the_dense_oracles(monkeypatch):
         pair = [ideal.content * g for g in (ideal.p, ideal.q)]
         again = curve_ideal_from_generators(field, 9, pair)
         assert len(ideal.module_basis()) == 6 and again == ideal
+
+
+def test_request_path_never_runs_the_remainder_sequence(monkeypatch):
+    """Over Q the content comes from Euclid modulo primes: no pseudo-division over Z,
+    the step of the remainder sequence that test_fieldpoly keeps as the oracle."""
+    real, moduli = fieldpoly._pseudo_divmod, set()
+
+    def modular_only(a, b, p):
+        if not p:
+            raise AssertionError("pseudo-division over Z on the request path")
+        moduli.add(p)
+        return real(a, b, p)
+
+    monkeypatch.setattr(fieldpoly, "_pseudo_divmod", modular_only)
+    for n, nu in ((9, 4), (121, 60)):
+        content, gens = _planted_generators(Q, n, nu, random.Random(n))
+        ideal = curve_ideal_from_generators(Q, n, gens)
+        assert (ideal.content, ideal.nu) == (content, nu)
+        assert curve_fitt1(ideal).exponent == n - 1 - nu and curve_multiplier_ring(ideal).nu == nu
+    assert moduli and all(p > 2**29 for p in moduli)
+
+
+def test_rational_contents_at_scale(capsys):
+    """Inputs on which the remainder sequence over Z was slow: the planted ideal at
+    n = 961, and a non-monic generator at n = 1001, whose p = 1 + x/(1 + 100000*x^2)
+    below x^1000 has the coefficient (-100000)^k at x^(2k+1)."""
+    content, gens = _planted_generators(Q, 961, 480, random.Random(961))
+    ideal = curve_ideal_from_generators(Q, 961, gens)
+    assert (ideal.content, ideal.nu, ideal.q) == (content, 480, CurvePoly.monomial(Q, 481))
+    assert main(["curve", "reduce", "--n", "1001", "--gens", "1 + 100000*x^2 + x; x^1000",
+                 "--json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    nums = [1] + [0] * 999
+    nums[1::2] = [(-100000) ** k for k in range(500)]
+    assert result == {"content": "1", "p": str(CurvePoly.from_ints(Q, nums)), "q": "x^1000",
+                      "nu": "1000"}
+
+
+def test_planted_rational_ideal_at_n2001_reduces_in_15_seconds():
+    # 39-45 s with the remainder sequence over Z and about 2 s modularly (2-vCPU x86-64);
+    # the gate leaves room for a slower host
+    content, gens = _planted_generators(Q, 2001, 1000, random.Random(2001))
+    start = time.monotonic()
+    ideal = curve_ideal_from_generators(Q, 2001, gens)
+    assert time.monotonic() - start < 15.0
+    assert (ideal.content, ideal.nu) == (content, 1000)
 
 
 def _shifted(real, by):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspidal import fieldpoly
+from cuspidal.arith import primitive_part
 from cuspidal.errors import UsageError
 from cuspidal.fieldpoly import (
     MAX_EXPONENT,
@@ -296,14 +297,30 @@ def test_integer_kernels_match_schoolbook_oracle(case):
     _same(poly_gcd_monic(pa * pc, pb * pc), _oracle_gcd_monic(field, ac, bc))
 
 
+def _prs_gcd_monic(a, b):
+    """The primitive remainder sequence over Z that poly_gcd_monic ran before the
+    modular gcd, kept as its oracle: Euclid on residues over F_p; over Q the
+    numerators' remainders cut to their primitive parts, whose last term is the
+    gcd up to a constant by Gauss's lemma."""
+    p = a.field.char
+    x, y = list(a.nums), list(b.nums)
+    if not p:
+        x, y = primitive_part(x), primitive_part(y)
+    while y:
+        rem = fieldpoly._pseudo_divmod(x, y, p)[1]
+        x, y = y, rem if p else primitive_part(rem)
+    return CurvePoly.from_ints(a.field, x, x[-1] if x else 1)
+
+
 def test_rational_gcd_runs_a_primitive_remainder_sequence(monkeypatch):
-    """Over Q every divisor of the remainder sequence has content 1, which
-    keeps its integers small; the oracle comparison cannot see this."""
+    """Over Q every divisor of the oracle's remainder sequence has content 1,
+    which keeps its integers small; the comparisons of answers cannot see this."""
     divisors = []
     pseudo_divmod = fieldpoly._pseudo_divmod
 
     def spy(a, b, p):
-        divisors.append(b)
+        if not p:  # the modular gcd divides only mod primes
+            divisors.append(b)
         return pseudo_divmod(a, b, p)
 
     monkeypatch.setattr(fieldpoly, "_pseudo_divmod", spy)
@@ -315,9 +332,94 @@ def test_rational_gcd_runs_a_primitive_remainder_sequence(monkeypatch):
     for _ in range(20):
         a, b, c = poly(6), poly(5), poly(2)
         ac, bc = _oracle_mul(q, a, c), _oracle_mul(q, b, c)
-        got = poly_gcd_monic(CurvePoly.from_coeffs(q, ac), CurvePoly.from_coeffs(q, bc))
+        pa, pb = CurvePoly.from_coeffs(q, ac), CurvePoly.from_coeffs(q, bc)
+        got = _prs_gcd_monic(pa, pb)
         _same(got, _oracle_gcd_monic(q, ac, bc))
+        assert got == poly_gcd_monic(pa, pb)
     assert len(divisors) > 20 and all(math.gcd(*b) == 1 for b in divisors)
+
+
+# ---------------------------------------------------------------------------
+# the content routine against the remainder sequence, with small primes
+
+_SMALL_PRIMES = [q for q in range(2, 20_000) if all(q % d for d in range(2, math.isqrt(q) + 1))]
+
+
+def _content_case(field, rng):
+    """1-4 generators c*r_i, some of them zero, with a planted common factor c whose
+    integer coefficients reach 10^40 over Q; the small cofactors r_i often share a
+    factor modulo a small prime, and a lead often has a small prime factor."""
+
+    def poly(deg, top):
+        lead = rng.choice([-1, 1]) * rng.randint(1, top)
+        nums = [rng.randint(-top, top) for _ in range(deg)] + [lead]
+        return CurvePoly.from_ints(field, nums, 1 if field.char else rng.randint(1, 6))
+
+    c = poly(rng.randrange(4), 10 ** rng.randint(0, 40))
+    return [c * poly(rng.randrange(5), 6) if rng.random() < 0.8 else CurvePoly.zero(field)
+            for _ in range(rng.randint(1, 4))]
+
+
+def _check_content(gens):
+    content, cofactors = fieldpoly.gcd_cofactors(gens)
+    expected = CurvePoly.zero(gens[0].field)
+    for g in gens:
+        expected = _prs_gcd_monic(expected, g)
+    assert content == expected and len(cofactors) == len(gens)
+    assert content.is_zero or content.nums[-1] == content.den
+    assert all(content * q == g for q, g in zip(cofactors, gens))
+    return content
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([CoeffField(0), CoeffField(2), CoeffField(3), CoeffField(101)]),
+       st.integers(0, 2**32))
+def test_content_matches_the_prs_oracle(field, seed):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fieldpoly, "_gcd_prime", _SMALL_PRIMES.__getitem__)
+        _check_content(_content_case(field, random.Random(seed)))
+    _check_content(_content_case(field, random.Random(seed)))  # primes near 2^30
+
+
+def test_small_primes_reach_every_branch_of_the_modular_gcd(monkeypatch):
+    """With small primes, some divide a lead and are skipped, some give an image of
+    too high a degree, and some contents take the CRT of several images."""
+    drawn = []
+    monkeypatch.setattr(fieldpoly, "_gcd_prime", lambda i: drawn.append(i) or _SMALL_PRIMES[i])
+    q, rng, seen = CoeffField(0), random.Random(17), set()
+    for _ in range(300):
+        live = [g for g in _content_case(q, rng) if g.nums]
+        drawn.clear()
+        if not live:
+            continue
+        degree, lucky = _check_content(live).degree, 0
+        rows = [primitive_part(list(g.nums)) for g in live]
+        for p in map(_SMALL_PRIMES.__getitem__, drawn):
+            if any(a[-1] % p == 0 for a in rows):
+                seen.add("lead divisible")
+                continue
+            image = [Fp(x, p) for x in rows[0]]
+            for a in rows[1:]:
+                image = _oracle_gcd_monic(CoeffField(p), image, [Fp(x, p) for x in a])
+            if len(image) - 1 > degree:
+                seen.add("degree too high")
+            else:
+                lucky += 1
+        if lucky > 1:
+            seen.add("crt")
+    assert seen == {"lead divisible", "degree too high", "crt"}
+
+
+def test_the_prime_source_draws_on_no_search_budget(monkeypatch):
+    """arith.is_prime would stop at a low CUSPIDAL_BOUND on the 30-bit candidates."""
+    monkeypatch.setenv("CUSPIDAL_BOUND", "5")
+    fieldpoly._gcd_prime.cache_clear()
+    q = CoeffField(0)
+    a, b = (parse_curve_poly(q, t) for t in ("2 + 6*x + 4*x^2", "3*x^3 + 3*x^4"))
+    assert poly_gcd_monic(a, b) == parse_curve_poly(q, "1 + x")
+    primes = [fieldpoly._gcd_prime(i) for i in range(3)]
+    assert 2**30 > primes[0] > primes[1] > primes[2] > 2**29
+    assert all(p % d for p in primes for d in range(2, math.isqrt(p) + 1))
 
 
 def test_printed_form_is_pinned():
