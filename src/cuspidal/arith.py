@@ -41,8 +41,32 @@ def is_squarefree(n: int) -> bool:
     return n == 1 or math.isqrt(n) ** 2 != n
 
 
+# the first 13 primes: no odd composite below 3317044064679887385961981 is a strong
+# probable prime to all of them (Sorenson and Webster, Math. Comp. 86, 2017; OEIS A014233)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and factorize(n) == {n: 1}
+    """Deterministic Miller-Rabin on the bases _MR_BASES below _MR_EXACT_BELOW, which
+    draws on no search budget; larger n go to the budgeted factorize."""
+    if n >= _MR_EXACT_BELOW:
+        return factorize(n) == {n: 1}
+    if n < 2 or any(n % p == 0 for p in _MR_BASES):
+        return n in _MR_BASES
+    odd, s = n - 1, 0
+    while odd % 2 == 0:
+        odd, s = odd // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, odd, n)
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+    return True
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -8,7 +8,6 @@ in `oracles`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import factorize
@@ -17,15 +16,18 @@ from .errors import InternalCheckError
 from .quadfield import QuadField
 from .quadideal import Order, canonical_form, reduced_forms
 from .units import unit_index
+from .value import Value
 
 
-@dataclass(frozen=True)
-class PicSize:
+class PicSize(Value):
     """Picard group size plus the route that produced it."""
 
-    order: Order
-    h: int
-    method: str
+    __slots__ = ("order", "h", "method")
+
+    def __init__(self, order: Order, h: int, method: str) -> None:
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "method", method)
 
 
 @lru_cache(maxsize=None)

@@ -80,7 +80,7 @@ def _elements(order: Order, text: str) -> list:
     for part in parts:
         elt = parse_element(order.field, part)
         if not order.contains(elt):
-            raise UsageError(f"{elt} is not in {order}")
+            raise UsageError(f"{part[:24]!r} is not in {order}")
         out.append(elt)
     return out
 
@@ -249,7 +249,9 @@ def _two_elements(order: Order, text: str, flag: str) -> list:
 def _cmd_pair(args):
     order = _order_of(args)
     pair = GenPair.generating(order, *_two_elements(order, args.pair, "--pair"))
-    other = GenPair(pair.ideal, *_two_elements(order, args.pair2, "--pair2"))
+    other = GenPair.generating(order, *_two_elements(order, args.pair2, "--pair2"))
+    if other.ideal != pair.ideal:
+        raise UsageError(f"--pair2 {args.pair2[:24]!r} does not generate the ideal of --pair")
     inputs = {
         "m": _s(args.m),
         "f": _s(args.f),

@@ -12,25 +12,25 @@ dividing no leading coefficient, which bounds every common divisor's."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import count, zip_longest
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .arith import is_prime, primitive_part
 from .errors import InternalCheckError, UsageError
+from .value import Value
 
 
-@dataclass(frozen=True)
-class CoeffField:
+class CoeffField(Value):
     """The rationals (char == 0) or the prime field F_char."""
 
-    char: int
+    __slots__ = ("char",)
 
-    def __post_init__(self) -> None:
-        if self.char != 0 and not is_prime(self.char):
-            raise UsageError(f"coefficient field characteristic {self.char} is not prime")
+    def __init__(self, char: int) -> None:
+        object.__setattr__(self, "char", char)
+        if char != 0 and not is_prime(char):
+            raise UsageError(f"coefficient field characteristic {str(char)[:24]} is not prime")
 
     @property
     def name(self) -> str:
@@ -78,8 +78,7 @@ class CoeffField:
         return list(range(self.char))
 
 
-@dataclass(frozen=True)
-class CurvePoly:
+class CurvePoly(Value):
     """Dense polynomial in one variable over a coefficient field.
 
     The coefficient of x^i is nums[i] / den. Over F_p, nums are residues in
@@ -89,9 +88,12 @@ class CurvePoly:
     and degree -1.
     """
 
-    field: CoeffField
-    nums: tuple
-    den: int = 1
+    __slots__ = ("field", "nums", "den")
+
+    def __init__(self, field: CoeffField, nums: tuple, den: int = 1) -> None:
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
 
     @staticmethod
     def from_ints(field: CoeffField, nums, den: int = 1) -> "CurvePoly":
@@ -255,10 +257,10 @@ def _exact_quotient(a: list[int], b: list[int], p: int) -> list[int] | None:
 
 @cache
 def _gcd_prime(i: int) -> int:
-    """The i-th prime below 2^30, largest first, by trial division up to 2^15: unlike
-    arith.is_prime it draws on no search budget, so CUSPIDAL_BOUND cannot stop it."""
+    """The i-th prime below 2^30, largest first. arith.is_prime decides numbers this small
+    by Miller-Rabin, which draws on no search budget, so CUSPIDAL_BOUND cannot stop it."""
     c = (_gcd_prime(i - 1) if i else 2**30 + 1) - 2
-    while any(c % d == 0 for d in range(3, isqrt(c) + 1, 2)):
+    while not is_prime(c):
         c -= 2
     return c
 

@@ -16,7 +16,6 @@ vector. realize_det_class reads the index of (gen1 : gen2) as a/e, a closed form
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .arith import euler_phi
 from .errors import InternalCheckError, UsageError
@@ -31,27 +30,28 @@ from .quadideal import (
     multiplier_conductor,
 )
 from .units import fundamental_unit
+from .value import Value
 
 
-@dataclass(frozen=True)
-class GenPair:
+class GenPair(Value):
     """An ordered pair of elements that generates the given ideal."""
 
-    ideal: QIdeal
-    g1: QuadElt
-    g2: QuadElt
+    __slots__ = ("ideal", "g1", "g2")
 
-    def __post_init__(self) -> None:
-        order = self.ideal.order
-        generated = ideal_from_generators(order, [self.g1, self.g2])
-        if generated != self.ideal:
-            raise UsageError(f"({self.g1}, {self.g2}) does not generate {self.ideal}")
+    def __init__(self, ideal: QIdeal, g1: QuadElt, g2: QuadElt) -> None:
+        object.__setattr__(self, "ideal", ideal)
+        object.__setattr__(self, "g1", g1)
+        object.__setattr__(self, "g2", g2)
+        if ideal_from_generators(ideal.order, [g1, g2]) != ideal:
+            raise UsageError("the pair does not generate the stated ideal")
 
     @classmethod
     def generating(cls, order: Order, g1: QuadElt, g2: QuadElt) -> GenPair:
         """(g1, g2) with the ideal it generates, built once: nothing to check."""
         pair = object.__new__(cls)
-        pair.__dict__.update(ideal=ideal_from_generators(order, [g1, g2]), g1=g1, g2=g2)
+        object.__setattr__(pair, "ideal", ideal_from_generators(order, [g1, g2]))
+        object.__setattr__(pair, "g1", g1)
+        object.__setattr__(pair, "g2", g2)
         return pair
 
     @property
@@ -59,32 +59,29 @@ class GenPair:
         return (self.g1, self.g2)
 
 
-@dataclass(frozen=True)
-class GenVec:
+class GenVec(Value):
     """A generating vector of arbitrary length n >= 2."""
 
-    ideal: QIdeal
-    elements: tuple[QuadElt, ...]
+    __slots__ = ("ideal", "elements")
 
-    def __post_init__(self) -> None:
-        if len(self.elements) < 2:
+    def __init__(self, ideal: QIdeal, elements: tuple[QuadElt, ...]) -> None:
+        object.__setattr__(self, "ideal", ideal)
+        object.__setattr__(self, "elements", elements)
+        if len(elements) < 2:
             raise UsageError("a generating vector needs at least two entries")
-        order = self.ideal.order
-        generated = ideal_from_generators(order, list(self.elements))
-        if generated != self.ideal:
+        if ideal_from_generators(ideal.order, list(elements)) != ideal:
             raise UsageError("the vector does not generate the stated ideal")
 
 
-@dataclass(frozen=True)
-class DetClass:
+class DetClass(Value):
     """A residue in Z/modulus, the determinant class of a pair of pairs."""
 
-    value: int
-    modulus: int
+    __slots__ = ("value", "modulus")
 
-    def __post_init__(self) -> None:
-        assert self.modulus >= 1
-        object.__setattr__(self, "value", self.value % self.modulus)
+    def __init__(self, value: int, modulus: int) -> None:
+        assert modulus >= 1
+        object.__setattr__(self, "value", value % modulus)
+        object.__setattr__(self, "modulus", modulus)
 
     @property
     def is_one(self) -> bool:
@@ -95,15 +92,15 @@ class DetClass:
         return DetClass(self.value * other.value, self.modulus)
 
 
-@dataclass(frozen=True)
-class UnimodularWitness:
+class UnimodularWitness(Value):
     """A square matrix over the order, stored row-major."""
 
-    entries: tuple[tuple[QuadElt, ...], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        n = len(self.entries)
-        assert all(len(row) == n for row in self.entries)
+    def __init__(self, entries: tuple[tuple[QuadElt, ...], ...]) -> None:
+        object.__setattr__(self, "entries", entries)
+        n = len(entries)
+        assert all(len(row) == n for row in entries)
 
     @property
     def size(self) -> int:

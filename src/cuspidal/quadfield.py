@@ -9,13 +9,12 @@ pairs; nothing here ever touches floating point.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 
 from .arith import is_squarefree
 from .errors import UsageError
+from .value import Value
 
 
 class OmegaKind(Enum):
@@ -23,15 +22,18 @@ class OmegaKind(Enum):
     HALF = "half"  # omega = (1+sqrt(m))/2, omega^2 = omega + (m-1)/4, trace 1
 
 
-@dataclass(frozen=True)
-class QuadField:
-    """Descriptor of Q(sqrt(m)) for squarefree m not in {0, 1}."""
+class QuadField(Value, fields=("m",)):
+    """Descriptor of Q(sqrt(m)) for squarefree m not in {0, 1}.
 
-    m: int
+    omega_sq is (r, s) with omega^2 = r + s*omega, computed once per field."""
 
-    def __post_init__(self) -> None:
-        if self.m in (0, 1) or not is_squarefree(self.m):
-            raise UsageError(f"m must be squarefree and not 0 or 1, got {str(self.m)[:24]}")
+    __slots__ = ("m", "omega_sq")
+
+    def __init__(self, m: int) -> None:
+        object.__setattr__(self, "m", m)
+        if m in (0, 1) or not is_squarefree(m):
+            raise UsageError(f"m must be squarefree and not 0 or 1, got {str(m)[:24]}")
+        object.__setattr__(self, "omega_sq", ((m - 1) // 4, 1) if m % 4 == 1 else (m, 0))
 
     @property
     def omega_kind(self) -> OmegaKind:
@@ -49,13 +51,6 @@ class QuadField:
     @property
     def omega_trace(self) -> int:
         return 1 if self.omega_kind is OmegaKind.HALF else 0
-
-    @cached_property
-    def omega_sq(self) -> tuple[int, int]:
-        """(r, s) with omega^2 = r + s*omega, computed once per field."""
-        if self.omega_kind is OmegaKind.HALF:
-            return (self.m - 1) // 4, 1
-        return self.m, 0
 
     @property
     def zero(self) -> QuadElt:
@@ -78,13 +73,15 @@ def _same_field(x: QuadElt, y: QuadElt) -> None:
         raise UsageError(f"field mismatch: {x.field} vs {y.field}")
 
 
-@dataclass(frozen=True)
-class QuadElt:
+class QuadElt(Value):
     """Element a + b*omega of the maximal order of QuadField."""
 
-    field: QuadField
-    a: int
-    b: int
+    __slots__ = ("field", "a", "b")
+
+    def __init__(self, field: QuadField, a: int, b: int) -> None:
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def __add__(self, other: QuadElt | int) -> QuadElt:
         other = self._coerce(other)

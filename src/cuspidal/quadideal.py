@@ -23,7 +23,6 @@ rho-cycle of the principal form gives units the fundamental unit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -31,18 +30,19 @@ from .arith import divisors, factorize, sqrt_mods, xgcd
 from .config import resolve_bound
 from .errors import InconclusiveError, InternalCheckError, UsageError, ZeroIdealError
 from .quadfield import QuadElt, QuadField
+from .value import Value
 
 
-@dataclass(frozen=True)
-class Order:
+class Order(Value):
     """The order Z + Z*f*omega of conductor f >= 1 in the maximal order."""
 
-    field: QuadField
-    f: int
+    __slots__ = ("field", "f")
 
-    def __post_init__(self) -> None:
-        if self.f < 1:
-            raise UsageError(f"conductor must be >= 1, got {str(self.f)[:24]}")
+    def __init__(self, field: QuadField, f: int) -> None:
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "f", f)
+        if f < 1:
+            raise UsageError(f"conductor must be >= 1, got {str(f)[:24]}")
 
     @property
     def disc(self) -> int:
@@ -59,7 +59,7 @@ class Order:
     def coords(self, x: QuadElt) -> tuple[int, int]:
         """Coordinates over the basis (1, f*omega)."""
         if not self.contains(x):
-            raise UsageError(f"{x} is not in the order of conductor {self.f}")
+            raise UsageError(f"the element is not in the order of conductor {self.f}")
         return x.a, x.b // self.f
 
     def from_coords(self, u: int, v: int) -> QuadElt:
@@ -72,17 +72,16 @@ class Order:
         return f"Order(m={self.field.m}, f={self.f})"
 
 
-@dataclass(frozen=True)
-class QIdeal:
+class QIdeal(Value):
     """Nonzero ideal Z*a + Z*(d + e*f*omega) of `order` in standard basis."""
 
-    order: Order
-    a: int
-    d: int
-    e: int
+    __slots__ = ("order", "a", "d", "e")
 
-    def __post_init__(self) -> None:
-        a, d, e = self.a, self.d, self.e
+    def __init__(self, order: Order, a: int, d: int, e: int) -> None:
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "e", e)
         if a <= 0 or e <= 0:
             raise UsageError(f"standard basis needs a, e > 0, got a={a}, e={e}")
         if a % e or d % e:
@@ -91,10 +90,10 @@ class QIdeal:
             raise UsageError(f"standard basis needs -a/2 <= d < a/2: {(a, d, e)}")
         # closure under multiplication by f*omega makes the lattice an ideal:
         # a*f*omega = (0, a) and (d + e*f*omega)*f*omega = (e*f^2*r, d + e*f*s)
-        f = self.order.f
-        r, s = self.order.field.omega_sq
+        f = order.f
+        r, s = order.field.omega_sq
         if not (self._has(0, a) and self._has(e * f * f * r, d + e * f * s)):
-            raise UsageError(f"{(a, d, e)} is not an ideal of {self.order}")
+            raise UsageError(f"{(a, d, e)} is not an ideal of {order}")
         assert (d * d + d * e * f * s - e * e * f * f * r) % (a * e) == 0
 
     @property
@@ -129,20 +128,18 @@ class QIdeal:
         return f"<{self.gen1}, {self.gen2}> in {self.order}"
 
 
-@dataclass(frozen=True)
-class FracIdeal:
+class FracIdeal(Value):
     """Fractional ideal num/den with den a positive integer, in lowest terms."""
 
-    num: QIdeal
-    den: int
+    __slots__ = ("num", "den")
 
-    def __post_init__(self) -> None:
-        assert self.den > 0
-        g = math.gcd(math.gcd(self.num.a, self.num.d), math.gcd(self.num.e, self.den))
+    def __init__(self, num: QIdeal, den: int) -> None:
+        assert den > 0
+        g = math.gcd(math.gcd(num.a, num.d), math.gcd(num.e, den))
         if g > 1:
-            n = self.num
-            object.__setattr__(self, "num", QIdeal(n.order, n.a // g, n.d // g, n.e // g))
-            object.__setattr__(self, "den", self.den // g)
+            num, den = QIdeal(num.order, num.a // g, num.d // g, num.e // g), den // g
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __str__(self) -> str:
         return f"({self.num})/{self.den}" if self.den != 1 else str(self.num)

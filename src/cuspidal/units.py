@@ -12,26 +12,34 @@ package; everything returned is a frozen value type.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .config import resolve_bound
 from .errors import InconclusiveError, InternalCheckError, UsageError
 from .quadfield import QuadElt, QuadField
 from .quadideal import QuadForm, _rho
+from .value import Value
 
 
-@dataclass(frozen=True)
-class UnitInfo:
-    """Generators of the unit group of the order Z + Z*f*omega."""
+class UnitInfo(Value):
+    """Generators of the unit group of the order Z + Z*f*omega.
 
-    field: QuadField
-    f: int
-    fundamental: QuadElt | None  # None exactly when the field is imaginary
-    power_in_maximal: int  # fundamental = (fundamental of O_1) ** this
-    torsion_gen: QuadElt
-    torsion_order: int
-    has_norm_minus_one: bool
+    fundamental is None exactly when the field is imaginary, and equals the
+    fundamental unit of O_1 to the power power_in_maximal otherwise."""
+
+    __slots__ = ("field", "f", "fundamental", "power_in_maximal", "torsion_gen",
+                 "torsion_order", "has_norm_minus_one")
+
+    def __init__(self, field: QuadField, f: int, fundamental: QuadElt | None,
+                 power_in_maximal: int, torsion_gen: QuadElt, torsion_order: int,
+                 has_norm_minus_one: bool) -> None:
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "fundamental", fundamental)
+        object.__setattr__(self, "power_in_maximal", power_in_maximal)
+        object.__setattr__(self, "torsion_gen", torsion_gen)
+        object.__setattr__(self, "torsion_order", torsion_order)
+        object.__setattr__(self, "has_norm_minus_one", has_norm_minus_one)
 
 
 def _step_product(ts: list[int]) -> tuple[int, int, int, int]:

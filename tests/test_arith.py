@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cuspidal.arith import (
     divisors,
@@ -47,9 +47,38 @@ def test_factorization_reads_its_budget_only_past_the_free_trial_divisors(monkey
     assert factorize(10007 * 10009) == {10007: 1, 10009: 1}
 
 
+# Carmichael numbers, then the least strong pseudoprimes to the first 1, 2, 3, 4, 5, 6 and
+# 9 prime bases (OEIS A014233), then two primes past 10^9
+_PRIME_TEST_EXAMPLES = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 5394826801,
+                        2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                        3825123056546413051, 1000000007, 2147483647)
+
+
+def _examples(values):
+    def apply(test):
+        for value in values:
+            test = example(value)(test)
+        return test
+    return apply
+
+
 @given(st.integers(-5, 5000))
+@_examples(_PRIME_TEST_EXAMPLES)
 def test_is_prime_matches_factorization(n):
     assert is_prime(n) == (n >= 2 and factorize(n) == {n: 1})
+
+
+def test_is_prime_is_exact_without_a_budget_up_to_its_bound(monkeypatch):
+    # the least strong pseudoprime to the first 12 prime bases is composite, 2^61 - 1 is
+    # prime, and the least one to the first 13 bases, the bound, goes to factorize, whose
+    # trial division stops at the budget
+    monkeypatch.setenv("CUSPIDAL_BOUND", "1")
+    assert 399165290221 * 798330580441 == 318665857834031151167461
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(2**61 - 1)
+    assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
+    with pytest.raises(InconclusiveError, match="up to 10000 leaves a 25-digit cofactor"):
+        is_prime(1287836182261 * 2575672364521)
 
 
 @given(st.integers(1, 2000))

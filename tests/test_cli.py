@@ -654,6 +654,27 @@ def test_bad_coefficients_are_usage_errors_with_short_messages(capsys, argv):
     assert len(err) < 400
 
 
+_NINES = "9" * 4300
+
+
+@pytest.mark.parametrize("argv, echo", [
+    (["ideal", "norm", "--m", "5", "--f", "7", "--gens", f"{_NINES}*s"],
+     f"usage error: '{_NINES[:24]}' is not in Order(m=5, f=7)"),
+    (["pair", "det", "--m", "5", "--pair", "1; w", "--pair2", f"{_NINES}*s; {_NINES}*s"],
+     f"usage error: --pair2 '{_NINES[:24]}' does not generate the ideal of --pair"),
+], ids=["element-outside-the-order", "pair-outside-the-ideal"])
+def test_rejected_elements_past_the_print_limit_are_echoed_cut(capsys, argv, echo):
+    # over omega the s-coefficient doubles to 4,301 digits, one past the print limit
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        code, out, err = _run(capsys, argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 1 and out == ""
+    assert err == echo + "\n" and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["ideal", "norm", "--m", "5", "--gens", "1 + " + "y" * 5000 + "; 2"],
     ["ideal", "norm", "--m", "5", "--gens", "y" * 5000 + "+; 2"],
@@ -682,8 +703,9 @@ _LONG = "9" * 3000
     (None, ["selftest", "--max-f", "-" + _LONG]),
     (None, ["ideal", "norm", "--m", "4" + "0" * 3999, "--gens", "1"]),
     (None, ["unit", "--m", "2", "--f=-" + _LONG]),
+    (None, ["curve", "reduce", "--n", "5", "--field", f"f{2**9966}", "--gens", "1; x^3"]),
 ], ids=["field", "bound-env", "bound-flag", "curve-n", "argparse-int", "argparse-choice",
-        "conductor", "max-f", "squarefree", "unit-conductor"])
+        "conductor", "max-f", "squarefree", "unit-conductor", "field-characteristic"])
 def test_long_rejected_values_are_not_echoed_whole(capsys, monkeypatch, env, argv):
     if env is not None:
         monkeypatch.setenv("CUSPIDAL_BOUND", env)

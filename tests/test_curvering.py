@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -702,6 +703,21 @@ def test_rational_contents_at_scale(capsys):
     nums[1::2] = [(-100000) ** k for k in range(500)]
     assert result == {"content": "1", "p": str(CurvePoly.from_ints(Q, nums)), "q": "x^1000",
                       "nu": "1000"}
+
+
+def test_colon_certificate_of_a_long_p_takes_no_product(capsys):
+    """p = 1 + x/(1 + 100000*x^2) below x^2000 has coefficients of up to 4,996 digits;
+    forming p(x)p(-x) for the certificate of h* took 13 s of the 13.3 s of this command."""
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        start = time.monotonic()
+        code = main(["curve", "reduce", "--n", "2001", "--gens", "1 + 100000*x^2 + x; x^2000"])
+        assert time.monotonic() - start < 5.0
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("inconclusive: a coefficient of p has 4996 digits")
 
 
 def test_planted_rational_ideal_at_n2001_reduces_in_15_seconds():

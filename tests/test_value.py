@@ -1,0 +1,116 @@
+"""The frozen value types: what importing them costs, and the contract they
+keep with the frozen dataclasses they replaced (immutability, equality and
+hashing by the field tuple, the dataclass repr)."""
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from cuspidal import (
+    CoeffField,
+    CurveFitt,
+    CurveIdeal,
+    CurveOrder,
+    CurvePoly,
+    CuspBreakdown,
+    CuspTerm,
+    DetClass,
+    FracIdeal,
+    GenPair,
+    GenVec,
+    Order,
+    PicSize,
+    QIdeal,
+    QuadElt,
+    QuadField,
+    UnimodularWitness,
+    UnitInfo,
+    curve_ideal_from_generators,
+    parse_curve_poly,
+)
+
+
+def test_importing_the_cli_loads_no_code_generation_modules():
+    # -S keeps site-packages' start-up imports out of what is measured
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, cuspidal.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+_F = QuadField(-5)
+_O = Order(_F, 3)
+_ONE, _GEN = QuadElt(_F, 1, 0), QuadElt(_F, 0, 3)
+_PIC = PicSize(_O, 2, "conductor-formula")
+_Q = CoeffField(0)
+
+# class, the fields in declaration order, and a maker of one sample
+SAMPLES = [
+    (QuadField, ("m",), lambda: QuadField(-5)),
+    (QuadElt, ("field", "a", "b"), lambda: QuadElt(_F, 1, 2)),
+    (Order, ("field", "f"), lambda: Order(_F, 3)),
+    (QIdeal, ("order", "a", "d", "e"), lambda: QIdeal(_O, 1, 0, 1)),
+    (FracIdeal, ("num", "den"), lambda: FracIdeal(QIdeal(_O, 2, 0, 2), 4)),
+    (PicSize, ("order", "h", "method"), lambda: PicSize(_O, 2, "conductor-formula")),
+    (UnitInfo, ("field", "f", "fundamental", "power_in_maximal", "torsion_gen",
+                "torsion_order", "has_norm_minus_one"),
+     lambda: UnitInfo(_F, 3, None, 1, QuadElt(_F, -1, 0), 2, False)),
+    (CuspTerm, ("f_prime", "n0", "phi", "halved", "pic"), lambda: CuspTerm(1, 3, 2, False, _PIC)),
+    (CuspBreakdown, ("order", "terms"),
+     lambda: CuspBreakdown(_O, (CuspTerm(1, 3, 2, False, _PIC),))),
+    (GenPair, ("ideal", "g1", "g2"), lambda: GenPair(QIdeal(_O, 1, 0, 1), _ONE, _GEN)),
+    (GenVec, ("ideal", "elements"), lambda: GenVec(QIdeal(_O, 1, 0, 1), (_ONE, _GEN, _GEN))),
+    (DetClass, ("value", "modulus"), lambda: DetClass(5, 3)),
+    (UnimodularWitness, ("entries",),
+     lambda: UnimodularWitness(((_ONE, QuadElt(_F, 0, 0)), (QuadElt(_F, 0, 0), _ONE)))),
+    (CoeffField, ("char",), lambda: CoeffField(5)),
+    (CurvePoly, ("field", "nums", "den"), lambda: CurvePoly(_Q, (1, 0, 3), 2)),
+    (CurveIdeal, ("field", "n", "content", "p", "q", "nu"),
+     lambda: curve_ideal_from_generators(
+         _Q, 7, [parse_curve_poly(_Q, t) for t in ("1 + x + x^2", "x^3")])),
+    (CurveFitt, ("field", "n", "exponent"), lambda: CurveFitt(_Q, 7, 2)),
+    (CurveOrder, ("field", "n", "nu"), lambda: CurveOrder(_Q, 7, 4)),
+]
+
+
+@pytest.mark.parametrize("cls, fields, make", SAMPLES, ids=[s[0].__name__ for s in SAMPLES])
+def test_value_type_contract(cls, fields, make):
+    a, b = make(), make()
+    assert type(a) is cls and a is not b
+    values = tuple(getattr(a, name) for name in fields)
+    assert a == b and not a != b
+    assert hash(a) == hash(b) == hash(values)
+    for name in (*fields, "undeclared"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert tuple(getattr(a, name) for name in fields) == values
+    twin = type("Twin", (cls,), {})(*values)
+    assert tuple(getattr(twin, name) for name in fields) == values
+    assert a != twin and twin != a
+    assert pickle.loads(pickle.dumps(a)) == a == copy.copy(a)
+
+
+def test_reprs_keep_the_dataclass_format():
+    assert repr(QuadElt(_F, 1, 2)) == "QuadElt(field=QuadField(-5), a=1, b=2)"
+    assert repr(CurvePoly(_Q, (1, 0, 3), 2)) == (
+        "CurvePoly(field=CoeffField(char=0), nums=(1, 0, 3), den=2)")
+    assert repr(DetClass(5, 3)) == "DetClass(value=2, modulus=3)"
+
+
+def test_the_unchecked_pair_equals_the_checked_one():
+    order = Order(_F, 1)
+    g1, g2 = QuadElt(_F, 3, 0), QuadElt(_F, 1, 1)
+    pair = GenPair.generating(order, g1, g2)
+    assert pair == GenPair(pair.ideal, g1, g2)
+    assert hash(pair) == hash(GenPair(pair.ideal, g1, g2))
