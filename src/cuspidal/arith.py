@@ -48,10 +48,9 @@ _MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin on the bases _MR_BASES below _MR_EXACT_BELOW, which
-    draws on no search budget; larger n go to the budgeted factorize."""
-    if n >= _MR_EXACT_BELOW:
-        return factorize(n) == {n: 1}
+    """Miller-Rabin on the bases _MR_BASES, deterministic below _MR_EXACT_BELOW and
+    drawing on no search budget; only larger n that pass every round go to the
+    budgeted factorize."""
     if n < 2 or any(n % p == 0 for p in _MR_BASES):
         return n in _MR_BASES
     odd, s = n - 1, 0
@@ -66,7 +65,7 @@ def is_prime(n: int) -> bool:
                     break
             else:
                 return False
-    return True
+    return n < _MR_EXACT_BELOW or factorize(n) == {n: 1}
 
 
 def factorize(n: int) -> dict[int, int]:

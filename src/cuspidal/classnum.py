@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from .arith import factorize
 from .config import resolve_bound
-from .errors import InternalCheckError
+from .errors import check
 from .quadfield import QuadField
 from .quadideal import Order, canonical_form, reduced_forms
 from .units import unit_index
@@ -59,8 +59,5 @@ def picard_order(order: Order, bound: int | None = None) -> PicSize:
     for p, k in factorize(f).items():
         num *= p ** (k - 1) * (p - _kronecker_at_prime(field.disc_max, p))
     den = unit_index(field, f, 1)
-    if num % den:
-        raise InternalCheckError(
-            f"conductor formula is not integral for {order}: {num}/{den}"
-        )
+    check(num % den == 0, "conductor formula is not integral for {}: {}/{}", order, num, den)
     return PicSize(order, num // den, "conductor-formula")

@@ -4,7 +4,9 @@ Every subcommand prints either plain text or, with --json, a single
 object {"schema": 1, "command", "inputs", "result", "assertions"} in
 which integers are rendered as decimal strings. Exit codes: 0 success,
 1 usage errors, 2 search bounds exhausted, 3 a verified-on-the-spot
-identity failed.
+identity failed. The assertions are the named checks (errors.check) that
+passed during the run, read from the ledger that main opens; a failed check
+exits 3 before any report is printed.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .curvering import (
     curve_multiplier_ring,
     curve_unit_group_order,
 )
-from .errors import InconclusiveError, InternalCheckError, UsageError
+from .errors import InconclusiveError, UsageError, check, ledger
 from .fieldpoly import MAX_EXPONENT, CoeffField, CurvePoly, parse_curve_poly
 from .genpairs import (
     GenPair,
@@ -42,7 +44,7 @@ from .quadfield import QuadElt, QuadField, parse_element
 from .quadideal import (
     Order,
     QIdeal,
-    _fitt1,
+    fitt1,
     ideal_from_generators,
     ideal_inverse,
     ideal_mul,
@@ -110,17 +112,17 @@ def _witness_lines(witness) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# handlers: each returns (inputs, result, assertions, lines)
+# handlers: each returns (inputs, result, lines); the assertions come from the ledger
 
 
 def _cmd_cusps(args):
     order = _order_of(args)
     bound = resolve_bound(args.bound)
     breakdown = cusp_count(order, bound=bound)
-    assertions = []
     if not args.no_check:
         direct = cusp_count_direct(order, bound=bound)
-        assertions.append(("direct-count-agreement", direct == breakdown.total))
+        check(direct == breakdown.total, "the direct count {} differs from the formula's {}",
+              direct, breakdown.total, name="direct-count-agreement")
     inputs = {"m": _s(args.m), "f": _s(args.f)}
     result = {
         "total": _s(breakdown.total),
@@ -143,21 +145,21 @@ def _cmd_cusps(args):
             f"  f'={t.f_prime}: phi({t.n0}){half} * Pic = {t.phi}{half} * {t.pic.h}"
             f" = {t.contribution}"
         )
-    return inputs, result, assertions, lines
+    return inputs, result, lines
 
 
 def _cmd_pic(args):
     order = _order_of(args)
     bound = resolve_bound(args.bound)
     pic = picard_order(order, bound=bound)
-    assertions = []
     if args.brute:
         other = brute_force_pic(order, bound=bound)
-        assertions.append(("enumeration-agreement", other.h == pic.h))
+        check(other.h == pic.h, "class enumeration finds {} classes, the formula {}",
+              other.h, pic.h, name="enumeration-agreement")
     inputs = {"m": _s(args.m), "f": _s(args.f)}
     result = {"h": _s(pic.h), "method": pic.method}
     lines = [f"|Pic({order})| = {pic.h}  ({pic.method})"]
-    return inputs, result, assertions, lines
+    return inputs, result, lines
 
 
 def _cmd_unit(args):
@@ -188,13 +190,12 @@ def _cmd_unit(args):
         idx = unit_index(field, args.f)
         result["index_in_maximal"] = _s(idx)
         lines.append(f"index of the unit group in the maximal order's: {idx}")
-    return inputs, result, [], lines
+    return inputs, result, lines
 
 
 def _cmd_ideal(args):
     order, gens, ideal = _ideal_of(args)
     inputs = {"m": _s(args.m), "f": _s(args.f), "gens": [_s(g) for g in gens]}
-    assertions = []
     if args.ideal_op == "std-basis":
         result = _ideal_dict(ideal)
         lines = [f"standard basis of <{args.gens}> in {order}:",
@@ -204,10 +205,7 @@ def _cmd_ideal(args):
         result = {"norm": _s(ideal.norm())}
         lines = [f"norm = {ideal.norm()}"]
     elif args.ideal_op == "fitt1":
-        f_prime = multiplier_conductor(ideal)
-        fitting = _fitt1(ideal, f_prime)
-        assertions.append(("fitting-norm-is-conductor-quotient",
-                           fitting.norm() == order.f // f_prime))
+        fitting = fitt1(ideal)
         result = _ideal_dict(fitting)
         lines = [f"Fitt_1 = I * I^(-1) = Z*{fitting.gen1} + Z*({fitting.gen2})",
                  f"  norm {fitting.norm()}"]
@@ -215,7 +213,8 @@ def _cmd_ideal(args):
         inv = ideal_inverse(ideal)
         product = ideal_mul(ideal, inv.num)
         closed = QIdeal(order, order.f // multiplier_conductor(ideal), 0, 1)  # Z*(f/f') + Z*f*w
-        assertions.append(("product-is-fitting-ideal", product == closed.scaled(inv.den)))
+        check(product == closed.scaled(inv.den), "I * I^(-1) = {} / {} is not Fitt_1",
+              product, inv.den, name="product-is-fitting-ideal")
         result = {"num": _ideal_dict(inv.num), "den": _s(inv.den)}
         lines = [f"I^(-1) = ({inv.num.gen1}, {inv.num.gen2}) / {inv.den}"]
     else:  # mult-ring
@@ -236,7 +235,7 @@ def _cmd_ideal(args):
             f"epsilon subgroup mod n0: {{{', '.join(str(r) for r in eps)}}}",
             f"generating-pair orbits: {sl2} under SL2 x units, {gl2} under GL2",
         ]
-    return inputs, result, assertions, lines
+    return inputs, result, lines
 
 
 def _two_elements(order: Order, text: str, flag: str) -> list:
@@ -258,10 +257,8 @@ def _cmd_pair(args):
         "pair": [_s(g) for g in (pair.g1, pair.g2)],
         "pair2": [_s(g) for g in (other.g1, other.g2)],
     }
-    assertions = []
     if args.pair_op == "det":
         cls = det_pair(pair, other)
-        assertions.append(("class-invariance-under-resolve", True))
         result = {"value": _s(cls.value), "modulus": _s(cls.modulus)}
         lines = [f"det class of the change of generators: {cls.value} mod {cls.modulus}"]
     elif args.pair_op == "equiv":
@@ -272,12 +269,10 @@ def _cmd_pair(args):
         lines = [f"{verdict}  (det class {cls.value} mod {cls.modulus})"]
     else:  # witness
         witness = sl2_witness(pair, other)
-        assertions.append(("determinant-is-one", True))
-        assertions.append(("witness-maps-pair-to-pair2", True))
         result = {"matrix": _witness_dict(witness)}
         lines = ["SL2 witness (row vector convention, pair @ B = pair2):"]
         lines += ["  " + ln for ln in _witness_lines(witness)]
-    return inputs, result, assertions, lines
+    return inputs, result, lines
 
 
 def _cmd_vec(args):
@@ -291,12 +286,10 @@ def _cmd_vec(args):
         "pair": [_s(pair.g1), _s(pair.g2)],
         "matrix": _witness_dict(witness),
     }
-    assertions = [("witness-determinant-one", True),
-                  ("tail-entries-vanish", True)]
     lines = [f"reduced pair: ({pair.g1}; {pair.g2})",
              "unimodular witness (vec @ sigma = (pair, 0, ..., 0)):"]
     lines += ["  " + ln for ln in _witness_lines(witness)]
-    return inputs, result, assertions, lines
+    return inputs, result, lines
 
 
 def _cmd_curve(args):
@@ -304,8 +297,6 @@ def _cmd_curve(args):
     gens = [parse_curve_poly(field, p) for p in args.gens.split(";") if p.strip()]
     ideal = curve_ideal_from_generators(field, args.n, gens)
     inputs = {"n": _s(args.n), "field": args.field, "gens": [_s(g, "a generator") for g in gens]}
-    assertions = [("canonical-pair-spans-the-module", True),
-                  ("colon-valuation-matches-nu", True)]
     if args.curve_op == "reduce":
         result = {k: _s(getattr(ideal, k), f"a coefficient of {k}") for k in ("content", "p", "q")}
         result["nu"] = _s(ideal.nu)
@@ -315,12 +306,10 @@ def _cmd_curve(args):
                  f"  nu = {ideal.nu}"]
     elif args.curve_op == "fitt1":
         fitting = curve_fitt1(ideal)
-        assertions.append(("fitting-closed-form-verified", True))
         result = {"exponent": _s(fitting.exponent), "module": str(fitting)}
         lines = [f"Fitt_1 = {fitting}"]
     elif args.curve_op == "mult-ring":
         ring = curve_multiplier_ring(ideal)
-        assertions.append(("stability-window-verified", True))
         result = {"nu": _s(ring.nu), "ring": str(ring)}
         lines = [f"multiplier ring: {ring}"]
     else:  # units
@@ -331,33 +320,32 @@ def _cmd_curve(args):
         result = {"count": _s(count, "the unit count"), "nu": _s(ideal.nu)}
         if field.char ** k <= 4000:
             brute = curve_unit_group_brute(field, args.n, ideal.nu)
-            assertions.append(("brute-force-agreement", brute == count))
+            check(brute == count, "enumeration finds {} units, the formula {}", brute, count,
+                  name="brute-force-agreement")
         lines = [f"|(R/Fitt_1)^x| over {field.name}: {result['count']}"]
-    return inputs, result, assertions, lines
+    return inputs, result, lines
 
 
 def _cmd_selftest(args):
     if args.max_f < 1:
         raise UsageError(f"--max-f must be at least 1, got {str(args.max_f)[:24]}")
     lines = []
-    checks = []
     t0 = time.time()
     for m in (-1, -2, -3, -5, -7, -11, -15, 2, 3, 5, 6, 7):
         field = QuadField(m)
         h = class_number_maximal(field).h
         total = cusp_count(Order(field, 1)).total
-        checks.append((f"maximal-order-count-m={m}", total == h))
+        check(total == h, "the cusp count {} of Q(sqrt({})) differs from h = {}", total, m, h,
+              name=f"maximal-order-count-m={m}")
     t1 = time.time()
     lines.append(f"maximal orders: cusp count equals class number  [{t1 - t0:.2f}s]")
-    grid_ok = True
     for m in (-1, -2, -3, -5, 2, 3, 5):
         field = QuadField(m)
         for f in range(1, args.max_f + 1):
             order = Order(field, f)
-            if cusp_count(order).total != cusp_count_direct(order):
-                grid_ok = False
-                checks.append((f"grid-m={m}-f={f}", False))
-    checks.append(("formula-vs-enumeration-grid", grid_ok))
+            total, direct = cusp_count(order).total, cusp_count_direct(order)
+            check(total == direct, "the cusp count {} of {} differs from the direct count {}",
+                  total, order, direct, name="formula-vs-enumeration-grid")
     t2 = time.time()
     lines.append(
         f"formula vs direct enumeration, 7 fields x f <= {args.max_f}  [{t2 - t1:.2f}s]"
@@ -368,35 +356,34 @@ def _cmd_selftest(args):
         ideal = curve_ideal_from_generators(q_field, n, gens)
         curve_fitt1(ideal)
         curve_multiplier_ring(ideal)
-        checks.append((f"curve-n={n}-({text})", ideal.nu == nu))
+        check(ideal.nu == nu, "nu = {} for ({}) at n = {}, expected {}", ideal.nu, text, n, nu,
+              name=f"curve-n={n}-({text})")
     f5 = CoeffField(5)
     for n in (3, 5, 7):
         for nu in range(0, n, 2):
-            ok = curve_unit_group_order(f5, n, nu) == curve_unit_group_brute(f5, n, nu)
-            checks.append((f"curve-units-n={n}-nu={nu}", ok))
+            count, brute = curve_unit_group_order(f5, n, nu), curve_unit_group_brute(f5, n, nu)
+            check(count == brute, "{} units by the formula, {} by enumeration", count, brute,
+                  name=f"curve-units-n={n}-nu={nu}")
     t3 = time.time()
     lines.append(f"curve ring invariants and unit counts  [{t3 - t2:.2f}s]")
-    failed = [name for name, ok in checks if not ok]
-    lines.append(
-        f"selftest: {len(checks) - len(failed)}/{len(checks)} checks passed"
-        f" in {t3 - t0:.2f}s"
-    )
-    return {"max_f": _s(args.max_f)}, {"checks": _s(len(checks)),
-                                       "failed": [n for n in failed]}, checks, lines
+    # a failed check exits 3 before any report, so every check counted here passed
+    checks = len(ledger.get())
+    lines.append(f"selftest: {checks}/{checks} checks passed in {t3 - t0:.2f}s")
+    return {"max_f": _s(args.max_f)}, {"checks": _s(checks), "failed": []}, lines
 
 
 def _cmd_help(args):
     """Usage of the program, or of args.command with its operation and flags."""
     if args.command is None:
         rows = [f"  {name:<9} {spec[1]}" for name, spec in _COMMANDS.items()]
-        return None, None, [], ["usage: cuspidal COMMAND [--help | flags]", "commands:", *rows]
+        return None, None, ["usage: cuspidal COMMAND [--help | flags]", "commands:", *rows]
     _, text, op, choices, flags = _COMMANDS[args.command]
     lines = [f"usage: cuspidal {args.command} " + (f"{{{','.join(choices)}}} " if op else "")
              + "[--flag value | --flag=value ...]", "", text, "", "flags:"]
     for flag, (kind, default, required, about) in flags.items():
         note = " (required)" if required else f" (default {default})" if kind and default else ""
         lines.append(f"  {flag + (f' {flag[2:].upper()}' if kind else ''):<14} {about}{note}")
-    return None, None, [], lines
+    return None, None, lines
 
 
 # ---------------------------------------------------------------------------
@@ -511,36 +498,37 @@ def _json(obj, indent: str = "\n") -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
+    names: dict[str, None] = {}
+    token = ledger.set(names)
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
-        inputs, result, assertions, lines = args.handler(args)
+        inputs, result, lines = args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except InconclusiveError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 2
-    except (InternalCheckError, AssertionError) as exc:
+    except AssertionError as exc:  # an InternalCheckError or a bare assert
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 3
+    finally:
+        ledger.reset(token)
     if getattr(args, "json", False):
         payload = {
             "schema": 1,
             "command": args.command,
             "inputs": inputs,
             "result": result,
-            "assertions": [
-                {"name": name, "status": "pass" if ok else "fail"}
-                for name, ok in assertions
-            ],
+            "assertions": [{"name": name, "status": "pass"} for name in names],
         }
         print(_json(payload))
     else:
         for line in lines:
             print(line)
-        for name, ok in assertions:
-            print(f"[{'pass' if ok else 'FAIL'}] {name}")
-    return 0 if all(ok for _, ok in assertions) else 3
+        for name in names:
+            print(f"[pass] {name}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ W = K[t](1, beta) + K[t](0, t^s): nu = 2s, p = 1 + x*(beta mod t^s) and
 q = x^(nu+1) (x^(n-1) or 0 at s = m). These are truncated power series on
 plain ints: residues mod p, or over Q numerators after t -> a_i(0)*t, which
 makes every divisor start with 1 and every quotient integral. Each step is
-certified on the spot, raising InternalCheckError:
+certified on the spot by errors.check:
   - a_i*beta = b_i, so (1, beta) lies in W;
   - the least residual is t^s*u with u*u^-1 = 1, so (0, t^s) lies in W;
   - b_j = a_j*beta mod t^s for every j, so each generator is a_j*p + d_j*q
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from .errors import InternalCheckError, UsageError, ZeroIdealError
+from .errors import UsageError, ZeroIdealError, check
 from .fieldpoly import CoeffField, CurvePoly, gcd_cofactors
 from .value import Value
 
@@ -101,28 +101,25 @@ def _canonical_pair(field: CoeffField, n: int, reduced: list[CurvePoly]) -> tupl
     p, m = field.char, (n - 1) // 2
     rows = [_halves(g, n) for g in reduced]
     i = next((j for j, (a, _) in enumerate(rows) if a[0]), None)
-    if i is None:
-        raise InternalCheckError("content-free module has no unit-valuation element")
+    check(i is not None, "content-free module has no unit-valuation element")
     a0 = rows[i][0][0]
     unit, sigma = _monic(rows[i][0], p)
     rows = [(_subst(a, sigma), _subst(b, sigma)) for a, b in rows] if sigma != 1 else rows
     beta = _div(rows[i][1], unit, m, p)  # a0 times beta(sigma*t)
-    if _mul(unit, beta, m, p) != rows[i][1]:
-        raise InternalCheckError("a_i * beta differs from b_i")
+    check(_mul(unit, beta, m, p) == rows[i][1], "a_i * beta differs from b_i")
     residuals = [_reduce([a0 * y - z for y, z in zip(b, _mul(a, beta, m, p))], p)
                  for j, (a, b) in enumerate(rows) if j != i]
     vals = [_valuation(r) for r in residuals]
     s = min(vals, default=m)
     if s < m:
         u = residuals[vals.index(s)][s:]
-        if not u[0]:
-            raise InternalCheckError("residual of least valuation has a higher valuation")
+        check(u[0], "residual of least valuation has a higher valuation")
         u = _monic(u, p)[0]
-        if _mul(u, _div([1], u, m - s, p), m - s, p) != [1] + [0] * (m - s - 1):
-            raise InternalCheckError("residual of least valuation is not t^s times a unit")
+        check(_mul(u, _div([1], u, m - s, p), m - s, p) == [1] + [0] * (m - s - 1),
+              "residual of least valuation is not t^s times a unit")
     head = beta[:s]
-    if any(_mul(a, head, s, p) != _reduce([a0 * y for y in b[:s]], p) for a, b in rows):
-        raise InternalCheckError("a generator lies outside K[t]*p + K[t]*q")
+    check(all(_mul(a, head, s, p) == _reduce([a0 * y for y in b[:s]], p) for a, b in rows),
+          "a generator lies outside K[t]*p + K[t]*q", name="canonical-pair-spans-the-module")
     # the coefficient of x^(2k+1) in p is beta_k / (a0 * sigma^k), over a0 * sigma^(s-1)
     den = a0 * sigma ** (s - 1) if s else 1
     nums = [den] + [0] * (2 * s - 1)
@@ -192,16 +189,16 @@ def curve_ideal_from_generators(field: CoeffField, n: int, gens: list[CurvePoly]
         raise ZeroIdealError("all generators are zero")
     content, cofactors = gcd_cofactors(live)
     p, s = _canonical_pair(field, n, cofactors)
-    if not p.nums[0]:
-        raise InternalCheckError("canonical pair is not coprime")
+    check(p.nums[0], "canonical pair is not coprime")
     ideal = CurveIdeal(field, n, content, p, _canonical_q(field, n, p, 2 * s), 2 * s)
     _colon_generator(ideal)
     return ideal
 
 
-def _colon_generator(ideal: CurveIdeal) -> CurvePoly:
+def _colon_generator(ideal: CurveIdeal, name: str = "colon-valuation-matches-nu") -> CurvePoly:
     """h* = x^(n-1-nu)*p(-x), certified: (R : I) = R*h* + x^(n-1)K[x]. Modulo
-    the conductor h*p must be t^k times a unit inside R, and h*q must vanish.
+    the conductor h*p must be t^k times a unit inside R, and h*q must vanish;
+    the second check is recorded under `name`.
 
     h*p = x^(n-1-nu)*p(x)p(-x), so the first holds when p(x)p(-x) is even with a
     nonzero constant. On the numerators, p = den + o(x) with o odd exactly when
@@ -209,12 +206,12 @@ def _colon_generator(ideal: CurveIdeal) -> CurvePoly:
     (den + o)(den - o) = den^2 - o^2, even with constant den^2 != 0. So that
     shape is checked in O(nu), not the product. q is a monomial."""
     field, n, nu, p, q = ideal.field, ideal.n, ideal.nu, ideal.p, ideal.q
-    if p.nums[:1] != (p.den,) or any(p.nums[2::2]):
-        raise InternalCheckError(f"h*p is not x^{n - 1 - nu} times a unit of the ring")
+    check(p.nums[:1] == (p.den,) and not any(p.nums[2::2]),
+          "h*p is not x^{} times a unit of the ring", n - 1 - nu)
     conj = [-x if j % 2 else x for j, x in enumerate(p.nums)]
     h = CurvePoly.from_ints(field, conj, p.den).shift(n - 1 - nu)
-    if any(map(any, _halves(q if q.is_zero else h.shift(q.degree), n))):
-        raise InternalCheckError("h*q escapes the conductor")
+    check(not any(map(any, _halves(q if q.is_zero else h.shift(q.degree), n))),
+          "h*q escapes the conductor", name=name)
     return h
 
 
@@ -243,7 +240,7 @@ class CurveFitt(Value):
 def curve_fitt1(ideal: CurveIdeal) -> CurveFitt:
     """First Fitting ideal I*(R : I) = R*h*p + R*h*q + C of the content-free
     part, which the certificate of h* makes x^(n-1-nu)K[x^2] + C."""
-    _colon_generator(ideal)
+    _colon_generator(ideal, "fitting-closed-form-verified")
     return CurveFitt(ideal.field, ideal.n, ideal.n - 1 - ideal.nu)
 
 
@@ -270,10 +267,11 @@ def curve_multiplier_ring(ideal: CurveIdeal) -> CurveOrder:
     multiplies p and q into the module and x^(nu-1) does not (when nu >= 2), checked.
     x^(2j+1)*(1, beta) = t^j*(t*beta, 1) is in W iff t^j*(1 - t*beta^2) = 0 mod t^s."""
     nu, gens = ideal.nu, (ideal.p, ideal.q)
-    if not all(ideal._in_module(g.shift(nu + 1)) for g in gens):
-        raise InternalCheckError(f"x^{nu + 1} does not multiply the module into itself")
-    if nu >= 2 and all(ideal._in_module(g.shift(nu - 1)) for g in gens):
-        raise InternalCheckError(f"x^{nu - 1} multiplies the module; nu is too large")
+    check(all(ideal._in_module(g.shift(nu + 1)) for g in gens),
+          "x^{} does not multiply the module into itself", nu + 1)
+    check(nu < 2 or not all(ideal._in_module(g.shift(nu - 1)) for g in gens),
+          "x^{} multiplies the module; nu is too large", nu - 1,
+          name="stability-window-verified")
     return CurveOrder(ideal.field, ideal.n, nu)
 
 

@@ -18,7 +18,7 @@ from itertools import count, zip_longest
 from math import gcd, lcm
 
 from .arith import is_prime, primitive_part
-from .errors import InternalCheckError, UsageError
+from .errors import UsageError, check
 from .value import Value
 
 
@@ -296,8 +296,7 @@ def gcd_cofactors(polys: list[CurvePoly]) -> tuple[CurvePoly, list[CurvePoly]]:
         c = crt if char else primitive_part([r - modulus if 2 * r > modulus else r for r in crt])
         if None not in (quots := [_exact_quotient(a, c, char) for a in rows]):
             break
-    if None in quots:
-        raise InternalCheckError("the content does not divide a generator")
+    check(None not in quots, "the content does not divide a generator")
     cofactors = iter(CurvePoly.from_ints(field, [x * k * c[-1] for x in q], g.den)
                      for q, k, g in zip(quots, scales, live))
     return CurvePoly.from_ints(field, c, c[-1]), [next(cofactors) if g.nums else g for g in polys]

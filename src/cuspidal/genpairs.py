@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from .arith import euler_phi
-from .errors import InternalCheckError, UsageError
+from .errors import UsageError, check
 from .quadfield import QuadElt
 from .quadideal import (
     Order,
@@ -157,12 +157,10 @@ def _solve_in_pair(pair: GenPair, system: _Echelon2, target: QuadElt) -> tuple[Q
     """Coefficients (x, y) in the order with g1*x + g2*y = target."""
     order = pair.ideal.order
     sol = system.solve(target.a, target.b)
-    if sol is None:
-        raise InternalCheckError(f"{target} is not reachable from {pair.elements}")
+    check(sol is not None, "{} is not reachable from {}", target, pair.elements)
     x = order.from_coords(sol[0], sol[1])
     y = order.from_coords(sol[2], sol[3])
-    if pair.g1 * x + pair.g2 * y != target:
-        raise InternalCheckError(f"coefficients {(x, y)} do not reach {target}")
+    check(pair.g1 * x + pair.g2 * y == target, "coefficients {} do not reach {}", (x, y), target)
     return x, y
 
 
@@ -183,16 +181,15 @@ def _transition(pair: GenPair, other: GenPair) -> tuple[list[list[QuadElt]], Det
     (x1, y1), (x2, y2) = (_solve_in_pair(pair, system, h) for h in other.elements)
     mat = [[x1, x2], [y1, y2]]
     cls = DetClass(order.coords(_det2(mat))[0], n0)
-    if math.gcd(cls.value, n0) != 1:
-        raise InternalCheckError(f"determinant residue {cls.value} mod {n0} not a unit")
+    check(math.gcd(cls.value, n0) == 1, "determinant residue {} mod {} not a unit", cls.value, n0)
     for kern in system.kernel:
         dx = order.from_coords(kern[0], kern[1])
         dy = order.from_coords(kern[2], kern[3])
-        if pair.g1 * dx + pair.g2 * dy != order.field.zero:
-            raise InternalCheckError(f"{(dx, dy)} is not a relation of {pair.elements}")
+        check(pair.g1 * dx + pair.g2 * dy == order.field.zero,
+              "{} is not a relation of {}", (dx, dy), pair.elements)
         alt = [[x1 + dx, x2], [y1 + dy, y2]]
-        if order.coords(_det2(alt))[0] % n0 != cls.value:
-            raise InternalCheckError("determinant class depends on the lift")
+        check(order.coords(_det2(alt))[0] % n0 == cls.value,
+              "determinant class depends on the lift", name="class-invariance-under-resolve")
     return mat, cls
 
 
@@ -211,8 +208,7 @@ def is_sl2_equivalent(pair: GenPair, other: GenPair) -> bool:
 
 
 def _divide_exact(elt: QuadElt, c: int) -> QuadElt:
-    if elt.a % c or elt.b % c:
-        raise InternalCheckError(f"{elt} is not divisible by {c}")
+    check(elt.a % c == 0 and elt.b % c == 0, "{} is not divisible by {}", elt, c)
     return QuadElt(elt.field, elt.a // c, elt.b // c)
 
 
@@ -232,8 +228,8 @@ def sl2_witness(pair: GenPair, other: GenPair) -> UnimodularWitness:
     if not cls.is_one:
         raise UsageError(f"pairs are not SL2-equivalent, class {cls.value} mod {cls.modulus}")
     t = field.one - _det2(mat)
-    if not _fitt1(pair.ideal, order.f // cls.modulus).contains(t):
-        raise InternalCheckError(f"1 - det A = {t} is not in Fitt_1")
+    check(_fitt1(pair.ideal, order.f // cls.modulus).contains(t),
+          "1 - det A = {} is not in Fitt_1", t)
 
     conj = pair.ideal.conjugate()
     c = pair.ideal.norm()
@@ -241,12 +237,11 @@ def sl2_witness(pair: GenPair, other: GenPair) -> UnimodularWitness:
     basis = (conj.gen1, conj.gen2)
     cols = [g * other.g2 for g in basis] + [-(g * other.g1) for g in basis]
     sol = _echelon2([p.a for p in cols], [p.b for p in cols]).solve(scaled_t.a, scaled_t.b)
-    if sol is None:
-        raise InternalCheckError("correction equation has no solution over sigma(I)^2")
+    check(sol is not None, "correction equation has no solution over sigma(I)^2")
     rho = basis[0] * sol[0] + basis[1] * sol[1]
     sigma = basis[0] * sol[2] + basis[1] * sol[3]
-    if rho * other.g2 - sigma * other.g1 != scaled_t:
-        raise InternalCheckError("correction equation solution does not check")
+    check(rho * other.g2 - sigma * other.g1 == scaled_t,
+          "correction equation solution does not check")
 
     a, b = pair.elements
     n11 = _divide_exact(rho * b, c)
@@ -259,13 +254,11 @@ def sl2_witness(pair: GenPair, other: GenPair) -> UnimodularWitness:
     )
     for row in entries:
         for e in row:
-            if not order.contains(e):
-                raise InternalCheckError(f"witness entry {e} escapes the order")
+            check(order.contains(e), "witness entry {} escapes the order", e)
     witness = UnimodularWitness(entries)
-    if witness.det() != field.one:
-        raise InternalCheckError("witness determinant is not 1")
-    if witness.apply_to(pair.elements) != other.elements:
-        raise InternalCheckError("witness does not map the first pair to the second")
+    check(witness.det() == field.one, "witness determinant is not 1", name="determinant-is-one")
+    check(witness.apply_to(pair.elements) == other.elements,
+          "witness does not map the first pair to the second", name="witness-maps-pair-to-pair2")
     return witness
 
 
@@ -310,7 +303,7 @@ def _unit_residues(order: Order, n0: int) -> set[int]:
                     nxt.add(y)
         frontier = nxt
     for x in subgroup:
-        assert math.gcd(x, n0) == 1
+        check(math.gcd(x, n0) == 1, "unit residue {} mod {} is not a unit", x, n0)
     return subgroup
 
 
@@ -318,7 +311,8 @@ def _orbit_count_gl2(order: Order, f_prime: int) -> int:
     n0 = order.f // f_prime
     image = _unit_residues(order, n0)
     total = euler_phi(n0)
-    assert total % len(image) == 0
+    check(total % len(image) == 0, "the unit image of order {} does not divide phi = {}",
+          len(image), total)
     return total // len(image)
 
 
@@ -373,13 +367,13 @@ def reduce_vector(vec: GenVec) -> tuple[GenPair, UnimodularWitness]:
     if det_int(cols) == -1:
         cols[-1] = [-x for x in cols[-1]]  # a kernel column, as n > 2
     sigma = [list(row) for row in zip(*cols)]
-    if det_int(sigma) != 1:
-        raise InternalCheckError("reduction witness is not in SL_n(Z)")
+    check(det_int(sigma) == 1, "reduction witness is not in SL_n(Z)",
+          name="witness-determinant-one")
     witness = _int_witness(order, sigma)
     image = witness.apply_to(vec.elements)
     zero = order.field.zero
-    if any(e != zero for e in image[2:]):
-        raise InternalCheckError("reduction left nonzero trailing entries")
+    check(all(e == zero for e in image[2:]), "reduction left nonzero trailing entries",
+          name="tail-entries-vanish")
     pair = GenPair(vec.ideal, image[0], image[1])
     return pair, witness
 
@@ -405,12 +399,9 @@ def realize_det_class(ideal: QIdeal, residue: int) -> GenPair:
     while math.gcd(r, index) != 1:
         r += n0
         steps += 1
-        if steps > index + 2:
-            raise InternalCheckError("no coprime representative found")
+        check(steps <= index + 2, "no coprime representative found")
     pair = GenPair(ideal, ideal.gen1, ideal.gen2 * r)
     cls = det_pair(base, pair)
-    if cls.value != residue % n0:
-        raise InternalCheckError(
-            f"constructed pair realizes {cls.value}, wanted {residue % n0}"
-        )
+    check(cls.value == residue % n0, "constructed pair realizes {}, wanted {}",
+          cls.value, residue % n0)
     return pair

@@ -20,7 +20,7 @@ from math import gcd, lcm
 from .arith import primitive_part
 from .classnum import PicSize
 from .curvering import _check_n
-from .errors import InternalCheckError, UsageError
+from .errors import UsageError, check
 from .fieldpoly import CoeffField, CurvePoly
 from .genpairs import _orbit_count_sl2_mod_units
 from .quadideal import Order, _checked_conductor, _keyed_classes
@@ -201,7 +201,6 @@ def conductor_h_solver(field: CoeffField, n: int, p: CurvePoly,
             row = [0] * (j + 1 - len(g.nums)) + list(g.nums[j::-1])
             span.add(row + [0] * (width - j - 1))
     basis = span.kernel(width)
-    if not basis:
-        raise InternalCheckError("colon module lost its conductor tail")
+    check(basis, "colon module lost its conductor tail")
     min_val = min(b.valuation() for b in basis)
     return basis, min_val

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .arith import divisors, factorize, sqrt_mods, xgcd
 from .config import resolve_bound
-from .errors import InconclusiveError, InternalCheckError, UsageError, ZeroIdealError
+from .errors import InconclusiveError, UsageError, ZeroIdealError, check
 from .quadfield import QuadElt, QuadField
 from .value import Value
 
@@ -94,7 +94,8 @@ class QIdeal(Value):
         r, s = order.field.omega_sq
         if not (self._has(0, a) and self._has(e * f * f * r, d + e * f * s)):
             raise UsageError(f"{(a, d, e)} is not an ideal of {order}")
-        assert (d * d + d * e * f * s - e * e * f * f * r) % (a * e) == 0
+        check((d * d + d * e * f * s - e * e * f * f * r) % (a * e) == 0,
+              "the norm of d + e*f*omega is not divisible by a*e in {}", (a, d, e))
 
     @property
     def gen1(self) -> QuadElt:
@@ -282,11 +283,11 @@ def associated_form(ideal: QIdeal) -> QuadForm:
     """The form q_I with e*q_I = (a, trace(gen2), norm(gen2)/a)."""
     a, e = ideal.a, ideal.e
     b = ideal.gen2.trace()
-    c = ideal.gen2.norm() // a
-    assert ideal.gen2.norm() % a == 0
-    assert b % e == 0 and c % e == 0 and a % e == 0
+    c, rem = divmod(ideal.gen2.norm(), a)
+    check(rem == 0, "a = {} does not divide the norm of gen2", a)
+    check(b % e == 0 and c % e == 0 and a % e == 0, "e = {} does not divide the form", e)
     form = QuadForm(a // e, b // e, c // e)
-    assert form.disc == ideal.order.disc
+    check(form.disc == ideal.order.disc, "the form {} has the wrong discriminant", form)
     return form
 
 
@@ -312,15 +313,13 @@ def _checked_conductor(ideal: QIdeal, g: int) -> int:
     f'*omega must multiply I into I while f'/p * omega must not, for every
     prime p dividing f'."""
     f = ideal.order.f
-    if f % g:
-        raise InternalCheckError("form content does not divide the conductor")
+    check(f % g == 0, "form content does not divide the conductor")
     f_prime = f // g
     # the order of conductor f' multiplies I into itself ...
-    if not _multiplies(ideal, f_prime):
-        raise InternalCheckError("multiplier ring membership failed")
+    check(_multiplies(ideal, f_prime), "multiplier ring membership failed")
     # ... and no strictly larger order does
-    if any(_multiplies(ideal, f_prime // p) for p in factorize(f_prime)):
-        raise InternalCheckError("multiplier ring is larger than computed")
+    check(not any(_multiplies(ideal, f_prime // p) for p in factorize(f_prime)),
+          "multiplier ring is larger than computed")
     return f_prime
 
 
@@ -342,8 +341,9 @@ def _fitt1(ideal: QIdeal, f_prime: int) -> QIdeal:
     closed = QIdeal(order, n0, 0, 1)
 
     product = ideal_mul(ideal, ideal.conjugate())
-    if FracIdeal(product, ideal.norm()) != FracIdeal(closed, 1):
-        raise InternalCheckError("I*sigma(I)/N(I) disagrees with the closed form")
+    check(FracIdeal(product, ideal.norm()) == FracIdeal(closed, 1),
+          "I*sigma(I)/N(I) disagrees with the closed form",
+          name="fitting-norm-is-conductor-quotient")
 
     # x = u + v*f*omega has x*f'*omega in O_f iff f | u*f', i.e. iff k | u for
     # k = f/gcd(f, f'). O_f/closed is Z/n0, generated by 1, so closed*f'*omega
@@ -352,8 +352,8 @@ def _fitt1(ideal: QIdeal, f_prime: int) -> QIdeal:
     # gives f | n0*f' with 0 < n0*f' <= f: f' | f and k = f/f' = n0. The norm
     # a*e of closed is n0 by construction.
     mult_gen = QuadElt(order.field, 0, f_prime)
-    if not all(order.contains(g * mult_gen) for g in (closed.gen1, closed.gen2)):
-        raise InternalCheckError("(O_f : O_f') does not contain the closed form")
+    check(all(order.contains(g * mult_gen) for g in (closed.gen1, closed.gen2)),
+          "(O_f : O_f') does not contain the closed form")
     return closed
 
 

@@ -15,7 +15,7 @@ import math
 from functools import lru_cache
 
 from .config import resolve_bound
-from .errors import InconclusiveError, InternalCheckError, UsageError
+from .errors import InconclusiveError, UsageError, check
 from .quadfield import QuadElt, QuadField
 from .quadideal import QuadForm, _rho
 from .value import Value
@@ -86,8 +86,8 @@ def _principal_cycle_unit(field: QuadField) -> QuadElt:
     # eps = (T + U*sqrt(D))/2 with sqrt(D) = 2*omega - trace(omega)
     big_t, big_u = abs(2 * x0 + b * y0), abs(y0)
     eps = QuadElt(field, (big_t - big_u * field.omega_trace) // 2, big_u)
-    if eps.norm() != (1 if q == q0 else -1):
-        raise InternalCheckError(f"cycle element {eps} is not a unit of the expected norm")
+    check(eps.norm() == (1 if q == q0 else -1),
+          "cycle element {} is not a unit of the expected norm", eps)
     return eps
 
 
@@ -104,20 +104,20 @@ def fundamental_unit(field: QuadField, f: int = 1) -> UnitInfo:
             torsion_gen, torsion_order = field.omega, 6
         else:
             torsion_gen, torsion_order = minus_one, 2
-        assert torsion_gen.norm() == 1 or torsion_order == 2
+        check(torsion_gen.norm() == 1 or torsion_order == 2,
+              "torsion generator {} has norm other than 1", torsion_gen)
         return UnitInfo(field, f, None, 1, torsion_gen, torsion_order, False)
 
-    eps = _principal_cycle_unit(field)
+    # one walk of the principal cycle per field: the conductors share its unit
+    eps = _principal_cycle_unit(field) if f == 1 else fundamental_unit(field, 1).fundamental
     power = eps
     k = 1
     cap = f * f + 2
     while power.b % f != 0:
         power = power * eps
         k += 1
-        if k > cap:
-            raise InternalCheckError("unit power search exceeded its cap")
-    if abs(power.norm()) != 1:
-        raise InternalCheckError("powered unit lost its norm")
+        check(k <= cap, "unit power search exceeded its cap")
+    check(abs(power.norm()) == 1, "powered unit lost its norm")
     return UnitInfo(field, f, power, k, minus_one, 2, power.norm() == -1)
 
 
@@ -128,9 +128,7 @@ def unit_index(field: QuadField, f_sub: int, f_sup: int = 1) -> int:
     sub = fundamental_unit(field, f_sub)
     sup = fundamental_unit(field, f_sup)
     if field.is_imaginary:
-        if sup.torsion_order % sub.torsion_order:
-            raise InternalCheckError("torsion orders are not nested")
+        check(sup.torsion_order % sub.torsion_order == 0, "torsion orders are not nested")
         return sup.torsion_order // sub.torsion_order
-    if sub.power_in_maximal % sup.power_in_maximal:
-        raise InternalCheckError("unit powers are not nested")
+    check(sub.power_in_maximal % sup.power_in_maximal == 0, "unit powers are not nested")
     return sub.power_in_maximal // sup.power_in_maximal

@@ -715,6 +715,17 @@ def test_long_rejected_values_are_not_echoed_whole(capsys, monkeypatch, env, arg
     assert len(err) < 200, err
 
 
+@pytest.mark.parametrize("char", [10**3000 + 1, 10**3000 + 2], ids=["odd", "even"])
+def test_a_huge_composite_characteristic_is_refused_by_miller_rabin(capsys, char):
+    # a base of the Miller-Rabin rounds witnesses both; trial division stopped at the budget
+    start = time.monotonic()
+    code, out, err = _run(capsys, ["curve", "reduce", "--n", "5", "--field", f"f{char}",
+                                   "--gens", "1; x^3"])
+    assert time.monotonic() - start < 5
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: coefficient field characteristic 1000") and "is not prime" in err
+
+
 _CURVE_ARGV = ["curve", "reduce", "--n", "7", "--gens", "2 + x; x^3"]
 _BAD_SERIES = """
 import sys

@@ -249,3 +249,43 @@ def test_json_writer_matches_json_dumps(obj):
 def test_json_writer_on_empty_containers_and_escapes():
     for obj in ({}, [], {"a": [], "b": {}}, [[], {}], "é\x00\n\"\\\U0001f600", {"": [None]}):
         assert cli._json(obj) == json.dumps(obj, indent=2)
+
+
+# ints small enough that every command answers at once, and short text, none of it
+# digits only, so that no --m or --n reaches a large field or ring; some text reads as
+# elements, polynomials or fields, so that many runs get past the usage checks
+_SMALL = st.sampled_from([3, 5, 7, 2, 1, 6, -1, -3, -5, -2, 0, 4, 11, -7]).map(str)
+_JUNK = st.text(alphabet="abfwx12^*+-/;=[], ", max_size=8).filter(lambda t: not t.isdigit())
+_VALUE = {int: (_SMALL, _JUNK), None: (st.none(), st.none()), str: (st.sampled_from(
+    ["2; 1+w", "3; 3*w", "3*w; 3", "3; 3+3*w", "6; 2+2*w; 4*w", "1; x^3", "2 + x; x^3", "f3"]),
+    _JUNK)}
+
+
+@st.composite
+def _any_argv(draw, faulty: bool):
+    """A command other than selftest with its operation and flags, valid ones with
+    each required flag given; if faulty, also junk operations, junk values, missing
+    flags, unknown flags, '--help' and a lone '-', in any order."""
+    fault = st.booleans() if faulty else st.just(False)
+    command = draw(st.sampled_from([c for c in cli._COMMANDS if c != "selftest"]))
+    _, _, op, choices, flags = cli._COMMANDS[command]
+    groups = [[draw(_JUNK if draw(fault) else st.sampled_from(choices))]] if op else []
+    picked = [f for f, spec in flags.items() if spec[2] and not draw(fault)]
+    others = [*flags, "--help", "--zzz", "-"] if faulty else [*flags]
+    for flag in picked + draw(st.lists(st.sampled_from(others), max_size=3)):
+        good, bad = _VALUE[flags[flag][0] if flag in flags else None]
+        value = draw(bad if draw(fault) else good)
+        groups.append([flag] if value is None else [f"{flag}={value}"] if draw(st.booleans())
+                      else [flag, value])
+    return [command, *(token for group in draw(st.permutations(groups)) for token in group)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_argv(False) | _any_argv(True))
+def test_main_only_returns_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")

@@ -3,7 +3,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuspidal import units
 from cuspidal.arith import is_squarefree
+from cuspidal.classnum import class_number_maximal, picard_order
+from cuspidal.cli import main
 from cuspidal.errors import InternalCheckError, UsageError
 from cuspidal.quadfield import OmegaKind, QuadElt, QuadField
 from cuspidal.units import _step_product, fundamental_unit, unit_index
@@ -207,3 +210,16 @@ def test_step_product_tree_matches_the_left_fold(ts):
     for t in ts:
         x0, y0, x1, y1 = x1, y1, t * x1 - x0, t * y1 - y0
     assert _step_product(ts) == (x0, x1, y0, y1)
+
+
+def test_the_principal_cycle_is_walked_once_for_every_conductor(capsys, monkeypatch):
+    # the six conductors dividing 12 take their units from the one walk of f = 1
+    walks = []
+    real = units._principal_cycle_unit
+    monkeypatch.setattr(units, "_principal_cycle_unit",
+                        lambda field: walks.append(field.m) or real(field))
+    for memo in (fundamental_unit, picard_order, class_number_maximal):
+        memo.cache_clear()
+    assert main(["cusps", "--m", "1000003", "--f", "12", "--no-check"]) == 0
+    assert "cusp count" in capsys.readouterr().out
+    assert walks == [1000003]
