@@ -5,8 +5,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 
-from .config import resolve_bound
-from .errors import InconclusiveError
+from .config import exhausted, resolve_bound
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -36,8 +35,8 @@ def is_squarefree(n: int) -> bool:
                 return False
         p += 1 if p == 2 else 2
     if p * p <= n and n >= bound**3:  # p * p > n leaves 0, 1 or a prime
-        raise InconclusiveError(f"squarefree test: trial division up to {bound} leaves a"
-                                f" {len(str(n))}-digit cofactor; raise CUSPIDAL_BOUND")
+        raise exhausted(f"squarefree test: trial division up to {bound} leaves a"
+                        f" {len(str(n))}-digit cofactor")
     return n == 1 or math.isqrt(n) ** 2 != n
 
 
@@ -77,8 +76,8 @@ def factorize(n: int) -> dict[int, int]:
     p, top = 2, 0
     while p * p <= n:
         if p > 10_000 and p > (top := top or max(resolve_bound(), 10_000)):
-            raise InconclusiveError(f"factorization: trial division up to {top} leaves a"
-                                    f" {len(str(n))}-digit cofactor; raise CUSPIDAL_BOUND")
+            raise exhausted(f"factorization: trial division up to {top} leaves a"
+                            f" {len(str(n))}-digit cofactor")
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p

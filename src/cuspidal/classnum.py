@@ -11,7 +11,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .arith import factorize
-from .config import resolve_bound
 from .errors import check
 from .quadfield import QuadField
 from .quadideal import Order, canonical_form, reduced_forms
@@ -31,10 +30,10 @@ class PicSize(Value):
 
 
 @lru_cache(maxsize=None)
-def class_number_maximal(field: QuadField, bound: int | None = None) -> PicSize:
+def class_number_maximal(field: QuadField) -> PicSize:
     """Class number h_K: the number of distinct canonical forms among the
-    reduced forms of discriminant d_K, computed once per field and bound."""
-    forms = reduced_forms(field.disc_max, resolve_bound(bound))
+    reduced forms of discriminant d_K, computed once per field."""
+    forms = reduced_forms(field.disc_max)
     h = len({canonical_form(q) for q in forms})
     return PicSize(Order(field, 1), h, "reduced-forms")
 
@@ -48,16 +47,16 @@ def _kronecker_at_prime(disc: int, p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def picard_order(order: Order, bound: int | None = None) -> PicSize:
+def picard_order(order: Order) -> PicSize:
     """|Pic(O_f)| by the conductor formula over the maximal class number.
 
     h(O_f) = h_K * prod_{p^k || f} p^(k-1) * (p - (d_K/p)) / [O_K^x : O_f^x]
     (Cox, Primes of the Form x^2+ny^2, Thm 7.24).
     """
     field, f = order.field, order.f
-    num = class_number_maximal(field, bound=bound).h
+    num = class_number_maximal(field).h
     for p, k in factorize(f).items():
         num *= p ** (k - 1) * (p - _kronecker_at_prime(field.disc_max, p))
-    den = unit_index(field, f, 1)
+    den = unit_index(field, f)
     check(num % den == 0, "conductor formula is not integral for {}: {}/{}", order, num, den)
     return PicSize(order, num // den, "conductor-formula")

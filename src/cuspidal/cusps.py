@@ -46,7 +46,7 @@ class CuspBreakdown(Value):
         return sum(t.contribution for t in self.terms)
 
 
-def cusp_count(order: Order, bound: int | None = None) -> CuspBreakdown:
+def cusp_count(order: Order) -> CuspBreakdown:
     """Cusp count by the divisor formula, with the full breakdown."""
     field = order.field
     terms = []
@@ -54,7 +54,7 @@ def cusp_count(order: Order, bound: int | None = None) -> CuspBreakdown:
         n0 = order.f // f_prime
         phi = euler_phi(n0)
         # the budgeted class number first, so that an oversized field stops there
-        pic = picard_order(Order(field, f_prime), bound=bound)
+        pic = picard_order(Order(field, f_prime))
         halved = fundamental_unit(field, f_prime).has_norm_minus_one and n0 > 2
         terms.append(CuspTerm(f_prime, n0, phi, halved, pic))
     return CuspBreakdown(order, tuple(terms))

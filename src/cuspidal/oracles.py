@@ -47,20 +47,20 @@ def reduced_form_count(disc: int) -> int:
     return count
 
 
-def _class_conductors(order: Order, bound: int | None) -> list[int]:
+def _class_conductors(order: Order) -> list[int]:
     """The multiplier conductor f/g of each class, g its key's content, verified."""
-    return [_checked_conductor(rep, g) for (g, _), rep in _keyed_classes(order, bound).items()]
+    return [_checked_conductor(rep, g) for (g, _), rep in _keyed_classes(order).items()]
 
 
-def brute_force_pic(order: Order, bound: int | None = None) -> PicSize:
+def brute_force_pic(order: Order) -> PicSize:
     """|Pic(O_f)| by enumerating ideal classes and keeping the invertible ones."""
-    return PicSize(order, _class_conductors(order, bound).count(order.f), "brute-force")
+    return PicSize(order, _class_conductors(order).count(order.f), "brute-force")
 
 
-def cusp_count_direct(order: Order, bound: int | None = None) -> int:
+def cusp_count_direct(order: Order) -> int:
     """Cusp count with no class-number formula: enumerate the ideal classes and
     add each class's orbit count on generating pairs, a function of f' alone."""
-    counts = Counter(_class_conductors(order, bound))
+    counts = Counter(_class_conductors(order))
     return sum(k * _orbit_count_sl2_mod_units(order, f_prime) for f_prime, k in counts.items())
 
 

@@ -27,8 +27,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import divisors, factorize, sqrt_mods, xgcd
-from .config import resolve_bound
-from .errors import InconclusiveError, UsageError, ZeroIdealError, check
+from .config import exhausted, resolve_bound
+from .errors import UsageError, ZeroIdealError, check
 from .quadfield import QuadElt, QuadField
 from .value import Value
 
@@ -432,16 +432,15 @@ def canonical_form(form: tuple[int, int, int]) -> QuadForm:
     return canon
 
 
-def reduced_forms(disc: int, budget: int) -> list[QuadForm]:
+def reduced_forms(disc: int) -> list[QuadForm]:
     """The reduced primitive forms of a non-square discriminant of either sign
     (Cohen, GTM 138, 5.3 and 5.6): A runs over its window, up to
     sqrt(|disc|/3) or sqrt(disc), and B over the square roots of disc mod 4A
     in (-A, A] or in the reduction window below sqrt(disc). A window wider
-    than `budget`, or more than `budget` forms, raise InconclusiveError."""
-    s = math.isqrt(-disc // 3 if disc < 0 else disc)
-    knob = f"bound {budget}; raise it with --bound or CUSPIDAL_BOUND"
-    if s > budget:
-        raise InconclusiveError(f"the A-window {s} of discriminant {disc} exceeds {knob}")
+    than resolve_bound(), or more forms than that, raise InconclusiveError."""
+    s, bound = math.isqrt(-disc // 3 if disc < 0 else disc), resolve_bound()
+    if s > bound:
+        raise exhausted(f"the A-window {s} of discriminant {disc} exceeds bound {bound}")
     forms: list[QuadForm] = []
     for n, roots in sqrt_mods(disc, range(4, 4 * s + 1, 4)):
         a = n // 4
@@ -460,8 +459,8 @@ def reduced_forms(disc: int, budget: int) -> list[QuadForm]:
                     forms += [QuadForm(a, b, c), QuadForm(-a, b, -c)]
                 elif a < c or (a == c and b >= 0):
                     forms.append(QuadForm(a, b, c))
-        if len(forms) > budget:
-            raise InconclusiveError(f"reduced forms of discriminant {disc} exceed {knob}")
+        if len(forms) > bound:
+            raise exhausted(f"reduced forms of discriminant {disc} exceed bound {bound}")
     return forms
 
 
@@ -501,7 +500,7 @@ def _class_search_limit(order: Order) -> int:
     return limit
 
 
-def enumerate_ideal_classes(order: Order, bound: int | None = None) -> list[QIdeal]:
+def enumerate_ideal_classes(order: Order) -> list[QIdeal]:
     """Representatives of all ideal classes (invertible or not) of the order.
 
     The candidates are the primitive ideals Z*a + Z*(d + f*omega), a up to
@@ -509,13 +508,13 @@ def enumerate_ideal_classes(order: Order, bound: int | None = None) -> list[QIde
     primitive ideal (a/e, d/e, 1) of its class), -a/2 <= d < a/2, with
     B = 2d + t*f (t the trace of omega) a square root of the discriminant mod
     4a (Cohen, GTM 138, 5.2). The first ideal of each class_key by ascending
-    (a, d) is kept. More than `bound` candidates raise InconclusiveError."""
-    return list(_keyed_classes(order, bound).values())
+    (a, d) is kept. More than resolve_bound() candidates raise InconclusiveError."""
+    return list(_keyed_classes(order).values())
 
 
-def _keyed_classes(order: Order, bound: int | None) -> dict[tuple[int, QuadForm], QIdeal]:
+def _keyed_classes(order: Order) -> dict[tuple[int, QuadForm], QIdeal]:
     """enumerate_ideal_classes with the class_key of each representative."""
-    budget = resolve_bound(bound)
+    bound = resolve_bound()
     limit = _class_search_limit(order)
     disc, tf = order.disc, order.field.omega_trace * order.f
     reps: dict[tuple[int, QuadForm], QIdeal] = {}
@@ -525,11 +524,8 @@ def _keyed_classes(order: Order, bound: int | None) -> dict[tuple[int, QuadForm]
         # B mod 2a runs over the roots below 2a; d = (B - t*f)/2 mod a
         ds = sorted(((r - tf) // 2 + a // 2) % a - a // 2 for r in roots[: len(roots) // 2])
         candidates += len(ds)
-        if candidates > budget:
-            raise InconclusiveError(
-                f"class enumeration exceeded bound {budget};"
-                " raise it with --bound or CUSPIDAL_BOUND"
-            )
+        if candidates > bound:
+            raise exhausted(f"class enumeration exceeded bound {bound}")
         for d in ds:
             b = 2 * d + tf
             c = (b * b - disc) // n

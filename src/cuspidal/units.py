@@ -5,8 +5,8 @@ rho-cycle of the principal form (the reduction theory of quadideal); the
 unit of the order of conductor f is the least power whose omega-coefficient
 is divisible by f. Imaginary fields only carry torsion.
 
-The memoization below (functools.lru_cache) is the only shared state in the
-package; everything returned is a frozen value type.
+fundamental_unit is memoised per field and conductor, one of the memos
+the README lists; everything returned is a frozen value type.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .config import resolve_bound
-from .errors import InconclusiveError, UsageError, check
+from .config import exhausted, resolve_bound
+from .errors import UsageError, check
 from .quadfield import QuadElt, QuadField
 from .quadideal import QuadForm, _rho
 from .value import Value
@@ -78,10 +78,8 @@ def _principal_cycle_unit(field: QuadField) -> QuadElt:
         if q in stops:
             break
     else:
-        raise InconclusiveError(
-            f"the principal rho-cycle of discriminant {disc} exceeds bound {bound}"
-            " rho-steps; raise it with CUSPIDAL_BOUND"
-        )
+        raise exhausted(f"the principal rho-cycle of discriminant {disc} exceeds bound {bound}"
+                        " rho-steps")
     x0, _, y0, _ = _step_product(ts)
     # eps = (T + U*sqrt(D))/2 with sqrt(D) = 2*omega - trace(omega)
     big_t, big_u = abs(2 * x0 + b * y0), abs(y0)
@@ -121,14 +119,12 @@ def fundamental_unit(field: QuadField, f: int = 1) -> UnitInfo:
     return UnitInfo(field, f, power, k, minus_one, 2, power.norm() == -1)
 
 
-def unit_index(field: QuadField, f_sub: int, f_sup: int = 1) -> int:
-    """Index [O_{f_sup}^x : O_{f_sub}^x]; requires f_sup | f_sub."""
-    if f_sub % f_sup:
-        raise UsageError(f"unit index needs f_sup | f_sub, got {f_sup}, {f_sub}")
-    sub = fundamental_unit(field, f_sub)
-    sup = fundamental_unit(field, f_sup)
+def unit_index(field: QuadField, f: int) -> int:
+    """Index [O_1^x : O_f^x]: the quotient of the torsion orders if imaginary, else
+    the power of the maximal order's fundamental unit that generates O_f^x."""
+    sub = fundamental_unit(field, f)
     if field.is_imaginary:
+        sup = fundamental_unit(field, 1)
         check(sup.torsion_order % sub.torsion_order == 0, "torsion orders are not nested")
         return sup.torsion_order // sub.torsion_order
-    check(sub.power_in_maximal % sup.power_in_maximal == 0, "unit powers are not nested")
-    return sub.power_in_maximal // sup.power_in_maximal
+    return sub.power_in_maximal

@@ -81,15 +81,34 @@ def test_methods_are_reported():
     assert class_number_maximal(QuadField(10)).method == "reduced-forms"
 
 
-def test_class_number_is_computed_once_per_field_and_bound():
+def test_class_number_is_computed_once_per_field(monkeypatch):
     class_number_maximal.cache_clear()
     picard_order.cache_clear()
     field = QuadField(79)
     for f in (1, 2, 3, 4, 6, 12):
         picard_order(Order(field, f))
     assert class_number_maximal.cache_info().misses == 1
-    picard_order(Order(field, 5), bound=10**6)
-    assert class_number_maximal.cache_info().misses == 2
+    monkeypatch.setenv("CUSPIDAL_BOUND", str(10**6))
+    picard_order(Order(field, 5))
+    assert class_number_maximal.cache_info().misses == 1
+
+
+def test_a_memo_hit_answers_under_any_budget(monkeypatch):
+    """The budget caps work and a memo hit does none; a library call's hint names
+    CUSPIDAL_BOUND alone."""
+    order = Order(QuadField(-15), 4)
+    class_number_maximal.cache_clear()
+    picard_order.cache_clear()
+    assert (class_number_maximal(order.field).h, picard_order(order).h) == (2, 4)
+    monkeypatch.setenv("CUSPIDAL_BOUND", "1")
+    assert (class_number_maximal(order.field).h, picard_order(order).h) == (2, 4)
+    class_number_maximal.cache_clear()
+    picard_order.cache_clear()
+    for call in (lambda: class_number_maximal(order.field), lambda: picard_order(order)):
+        with pytest.raises(InconclusiveError) as exc:
+            call()
+        assert str(exc.value) == ("the A-window 2 of discriminant -15 exceeds bound 1;"
+                                  " raise it with CUSPIDAL_BOUND")
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 10, 79, 94, 151, 223, 1009])
@@ -100,7 +119,11 @@ def test_real_class_number_matches_enumeration(m):
 
 
 @pytest.mark.parametrize("m,forms,h", [(-23, 3, 3), (7, 8, 1)])
-def test_form_listing_budget_names_both_knobs(m, forms, h):
-    with pytest.raises(InconclusiveError, match="--bound or CUSPIDAL_BOUND"):
-        class_number_maximal(QuadField(m), bound=forms - 1)
-    assert class_number_maximal(QuadField(m), bound=forms).h == h
+def test_form_listing_budget_counts_the_forms(monkeypatch, m, forms, h):
+    field = QuadField(m)
+    class_number_maximal.cache_clear()
+    monkeypatch.setenv("CUSPIDAL_BOUND", str(forms - 1))
+    with pytest.raises(InconclusiveError, match="; raise it with CUSPIDAL_BOUND$"):
+        class_number_maximal(field)
+    monkeypatch.setenv("CUSPIDAL_BOUND", str(forms))
+    assert class_number_maximal(field).h == h

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from cuspidal import genpairs
+from cuspidal import classnum, genpairs
 from cuspidal.arith import is_prime
+from cuspidal.classnum import class_number_maximal
 from cuspidal.cli import main
 from cuspidal.errors import InternalCheckError
 from cuspidal.genpairs import GenPair
@@ -21,6 +22,22 @@ def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _clear_memos():
+    """Empty every memo of the package, as bench/run.py's reset_caches does."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cuspidal"):
+            for obj in list(vars(module).values()):
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+@pytest.fixture
+def fresh_memos():
+    _clear_memos()
+    yield
+    _clear_memos()
 
 
 def _run_json(capsys, argv):
@@ -417,10 +434,61 @@ def test_plain_output_has_pass_markers(capsys):
     assert "f'=1" in out
 
 
-def test_bound_exhaustion_names_the_knob(capsys):
+def test_bound_exhaustion_names_the_knob(capsys, fresh_memos):
     code, out, err = _run(capsys, ["pic", "--m", "7", "--f", "3", "--bound", "3"])
     assert code == 2
     assert "--bound" in err and "CUSPIDAL_BOUND" in err
+
+
+# (argv, N, CUSPIDAL_BOUND beside --bound N, fields whose class number is memoised
+# first, the search that runs out or None)
+_ONE_BUDGET = {
+    "a-window": (["pic", "--m", "-30011"], 50, None, (), "the A-window 100"),
+    "enumeration": (["cusps", "--m", "-5", "--f", "12"], 20, None, (), "class enumeration"),
+    "brute": (["pic", "--m", "-5", "--f", "30", "--brute"], 100, None, (), "class enumeration"),
+    "rho-walk": (["cusps", "--m", "94", "--no-check"], 15, None, (94,), "the principal rho-cycle"),
+    "conductor": (["pic", "--m", "-5", "--f", "1000000007"], 100, None, (), "factorization"),
+    "squarefree": (["pic", "--m", str(10007 * 10009)], 100, None, (), "squarefree test"),
+    "conductor-ok": (["pic", "--m", "-5", "--f", "1000000007"], 2_000_000, "100", (), None),
+    "rho-walk-ok": (["cusps", "--m", "94", "--no-check"], 2_000_000, "10", (), None),
+    "cusps-ok": (["cusps", "--m", "10", "--f", "6"], 1000, "2", (), None),
+    "brute-ok": (["pic", "--m", "10", "--f", "6", "--brute"], 1000, "2", (), None),
+}
+
+
+@pytest.mark.parametrize("argv,bound,env,warm,search", _ONE_BUDGET.values(), ids=_ONE_BUDGET)
+def test_bound_flag_and_environment_are_one_budget(capsys, monkeypatch, argv, bound, env, warm,
+                                                   search):
+    """--bound N, whatever CUSPIDAL_BOUND holds, runs exactly as CUSPIDAL_BOUND=N."""
+    runs = []
+    for extra, value in ((["--bound", str(bound)], env), ([], str(bound))):
+        _clear_memos()
+        monkeypatch.delenv("CUSPIDAL_BOUND", raising=False)
+        for m in warm:
+            class_number_maximal(QuadField(m))
+        if value is not None:
+            monkeypatch.setenv("CUSPIDAL_BOUND", value)
+        runs.append(_run(capsys, argv + extra))
+    _clear_memos()
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    if search is None:
+        assert (code, err) == (0, "") and out
+    else:
+        assert (code, out) == (2, "") and err.startswith("inconclusive: " + search)
+        assert err.endswith("; raise it with --bound or CUSPIDAL_BOUND\n") and str(bound) in err
+
+
+def test_selftest_checks_the_class_number_of_each_maximal_order(capsys, monkeypatch, fresh_memos):
+    # drop the form (2, 1, 2): h(Q(sqrt(-15))) reads 1, as does the formula's cusp count
+    real = classnum.reduced_forms
+    monkeypatch.setattr(classnum, "reduced_forms",
+                        lambda disc: real(disc)[:-1] if disc == -15 else real(disc))
+    assert class_number_maximal(QuadField(-15)).h == 1
+    code, out, err = _run(capsys, ["selftest", "--max-f", "1"])
+    assert (code, out) == (3, "")
+    assert err == ("internal check failed: the cusp count 1 of Q(sqrt(-15))"
+                   " differs from the direct count 2\n")
 
 
 def test_unit_walk_budget_names_the_knob(capsys, monkeypatch):

@@ -1,6 +1,6 @@
 import pytest
 
-from cuspidal.classnum import picard_order
+from cuspidal.classnum import class_number_maximal, picard_order
 from cuspidal.cusps import cusp_count
 from cuspidal.errors import InconclusiveError
 from cuspidal.oracles import cusp_count_direct
@@ -78,6 +78,10 @@ def test_contributions_are_positive_integers():
             assert breakdown.total == sum(t.contribution for t in breakdown.terms)
 
 
-def test_bound_exhaustion_is_reported():
-    with pytest.raises(InconclusiveError):
-        cusp_count(Order(QuadField(3), 5), bound=2)
+def test_bound_exhaustion_is_reported(monkeypatch):
+    order = Order(QuadField(3), 5)
+    class_number_maximal.cache_clear()
+    picard_order.cache_clear()
+    monkeypatch.setenv("CUSPIDAL_BOUND", "2")
+    with pytest.raises(InconclusiveError, match="; raise it with CUSPIDAL_BOUND$"):
+        cusp_count(order)

@@ -103,7 +103,7 @@ def test_plain_output_lists_the_ledger(capsys):
 
 def test_a_failed_cross_check_exits_three_with_no_report(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cusp_count_direct",
-                        lambda order, bound=None: cusp_count(order).total + 1)
+                        lambda order: cusp_count(order).total + 1)
     for extra in ([], ["--json"]):
         code = main(["cusps", "--m", "5", "--f", "6", *extra])
         out, err = capsys.readouterr()

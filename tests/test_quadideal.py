@@ -8,7 +8,7 @@ from hypothesis import event, example, given, settings, strategies as st
 
 from cuspidal.arith import divisors, is_squarefree, isqrt_ceil, sqrt_mods
 from cuspidal.classnum import class_number_maximal
-from cuspidal.config import resolve_bound
+from cuspidal.config import exhausted, resolve_bound
 from cuspidal.errors import InconclusiveError, InternalCheckError, UsageError, ZeroIdealError
 from cuspidal import quadideal
 from cuspidal.oracles import cusp_count_direct
@@ -600,14 +600,14 @@ def test_enumeration_matches_pairwise_search(m):
         assert enumerate_ideal_classes(order) == _pairwise_classes(order), (m, f)
 
 
-def _scan_classes(order: Order, bound: int | None = None) -> list[QIdeal]:
+def _scan_classes(order: Order) -> list[QIdeal]:
     """Representatives of all ideal classes (invertible or not) of the order.
 
     Enumerates standard bases (a, d, e) with a*e up to the loose limit and
     keeps the first ideal of each class_key. Representatives are minimal in
     the ordering (norm, a, d, e), so the output is deterministic.
     """
-    budget = resolve_bound(bound)
+    budget = resolve_bound()
     limit = _search_limit(order, 1)
     t, r = order.field.omega_trace, order.field.omega_sq[0]
     reps: dict[tuple[int, QuadForm], QIdeal] = {}
@@ -624,10 +624,7 @@ def _scan_classes(order: Order, bound: int | None = None) -> list[QIdeal]:
                     continue
                 candidates += 1
                 if candidates > budget:
-                    raise InconclusiveError(
-                        f"class enumeration exceeded bound {budget};"
-                        " raise it with --bound or CUSPIDAL_BOUND"
-                    )
+                    raise exhausted(f"class enumeration exceeded bound {budget}")
                 try:
                     ideal = QIdeal(order, a, d, e)
                 except UsageError:
@@ -664,12 +661,15 @@ def _primitive_ideal_count(order):
 
 
 @pytest.mark.parametrize("m,f", [(-23, 1), (-3, 4), (5, 6), (79, 3), (-5, 2), (223, 4)])
-def test_enumeration_budget_counts_primitive_candidates(m, f):
+def test_enumeration_budget_counts_primitive_candidates(monkeypatch, m, f):
     order = Order(QuadField(m), f)
     count = _primitive_ideal_count(order)
-    assert enumerate_ideal_classes(order, bound=count) == _scan_classes(order)
-    with pytest.raises(InconclusiveError, match="--bound or CUSPIDAL_BOUND"):
-        enumerate_ideal_classes(order, bound=count - 1)
+    scanned = _scan_classes(order)
+    monkeypatch.setenv("CUSPIDAL_BOUND", str(count))
+    assert enumerate_ideal_classes(order) == scanned
+    monkeypatch.setenv("CUSPIDAL_BOUND", str(count - 1))
+    with pytest.raises(InconclusiveError, match="; raise it with CUSPIDAL_BOUND$"):
+        enumerate_ideal_classes(order)
 
 
 def _loose_classes(order):
@@ -705,7 +705,7 @@ def test_every_cycle_pair_holds_a_form_within_markovs_bound(disc):
     """Each class of reduced forms under SL2(Z) and (A, B, C) -> (-A, B, -C)
     has a form with |A| <= sqrt(disc/5) (Markov)."""
     least: dict[QuadForm, int] = {}
-    for form in reduced_forms(disc, 10**6):
+    for form in reduced_forms(disc):
         canon = canonical_form(form)
         least[canon] = min(least.get(canon, abs(form.A)), abs(form.A))
     assert max(least.values()) <= math.isqrt(disc // 5)
@@ -735,7 +735,7 @@ def test_each_rho_cycle_is_walked_once_per_session(monkeypatch):
         for k in (1, 2, 3, 4):
             disc = k * k * field.disc_max
             walked = sorted(form for d, cycle in walks if d == disc for form in cycle)
-            assert walked == sorted(reduced_forms(disc, 10**6)), k
+            assert walked == sorted(reduced_forms(disc)), k
         counts.append(len(walks))
     assert counts[0] == counts[1] == len({(d, min(c)) for d, c in walks})
 
@@ -789,7 +789,7 @@ def test_reduced_forms_match_a_brute_box(sign):
         disc = sign * n
         if disc % 4 not in (0, 1) or math.isqrt(n) ** 2 == n:
             continue
-        assert sorted(reduced_forms(disc, 10**6)) == _brute_reduced_forms(disc), disc
+        assert sorted(reduced_forms(disc)) == _brute_reduced_forms(disc), disc
 
 
 def _transform(form, a, b, c, d):
@@ -817,7 +817,7 @@ def _sl2_matrices(draw):
     st.data(),
 )
 def test_canonical_form_is_constant_on_classes(disc, data):
-    forms = reduced_forms(disc, 10**6)
+    forms = reduced_forms(disc)
     form = data.draw(st.sampled_from(forms))
     moved = _transform(form, *data.draw(_sl2_matrices()))
     assert moved.disc == disc
