@@ -52,10 +52,10 @@ def main() -> None:
         cls = det_pair(base, pair)
         print(f"  residue {r}: pair ({pair.g1}; {pair.g2}) has class {cls.value}")
 
-    eps = epsilon_subgroup(ideal)
+    eps = epsilon_subgroup(order, f_prime)
     print(f"\nepsilon subgroup (classes of multiplier-ring units): {set(eps)}")
-    print(f"SL2 x units orbits: {orbit_count_sl2_mod_units(ideal)}")
-    print(f"GL2 orbits:        {orbit_count_gl2(ideal)}")
+    print(f"SL2 x units orbits: {orbit_count_sl2_mod_units(order, f_prime)}")
+    print(f"GL2 orbits:        {orbit_count_gl2(order, f_prime)}")
 
 
 if __name__ == "__main__":

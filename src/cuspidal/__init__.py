@@ -21,7 +21,7 @@ from .curvering import (
 )
 from .cusps import CuspBreakdown, CuspTerm, cusp_count
 from .errors import InconclusiveError, InternalCheckError, UsageError, ZeroIdealError
-from .fieldpoly import CoeffField, CurvePoly, parse_curve_poly, poly_gcd_monic
+from .fieldpoly import CoeffField, CurvePoly, gcd_cofactors, parse_curve_poly
 from .genpairs import (
     DetClass,
     GenPair,
@@ -29,7 +29,6 @@ from .genpairs import (
     UnimodularWitness,
     det_pair,
     epsilon_subgroup,
-    is_sl2_equivalent,
     orbit_count_gl2,
     orbit_count_sl2_mod_units,
     realize_det_class,
@@ -50,7 +49,6 @@ from .quadideal import (
     ideal_from_generators,
     ideal_inverse,
     ideal_mul,
-    is_principal,
     is_same_class,
     multiplier_conductor,
 )
@@ -99,19 +97,17 @@ __all__ = [
     "epsilon_subgroup",
     "fitt1",
     "fundamental_unit",
+    "gcd_cofactors",
     "ideal_from_generators",
     "ideal_inverse",
     "ideal_mul",
-    "is_principal",
     "is_same_class",
-    "is_sl2_equivalent",
     "multiplier_conductor",
     "orbit_count_gl2",
     "orbit_count_sl2_mod_units",
     "parse_curve_poly",
     "parse_element",
     "picard_order",
-    "poly_gcd_monic",
     "realize_det_class",
     "reduce_vector",
     "sl2_witness",

@@ -99,13 +99,6 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def isqrt_ceil(n: int) -> int:
-    """Smallest integer k >= 0 with k*k >= n (n >= 0)."""
-    assert n >= 0
-    k = math.isqrt(n)
-    return k if k * k == n else k + 1
-
-
 def primitive_part(vec: list[int]) -> list[int]:
     """vec divided by the gcd of its entries; unchanged when that is 0 or 1."""
     g = math.gcd(*vec)

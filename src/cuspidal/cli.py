@@ -4,7 +4,8 @@ Every subcommand prints either plain text or, with --json, a single
 object {"schema": 1, "command", "inputs", "result", "assertions"} in
 which integers are rendered as decimal strings. Exit codes: 0 success,
 1 usage errors, 2 search bounds exhausted, 3 a verified-on-the-spot
-identity failed. The assertions are the named checks (errors.check) that
+identity failed, 141 (128 + SIGPIPE) stdout closed before the report was
+written. The assertions are the named checks (errors.check) that
 passed during the run, read from the ledger that main opens; a failed check
 exits 3 before any report is printed.
 """
@@ -12,6 +13,7 @@ exits 3 before any report is printed.
 from __future__ import annotations
 
 import math
+import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii
@@ -32,10 +34,10 @@ from .fieldpoly import MAX_EXPONENT, CoeffField, CurvePoly, parse_curve_poly
 from .genpairs import (
     GenPair,
     GenVec,
-    _epsilon_subgroup,
-    _orbit_count_gl2,
-    _orbit_count_sl2_mod_units,
     det_pair,
+    epsilon_subgroup,
+    orbit_count_gl2,
+    orbit_count_sl2_mod_units,
     reduce_vector,
     sl2_witness,
 )
@@ -218,9 +220,9 @@ def _cmd_ideal(args):
     else:  # mult-ring
         f_prime = multiplier_conductor(ideal)
         n0 = order.f // f_prime
-        eps = _epsilon_subgroup(order, f_prime)
-        sl2 = _orbit_count_sl2_mod_units(order, f_prime)
-        gl2 = _orbit_count_gl2(order, f_prime)
+        eps = epsilon_subgroup(order, f_prime)
+        sl2 = orbit_count_sl2_mod_units(order, f_prime)
+        gl2 = orbit_count_gl2(order, f_prime)
         result = {
             "f_prime": _s(f_prime),
             "n0": _s(n0),
@@ -516,20 +518,29 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         ledger.reset(token)
         budget.reset(opened)
-    if getattr(args, "json", False):
-        payload = {
-            "schema": 1,
-            "command": args.command,
-            "inputs": inputs,
-            "result": result,
-            "assertions": [{"name": name, "status": "pass"} for name in names],
-        }
-        print(_json(payload))
-    else:
-        for line in lines:
-            print(line)
-        for name in names:
-            print(f"[pass] {name}")
+    try:
+        if getattr(args, "json", False):
+            payload = {
+                "schema": 1,
+                "command": args.command,
+                "inputs": inputs,
+                "result": result,
+                "assertions": [{"name": name, "status": "pass"} for name in names],
+            }
+            print(_json(payload))
+        else:
+            for line in lines:
+                print(line)
+            for name in names:
+                print(f"[pass] {name}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send the unflushed rest to devnull, so the
+        # interpreter's flush at exit stays quiet, and exit as SIGPIPE would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     return 0
 
 

@@ -1,7 +1,7 @@
 """The one search budget of a run, and the error of a search that exhausts it.
 
 The budget counts the primitive candidate ideals of class enumeration and the
-rho-steps of the principal-cycle walk, and caps the A-window and the reduced
+rho-steps of each rho-cycle walk, and caps the A-window and the reduced
 forms listed for a class number and the trial divisors of the squarefree test
 and of factorize past 10^4. resolve_bound() is the budget: the value cli.main
 opens in `budget` while `cusps` or `pic` runs (its --bound, else CUSPIDAL_BOUND,

@@ -163,18 +163,6 @@ class CurveIdeal(Value):
         return _mul(e, list(self.p.nums[1::2]), s, char) == _reduce(
             [x * self.p.den for x in o], char)
 
-    def module_basis(self) -> list[tuple[int, list]]:
-        """Reduced echelon basis of the content-free module modulo x^(n-1)K[x]:
-        x^j*p cut below x^nu at even pivots j, unit rows at odd pivots above nu."""
-        field, width, nu = self.field, self.n - 1, self.nu
-        rows = []
-        for j in [*range(0, width, 2), *range(nu + 1, width, 2)]:
-            row = [field.zero] * width
-            row[j] = field.one
-            row[j + 1:nu:2] = [self.p.coeff(k) for k in range(1, nu - j, 2)]  # empty for odd j
-            rows.append((j, row))
-        return sorted(rows, key=lambda r: r[0])
-
     def contains(self, poly: CurvePoly) -> bool:
         """Membership of a polynomial in content * (R*p + R*q)."""
         quot, rem = poly.divmod_by(self.content)

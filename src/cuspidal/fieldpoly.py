@@ -166,9 +166,6 @@ class CurvePoly(Value):
                 out[i:i + width] = [o + x * y for o, y in zip(out[i:i + width], b)]
         return CurvePoly.from_ints(self.field, out, self.den * other.den)
 
-    def scale(self, scalar) -> "CurvePoly":
-        return self * CurvePoly.from_coeffs(self.field, [scalar])
-
     def shift(self, k: int) -> "CurvePoly":
         """Multiply by x^k."""
         assert k >= 0
@@ -300,13 +297,6 @@ def gcd_cofactors(polys: list[CurvePoly]) -> tuple[CurvePoly, list[CurvePoly]]:
     cofactors = iter(CurvePoly.from_ints(field, [x * k * c[-1] for x in q], g.den)
                      for q, k, g in zip(quots, scales, live))
     return CurvePoly.from_ints(field, c, c[-1]), [next(cofactors) if g.nums else g for g in polys]
-
-
-def poly_gcd_monic(a: CurvePoly, b: CurvePoly) -> CurvePoly:
-    """Monic greatest common divisor, zero if both inputs are: gcd_cofactors' content, which
-    divides a and b exactly and has their gcd's degree mod a prime dividing neither lead."""
-    assert a.field == b.field
-    return gcd_cofactors([a, b])[0]
 
 
 # the largest exponent a parsed polynomial may have; the dense coefficient

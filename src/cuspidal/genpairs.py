@@ -202,11 +202,6 @@ def det_pair(pair: GenPair, other: GenPair) -> DetClass:
     return _transition(pair, other)[1]
 
 
-def is_sl2_equivalent(pair: GenPair, other: GenPair) -> bool:
-    """Whether some SL2 matrix over the order maps pair to other."""
-    return det_pair(pair, other).is_one
-
-
 def _divide_exact(elt: QuadElt, c: int) -> QuadElt:
     check(elt.a % c == 0 and elt.b % c == 0, "{} is not divisible by {}", elt, c)
     return QuadElt(elt.field, elt.a // c, elt.b // c)
@@ -262,24 +257,18 @@ def sl2_witness(pair: GenPair, other: GenPair) -> UnimodularWitness:
     return witness
 
 
-def _epsilon_subgroup(order: Order, f_prime: int) -> tuple[int, ...]:
+def epsilon_subgroup(order: Order, f_prime: int) -> tuple[int, ...]:
+    """Residues mod f/f' reachable as determinant classes of unit rescalings of an
+    ideal of the order whose multiplier conductor is f' (multiplier_conductor)."""
     n0 = order.f // f_prime
     minus_one = fundamental_unit(order.field, f_prime).has_norm_minus_one
     return tuple(sorted({1 % n0, -1 % n0} if minus_one else {1 % n0}))
 
 
-def _orbit_count_sl2_mod_units(order: Order, f_prime: int) -> int:
-    return euler_phi(order.f // f_prime) // len(_epsilon_subgroup(order, f_prime))
-
-
-def epsilon_subgroup(ideal: QIdeal) -> tuple[int, ...]:
-    """Residues mod f/f' reachable as determinant classes of unit rescalings."""
-    return _epsilon_subgroup(ideal.order, multiplier_conductor(ideal))
-
-
-def orbit_count_sl2_mod_units(ideal: QIdeal) -> int:
-    """Number of SL2 orbits on generating pairs, up to unit rescaling."""
-    return _orbit_count_sl2_mod_units(ideal.order, multiplier_conductor(ideal))
+def orbit_count_sl2_mod_units(order: Order, f_prime: int) -> int:
+    """Number of SL2 orbits, up to unit rescaling, on the generating pairs of an
+    ideal of the order whose multiplier conductor is f' (multiplier_conductor)."""
+    return euler_phi(order.f // f_prime) // len(epsilon_subgroup(order, f_prime))
 
 
 def _unit_residues(order: Order, n0: int) -> set[int]:
@@ -307,18 +296,15 @@ def _unit_residues(order: Order, n0: int) -> set[int]:
     return subgroup
 
 
-def _orbit_count_gl2(order: Order, f_prime: int) -> int:
+def orbit_count_gl2(order: Order, f_prime: int) -> int:
+    """Number of GL2 orbits on the generating pairs of an ideal of the order whose
+    multiplier conductor is f' (multiplier_conductor)."""
     n0 = order.f // f_prime
     image = _unit_residues(order, n0)
     total = euler_phi(n0)
     check(total % len(image) == 0, "the unit image of order {} does not divide phi = {}",
           len(image), total)
     return total // len(image)
-
-
-def orbit_count_gl2(ideal: QIdeal) -> int:
-    """Number of GL2 orbits on generating pairs of the ideal."""
-    return _orbit_count_gl2(ideal.order, multiplier_conductor(ideal))
 
 
 def det_int(rows: list[list[int]]) -> int:

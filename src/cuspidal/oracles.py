@@ -4,8 +4,9 @@ Each function here recomputes by plain enumeration a number that the
 library obtains another way, with no shared formula, so the two can be
 compared: Picard sizes against the conductor formula, imaginary class
 numbers against the listing of reduced forms, cusp counts against the
-divisor sum, and curve unit counts against q^(k-1) * (q - 1). The dense
-x^2-closure _Span and the colon nullspace conductor_h_solver check curvering.
+divisor sum, and curve unit counts against q^(k-1) * (q - 1). _Span, dense
+echelon rows over the coefficient field, backs that unit count and the colon
+nullspace conductor_h_solver, which checks curvering.
 They are slow by design and serve the cross-checks of the command line,
 the self-test, the tests and the demos.
 """
@@ -13,7 +14,6 @@ the self-test, the tests and the demos.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
@@ -22,7 +22,7 @@ from .classnum import PicSize
 from .curvering import _check_n
 from .errors import UsageError, check
 from .fieldpoly import CoeffField, CurvePoly
-from .genpairs import _orbit_count_sl2_mod_units
+from .genpairs import orbit_count_sl2_mod_units
 from .quadideal import Order, _checked_conductor, _keyed_classes
 
 
@@ -61,7 +61,7 @@ def cusp_count_direct(order: Order) -> int:
     """Cusp count with no class-number formula: enumerate the ideal classes and
     add each class's orbit count on generating pairs, a function of f' alone."""
     counts = Counter(_class_conductors(order))
-    return sum(k * _orbit_count_sl2_mod_units(order, f_prime) for f_prime, k in counts.items())
+    return sum(k * orbit_count_sl2_mod_units(order, f_prime) for f_prime, k in counts.items())
 
 
 def curve_unit_group_brute(field: CoeffField, n: int, nu: int) -> int:
@@ -123,9 +123,6 @@ class _Span:
                 vec = _eliminate(p, vec, b, j)
         return None, vec
 
-    def __contains__(self, vec: list[int]) -> bool:
-        return self.reduce(vec)[0] is None
-
     def add(self, vec: list[int]) -> list[int] | None:
         """Insert vec unless it lies in the span; return the stored row."""
         lead, vec = self.reduce(vec)
@@ -142,14 +139,6 @@ class _Span:
         self.rows[lead] = vec
         return vec
 
-    def close(self, todo: list[list[int]]) -> "_Span":
-        """Grow to the smallest x^2-stable span that also contains todo."""
-        while todo:
-            row = self.add(todo.pop())
-            if row is not None:
-                todo.append([0, 0] + row[:-2])
-        return self
-
     def rref(self) -> list[tuple[int, list[int]]]:
         """Reduced echelon rows by back-substitution, pivots increasing."""
         p, done = self.field.char, {}
@@ -160,11 +149,6 @@ class _Span:
                     vec = _eliminate(p, vec, b, j)
             done[i] = vec
         return sorted(done.items())
-
-    def basis(self) -> list[tuple[int, list]]:
-        """The reduced echelon basis in field elements, each pivot 1."""
-        coerce = self.field.coerce
-        return [(i, [coerce(Fraction(x, vec[i])) for x in vec]) for i, vec in self.rref()]
 
     def kernel(self, width: int) -> list[CurvePoly]:
         """The polynomials h with rows @ h = 0, one per free column j: h_j = 1

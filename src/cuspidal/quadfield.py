@@ -142,12 +142,6 @@ class QuadElt(Value):
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def sqrt_coords(self) -> tuple[Fraction, Fraction]:
-        """(p, q) with self = p + q*sqrt(m); half-integral when omega is HALF."""
-        if self.field.omega_kind is OmegaKind.HALF:
-            return Fraction(2 * self.a + self.b, 2), Fraction(self.b, 2)
-        return Fraction(self.a), Fraction(self.b)
-
     def __str__(self) -> str:
         if self.b == 0:
             return str(self.a)

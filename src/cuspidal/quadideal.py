@@ -389,10 +389,14 @@ def _rho(form: tuple[int, int, int], disc: int, s: int) -> QuadForm:
 
 def _rho_cycle(form: QuadForm, disc: int, s: int) -> list[QuadForm]:
     """The reduced indefinite forms properly equivalent to a reduced `form`,
-    which rho permutes in one cycle (Cohen, GTM 138, 5.6)."""
+    which rho permutes in one cycle (Cohen, GTM 138, 5.6). A cycle that does not
+    close within resolve_bound() rho-steps raises InconclusiveError."""
+    bound = resolve_bound()
     cycle = [form]
     nxt = _rho(form, disc, s)
     while nxt != form:
+        if len(cycle) == bound:
+            raise exhausted(f"the rho-cycle of discriminant {disc} exceeds bound {bound} rho-steps")
         cycle.append(nxt)
         nxt = _rho(nxt, disc, s)
     return cycle
@@ -479,10 +483,6 @@ def is_same_class(lhs: QIdeal, rhs: QIdeal) -> bool:
     if lhs.order != rhs.order:
         raise UsageError("class comparison requires a common order")
     return class_key(lhs) == class_key(rhs)
-
-
-def is_principal(ideal: QIdeal) -> bool:
-    return is_same_class(ideal, ideal.order.unit_ideal())
 
 
 def _class_search_limit(order: Order) -> int:

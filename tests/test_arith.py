@@ -9,7 +9,6 @@ from cuspidal.arith import (
     factorize,
     is_prime,
     is_squarefree,
-    isqrt_ceil,
     sqrt_mods,
     xgcd,
 )
@@ -113,6 +112,12 @@ def test_budgeted_squarefree_test_is_exact_or_inconclusive(n, bound):
             # only for a cofactor free of primes up to the bound and past its cube
             assert rest >= bound**3
             assert f"up to {bound}" in str(exc) and "CUSPIDAL_BOUND" in str(exc)
+
+
+def isqrt_ceil(n):
+    """Smallest integer k >= 0 with k*k >= n (n >= 0)."""
+    k = math.isqrt(n)
+    return k if k * k == n else k + 1
 
 
 @given(st.integers(0, 10**9))

@@ -279,10 +279,11 @@ def test_multiplier_ring_report_computes_the_conductor_once(capsys, monkeypatch)
     monkeypatch.setattr(cuspidal.genpairs, "multiplier_conductor", counted)
     payload = _run_json(capsys, ["ideal", "mult-ring", "--m", "-1", "--f", "5", "--gens", "5; 5*w"])
     assert len(calls) == 1
-    # the public count also computes it once, and the orbit identity holds
+    # the public count takes f' and computes no conductor, and the orbit identity holds
     assert payload["result"]["sl2_orbits"] == "4"
-    assert cuspidal.genpairs.orbit_count_sl2_mod_units(calls[0]) == 4
-    assert len(calls) == 2
+    f_prime = int(payload["result"]["f_prime"])
+    assert cuspidal.genpairs.orbit_count_sl2_mod_units(calls[0].order, f_prime) == 4
+    assert len(calls) == 1
     # ideal inverse builds one conjugate, one product and one conductor
     import cuspidal.quadideal
 
@@ -304,6 +305,28 @@ def test_multiplier_ring_report_computes_the_conductor_once(capsys, monkeypatch)
     payload = _run_json(capsys, ["ideal", "inverse", "--m", "-5", "--f", "3", "--gens", "3; 3*w"])
     assert payload["assertions"] == [{"name": "product-is-fitting-ideal", "status": "pass"}]
     assert (len(calls), len(products), len(conjugates)) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_a_closed_stdout_exits_141_without_a_traceback(unbuffered, flags):
+    """fd 1 on a pipe whose reader is closed: exit 128 + SIGPIPE, quietly."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cuspidal", "pic", "--m", "-5", *flags],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141, proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 def test_module_entry_point_runs():

@@ -12,8 +12,8 @@ from cuspidal.fieldpoly import (
     MAX_EXPONENT,
     CoeffField,
     CurvePoly,
+    gcd_cofactors,
     parse_curve_poly,
-    poly_gcd_monic,
 )
 
 PRIMES = [2, 3, 5, 7]
@@ -99,7 +99,7 @@ def test_poly_division_identity(a, b):
 
 @given(_polys(CoeffField(5), max_deg=4), _polys(CoeffField(5), max_deg=4), _polys(CoeffField(5), max_deg=3))
 def test_gcd_scales_with_common_factor(a, b, c):
-    g = poly_gcd_monic(a, b)
+    g = gcd_cofactors([a, b])[0]
     if a.is_zero and b.is_zero:
         assert g.is_zero
         return
@@ -107,7 +107,7 @@ def test_gcd_scales_with_common_factor(a, b, c):
     _, rb = b.divmod_by(g)
     assert ra.is_zero and rb.is_zero
     if not c.is_zero:
-        gc = poly_gcd_monic(a * c, b * c)
+        gc = gcd_cofactors([a * c, b * c])[0]
         expected = (g * c).monic()
         assert gc == expected
 
@@ -291,14 +291,14 @@ def test_integer_kernels_match_schoolbook_oracle(case):
         _same(quot, oq)
         _same(rem, orem)
         _same(pb.monic(), [x / b[-1] for x in b])
-    _same(poly_gcd_monic(pa, pb), _oracle_gcd_monic(field, a, b))
+    _same(gcd_cofactors([pa, pb])[0], _oracle_gcd_monic(field, a, b))
     # a planted common factor c
     ac, bc = _oracle_mul(field, a, c), _oracle_mul(field, b, c)
-    _same(poly_gcd_monic(pa * pc, pb * pc), _oracle_gcd_monic(field, ac, bc))
+    _same(gcd_cofactors([pa * pc, pb * pc])[0], _oracle_gcd_monic(field, ac, bc))
 
 
 def _prs_gcd_monic(a, b):
-    """The primitive remainder sequence over Z that poly_gcd_monic ran before the
+    """The primitive remainder sequence over Z that the content gcd ran before the
     modular gcd, kept as its oracle: Euclid on residues over F_p; over Q the
     numerators' remainders cut to their primitive parts, whose last term is the
     gcd up to a constant by Gauss's lemma."""
@@ -335,7 +335,7 @@ def test_rational_gcd_runs_a_primitive_remainder_sequence(monkeypatch):
         pa, pb = CurvePoly.from_coeffs(q, ac), CurvePoly.from_coeffs(q, bc)
         got = _prs_gcd_monic(pa, pb)
         _same(got, _oracle_gcd_monic(q, ac, bc))
-        assert got == poly_gcd_monic(pa, pb)
+        assert got == gcd_cofactors([pa, pb])[0]
     assert len(divisors) > 20 and all(math.gcd(*b) == 1 for b in divisors)
 
 
@@ -416,7 +416,7 @@ def test_the_prime_source_draws_on_no_search_budget(monkeypatch):
     fieldpoly._gcd_prime.cache_clear()
     q = CoeffField(0)
     a, b = (parse_curve_poly(q, t) for t in ("2 + 6*x + 4*x^2", "3*x^3 + 3*x^4"))
-    assert poly_gcd_monic(a, b) == parse_curve_poly(q, "1 + x")
+    assert gcd_cofactors([a, b])[0] == parse_curve_poly(q, "1 + x")
     primes = [fieldpoly._gcd_prime(i) for i in range(3)]
     assert 2**30 > primes[0] > primes[1] > primes[2] > 2**29
     assert all(p % d for p in primes for d in range(2, math.isqrt(p) + 1))

@@ -14,7 +14,6 @@ from cuspidal.genpairs import (
     det_int,
     det_pair,
     epsilon_subgroup,
-    is_sl2_equivalent,
     orbit_count_gl2,
     orbit_count_sl2_mod_units,
     realize_det_class,
@@ -117,7 +116,7 @@ def test_unimodular_action_is_sl2_trivial():
         mat = _random_sl(order, rng)
         moved = GenPair(ideal, *mat.apply_to(pair.elements))
         assert det_pair(pair, moved).is_one
-        assert is_sl2_equivalent(pair, moved)
+        assert det_pair(moved, pair).is_one
         witness = sl2_witness(pair, moved)
         assert witness.apply_to(pair.elements) == moved.elements
         assert witness.det() == order.field.one
@@ -142,7 +141,7 @@ def test_witness_refused_when_classes_differ():
     other = GenPair(ideal, pair.g2, pair.g1)  # swap: class -1 = 4 mod 5
     cls = det_pair(pair, other)
     assert cls == DetClass(4, 5)
-    assert not is_sl2_equivalent(pair, other)
+    assert not cls.is_one
     with pytest.raises(UsageError):
         sl2_witness(pair, other)
 
@@ -178,7 +177,7 @@ def test_distinct_classes_partition_realized_pairs():
     for r1, p1 in pairs.items():
         for r2, p2 in pairs.items():
             expected = r1 == r2  # epsilon subgroup is trivial here
-            assert is_sl2_equivalent(p1, p2) == expected
+            assert det_pair(p1, p2).is_one == expected
 
 
 def test_epsilon_subgroup_matches_unit_norms():
@@ -188,7 +187,7 @@ def test_epsilon_subgroup_matches_unit_norms():
         ideal = _random_ideal(rng, order)
         f_prime = multiplier_conductor(ideal)
         n0 = order.f // f_prime
-        eps = epsilon_subgroup(ideal)
+        eps = epsilon_subgroup(order, f_prime)
         if fundamental_unit(order.field, f_prime).has_norm_minus_one:
             assert eps == tuple(sorted({1 % n0, -1 % n0}))
         else:
@@ -200,10 +199,11 @@ def test_orbit_counts_multiply_back_to_phi():
     for _ in range(150):
         order = _random_order(rng)
         ideal = _random_ideal(rng, order)
-        n0 = order.f // multiplier_conductor(ideal)
-        sl2 = orbit_count_sl2_mod_units(ideal)
-        assert sl2 * len(epsilon_subgroup(ideal)) == euler_phi(n0)
-        gl2 = orbit_count_gl2(ideal)
+        f_prime = multiplier_conductor(ideal)
+        n0 = order.f // f_prime
+        sl2 = orbit_count_sl2_mod_units(order, f_prime)
+        assert sl2 * len(epsilon_subgroup(order, f_prime)) == euler_phi(n0)
+        gl2 = orbit_count_gl2(order, f_prime)
         assert euler_phi(n0) % gl2 == 0
         assert gl2 <= sl2
 
@@ -211,17 +211,17 @@ def test_orbit_counts_multiply_back_to_phi():
 def test_orbit_counts_frozen_examples():
     order = Order(QuadField(-1), 5)
     ideal = QIdeal(order, 5, 0, 1)
-    assert orbit_count_sl2_mod_units(ideal) == 4
-    assert orbit_count_gl2(ideal) == 2
+    assert orbit_count_sl2_mod_units(order, multiplier_conductor(ideal)) == 4
+    assert orbit_count_gl2(order, multiplier_conductor(ideal)) == 2
     order2 = Order(QuadField(-3), 4)
     ideal2 = QIdeal(order2, 2, 0, 1)
     assert multiplier_conductor(ideal2) == 2
-    assert orbit_count_sl2_mod_units(ideal2) == 1
+    assert orbit_count_sl2_mod_units(order2, multiplier_conductor(ideal2)) == 1
     # real field with a norm -1 unit: epsilon halves the count
     order3 = Order(QuadField(2), 5)
     ideal3 = QIdeal(order3, 5, 0, 1)
     assert fundamental_unit(QuadField(2), 1).has_norm_minus_one
-    assert orbit_count_sl2_mod_units(ideal3) == 2
+    assert orbit_count_sl2_mod_units(order3, multiplier_conductor(ideal3)) == 2
 
 
 def test_vector_reduction_round_trip():

@@ -1,6 +1,9 @@
 """The public API is the literal list below: adding, removing or renaming an
 exported name shows up as a diff of this file."""
 
+import ast
+from pathlib import Path
+
 import cuspidal
 
 PUBLIC_NAMES = [
@@ -46,19 +49,17 @@ PUBLIC_NAMES = [
     "epsilon_subgroup",
     "fitt1",
     "fundamental_unit",
+    "gcd_cofactors",
     "ideal_from_generators",
     "ideal_inverse",
     "ideal_mul",
-    "is_principal",
     "is_same_class",
-    "is_sl2_equivalent",
     "multiplier_conductor",
     "orbit_count_gl2",
     "orbit_count_sl2_mod_units",
     "parse_curve_poly",
     "parse_element",
     "picard_order",
-    "poly_gcd_monic",
     "realize_det_class",
     "reduce_vector",
     "sl2_witness",
@@ -74,3 +75,17 @@ def test_every_public_name_resolves():
     missing = [name for name in cuspidal.__all__ if not hasattr(cuspidal, name)]
     assert missing == []
     assert len(set(cuspidal.__all__)) == len(cuspidal.__all__)
+
+
+def test_the_command_line_imports_no_underscored_name():
+    """cli.py reaches the library through its public names only."""
+    cli = Path(__file__).resolve().parent.parent / "src" / "cuspidal" / "cli.py"
+    private = [
+        f"{'.' * node.level}{node.module or ''}.{alias.name}"
+        for node in ast.walk(ast.parse(cli.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "cuspidal")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

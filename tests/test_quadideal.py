@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from cuspidal.arith import divisors, is_squarefree, isqrt_ceil, sqrt_mods
+from cuspidal.arith import divisors, is_squarefree, sqrt_mods
 from cuspidal.classnum import class_number_maximal
 from cuspidal.config import exhausted, resolve_bound
 from cuspidal.errors import InconclusiveError, InternalCheckError, UsageError, ZeroIdealError
@@ -26,12 +26,12 @@ from cuspidal.quadideal import (
     ideal_from_generators,
     ideal_inverse,
     ideal_mul,
-    is_principal,
     is_same_class,
     multiplier_conductor,
     reduced_forms,
 )
 from cuspidal.units import fundamental_unit
+from test_arith import isqrt_ceil
 from test_hnf_oracle import _colon_by_one_kernel, hnf_columns
 
 FIELDS = [QuadField(m) for m in (-1, -2, -3, -5, -7, -11, 2, 3, 5, 13)]
@@ -380,8 +380,8 @@ def test_known_non_principal_ideal():
     order = Order(field, 1)
     two = ideal_from_generators(order, [order.from_coords(2, 0), order.from_coords(1, 1)])
     assert two.norm() == 2
-    assert not is_principal(two)
-    assert is_principal(ideal_mul(two, two))  # class of order two
+    assert not is_same_class(two, order.unit_ideal())
+    assert is_same_class(ideal_mul(two, two), order.unit_ideal())  # class of order two
 
 
 def test_enumerate_classes_frozen_examples():
@@ -738,6 +738,35 @@ def test_each_rho_cycle_is_walked_once_per_session(monkeypatch):
             assert walked == sorted(reduced_forms(disc)), k
         counts.append(len(walks))
     assert counts[0] == counts[1] == len({(d, min(c)) for d, c in walks})
+
+
+@pytest.mark.parametrize("m, disc", [(10000000019, 40000000076), (10**9 + 7, 4000000028)])
+def test_rho_cycle_walks_stop_at_the_budget(monkeypatch, m, disc):
+    """The class enumeration of these fields walks rho-cycles far longer than 3,000
+    steps; each walk stops after the budget's rho-steps and names its search."""
+    steps, walks = [0], []
+
+    def counted_rho(form, d, s, real=quadideal._rho):
+        steps[0] += 1
+        return real(form, d, s)
+
+    def counted_cycle(form, d, s, real=quadideal._rho_cycle):
+        steps[0] = 0
+        try:
+            return real(form, d, s)
+        finally:
+            walks.append(steps[0])
+
+    monkeypatch.setattr(quadideal, "_rho", counted_rho)
+    monkeypatch.setattr(quadideal, "_rho_cycle", counted_cycle)
+    monkeypatch.setenv("CUSPIDAL_BOUND", "3000")
+    quadideal._cycle_table.cache_clear()
+    message = (f"^the rho-cycle of discriminant {disc} exceeds bound 3000 rho-steps;"
+               " raise it with CUSPIDAL_BOUND$")
+    with pytest.raises(InconclusiveError, match=message):
+        enumerate_ideal_classes(Order(QuadField(m), 1))
+    assert walks and max(walks) == 3000
+    quadideal._cycle_table.cache_clear()
 
 
 def test_shared_cycle_table_gives_the_same_keys():

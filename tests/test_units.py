@@ -10,11 +10,12 @@ from cuspidal.cli import main
 from cuspidal.errors import InternalCheckError, UsageError
 from cuspidal.quadfield import OmegaKind, QuadElt, QuadField
 from cuspidal.units import _step_product, fundamental_unit, unit_index
+from test_quadfield import sqrt_coords
 
 
 def _real_value(elt):
     """Embedding with sqrt(m) > 0, exact enough to order small units."""
-    p, q = elt.sqrt_coords()
+    p, q = sqrt_coords(elt)
     return float(p) + float(q) * math.sqrt(elt.field.m)
 
 
