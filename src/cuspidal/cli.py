@@ -499,6 +499,7 @@ def _json(obj, indent: str = "\n") -> str:
 def main(argv: list[str] | None = None) -> int:
     names: dict[str, None] = {}
     token, opened = ledger.set(names), budget.set(None)
+    code = 0
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
         if hasattr(args, "bound"):  # cusps and pic: one budget for every search of the run
@@ -507,18 +508,12 @@ def main(argv: list[str] | None = None) -> int:
             budget.set(args.bound or resolve_bound())
         inputs, result, lines = args.handler(args)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        code, lines = 1, [f"usage error: {exc}"]
     except InconclusiveError as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return 2
+        code, lines = 2, [f"inconclusive: {exc}"]
     except AssertionError as exc:  # an InternalCheckError or a bare assert
-        print(f"internal check failed: {exc}", file=sys.stderr)
-        return 3
-    finally:
-        ledger.reset(token)
-        budget.reset(opened)
-    try:
+        code, lines = 3, [f"internal check failed: {exc}"]
+    else:
         if getattr(args, "json", False):
             payload = {
                 "schema": 1,
@@ -527,21 +522,26 @@ def main(argv: list[str] | None = None) -> int:
                 "result": result,
                 "assertions": [{"name": name, "status": "pass"} for name in names],
             }
-            print(_json(payload))
+            lines = [_json(payload)]
         else:
-            for line in lines:
-                print(line)
-            for name in names:
-                print(f"[pass] {name}")
-        sys.stdout.flush()
+            lines = [*lines, *(f"[pass] {name}" for name in names)]
+    finally:
+        ledger.reset(token)
+        budget.reset(opened)
+    stream = sys.stderr if code else sys.stdout
+    try:
+        for line in lines:
+            print(line, file=stream)
+        stream.flush()
     except BrokenPipeError:
-        # the reader closed stdout: send the unflushed rest to devnull, so the
-        # interpreter's flush at exit stays quiet, and exit as SIGPIPE would
+        # the reader closed the stream: send the unflushed rest to devnull, so the
+        # interpreter's flush at exit stays quiet, and keep the exit code; a closed
+        # stdout exits as SIGPIPE would
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
-        return 141
-    return 0
+        return code or 141
+    return code
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ Exit-code mapping used by the CLI: UsageError -> 1, InconclusiveError -> 2,
 InternalCheckError (and bare AssertionError) -> 3.
 
 check(ok, detail, *args, name=None) raises InternalCheckError with
-detail.format(*args) when ok is false; the message is built only then. A
+detail.format(*args) when ok is false; the message is built only then, and an
+argument given as a function is called then for the value it shows. A
 passing check with a name is recorded in `ledger`, a dict of the names in the
 order first recorded, when one is open: cli.main opens one per run and prints
 it as the run's assertions. Outside the command line the ledger is None and
@@ -40,9 +41,9 @@ ledger: ContextVar[dict[str, None] | None] = ContextVar("ledger", default=None)
 
 
 def check(ok: object, detail: str, *args: object, name: str | None = None) -> None:
-    """Raise InternalCheckError(detail.format(*args)) unless ok; record a passing
-    named check in the open ledger."""
+    """Raise InternalCheckError(detail.format(*args)) unless ok, calling each
+    function among args first; record a passing named check in the open ledger."""
     if not ok:
-        raise InternalCheckError(detail.format(*args))
+        raise InternalCheckError(detail.format(*(a() if callable(a) else a for a in args)))
     if name is not None and (names := ledger.get()) is not None:
         names[name] = None

@@ -11,6 +11,10 @@ witness matrix is produced and verified entry by entry. Longer generating
 vectors are compressed to length two by an explicit SL_n(Z) witness: the
 transform of the same 2-row reduction, applied to the coordinates of the
 vector. realize_det_class reads the index of (gen1 : gen2) as a/e, a closed form.
+
+det_pair, sl2_witness and reduce_vector run on coordinate pairs (a, b) over
+(1, omega), multiplied by _dot with omega^2 = r + s*omega (QuadField.omega_sq);
+they read QuadElt objects through .a and .b, and build only the returned ones.
 """
 
 from __future__ import annotations
@@ -19,12 +23,11 @@ import math
 
 from .arith import euler_phi
 from .errors import UsageError, check
-from .quadfield import QuadElt
+from .quadfield import QuadElt, QuadField
 from .quadideal import (
     Order,
     QIdeal,
     _echelon2,
-    _Echelon2,
     _fitt1,
     ideal_from_generators,
     multiplier_conductor,
@@ -145,50 +148,57 @@ def _int_witness(order: Order, rows: list[list[int]]) -> UnimodularWitness:
     )
 
 
-def _pair_system(pair: GenPair) -> _Echelon2:
-    """The reduced 2x4 system of g1*x + g2*y over the coordinates of x, y in
-    (1, f*omega): its columns are g1, g1*f*omega, g2, g2*f*omega over (1, omega)."""
-    gen = pair.ideal.order.gen
-    cols = [p for g in pair.elements for p in (g, g * gen)]
-    return _echelon2([p.a for p in cols], [p.b for p in cols])
+def _dot(rs: tuple[int, int], x: tuple[int, int], u: tuple[int, int],
+         y: tuple[int, int] = (0, 0), v: tuple[int, int] = (0, 0)) -> tuple[int, int]:
+    """x*u + y*v, or the product x*u alone, for elements given by their
+    coordinates (a, b) over (1, omega), with rs = (r, s): omega^2 = r + s*omega."""
+    (a, b), (c, d), (e, g), (h, k) = x, u, y, v
+    w = b * d + g * k
+    return a * c + e * h + w * rs[0], a * d + b * c + e * k + g * h + w * rs[1]
 
 
-def _solve_in_pair(pair: GenPair, system: _Echelon2, target: QuadElt) -> tuple[QuadElt, QuadElt]:
-    """Coefficients (x, y) in the order with g1*x + g2*y = target."""
-    order = pair.ideal.order
-    sol = system.solve(target.a, target.b)
-    check(sol is not None, "{} is not reachable from {}", target, pair.elements)
-    x = order.from_coords(sol[0], sol[1])
-    y = order.from_coords(sol[2], sol[3])
-    check(pair.g1 * x + pair.g2 * y == target, "coefficients {} do not reach {}", (x, y), target)
-    return x, y
+def _det2(rs: tuple[int, int], mat: list[list[tuple[int, int]]]) -> tuple[int, int]:
+    (p, q), (u, v) = mat
+    return _dot(rs, p, v, (-q[0], -q[1]), u)
 
 
-def _det2(mat: list[list[QuadElt]]) -> QuadElt:
-    return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-
-
-def _transition(pair: GenPair, other: GenPair) -> tuple[list[list[QuadElt]], DetClass]:
-    """The coefficient matrix A with pair.elements @ A = other.elements and the
-    class of det A: its first coordinate over (1, f*omega) in Z/(f/f'), a unit.
-    Both columns of A are solved from one reduction of the pair system, whose
-    kernel then checks that every lift A + (kernel vector) gives the same class."""
+def _transition(pair: GenPair, other: GenPair) -> tuple[list[list[tuple[int, int]]], DetClass]:
+    """The coefficient matrix A with pair.elements @ A = other.elements, its entries
+    as coordinates over (1, omega), and the class of det A: its first coordinate
+    over (1, f*omega) in Z/(f/f'), a unit. Both columns of A are solved from one
+    reduction of the 2x4 system of g1*x + g2*y over the coordinates of x, y in
+    (1, f*omega), whose kernel then checks that every lift A + (kernel vector)
+    gives the same class."""
     if pair.ideal != other.ideal:
         raise UsageError("pairs generate different ideals, no determinant class")
     order = pair.ideal.order
-    n0 = order.f // multiplier_conductor(pair.ideal)
-    system = _pair_system(pair)
-    (x1, y1), (x2, y2) = (_solve_in_pair(pair, system, h) for h in other.elements)
-    mat = [[x1, x2], [y1, y2]]
-    cls = DetClass(order.coords(_det2(mat))[0], n0)
+    field, f, rs = order.field, order.f, order.field.omega_sq
+    n0 = f // multiplier_conductor(pair.ideal)
+    g1, g2 = ((g.a, g.b) for g in pair.elements)
+    cols = [g1, _dot(rs, g1, (0, f)), g2, _dot(rs, g2, (0, f))]
+    system = _echelon2([p[0] for p in cols], [p[1] for p in cols])
+
+    def entries(vec: list[int]) -> tuple[tuple[int, int], tuple[int, int]]:
+        return (vec[0], vec[1] * f), (vec[2], vec[3] * f)
+
+    sols = []
+    for h in other.elements:
+        sol = system.solve(h.a, h.b)
+        check(sol is not None, "{} is not reachable from {}", h, pair.elements)
+        x, y = entries(sol)
+        check(_dot(rs, g1, x, g2, y) == (h.a, h.b), "coefficients {} do not reach {}",
+              lambda: (QuadElt(field, *x), QuadElt(field, *y)), h)
+        sols.append(sol)
+    mat = [list(row) for row in zip(*map(entries, sols))]
+    cls = DetClass(_det2(rs, mat)[0], n0)
     check(math.gcd(cls.value, n0) == 1, "determinant residue {} mod {} not a unit", cls.value, n0)
     for kern in system.kernel:
-        dx = order.from_coords(kern[0], kern[1])
-        dy = order.from_coords(kern[2], kern[3])
-        check(pair.g1 * dx + pair.g2 * dy == order.field.zero,
-              "{} is not a relation of {}", (dx, dy), pair.elements)
-        alt = [[x1 + dx, x2], [y1 + dy, y2]]
-        check(order.coords(_det2(alt))[0] % n0 == cls.value,
+        dx, dy = entries(kern)
+        check(_dot(rs, g1, dx, g2, dy) == (0, 0),
+              "{} is not a relation of {}",
+              lambda: (QuadElt(field, *dx), QuadElt(field, *dy)), pair.elements)
+        x, y = entries([s + k for s, k in zip(sols[0], kern)])
+        check(_det2(rs, [[x, mat[0][1]], [y, mat[1][1]]])[0] % n0 == cls.value,
               "determinant class depends on the lift", name="class-invariance-under-resolve")
     return mat, cls
 
@@ -202,9 +212,10 @@ def det_pair(pair: GenPair, other: GenPair) -> DetClass:
     return _transition(pair, other)[1]
 
 
-def _divide_exact(elt: QuadElt, c: int) -> QuadElt:
-    check(elt.a % c == 0 and elt.b % c == 0, "{} is not divisible by {}", elt, c)
-    return QuadElt(elt.field, elt.a // c, elt.b // c)
+def _divide_exact(field: QuadField, x: tuple[int, int], c: int) -> tuple[int, int]:
+    check(x[0] % c == 0 and x[1] % c == 0, "{} is not divisible by {}",
+          lambda: QuadElt(field, *x), c)
+    return x[0] // c, x[1] // c
 
 
 def sl2_witness(pair: GenPair, other: GenPair) -> UnimodularWitness:
@@ -216,45 +227,44 @@ def sl2_witness(pair: GenPair, other: GenPair) -> UnimodularWitness:
     if pair.ideal != other.ideal:
         raise UsageError("pairs generate different ideals")
     order = pair.ideal.order
-    field = order.field
+    field, f, rs = order.field, order.f, order.field.omega_sq
     if pair.elements == other.elements:
         return _int_witness(order, [[1, 0], [0, 1]])
     mat, cls = _transition(pair, other)
     if not cls.is_one:
         raise UsageError(f"pairs are not SL2-equivalent, class {cls.value} mod {cls.modulus}")
-    t = field.one - _det2(mat)
-    check(_fitt1(pair.ideal, order.f // cls.modulus).contains(t),
-          "1 - det A = {} is not in Fitt_1", t)
-
+    det = _det2(rs, mat)
+    t = (1 - det[0], -det[1])
     conj = pair.ideal.conjugate()
+    fitting = _fitt1(pair.ideal, f // cls.modulus, conj)
+    check(t[1] % f == 0 and fitting._has(t[0], t[1] // f),
+          "1 - det A = {} is not in Fitt_1", lambda: QuadElt(field, *t))
+
     c = pair.ideal.norm()
-    scaled_t = t * c
-    basis = (conj.gen1, conj.gen2)
-    cols = [g * other.g2 for g in basis] + [-(g * other.g1) for g in basis]
-    sol = _echelon2([p.a for p in cols], [p.b for p in cols]).solve(scaled_t.a, scaled_t.b)
+    scaled_t = (t[0] * c, t[1] * c)
+    basis = ((conj.a, 0), (conj.d, conj.e * f))
+    g1, g2, h1, h2 = ((g.a, g.b) for g in pair.elements + other.elements)
+    minus_h1 = (-h1[0], -h1[1])
+    cols = [_dot(rs, g, h2) for g in basis] + [_dot(rs, g, minus_h1) for g in basis]
+    sol = _echelon2([p[0] for p in cols], [p[1] for p in cols]).solve(*scaled_t)
     check(sol is not None, "correction equation has no solution over sigma(I)^2")
-    rho = basis[0] * sol[0] + basis[1] * sol[1]
-    sigma = basis[0] * sol[2] + basis[1] * sol[3]
-    check(rho * other.g2 - sigma * other.g1 == scaled_t,
+    rho, sigma = ((conj.a * u + conj.d * v, conj.e * f * v) for u, v in (sol[:2], sol[2:]))
+    check(_dot(rs, rho, h2, sigma, minus_h1) == scaled_t,
           "correction equation solution does not check")
 
-    a, b = pair.elements
-    n11 = _divide_exact(rho * b, c)
-    n12 = _divide_exact(sigma * b, c)
-    n21 = _divide_exact(rho * a, c) * (-1)
-    n22 = _divide_exact(sigma * a, c) * (-1)
-    entries = (
-        (mat[0][0] + n11, mat[0][1] + n12),
-        (mat[1][0] + n21, mat[1][1] + n22),
-    )
-    for row in entries:
+    # B = A + N with N = ((rho*g2, sigma*g2), (-rho*g1, -sigma*g1)) / N(I)
+    corr = [[_divide_exact(field, _dot(rs, z, g), c) for z in (rho, sigma)] for g in (g2, g1)]
+    ent = [[(x[0] + sign * n[0], x[1] + sign * n[1]) for x, n in zip(mrow, nrow)]
+           for sign, mrow, nrow in zip((1, -1), mat, corr)]
+    for row in ent:
         for e in row:
-            check(order.contains(e), "witness entry {} escapes the order", e)
-    witness = UnimodularWitness(entries)
-    check(witness.det() == field.one, "witness determinant is not 1", name="determinant-is-one")
-    check(witness.apply_to(pair.elements) == other.elements,
+            check(e[1] % f == 0, "witness entry {} escapes the order",
+                  lambda: QuadElt(field, *e))
+    check(_det2(rs, ent) == (1, 0), "witness determinant is not 1", name="determinant-is-one")
+    (p, q), (u, v) = ent
+    check((_dot(rs, g1, p, g2, u), _dot(rs, g1, q, g2, v)) == (h1, h2),
           "witness does not map the first pair to the second", name="witness-maps-pair-to-pair2")
-    return witness
+    return UnimodularWitness(tuple(tuple(QuadElt(field, *e) for e in row) for row in ent))
 
 
 def epsilon_subgroup(order: Order, f_prime: int) -> tuple[int, ...]:
@@ -355,13 +365,13 @@ def reduce_vector(vec: GenVec) -> tuple[GenPair, UnimodularWitness]:
     sigma = [list(row) for row in zip(*cols)]
     check(det_int(sigma) == 1, "reduction witness is not in SL_n(Z)",
           name="witness-determinant-one")
-    witness = _int_witness(order, sigma)
-    image = witness.apply_to(vec.elements)
-    zero = order.field.zero
-    check(all(e == zero for e in image[2:]), "reduction left nonzero trailing entries",
+    # the image of the vector, in coordinates over (1, f*omega): column j of sigma is cols[j]
+    image = [(sum(x * k for x, k in zip(xs, col)), sum(y * k for y, k in zip(ys, col)))
+             for col in cols]
+    check(all(e == (0, 0) for e in image[2:]), "reduction left nonzero trailing entries",
           name="tail-entries-vanish")
-    pair = GenPair(vec.ideal, image[0], image[1])
-    return pair, witness
+    pair = GenPair(vec.ideal, order.from_coords(*image[0]), order.from_coords(*image[1]))
+    return pair, _int_witness(order, sigma)
 
 
 def realize_det_class(ideal: QIdeal, residue: int) -> GenPair:

@@ -330,17 +330,18 @@ def fitt1(ideal: QIdeal) -> QIdeal:
     the lattice product with the conjugate divided by the norm, and a
     membership certificate must show that it is the conductor (O_f : O_f').
     """
-    return _fitt1(ideal, multiplier_conductor(ideal))
+    return _fitt1(ideal, multiplier_conductor(ideal), ideal.conjugate())
 
 
-def _fitt1(ideal: QIdeal, f_prime: int) -> QIdeal:
-    """fitt1 for a caller that already has the multiplier conductor f'."""
+def _fitt1(ideal: QIdeal, f_prime: int, conj: QIdeal) -> QIdeal:
+    """fitt1 for a caller that already has the multiplier conductor f' and the
+    conjugate ideal sigma(I)."""
     order = ideal.order
     f = order.f
     n0 = f // f_prime
     closed = QIdeal(order, n0, 0, 1)
 
-    product = ideal_mul(ideal, ideal.conjugate())
+    product = ideal_mul(ideal, conj)
     check(FracIdeal(product, ideal.norm()) == FracIdeal(closed, 1),
           "I*sigma(I)/N(I) disagrees with the closed form",
           name="fitting-norm-is-conductor-quotient")
@@ -421,6 +422,9 @@ def canonical_form(form: tuple[int, int, int]) -> QuadForm:
         return _reduce_definite(A, B, C)
     s = math.isqrt(disc)
     q = form
+    if 2 * abs(A) <= s:  # B -> B + 2k|A| lands in (s - 2|A|, s], where the form is reduced
+        B = s - (s - B) % (2 * abs(A))
+        q = (A, B, (B * B - disc) // (4 * A))
     # reduced: |sqrt(disc) - 2|A|| < B < sqrt(disc)
     while not (2 * abs(q[0]) - q[1] <= s < 2 * abs(q[0]) + q[1] and q[1] <= s):
         q = _rho(q, disc, s)

@@ -693,6 +693,27 @@ def test_every_pair_query_runs_the_lift_check(capsys, monkeypatch, op):
     assert "is not a relation" in proc.stderr
 
 
+@pytest.mark.parametrize("argv, env, code", [
+    (["-m", "cuspidal", "pic", "--m", "4"], {}, 1),
+    (["-m", "cuspidal", "pic", "--m", "-10007"], {"CUSPIDAL_BOUND": "10"}, 2),
+    (["-c", _BAD_KERNEL, *_DET_ARGV], {}, 3),
+], ids=["usage-error", "inconclusive", "internal-check"])
+def test_a_closed_stderr_keeps_the_exit_code(argv, env, code):
+    """fd 2 on a pipe whose reader is closed: the failure line cannot be written,
+    and the exit code still says which failure it was."""
+    root = Path(__file__).resolve().parent.parent
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, *argv], stdout=subprocess.PIPE, stderr=write_end,
+            env=dict(os.environ, PYTHONPATH=str(root / "src"), **env), text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stdout) == (code, "")
+
+
 def test_pair_queries_reduce_their_pair_system_once(capsys, monkeypatch):
     systems = []
     real = genpairs._echelon2

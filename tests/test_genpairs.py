@@ -2,9 +2,11 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from cuspidal.arith import euler_phi
+import pair_oracle
+from cuspidal import genpairs
+from cuspidal.arith import divisors, euler_phi
 from cuspidal.errors import UsageError
 from cuspidal.genpairs import (
     DetClass,
@@ -24,6 +26,7 @@ from cuspidal.quadfield import QuadElt, QuadField
 from cuspidal.quadideal import (
     Order,
     QIdeal,
+    _fitt1,
     enumerate_ideal_classes,
     ideal_from_generators,
     multiplier_conductor,
@@ -307,3 +310,100 @@ def test_generating_pair_validation():
         GenPair(ideal, order.from_coords(2, 0), order.from_coords(4, 0))
     with pytest.raises(UsageError):
         GenVec(ideal, (order.from_coords(2, 0),))
+
+
+_PLANTED_FIELDS = (-1, -2, -3, -5, -6, -7, -10, -11, -14, -15, -19, -23,
+                   2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21)
+
+
+def _small(data, order):
+    """A small nonzero element x + y*f*w of the order."""
+    x, y = data.draw(st.tuples(st.integers(-4, 4), st.integers(0, 2)).filter(any))
+    return order.from_coords(x, y)
+
+
+def _three_elementary(data, order):
+    """A product of three elementary matrices over the order, upper first."""
+    one, zero = order.field.one, order.field.zero
+    rows = ((one, zero), (zero, one))
+    for k in range(3):
+        beta = _small(data, order)
+        step = UnimodularWitness(((one, beta), (zero, one)) if k % 2 == 0
+                                 else ((one, zero), (beta, one)))
+        rows = tuple(step.apply_to(row) for row in rows)
+    return UnimodularWitness(rows)
+
+
+def _planted_pairs(data, m, f):
+    """P = (s*c, s*(f*w + t*c)) for c | f, whose multiplier conductor is f/c;
+    Q = P*M and R = Q*diag(1, -1)*M' for products M, M' of elementary matrices,
+    so that the class of (P, Q) is 1 and that of (Q, R) is -1."""
+    order = Order(QuadField(m), f)
+    c = data.draw(st.sampled_from(divisors(f)))
+    s, t = _small(data, order), _small(data, order)
+    pair = GenPair.generating(order, s * c, s * (order.gen + t * c))
+    assert multiplier_conductor(pair.ideal) == f // c
+    q = GenPair(pair.ideal, *_three_elementary(data, order).apply_to(pair.elements))
+    r = GenPair(pair.ideal, *_three_elementary(data, order).apply_to((q.g1, -q.g2)))
+    return pair, q, r
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_PLANTED_FIELDS), st.integers(1, 30), st.data())
+def test_pair_route_matches_the_quadelt_oracle_on_planted_pairs(m, f, data):
+    pair, q, r = _planted_pairs(data, m, f)
+    order = pair.ideal.order
+    n0 = f // multiplier_conductor(pair.ideal)
+    assert (det_pair(pair, q), det_pair(q, r)) == (DetClass(1, n0), DetClass(-1, n0))
+    for first, second in ((pair, q), (q, r), (pair, r)):
+        mat, cls = pair_oracle.transition(first, second)
+        assert det_pair(first, second) == cls
+        assert genpairs._transition(first, second) == ([[(x.a, x.b) for x in row] for row in mat],
+                                                       cls)
+        if not cls.is_one:
+            with pytest.raises(UsageError, match="not SL2-equivalent"):
+                sl2_witness(first, second)
+            continue
+        witness = sl2_witness(first, second)
+        assert witness == pair_oracle.sl2_witness(first, second)
+        assert witness.apply_to(first.elements) == second.elements
+        assert witness.det() == order.field.one
+        assert all(order.contains(e) for row in witness.entries for e in row)
+    for base in (pair, q):
+        third = _small(data, order) * base.g1 + _small(data, order) * base.g2
+        vec = GenVec(base.ideal, (base.g1, base.g2, third))
+        reduced, sigma = reduce_vector(vec)
+        assert sigma.apply_to(vec.elements) == reduced.elements + (order.field.zero,)
+        assert sigma.det() == order.field.one and reduced.ideal == base.ideal
+
+
+def test_the_pair_route_builds_quadelt_objects_only_at_its_boundary(monkeypatch):
+    """det_pair reads its pairs through .a and .b and builds no QuadElt of its
+    own; sl2_witness builds the four entries of its witness; reduce_vector the
+    n*n integer entries of sigma and the two elements of the reduced pair. The
+    rest are built by the quadideal calls they make, counted on their own."""
+    order = Order(QuadField(-7), 12)
+    g1, g2 = order.from_coords(6, 0), order.from_coords(6, 1)
+    pair = GenPair.generating(order, g1, g2)
+    other = GenPair(pair.ideal, g1 * 3 + g2 * 2, g1 + g2)  # times ((3, 1), (2, 1)): class 1
+    vec = GenVec(pair.ideal, (g1, g2, g1 * 5 - g2))
+    f_prime = multiplier_conductor(pair.ideal)
+    built = []
+    real = QuadElt.__init__
+
+    def counted(self, field, a, b):
+        built.append((a, b))
+        real(self, field, a, b)
+
+    monkeypatch.setattr(QuadElt, "__init__", counted)
+
+    def count(fn, *args):
+        built.clear()
+        fn(*args)
+        return len(built)
+
+    conductor = count(multiplier_conductor, pair.ideal)
+    fitting = count(lambda: _fitt1(pair.ideal, f_prime, pair.ideal.conjugate()))
+    assert count(det_pair, pair, other) == conductor
+    assert count(sl2_witness, pair, other) == conductor + fitting + 4
+    assert count(reduce_vector, vec) == 3 * 3 + 2

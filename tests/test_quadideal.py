@@ -318,7 +318,7 @@ def test_fitt1_conductor_certificate_refuses_a_wrong_conductor(monkeypatch, m, f
 
     monkeypatch.setattr(quadideal, "ideal_mul", agreeing_product)
     with pytest.raises(InternalCheckError, match=r"\(O_f : O_f'\)"):
-        _fitt1(ideal, wrong)
+        _fitt1(ideal, wrong, ideal.conjugate())
 
 
 def test_multiplier_conductor_against_divisor_scan():
@@ -853,3 +853,35 @@ def test_canonical_form_is_constant_on_classes(disc, data):
     assert canonical_form(moved) == canonical_form(form) in forms
     if disc > 0:
         assert canonical_form(QuadForm(-form.A, form.B, -form.C)) == canonical_form(form)
+
+
+def _reduced_by_rho_steps(form):
+    A, B, C = form
+    disc = B * B - 4 * A * C
+    s = math.isqrt(disc)
+    q = form
+    while not (2 * abs(q[0]) - q[1] <= s < 2 * abs(q[0]) + q[1] and q[1] <= s):
+        q = quadideal._rho(q, disc, s)
+    return QuadForm(*q)
+
+
+def test_one_translation_reaches_the_canonical_form_of_the_rho_steps():
+    """An indefinite (A, B, C) with 2|A| <= isqrt(D) is reduced by one translation
+    of B instead of rho-steps; over the maximal orders of every squarefree
+    2 <= m < 3000 it gets the canonical form that the rho-steps reach, from B far
+    above and far below the reduction window."""
+    checked = 0
+    for m in range(2, 3000):
+        if not is_squarefree(m):
+            continue
+        disc = QuadField(m).disc_max
+        s = math.isqrt(disc)
+        for a in range(1, min(s // 2, 6) + 1):
+            for root in (b for b in range(2 * a) if (b * b - disc) % (4 * a) == 0):
+                for A, B in ((a, root + 14 * a), (-a, root - 10 * a)):
+                    C = (B * B - disc) // (4 * A)
+                    if math.gcd(A, B, C) == 1:
+                        want = canonical_form(_reduced_by_rho_steps((A, B, C)))
+                        assert canonical_form((A, B, C)) == want, (m, (A, B, C))
+                        checked += 1
+    assert checked > 10_000
