@@ -5,9 +5,9 @@ same ideal through any coefficient matrix A with (g1, g2) A = (h1, h2).
 The determinant of A is well defined modulo the Fitting ideal, and its
 residue in Z/(f/f') is a complete invariant for the SL2(O_f) action.
 Both columns of A come from one reduction of the 2x4 integer system of the
-pair, and every call walks that reduction's kernel to check that each lift
-of A gives the same class. When the residue is 1 an explicit unimodular
-witness matrix is produced and verified entry by entry. Longer generating
+pair. Its kernel spans the relations of the pair: every call walks it to
+check that each lift of A gives the same class, and the unimodular witness
+of class 1 is A + N, the columns of N combinations of it. Longer generating
 vectors are compressed to length two by an explicit SL_n(Z) witness: the
 transform of the same 2-row reduction, applied to the coordinates of the
 vector. realize_det_class reads the index of (gen1 : gen2) as a/e, a closed form.
@@ -23,7 +23,7 @@ import math
 
 from .arith import euler_phi
 from .errors import UsageError, check
-from .quadfield import QuadElt, QuadField
+from .quadfield import QuadElt
 from .quadideal import (
     Order,
     QIdeal,
@@ -162,13 +162,14 @@ def _det2(rs: tuple[int, int], mat: list[list[tuple[int, int]]]) -> tuple[int, i
     return _dot(rs, p, v, (-q[0], -q[1]), u)
 
 
-def _transition(pair: GenPair, other: GenPair) -> tuple[list[list[tuple[int, int]]], DetClass]:
+def _transition(pair: GenPair, other: GenPair) -> tuple[
+        list[list[tuple[int, int]]], DetClass, list[tuple[tuple[int, int], tuple[int, int]]]]:
     """The coefficient matrix A with pair.elements @ A = other.elements, its entries
-    as coordinates over (1, omega), and the class of det A: its first coordinate
-    over (1, f*omega) in Z/(f/f'), a unit. Both columns of A are solved from one
-    reduction of the 2x4 system of g1*x + g2*y over the coordinates of x, y in
-    (1, f*omega), whose kernel then checks that every lift A + (kernel vector)
-    gives the same class."""
+    as coordinates over (1, omega); the class of det A: its first coordinate over
+    (1, f*omega) in Z/(f/f'), a unit; and the relations (dx, dy) of the pair. All
+    three come from one reduction of the 2x4 system of g1*x + g2*y over the
+    coordinates of x, y in (1, f*omega): its kernel is a Z-basis of the relations,
+    over which every lift A + (relation) is checked to give the same class."""
     if pair.ideal != other.ideal:
         raise UsageError("pairs generate different ideals, no determinant class")
     order = pair.ideal.order
@@ -192,15 +193,14 @@ def _transition(pair: GenPair, other: GenPair) -> tuple[list[list[tuple[int, int
     mat = [list(row) for row in zip(*map(entries, sols))]
     cls = DetClass(_det2(rs, mat)[0], n0)
     check(math.gcd(cls.value, n0) == 1, "determinant residue {} mod {} not a unit", cls.value, n0)
-    for kern in system.kernel:
-        dx, dy = entries(kern)
-        check(_dot(rs, g1, dx, g2, dy) == (0, 0),
-              "{} is not a relation of {}",
+    relations = [entries(kern) for kern in system.kernel]
+    for kern, (dx, dy) in zip(system.kernel, relations):
+        check(_dot(rs, g1, dx, g2, dy) == (0, 0), "{} is not a relation of {}",
               lambda: (QuadElt(field, *dx), QuadElt(field, *dy)), pair.elements)
         x, y = entries([s + k for s, k in zip(sols[0], kern)])
         check(_det2(rs, [[x, mat[0][1]], [y, mat[1][1]]])[0] % n0 == cls.value,
               "determinant class depends on the lift", name="class-invariance-under-resolve")
-    return mat, cls
+    return mat, cls, relations
 
 
 def det_pair(pair: GenPair, other: GenPair) -> DetClass:
@@ -212,17 +212,15 @@ def det_pair(pair: GenPair, other: GenPair) -> DetClass:
     return _transition(pair, other)[1]
 
 
-def _divide_exact(field: QuadField, x: tuple[int, int], c: int) -> tuple[int, int]:
-    check(x[0] % c == 0 and x[1] % c == 0, "{} is not divisible by {}",
-          lambda: QuadElt(field, *x), c)
-    return x[0] // c, x[1] // c
-
-
 def sl2_witness(pair: GenPair, other: GenPair) -> UnimodularWitness:
     """Explicit B in SL2(O_f) with pair.elements @ B = other.elements.
 
     Exists exactly when the determinant class is 1; raises UsageError
-    otherwise. The result is verified before being returned.
+    otherwise. B = A + N, each column of N a combination of the relations
+    (dx, dy) = (z*g2, -z*g1), z in (O_f : I), of the pair: one adds z*h2 to
+    det A in column 1 and -z*h1 in column 2, and two relations have
+    determinant 0. So det B = 1 is an integer system, whose image
+    (O_f : I)*I = Fitt_1 holds 1 - det A. B is verified before it is returned.
     """
     if pair.ideal != other.ideal:
         raise UsageError("pairs generate different ideals")
@@ -230,39 +228,29 @@ def sl2_witness(pair: GenPair, other: GenPair) -> UnimodularWitness:
     field, f, rs = order.field, order.f, order.field.omega_sq
     if pair.elements == other.elements:
         return _int_witness(order, [[1, 0], [0, 1]])
-    mat, cls = _transition(pair, other)
+    mat, cls, relations = _transition(pair, other)
     if not cls.is_one:
         raise UsageError(f"pairs are not SL2-equivalent, class {cls.value} mod {cls.modulus}")
     det = _det2(rs, mat)
     t = (1 - det[0], -det[1])
-    conj = pair.ideal.conjugate()
-    fitting = _fitt1(pair.ideal, f // cls.modulus, conj)
+    fitting = _fitt1(pair.ideal, f // cls.modulus, pair.ideal.conjugate())
     check(t[1] % f == 0 and fitting._has(t[0], t[1] // f),
           "1 - det A = {} is not in Fitt_1", lambda: QuadElt(field, *t))
 
-    c = pair.ideal.norm()
-    scaled_t = (t[0] * c, t[1] * c)
-    basis = ((conj.a, 0), (conj.d, conj.e * f))
-    g1, g2, h1, h2 = ((g.a, g.b) for g in pair.elements + other.elements)
-    minus_h1 = (-h1[0], -h1[1])
-    cols = [_dot(rs, g, h2) for g in basis] + [_dot(rs, g, minus_h1) for g in basis]
-    sol = _echelon2([p[0] for p in cols], [p[1] for p in cols]).solve(*scaled_t)
-    check(sol is not None, "correction equation has no solution over sigma(I)^2")
-    rho, sigma = ((conj.a * u + conj.d * v, conj.e * f * v) for u, v in (sol[:2], sol[2:]))
-    check(_dot(rs, rho, h2, sigma, minus_h1) == scaled_t,
-          "correction equation solution does not check")
-
-    # B = A + N with N = ((rho*g2, sigma*g2), (-rho*g1, -sigma*g1)) / N(I)
-    corr = [[_divide_exact(field, _dot(rs, z, g), c) for z in (rho, sigma)] for g in (g2, g1)]
-    ent = [[(x[0] + sign * n[0], x[1] + sign * n[1]) for x, n in zip(mrow, nrow)]
-           for sign, mrow, nrow in zip((1, -1), mat, corr)]
-    for row in ent:
-        for e in row:
-            check(e[1] % f == 0, "witness entry {} escapes the order",
-                  lambda: QuadElt(field, *e))
+    (x1, x2), (y1, y2) = mat
+    cols = ([_det2(rs, [[dx, x2], [dy, y2]]) for dx, dy in relations]
+            + [_det2(rs, [[x1, dx], [y1, dy]]) for dx, dy in relations])
+    sol = _echelon2([p[0] for p in cols], [p[1] for p in cols]).solve(*t)
+    check(sol is not None, "the relations of {} do not reach 1 - det A = {}",
+          pair.elements, lambda: QuadElt(field, *t))
+    ent = [list(row) for row in mat]
+    for j, coeffs in enumerate((sol[: len(relations)], sol[len(relations) :])):
+        for c, rel in zip(coeffs, relations):
+            for i in (0, 1):  # entry + c*(relation entry)
+                ent[i][j] = _dot(rs, ent[i][j], (1, 0), rel[i], (c, 0))
     check(_det2(rs, ent) == (1, 0), "witness determinant is not 1", name="determinant-is-one")
-    (p, q), (u, v) = ent
-    check((_dot(rs, g1, p, g2, u), _dot(rs, g1, q, g2, v)) == (h1, h2),
+    g1, g2, h1, h2 = ((g.a, g.b) for g in pair.elements + other.elements)
+    check([_dot(rs, g1, ent[0][j], g2, ent[1][j]) for j in (0, 1)] == [h1, h2],
           "witness does not map the first pair to the second", name="witness-maps-pair-to-pair2")
     return UnimodularWitness(tuple(tuple(QuadElt(field, *e) for e in row) for row in ent))
 

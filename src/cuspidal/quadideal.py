@@ -94,7 +94,7 @@ class QIdeal(Value):
         r, s = order.field.omega_sq
         if not (self._has(0, a) and self._has(e * f * f * r, d + e * f * s)):
             raise UsageError(f"{(a, d, e)} is not an ideal of {order}")
-        check((d * d + d * e * f * s - e * e * f * f * r) % (a * e) == 0,
+        check(self._gen2_norm() % (a * e) == 0,
               "the norm of d + e*f*omega is not divisible by a*e in {}", (a, d, e))
 
     @property
@@ -104,6 +104,11 @@ class QIdeal(Value):
     @property
     def gen2(self) -> QuadElt:
         return self.order.from_coords(self.d, self.e)
+
+    def _gen2_norm(self) -> int:
+        """N(d + e*f*omega) = d^2 + d*e*f*s - e^2*f^2*r, as omega^2 = r + s*omega."""
+        (r, s), ef = self.order.field.omega_sq, self.e * self.order.f
+        return self.d * (self.d + ef * s) - ef * ef * r
 
     def norm(self) -> int:
         """Index of the ideal in its order, equal to a*e."""
@@ -119,7 +124,9 @@ class QIdeal(Value):
         return v % self.e == 0 and (u - v // self.e * self.d) % self.a == 0
 
     def conjugate(self) -> QIdeal:
-        return ideal_from_generators(self.order, [self.gen1, self.gen2.conjugate()])
+        """sigma(I) = Z*a + Z*(d + e*f*s - e*f*omega), as sigma(omega) = s - omega."""
+        a, d, e, order = self.a, self.d, self.e, self.order
+        return _lattice_std_basis(order, [(a, 0), (d + e * order.f * order.field.omega_sq[1], -e)])
 
     def scaled(self, c: int) -> QIdeal:
         assert c > 0
@@ -280,10 +287,10 @@ def ideal_inverse(ideal: QIdeal) -> FracIdeal:
 
 
 def associated_form(ideal: QIdeal) -> QuadForm:
-    """The form q_I with e*q_I = (a, trace(gen2), norm(gen2)/a)."""
-    a, e = ideal.a, ideal.e
-    b = ideal.gen2.trace()
-    c, rem = divmod(ideal.gen2.norm(), a)
+    """The form q_I with e*q_I = (a, trace(gen2), norm(gen2)/a), trace(gen2) = 2d + e*f*s."""
+    a, d, e = ideal.a, ideal.d, ideal.e
+    b = 2 * d + e * ideal.order.f * ideal.order.field.omega_sq[1]
+    c, rem = divmod(ideal._gen2_norm(), a)
     check(rem == 0, "a = {} does not divide the norm of gen2", a)
     check(b % e == 0 and c % e == 0 and a % e == 0, "e = {} does not divide the form", e)
     form = QuadForm(a // e, b // e, c // e)
@@ -336,25 +343,20 @@ def fitt1(ideal: QIdeal) -> QIdeal:
 def _fitt1(ideal: QIdeal, f_prime: int, conj: QIdeal) -> QIdeal:
     """fitt1 for a caller that already has the multiplier conductor f' and the
     conjugate ideal sigma(I)."""
-    order = ideal.order
-    f = order.f
+    f = ideal.order.f
     n0 = f // f_prime
-    closed = QIdeal(order, n0, 0, 1)
+    closed = QIdeal(ideal.order, n0, 0, 1)
 
     product = ideal_mul(ideal, conj)
     check(FracIdeal(product, ideal.norm()) == FracIdeal(closed, 1),
           "I*sigma(I)/N(I) disagrees with the closed form",
           name="fitting-norm-is-conductor-quotient")
 
-    # x = u + v*f*omega has x*f'*omega in O_f iff f | u*f', i.e. iff k | u for
-    # k = f/gcd(f, f'). O_f/closed is Z/n0, generated by 1, so closed*f'*omega
-    # <= O_f and k = n0 prove closed = (O_f : O_f'), with no factoring of n0.
-    # A standard basis needs n0 = f // f' >= 1, so the membership of n0*f'*omega
-    # gives f | n0*f' with 0 < n0*f' <= f: f' | f and k = f/f' = n0. The norm
-    # a*e of closed is n0 by construction.
-    mult_gen = QuadElt(order.field, 0, f_prime)
-    check(all(order.contains(g * mult_gen) for g in (closed.gen1, closed.gen2)),
-          "(O_f : O_f') does not contain the closed form")
+    # (O_f : O_f') = {u + v*f*omega : f | u*f'} = Z*k + Z*f*omega, k = f/gcd(f, f'),
+    # is closed = Z*n0 + Z*f*omega iff k = n0. f | n0*f' says n0*f'*omega = (0, n0*f'/f)
+    # over (1, f*omega) lies in O_f, and with 0 < n0*f' <= f (n0 = f // f') it gives
+    # f' | f and k = f/f' = n0. The norm a*e of closed is n0 by construction.
+    check(n0 * f_prime % f == 0, "(O_f : O_f') does not contain the closed form")
     return closed
 
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -653,11 +654,11 @@ def _bad_kernel(real):
     return bad
 
 
-def _run_sabotaged_under_python_O(argv):
+def _run_sabotaged_under_python_O(argv, script=_BAD_KERNEL):
     # python -O drops assert statements; the checks are raises and stay
     root = Path(__file__).resolve().parent.parent
     return subprocess.run(
-        [sys.executable, "-O", "-c", _BAD_KERNEL, *argv],
+        [sys.executable, "-O", "-c", script, *argv],
         env=dict(os.environ, PYTHONPATH=str(root / "src")),
         capture_output=True, text=True, timeout=120,
     )
@@ -693,6 +694,37 @@ def test_every_pair_query_runs_the_lift_check(capsys, monkeypatch, op):
     assert "is not a relation" in proc.stderr
 
 
+_NO_SOLUTION = """
+import sys, types
+from cuspidal import cli, genpairs
+real, calls = genpairs._echelon2, []
+def bad(top, bottom):
+    calls.append(None)
+    return real(top, bottom) if len(calls) == 1 else types.SimpleNamespace(solve=lambda *t: None)
+genpairs._echelon2 = bad
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_an_unsolved_witness_system_fails_loudly_also_under_python_O(capsys, monkeypatch):
+    # the pair system is reduced as usual; the witness's second reduction, of the
+    # determinant system over the relations, solves nothing
+    real, calls = genpairs._echelon2, []
+
+    def bad(top, bottom):
+        calls.append(None)
+        unsolved = types.SimpleNamespace(solve=lambda *t: None)
+        return real(top, bottom) if len(calls) == 1 else unsolved
+
+    monkeypatch.setattr(genpairs, "_echelon2", bad)
+    argv = ["pair", "witness", *_DET_ARGV[2:], "--json"]
+    code, out, err = _run(capsys, argv)
+    assert code == 3 and out == "" and "do not reach 1 - det A" in err
+    proc = _run_sabotaged_under_python_O(argv, _NO_SOLUTION)
+    assert proc.returncode == 3 and proc.stdout == "", proc.stdout
+    assert "internal check failed" in proc.stderr and "do not reach 1 - det A" in proc.stderr
+
+
 @pytest.mark.parametrize("argv, env, code", [
     (["-m", "cuspidal", "pic", "--m", "4"], {}, 1),
     (["-m", "cuspidal", "pic", "--m", "-10007"], {"CUSPIDAL_BOUND": "10"}, 2),
@@ -726,7 +758,7 @@ def test_pair_queries_reduce_their_pair_system_once(capsys, monkeypatch):
     assert _run(capsys, _DET_ARGV)[0] == 0
     assert len(systems) == 1
     systems.clear()
-    # the witness adds one reduction, for its correction equation over sigma(I)^2
+    # the witness adds one reduction, of its determinant system over the relations
     assert _run(capsys, ["pair", "witness", *_DET_ARGV[2:]])[0] == 0
     assert 1 <= len(systems) <= 2
 

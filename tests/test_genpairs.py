@@ -358,14 +358,15 @@ def test_pair_route_matches_the_quadelt_oracle_on_planted_pairs(m, f, data):
     for first, second in ((pair, q), (q, r), (pair, r)):
         mat, cls = pair_oracle.transition(first, second)
         assert det_pair(first, second) == cls
-        assert genpairs._transition(first, second) == ([[(x.a, x.b) for x in row] for row in mat],
-                                                       cls)
+        assert genpairs._transition(first, second)[:2] == (
+            [[(x.a, x.b) for x in row] for row in mat], cls)
         if not cls.is_one:
             with pytest.raises(UsageError, match="not SL2-equivalent"):
                 sl2_witness(first, second)
             continue
         witness = sl2_witness(first, second)
-        assert witness == pair_oracle.sl2_witness(first, second)
+        if pair_oracle._det2(mat) == order.field.one and first.elements != second.elements:
+            assert witness.entries == tuple(map(tuple, mat))  # B = A when det A is 1
         assert witness.apply_to(first.elements) == second.elements
         assert witness.det() == order.field.one
         assert all(order.contains(e) for row in witness.entries for e in row)
@@ -378,10 +379,11 @@ def test_pair_route_matches_the_quadelt_oracle_on_planted_pairs(m, f, data):
 
 
 def test_the_pair_route_builds_quadelt_objects_only_at_its_boundary(monkeypatch):
-    """det_pair reads its pairs through .a and .b and builds no QuadElt of its
-    own; sl2_witness builds the four entries of its witness; reduce_vector the
-    n*n integer entries of sigma and the two elements of the reduced pair. The
-    rest are built by the quadideal calls they make, counted on their own."""
+    """det_pair reads its pairs through .a and .b and builds no QuadElt, nor do
+    the quadideal calls it and sl2_witness make (the multiplier conductor, the
+    conjugate and Fitt_1); sl2_witness builds the four entries of its witness;
+    reduce_vector the n*n integer entries of sigma and the two elements of the
+    reduced pair."""
     order = Order(QuadField(-7), 12)
     g1, g2 = order.from_coords(6, 0), order.from_coords(6, 1)
     pair = GenPair.generating(order, g1, g2)
@@ -402,8 +404,8 @@ def test_the_pair_route_builds_quadelt_objects_only_at_its_boundary(monkeypatch)
         fn(*args)
         return len(built)
 
-    conductor = count(multiplier_conductor, pair.ideal)
-    fitting = count(lambda: _fitt1(pair.ideal, f_prime, pair.ideal.conjugate()))
-    assert count(det_pair, pair, other) == conductor
-    assert count(sl2_witness, pair, other) == conductor + fitting + 4
+    assert count(multiplier_conductor, pair.ideal) == 0
+    assert count(lambda: _fitt1(pair.ideal, f_prime, pair.ideal.conjugate())) == 0
+    assert count(det_pair, pair, other) == 0
+    assert count(sl2_witness, pair, other) == 4
     assert count(reduce_vector, vec) == 3 * 3 + 2
