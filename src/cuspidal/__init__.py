@@ -6,112 +6,50 @@ field, decides SL2-equivalence of generating pairs with explicit matrix
 witnesses, counts cusps of the associated quotients by two independent
 routes, and carries the parallel theory for the coordinate rings of the
 plane curves y^2 = x^n with n odd.
+
+Importing the package loads none of its modules: each public name is looked
+up in its module on first access (PEP 562), so `from cuspidal import
+det_pair` loads genpairs and the modules it imports, and nothing of the
+curve rings. A module is reached as an attribute once it is imported:
+`import cuspidal.genpairs`, or `from cuspidal import genpairs`.
 """
 
-from .classnum import PicSize, class_number_maximal, picard_order
-from .curvering import (
-    CurveFitt,
-    CurveIdeal,
-    CurveOrder,
-    curve_fitt1,
-    curve_ideal_from_generators,
-    curve_multiplier_ring,
-    curve_ring_contains,
-    curve_unit_group_order,
-)
-from .cusps import CuspBreakdown, CuspTerm, cusp_count
-from .errors import InconclusiveError, InternalCheckError, UsageError, ZeroIdealError
-from .fieldpoly import CoeffField, CurvePoly, gcd_cofactors, parse_curve_poly
-from .genpairs import (
-    DetClass,
-    GenPair,
-    GenVec,
-    UnimodularWitness,
-    det_pair,
-    epsilon_subgroup,
-    orbit_count_gl2,
-    orbit_count_sl2_mod_units,
-    realize_det_class,
-    reduce_vector,
-    sl2_witness,
-)
-from .oracles import brute_force_pic, conductor_h_solver, curve_unit_group_brute, cusp_count_direct
-from .quadfield import OmegaKind, QuadElt, QuadField, parse_element
-from .quadideal import (
-    FracIdeal,
-    Order,
-    QIdeal,
-    QuadForm,
-    associated_form,
-    class_key,
-    enumerate_ideal_classes,
-    fitt1,
-    ideal_from_generators,
-    ideal_inverse,
-    ideal_mul,
-    is_same_class,
-    multiplier_conductor,
-)
-from .units import UnitInfo, fundamental_unit, unit_index
+from importlib import import_module
 
-__all__ = [
-    "CoeffField",
-    "CurveFitt",
-    "CurveIdeal",
-    "CurveOrder",
-    "CurvePoly",
-    "CuspBreakdown",
-    "CuspTerm",
-    "DetClass",
-    "FracIdeal",
-    "GenPair",
-    "GenVec",
-    "InconclusiveError",
-    "InternalCheckError",
-    "OmegaKind",
-    "Order",
-    "PicSize",
-    "QIdeal",
-    "QuadElt",
-    "QuadField",
-    "QuadForm",
-    "UnimodularWitness",
-    "UnitInfo",
-    "UsageError",
-    "ZeroIdealError",
-    "associated_form",
-    "brute_force_pic",
-    "class_key",
-    "class_number_maximal",
-    "conductor_h_solver",
-    "curve_fitt1",
-    "curve_ideal_from_generators",
-    "curve_multiplier_ring",
-    "curve_ring_contains",
-    "curve_unit_group_brute",
-    "curve_unit_group_order",
-    "cusp_count",
-    "cusp_count_direct",
-    "det_pair",
-    "enumerate_ideal_classes",
-    "epsilon_subgroup",
-    "fitt1",
-    "fundamental_unit",
-    "gcd_cofactors",
-    "ideal_from_generators",
-    "ideal_inverse",
-    "ideal_mul",
-    "is_same_class",
-    "multiplier_conductor",
-    "orbit_count_gl2",
-    "orbit_count_sl2_mod_units",
-    "parse_curve_poly",
-    "parse_element",
-    "picard_order",
-    "realize_det_class",
-    "reduce_vector",
-    "sl2_witness",
-    "unit_index",
-]
+_EXPORTS = {
+    "classnum": ("PicSize", "class_number_maximal", "picard_order"),
+    "curvering": ("CurveFitt", "CurveIdeal", "CurveOrder", "curve_fitt1",
+                  "curve_ideal_from_generators", "curve_multiplier_ring",
+                  "curve_ring_contains", "curve_unit_group_order"),
+    "cusps": ("CuspBreakdown", "CuspTerm", "cusp_count"),
+    "errors": ("InconclusiveError", "InternalCheckError", "UsageError", "ZeroIdealError"),
+    "fieldpoly": ("CoeffField", "CurvePoly", "gcd_cofactors", "parse_curve_poly"),
+    "genpairs": ("DetClass", "GenPair", "GenVec", "UnimodularWitness", "det_pair",
+                 "epsilon_subgroup", "orbit_count_gl2", "orbit_count_sl2_mod_units",
+                 "realize_det_class", "reduce_vector", "sl2_witness"),
+    "oracles": ("brute_force_pic", "conductor_h_solver", "curve_unit_group_brute",
+                "cusp_count_direct"),
+    "quadfield": ("OmegaKind", "QuadElt", "QuadField", "parse_element"),
+    "quadideal": ("FracIdeal", "Order", "QIdeal", "QuadForm", "associated_form", "class_key",
+                  "enumerate_ideal_classes", "fitt1", "ideal_from_generators",
+                  "ideal_inverse", "ideal_mul", "is_same_class", "multiplier_conductor"),
+    "units": ("UnitInfo", "fundamental_unit", "unit_index"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """A public name, imported from its module on first access and kept."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

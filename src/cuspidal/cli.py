@@ -19,29 +19,8 @@ import time
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
-from .classnum import picard_order
-from .config import budget, resolve_bound
-from .cusps import cusp_count
-from .curvering import (
-    MAX_N,
-    curve_fitt1,
-    curve_ideal_from_generators,
-    curve_multiplier_ring,
-    curve_unit_group_order,
-)
+from .config import MAX_EXPONENT, MAX_N, budget, resolve_bound
 from .errors import InconclusiveError, UsageError, check, ledger
-from .fieldpoly import MAX_EXPONENT, CoeffField, CurvePoly, parse_curve_poly
-from .genpairs import (
-    GenPair,
-    GenVec,
-    det_pair,
-    epsilon_subgroup,
-    orbit_count_gl2,
-    orbit_count_sl2_mod_units,
-    reduce_vector,
-    sl2_witness,
-)
-from .oracles import brute_force_pic, curve_unit_group_brute, cusp_count_direct
 from .quadfield import QuadElt, QuadField, parse_element
 from .quadideal import (
     Order,
@@ -52,7 +31,6 @@ from .quadideal import (
     ideal_mul,
     multiplier_conductor,
 )
-from .units import fundamental_unit, unit_index
 
 
 def _s(x, what: str = "a result") -> str:
@@ -61,8 +39,8 @@ def _s(x, what: str = "a result") -> str:
     try:
         return str(x)
     except ValueError:
-        ints = ([*x.nums, x.den] if isinstance(x, CurvePoly)
-                else [x.a, x.b] if isinstance(x, QuadElt) else [x])
+        ints = ([x] if isinstance(x, int)
+                else [x.a, x.b] if isinstance(x, QuadElt) else [*x.nums, x.den])
         big = max(map(abs, ints))
         digits = int(big.bit_length() * math.log10(2)) + 1
         digits -= 10 ** (digits - 1) > big
@@ -114,10 +92,15 @@ def _witness_lines(witness) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# handlers: each returns (inputs, result, lines); the assertions come from the ledger
+# handlers: each returns (inputs, result, lines); the assertions come from the ledger.
+# Each imports the operations it runs beyond the quadratic core, so a command
+# compiles only its own stack.
 
 
 def _cmd_cusps(args):
+    from .cusps import cusp_count
+    from .oracles import cusp_count_direct
+
     order = _order_of(args)
     breakdown = cusp_count(order)
     if not args.no_check:
@@ -150,6 +133,9 @@ def _cmd_cusps(args):
 
 
 def _cmd_pic(args):
+    from .classnum import picard_order
+    from .oracles import brute_force_pic
+
     order = _order_of(args)
     pic = picard_order(order)
     if args.brute:
@@ -163,6 +149,8 @@ def _cmd_pic(args):
 
 
 def _cmd_unit(args):
+    from .units import fundamental_unit, unit_index
+
     field = QuadField(args.m)
     info = fundamental_unit(field, args.f)
     eps = info.fundamental
@@ -218,6 +206,8 @@ def _cmd_ideal(args):
         result = {"num": _ideal_dict(inv.num), "den": _s(inv.den)}
         lines = [f"I^(-1) = ({inv.num.gen1}, {inv.num.gen2}) / {inv.den}"]
     else:  # mult-ring
+        from .genpairs import epsilon_subgroup, orbit_count_gl2, orbit_count_sl2_mod_units
+
         f_prime = multiplier_conductor(ideal)
         n0 = order.f // f_prime
         eps = epsilon_subgroup(order, f_prime)
@@ -246,6 +236,8 @@ def _two_elements(order: Order, text: str, flag: str) -> list:
 
 
 def _cmd_pair(args):
+    from .genpairs import GenPair, det_pair, sl2_witness
+
     order = _order_of(args)
     pair = GenPair.generating(order, *_two_elements(order, args.pair, "--pair"))
     other = GenPair.generating(order, *_two_elements(order, args.pair2, "--pair2"))
@@ -276,6 +268,8 @@ def _cmd_pair(args):
 
 
 def _cmd_vec(args):
+    from .genpairs import GenVec, reduce_vector
+
     order = _order_of(args)
     gens = _elements(order, args.gens)
     ideal = ideal_from_generators(order, gens)
@@ -293,6 +287,14 @@ def _cmd_vec(args):
 
 
 def _cmd_curve(args):
+    from .curvering import (
+        curve_fitt1,
+        curve_ideal_from_generators,
+        curve_multiplier_ring,
+        curve_unit_group_order,
+    )
+    from .fieldpoly import CoeffField, parse_curve_poly
+
     field = CoeffField.from_name(args.field)
     gens = [parse_curve_poly(field, p) for p in args.gens.split(";") if p.strip()]
     ideal = curve_ideal_from_generators(field, args.n, gens)
@@ -319,6 +321,8 @@ def _cmd_curve(args):
         k = (args.n - 1 - ideal.nu) // 2
         result = {"count": _s(count, "the unit count"), "nu": _s(ideal.nu)}
         if field.char ** k <= 4000:
+            from .oracles import curve_unit_group_brute
+
             brute = curve_unit_group_brute(field, args.n, ideal.nu)
             check(brute == count, "enumeration finds {} units, the formula {}", brute, count,
                   name="brute-force-agreement")
@@ -327,6 +331,16 @@ def _cmd_curve(args):
 
 
 def _cmd_selftest(args):
+    from .curvering import (
+        curve_fitt1,
+        curve_ideal_from_generators,
+        curve_multiplier_ring,
+        curve_unit_group_order,
+    )
+    from .cusps import cusp_count
+    from .fieldpoly import CoeffField, parse_curve_poly
+    from .oracles import curve_unit_group_brute, cusp_count_direct
+
     if args.max_f < 1:
         raise UsageError(f"--max-f must be at least 1, got {str(args.max_f)[:24]}")
     lines = []

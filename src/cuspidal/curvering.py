@@ -26,15 +26,10 @@ from __future__ import annotations
 
 from operator import mul
 
+from .config import MAX_N
 from .errors import UsageError, ZeroIdealError, check
 from .fieldpoly import CoeffField, CurvePoly, gcd_cofactors
 from .value import Value
-
-
-# Planted ideals at n = 2001 peak at 0.3 MB of traced allocations over F_101 and
-# 1.2 MB over Q (CPython 3.11, x86-64). The bound keeps the quadratic steps, Euclid
-# mod primes near 2^30 and the canonical pair's series over Z, within seconds.
-MAX_N = 2001
 
 
 def _check_n(n: int, nu: int = 0, name: str = "nu") -> None:

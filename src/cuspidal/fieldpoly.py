@@ -18,6 +18,7 @@ from itertools import count, zip_longest
 from math import gcd, lcm
 
 from .arith import is_prime, primitive_part
+from .config import MAX_EXPONENT
 from .errors import UsageError, check
 from .value import Value
 
@@ -298,10 +299,6 @@ def gcd_cofactors(polys: list[CurvePoly]) -> tuple[CurvePoly, list[CurvePoly]]:
                      for q, k, g in zip(quots, scales, live))
     return CurvePoly.from_ints(field, c, c[-1]), [next(cofactors) if g.nums else g for g in polys]
 
-
-# the largest exponent a parsed polynomial may have; the dense coefficient
-# list is as long as the exponent, so a larger one is refused before it is built
-MAX_EXPONENT = 10_000
 
 _POLY_TERM_RE = re.compile(
     r"^(?P<coeff>[+-]?[0-9/]*)\s*(?:(?P<star>\*)?\s*x(?:\^(?P<exp>\d+))?)?$"

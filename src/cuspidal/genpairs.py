@@ -148,6 +148,11 @@ def _int_witness(order: Order, rows: list[list[int]]) -> UnimodularWitness:
     )
 
 
+def _text(*elements: QuadElt) -> str:
+    """Elements as the command line writes a pair or a vector: (5; 5*w)."""
+    return f"({'; '.join(map(str, elements))})"
+
+
 def _dot(rs: tuple[int, int], x: tuple[int, int], u: tuple[int, int],
          y: tuple[int, int] = (0, 0), v: tuple[int, int] = (0, 0)) -> tuple[int, int]:
     """x*u + y*v, or the product x*u alone, for elements given by their
@@ -185,10 +190,10 @@ def _transition(pair: GenPair, other: GenPair) -> tuple[
     sols = []
     for h in other.elements:
         sol = system.solve(h.a, h.b)
-        check(sol is not None, "{} is not reachable from {}", h, pair.elements)
+        check(sol is not None, "{} is not reachable from {}", h, lambda: _text(*pair.elements))
         x, y = entries(sol)
         check(_dot(rs, g1, x, g2, y) == (h.a, h.b), "coefficients {} do not reach {}",
-              lambda: (QuadElt(field, *x), QuadElt(field, *y)), h)
+              lambda: _text(QuadElt(field, *x), QuadElt(field, *y)), h)
         sols.append(sol)
     mat = [list(row) for row in zip(*map(entries, sols))]
     cls = DetClass(_det2(rs, mat)[0], n0)
@@ -196,7 +201,8 @@ def _transition(pair: GenPair, other: GenPair) -> tuple[
     relations = [entries(kern) for kern in system.kernel]
     for kern, (dx, dy) in zip(system.kernel, relations):
         check(_dot(rs, g1, dx, g2, dy) == (0, 0), "{} is not a relation of {}",
-              lambda: (QuadElt(field, *dx), QuadElt(field, *dy)), pair.elements)
+              lambda: _text(QuadElt(field, *dx), QuadElt(field, *dy)),
+              lambda: _text(*pair.elements))
         x, y = entries([s + k for s, k in zip(sols[0], kern)])
         check(_det2(rs, [[x, mat[0][1]], [y, mat[1][1]]])[0] % n0 == cls.value,
               "determinant class depends on the lift", name="class-invariance-under-resolve")
@@ -242,7 +248,7 @@ def sl2_witness(pair: GenPair, other: GenPair) -> UnimodularWitness:
             + [_det2(rs, [[x1, dx], [y1, dy]]) for dx, dy in relations])
     sol = _echelon2([p[0] for p in cols], [p[1] for p in cols]).solve(*t)
     check(sol is not None, "the relations of {} do not reach 1 - det A = {}",
-          pair.elements, lambda: QuadElt(field, *t))
+          lambda: _text(*pair.elements), lambda: QuadElt(field, *t))
     ent = [list(row) for row in mat]
     for j, coeffs in enumerate((sol[: len(relations)], sol[len(relations) :])):
         for c, rel in zip(coeffs, relations):

@@ -8,7 +8,9 @@ divisor sum, and curve unit counts against q^(k-1) * (q - 1). _Span, dense
 echelon rows over the coefficient field, backs that unit count and the colon
 nullspace conductor_h_solver, which checks curvering.
 They are slow by design and serve the cross-checks of the command line,
-the self-test, the tests and the demos.
+the self-test, the tests and the demos. Each function imports the modules
+of its own ring family when it runs, so a curve check loads no class
+numbers and a cusp check no curve ring.
 """
 
 from __future__ import annotations
@@ -16,14 +18,15 @@ from __future__ import annotations
 from collections import Counter
 from itertools import product
 from math import gcd, lcm
+from typing import TYPE_CHECKING
 
 from .arith import primitive_part
-from .classnum import PicSize
-from .curvering import _check_n
 from .errors import UsageError, check
-from .fieldpoly import CoeffField, CurvePoly
-from .genpairs import orbit_count_sl2_mod_units
 from .quadideal import Order, _checked_conductor, _keyed_classes
+
+if TYPE_CHECKING:
+    from .classnum import PicSize
+    from .fieldpoly import CoeffField, CurvePoly
 
 
 def reduced_form_count(disc: int) -> int:
@@ -54,12 +57,16 @@ def _class_conductors(order: Order) -> list[int]:
 
 def brute_force_pic(order: Order) -> PicSize:
     """|Pic(O_f)| by enumerating ideal classes and keeping the invertible ones."""
+    from .classnum import PicSize
+
     return PicSize(order, _class_conductors(order).count(order.f), "brute-force")
 
 
 def cusp_count_direct(order: Order) -> int:
     """Cusp count with no class-number formula: enumerate the ideal classes and
     add each class's orbit count on generating pairs, a function of f' alone."""
+    from .genpairs import orbit_count_sl2_mod_units
+
     counts = Counter(_class_conductors(order))
     return sum(k * orbit_count_sl2_mod_units(order, f_prime) for f_prime, k in counts.items())
 
@@ -72,6 +79,8 @@ def curve_unit_group_brute(field: CoeffField, n: int, nu: int) -> int:
     an element a is a unit exactly when multiplication by a is a bijection,
     that is when its k x k matrix on that basis has full rank mod q.
     """
+    from .curvering import _check_n
+
     _check_n(n, nu)
     if field.char == 0:
         raise UsageError("unit counts need a finite coefficient field")
@@ -153,6 +162,8 @@ class _Span:
     def kernel(self, width: int) -> list[CurvePoly]:
         """The polynomials h with rows @ h = 0, one per free column j: h_j = 1
         and h_i = -b[j]/b[i] for the reduced row b of pivot i, over one denominator."""
+        from .fieldpoly import CurvePoly
+
         rref = self.rref()
         pivots = {i for i, _ in rref}
         out = []
@@ -176,6 +187,8 @@ def conductor_h_solver(field: CoeffField, n: int, p: CurvePoly,
     n - 1 - nu. Degree n keeps the tail x^(n-1) of the colon module
     visible; coefficients above it are free and add nothing below it.
     """
+    from .curvering import _check_n
+
     _check_n(n)
     width = n + 1
     span = _Span(field)

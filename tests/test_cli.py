@@ -725,6 +725,35 @@ def test_an_unsolved_witness_system_fails_loudly_also_under_python_O(capsys, mon
     assert "internal check failed" in proc.stderr and "do not reach 1 - det A" in proc.stderr
 
 
+def _solving(solve, after=0):
+    """The reduction with every system past the first `after` answered by `solve`."""
+    def sabotage(real):
+        calls = []
+
+        def bad(top, bottom):
+            calls.append(None)
+            system = real(top, bottom)
+            if len(calls) <= after:
+                return system
+            return types.SimpleNamespace(kernel=system.kernel, solve=solve)
+        return bad
+    return sabotage
+
+
+@pytest.mark.parametrize("op, sabotage, message", [
+    ("det", _solving(lambda *t: None), "5*w is not reachable from (5; 5*w)"),
+    ("det", _solving(lambda *t: [0, 0, 0, 0]), "coefficients (0; 0) do not reach 5*w"),
+    ("det", _bad_kernel, "(1; 0) is not a relation of (5; 5*w)"),
+    ("witness", _solving(lambda *t: None, after=1),
+     "the relations of (5; 5*w) do not reach 1 - det A = 0"),
+], ids=["unreachable", "wrong-coefficients", "not-a-relation", "witness-unsolved"])
+def test_failed_pair_checks_show_elements_as_the_command_line_writes_them(
+        capsys, monkeypatch, op, sabotage, message):
+    monkeypatch.setattr(genpairs, "_echelon2", sabotage(genpairs._echelon2))
+    code, out, err = _run(capsys, ["pair", op, *_DET_ARGV[2:]])
+    assert (code, out, err) == (3, "", f"internal check failed: {message}\n")
+
+
 @pytest.mark.parametrize("argv, env, code", [
     (["-m", "cuspidal", "pic", "--m", "4"], {}, 1),
     (["-m", "cuspidal", "pic", "--m", "-10007"], {"CUSPIDAL_BOUND": "10"}, 2),
