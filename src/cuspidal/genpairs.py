@@ -12,9 +12,11 @@ vectors are compressed to length two by an explicit SL_n(Z) witness: the
 transform of the same 2-row reduction, applied to the coordinates of the
 vector. realize_det_class reads the index of (gen1 : gen2) as a/e, a closed form.
 
-det_pair, sl2_witness and reduce_vector run on coordinate pairs (a, b) over
-(1, omega), multiplied by _dot with omega^2 = r + s*omega (QuadField.omega_sq);
-they read QuadElt objects through .a and .b, and build only the returned ones.
+det_pair, sl2_witness and reduce_vector run on order coordinates, the pairs
+(u, v) of the elements u + v*f*omega over (1, f*omega) that quadideal uses,
+multiplied by quadideal._dot with the order's (f*omega)^2 = R + S*f*omega
+(Order.gen_sq); they read a QuadElt x as (x.a, x.b // f) and build only the
+returned ones, with Order.from_coords.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .quadfield import QuadElt
 from .quadideal import (
     Order,
     QIdeal,
+    _dot,
     _echelon2,
     _fitt1,
     ideal_from_generators,
@@ -110,23 +113,8 @@ class UnimodularWitness(Value):
         return len(self.entries)
 
     def det(self) -> QuadElt:
-        n = self.size
-        field = self.entries[0][0].field
-        if all(e.b == 0 for row in self.entries for e in row):
-            return QuadElt(field, det_int([[e.a for e in row] for row in self.entries]), 0)
-        return self._det_laplace(tuple(range(n)), tuple(range(n)))
-
-    def _det_laplace(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> QuadElt:
-        field = self.entries[0][0].field
-        if len(rows) == 1:
-            return self.entries[rows[0]][cols[0]]
-        total = field.zero
-        r = rows[0]
-        for k, c in enumerate(cols):
-            sub = self._det_laplace(rows[1:], cols[:k] + cols[k + 1 :])
-            term = self.entries[r][c] * sub
-            total = total + term if k % 2 == 0 else total - term
-        return total
+        """By det_int's elimination, over the maximal order."""
+        return self.entries[0][0].field.one * det_int(self.entries)
 
     def apply_to(self, elements: tuple[QuadElt, ...]) -> tuple[QuadElt, ...]:
         """Row vector times matrix."""
@@ -143,9 +131,7 @@ class UnimodularWitness(Value):
 
 
 def _int_witness(order: Order, rows: list[list[int]]) -> UnimodularWitness:
-    return UnimodularWitness(
-        tuple(tuple(QuadElt(order.field, x, 0) for x in row) for row in rows)
-    )
+    return UnimodularWitness(tuple(tuple(order.from_coords(x, 0) for x in row) for row in rows))
 
 
 def _text(*elements: QuadElt) -> str:
@@ -153,58 +139,50 @@ def _text(*elements: QuadElt) -> str:
     return f"({'; '.join(map(str, elements))})"
 
 
-def _dot(rs: tuple[int, int], x: tuple[int, int], u: tuple[int, int],
-         y: tuple[int, int] = (0, 0), v: tuple[int, int] = (0, 0)) -> tuple[int, int]:
-    """x*u + y*v, or the product x*u alone, for elements given by their
-    coordinates (a, b) over (1, omega), with rs = (r, s): omega^2 = r + s*omega."""
-    (a, b), (c, d), (e, g), (h, k) = x, u, y, v
-    w = b * d + g * k
-    return a * c + e * h + w * rs[0], a * d + b * c + e * k + g * h + w * rs[1]
-
-
-def _det2(rs: tuple[int, int], mat: list[list[tuple[int, int]]]) -> tuple[int, int]:
+def _det2(RS: tuple[int, int], mat: list[list[tuple[int, int]]]) -> tuple[int, int]:
     (p, q), (u, v) = mat
-    return _dot(rs, p, v, (-q[0], -q[1]), u)
+    return _dot(RS, p, v, (-q[0], -q[1]), u)
+
+
+def _split(vec: list[int]) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(x, y) of a solution or a relation (x0, x1, y0, y1) of a pair system."""
+    return (vec[0], vec[1]), (vec[2], vec[3])
 
 
 def _transition(pair: GenPair, other: GenPair) -> tuple[
         list[list[tuple[int, int]]], DetClass, list[tuple[tuple[int, int], tuple[int, int]]]]:
     """The coefficient matrix A with pair.elements @ A = other.elements, its entries
-    as coordinates over (1, omega); the class of det A: its first coordinate over
-    (1, f*omega) in Z/(f/f'), a unit; and the relations (dx, dy) of the pair. All
-    three come from one reduction of the 2x4 system of g1*x + g2*y over the
-    coordinates of x, y in (1, f*omega): its kernel is a Z-basis of the relations,
-    over which every lift A + (relation) is checked to give the same class."""
+    as order coordinates; the class of det A: its first coordinate in Z/(f/f'), a
+    unit; and the relations (dx, dy) of the pair. All three come from one
+    reduction of the 2x4 system of g1*x + g2*y over the order coordinates of x
+    and y: its kernel is a Z-basis of the relations, over which every lift
+    A + (relation) is checked to give the same class."""
     if pair.ideal != other.ideal:
         raise UsageError("pairs generate different ideals, no determinant class")
     order = pair.ideal.order
-    field, f, rs = order.field, order.f, order.field.omega_sq
+    f, RS = order.f, order.gen_sq
     n0 = f // multiplier_conductor(pair.ideal)
-    g1, g2 = ((g.a, g.b) for g in pair.elements)
-    cols = [g1, _dot(rs, g1, (0, f)), g2, _dot(rs, g2, (0, f))]
+    g1, g2 = ((g.a, g.b // f) for g in pair.elements)
+    cols = [g1, _dot(RS, g1, (0, 1)), g2, _dot(RS, g2, (0, 1))]
     system = _echelon2([p[0] for p in cols], [p[1] for p in cols])
-
-    def entries(vec: list[int]) -> tuple[tuple[int, int], tuple[int, int]]:
-        return (vec[0], vec[1] * f), (vec[2], vec[3] * f)
-
     sols = []
     for h in other.elements:
-        sol = system.solve(h.a, h.b)
+        sol = system.solve(h.a, h.b // f)
         check(sol is not None, "{} is not reachable from {}", h, lambda: _text(*pair.elements))
-        x, y = entries(sol)
-        check(_dot(rs, g1, x, g2, y) == (h.a, h.b), "coefficients {} do not reach {}",
-              lambda: _text(QuadElt(field, *x), QuadElt(field, *y)), h)
+        x, y = _split(sol)
+        check(_dot(RS, g1, x, g2, y) == (h.a, h.b // f), "coefficients {} do not reach {}",
+              lambda: _text(order.from_coords(*x), order.from_coords(*y)), h)
         sols.append(sol)
-    mat = [list(row) for row in zip(*map(entries, sols))]
-    cls = DetClass(_det2(rs, mat)[0], n0)
+    mat = [list(row) for row in zip(*map(_split, sols))]
+    cls = DetClass(_det2(RS, mat)[0], n0)
     check(math.gcd(cls.value, n0) == 1, "determinant residue {} mod {} not a unit", cls.value, n0)
-    relations = [entries(kern) for kern in system.kernel]
+    relations = [_split(kern) for kern in system.kernel]
     for kern, (dx, dy) in zip(system.kernel, relations):
-        check(_dot(rs, g1, dx, g2, dy) == (0, 0), "{} is not a relation of {}",
-              lambda: _text(QuadElt(field, *dx), QuadElt(field, *dy)),
+        check(_dot(RS, g1, dx, g2, dy) == (0, 0), "{} is not a relation of {}",
+              lambda: _text(order.from_coords(*dx), order.from_coords(*dy)),
               lambda: _text(*pair.elements))
-        x, y = entries([s + k for s, k in zip(sols[0], kern)])
-        check(_det2(rs, [[x, mat[0][1]], [y, mat[1][1]]])[0] % n0 == cls.value,
+        x, y = _split([s + k for s, k in zip(sols[0], kern)])
+        check(_det2(RS, [[x, mat[0][1]], [y, mat[1][1]]])[0] % n0 == cls.value,
               "determinant class depends on the lift", name="class-invariance-under-resolve")
     return mat, cls, relations
 
@@ -213,7 +191,7 @@ def det_pair(pair: GenPair, other: GenPair) -> DetClass:
     """Determinant class of the transition from pair to other.
 
     Both pairs must generate the same ideal. The residue lives in
-    Z/(f/f') via the first coordinate over (1, f*omega), and is a unit.
+    Z/(f/f') via the first order coordinate, and is a unit.
     """
     return _transition(pair, other)[1]
 
@@ -231,34 +209,33 @@ def sl2_witness(pair: GenPair, other: GenPair) -> UnimodularWitness:
     if pair.ideal != other.ideal:
         raise UsageError("pairs generate different ideals")
     order = pair.ideal.order
-    field, f, rs = order.field, order.f, order.field.omega_sq
+    f, RS = order.f, order.gen_sq
     if pair.elements == other.elements:
         return _int_witness(order, [[1, 0], [0, 1]])
     mat, cls, relations = _transition(pair, other)
     if not cls.is_one:
         raise UsageError(f"pairs are not SL2-equivalent, class {cls.value} mod {cls.modulus}")
-    det = _det2(rs, mat)
+    det = _det2(RS, mat)
     t = (1 - det[0], -det[1])
-    fitting = _fitt1(pair.ideal, f // cls.modulus, pair.ideal.conjugate())
-    check(t[1] % f == 0 and fitting._has(t[0], t[1] // f),
-          "1 - det A = {} is not in Fitt_1", lambda: QuadElt(field, *t))
+    fitting = _fitt1(pair.ideal, f // cls.modulus)
+    check(fitting._has(*t), "1 - det A = {} is not in Fitt_1", lambda: order.from_coords(*t))
 
     (x1, x2), (y1, y2) = mat
-    cols = ([_det2(rs, [[dx, x2], [dy, y2]]) for dx, dy in relations]
-            + [_det2(rs, [[x1, dx], [y1, dy]]) for dx, dy in relations])
+    cols = ([_det2(RS, [[dx, x2], [dy, y2]]) for dx, dy in relations]
+            + [_det2(RS, [[x1, dx], [y1, dy]]) for dx, dy in relations])
     sol = _echelon2([p[0] for p in cols], [p[1] for p in cols]).solve(*t)
     check(sol is not None, "the relations of {} do not reach 1 - det A = {}",
-          lambda: _text(*pair.elements), lambda: QuadElt(field, *t))
+          lambda: _text(*pair.elements), lambda: order.from_coords(*t))
     ent = [list(row) for row in mat]
     for j, coeffs in enumerate((sol[: len(relations)], sol[len(relations) :])):
         for c, rel in zip(coeffs, relations):
             for i in (0, 1):  # entry + c*(relation entry)
-                ent[i][j] = _dot(rs, ent[i][j], (1, 0), rel[i], (c, 0))
-    check(_det2(rs, ent) == (1, 0), "witness determinant is not 1", name="determinant-is-one")
-    g1, g2, h1, h2 = ((g.a, g.b) for g in pair.elements + other.elements)
-    check([_dot(rs, g1, ent[0][j], g2, ent[1][j]) for j in (0, 1)] == [h1, h2],
+                ent[i][j] = _dot(RS, ent[i][j], (1, 0), rel[i], (c, 0))
+    check(_det2(RS, ent) == (1, 0), "witness determinant is not 1", name="determinant-is-one")
+    g1, g2, h1, h2 = ((g.a, g.b // f) for g in pair.elements + other.elements)
+    check([_dot(RS, g1, ent[0][j], g2, ent[1][j]) for j in (0, 1)] == [h1, h2],
           "witness does not map the first pair to the second", name="witness-maps-pair-to-pair2")
-    return UnimodularWitness(tuple(tuple(QuadElt(field, *e) for e in row) for row in ent))
+    return UnimodularWitness(tuple(tuple(order.from_coords(*e) for e in row) for row in ent))
 
 
 def epsilon_subgroup(order: Order, f_prime: int) -> tuple[int, ...]:
@@ -312,7 +289,9 @@ def orbit_count_gl2(order: Order, f_prime: int) -> int:
 
 
 def det_int(rows: list[list[int]]) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
+    """Determinant by fraction-free (Bareiss) elimination, over Z or, for QuadElt
+    entries, over the maximal order, where // is the exact quotient
+    x*sigma(y)/N(y): each division is by the previous pivot, a minor that divides."""
     n = len(rows)
     assert all(len(r) == n for r in rows)
     if n == 0:
@@ -321,8 +300,8 @@ def det_int(rows: list[list[int]]) -> int:
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if work[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if work[i][k] != 0), None)
+        if not work[k][k]:
+            swap = next((i for i in range(k + 1, n) if work[i][k]), None)
             if swap is None:
                 return 0
             work[k], work[swap] = work[swap], work[k]

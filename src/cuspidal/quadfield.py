@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from fractions import Fraction
 
 from .arith import is_squarefree
 from .errors import UsageError
@@ -110,6 +109,18 @@ class QuadElt(Value):
 
     __rmul__ = __mul__
 
+    def __floordiv__(self, other: QuadElt | int) -> QuadElt:
+        """The exact quotient self/other = self*sigma(other)/N(other); UsageError
+        when other does not divide self in the maximal order."""
+        other = self._coerce(other)
+        num, n = self * other.conjugate(), other.norm()
+        if num.a % n or num.b % n:
+            raise UsageError(f"{other} does not divide {self} in the maximal order")
+        return QuadElt(self.field, num.a // n, num.b // n)
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
     def __pow__(self, k: int) -> QuadElt:
         assert k >= 0
         out = self.field.one
@@ -177,7 +188,10 @@ def parse_element(field: QuadField, text: str) -> QuadElt:
     pieces = re.findall(r"[+-]?[^+-]+", compact)
     if "".join(pieces) != compact:
         raise UsageError(f"cannot parse element {text[:24]!r}")
-    num = Fraction if "/" in compact else int
+    if "/" in compact:
+        from fractions import Fraction as num
+    else:
+        num = int
     alpha = num(0)  # coefficient of 1
     beta = num(0)  # coefficient of omega
     for piece in pieces:

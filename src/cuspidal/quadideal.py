@@ -2,11 +2,15 @@
 
 Every nonzero ideal is kept in the standard basis I = Z*a + Z*(d + e*f*omega)
 with a, e > 0, e | a, e | d, -a/2 <= d < a/2 and ae | norm(d + e*f*omega).
-The norm of I is a*e and I is primitive exactly when e = 1. Standard
-bases, products and the multiplier conductor are computed on these integer
-coordinates. The 2-row integer systems of generating pairs go through one
-column reduction with its transform, _echelon2, which gives both particular
-solutions and kernels. The colon ideals the library needs have closed forms:
+The norm of I is a*e and I is primitive exactly when e = 1. An element
+u + v*f*omega of the order is kept as its order coordinates (u, v) over
+(1, f*omega) (Cohen, GTM 138, 2.4.2), and every product of two of them
+reads one rule, Order.gen_sq = (R, S) with (f*omega)^2 = R + S*f*omega;
+_dot writes it out. Standard bases, products, conjugates,
+norms and the multiplier conductor are computed on these coordinates. The
+2-row integer systems of generating pairs go through one column reduction
+with its transform, _echelon2, which gives both particular solutions and
+kernels. The colon ideals the library needs have closed forms:
 (O_f : O_f') = Z*(f/f') + Z*f*omega, certified by membership in _fitt1.
 
 Classes are decided by the reduction theory of binary quadratic forms
@@ -23,8 +27,8 @@ rho-cycle of the principal form gives units the fundamental unit.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .arith import divisors, factorize, sqrt_mods, xgcd
 from .config import exhausted, resolve_bound
@@ -33,16 +37,21 @@ from .quadfield import QuadElt, QuadField
 from .value import Value
 
 
-class Order(Value):
-    """The order Z + Z*f*omega of conductor f >= 1 in the maximal order."""
+class Order(Value, fields=("field", "f")):
+    """The order Z + Z*f*omega of conductor f >= 1 in the maximal order.
 
-    __slots__ = ("field", "f")
+    gen_sq is (R, S) = (f^2*r, f*s) with (f*omega)^2 = R + S*f*omega, from
+    omega^2 = r + s*omega: the product rule of order coordinates, computed once."""
+
+    __slots__ = ("field", "f", "gen_sq")
 
     def __init__(self, field: QuadField, f: int) -> None:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "f", f)
         if f < 1:
             raise UsageError(f"conductor must be >= 1, got {str(f)[:24]}")
+        r, s = field.omega_sq
+        object.__setattr__(self, "gen_sq", (f * f * r, f * s))
 
     @property
     def disc(self) -> int:
@@ -88,11 +97,8 @@ class QIdeal(Value):
             raise UsageError(f"standard basis needs e | a and e | d: {(a, d, e)}")
         if not -a <= 2 * d < a:
             raise UsageError(f"standard basis needs -a/2 <= d < a/2: {(a, d, e)}")
-        # closure under multiplication by f*omega makes the lattice an ideal:
-        # a*f*omega = (0, a) and (d + e*f*omega)*f*omega = (e*f^2*r, d + e*f*s)
-        f = order.f
-        r, s = order.field.omega_sq
-        if not (self._has(0, a) and self._has(e * f * f * r, d + e * f * s)):
+        # closure under multiplication by f*omega makes the lattice an ideal
+        if not _multiplies(self, order.f):
             raise UsageError(f"{(a, d, e)} is not an ideal of {order}")
         check(self._gen2_norm() % (a * e) == 0,
               "the norm of d + e*f*omega is not divisible by a*e in {}", (a, d, e))
@@ -106,9 +112,9 @@ class QIdeal(Value):
         return self.order.from_coords(self.d, self.e)
 
     def _gen2_norm(self) -> int:
-        """N(d + e*f*omega) = d^2 + d*e*f*s - e^2*f^2*r, as omega^2 = r + s*omega."""
-        (r, s), ef = self.order.field.omega_sq, self.e * self.order.f
-        return self.d * (self.d + ef * s) - ef * ef * r
+        """N(d + e*f*omega) = d^2 + d*e*S - e^2*R, as (f*omega)^2 = R + S*f*omega."""
+        (R, S), d, e = self.order.gen_sq, self.d, self.e
+        return d * (d + e * S) - e * e * R
 
     def norm(self) -> int:
         """Index of the ideal in its order, equal to a*e."""
@@ -124,9 +130,9 @@ class QIdeal(Value):
         return v % self.e == 0 and (u - v // self.e * self.d) % self.a == 0
 
     def conjugate(self) -> QIdeal:
-        """sigma(I) = Z*a + Z*(d + e*f*s - e*f*omega), as sigma(omega) = s - omega."""
+        """sigma(I) = Z*a + Z*(d + e*S - e*f*omega), as sigma(f*omega) = S - f*omega."""
         a, d, e, order = self.a, self.d, self.e, self.order
-        return _lattice_std_basis(order, [(a, 0), (d + e * order.f * order.field.omega_sq[1], -e)])
+        return _lattice_std_basis(order, [(a, 0), (d + e * order.gen_sq[1], -e)])
 
     def scaled(self, c: int) -> QIdeal:
         assert c > 0
@@ -153,12 +159,10 @@ class FracIdeal(Value):
         return f"({self.num})/{self.den}" if self.den != 1 else str(self.num)
 
 
-class QuadForm(NamedTuple):
+class QuadForm(namedtuple("QuadForm", "A B C")):
     """Binary quadratic form A x^2 + B xy + C y^2; ordered as the tuple (A, B, C)."""
 
-    A: int
-    B: int
-    C: int
+    __slots__ = ()
 
     @property
     def disc(self) -> int:
@@ -191,13 +195,12 @@ def _lattice_std_basis(order: Order, vectors: list[tuple[int, int]]) -> QIdeal:
     return QIdeal(order, a, r, e)
 
 
-class _Echelon2(NamedTuple):
+class _Echelon2(namedtuple("_Echelon2", "pivots u")):
     """H = A*U for a 2-row integer matrix A and a unimodular U: `pivots` lists
     the nonzero columns of H as (pivot row, top entry, bottom entry), and `u`
     holds the columns of U, of which those past the pivots span the kernel."""
 
-    pivots: list[tuple[int, int, int]]
-    u: list[list[int]]
+    __slots__ = ()
 
     @property
     def kernel(self) -> list[list[int]]:
@@ -221,63 +224,66 @@ def _echelon2(top: list[int], bottom: list[int]) -> _Echelon2:
     first column with a nonzero entry swapped in as pivot, the entries right of
     it cleared, the pivot made positive; then row 1 over the columns left."""
     n = len(top)
-    # column j of A stacked on column j of U, so a column operation is one list op
-    cols = [[x, y] + [0] * n for x, y in zip(top, bottom)]
-    for j, c in enumerate(cols):
-        c[2 + j] = 1
+    # the two rows of A over the n rows of U = 1, each column operation done in place
+    rows = [list(top), list(bottom)] + [[int(i == j) for j in range(n)] for i in range(n)]
     pivots = []
     for row in (0, 1):
-        col = len(pivots)
-        piv = next((j for j in range(col, n) if cols[j][row]), None)
+        col, line = len(pivots), rows[row]
+        piv = next((j for j in range(col, n) if line[j]), None)
         if piv is None:
             continue
-        cols[col], cols[piv] = cols[piv], cols[col]
-        c1 = cols[col]
+        for r in rows:
+            r[col], r[piv] = r[piv], r[col]
         for j in range(col + 1, n):
-            c2 = cols[j]
-            if c2[row]:
-                g, s, t = xgcd(c1[row], c2[row])
-                p, q = c1[row] // g, c2[row] // g
-                cols[j] = [p * y - q * x for x, y in zip(c1, c2)]
-                c1 = [s * x + t * y for x, y in zip(c1, c2)]
-        if c1[row] < 0:
-            c1 = [-x for x in c1]
-        cols[col] = c1
-        pivots.append((row, c1[0], c1[1]))
-    return _Echelon2(pivots, [c[2:] for c in cols])
+            if line[j]:
+                g, s, t = xgcd(line[col], line[j])
+                p, q = line[col] // g, line[j] // g
+                for r in rows:
+                    x, y = r[col], r[j]
+                    r[col], r[j] = s * x + t * y, p * y - q * x
+        if line[col] < 0:
+            for r in rows:
+                r[col] = -r[col]
+        pivots.append((row, rows[0][col], rows[1][col]))
+    return _Echelon2(pivots, [list(c) for c in zip(*rows[2:])])
+
+
+def _dot(RS: tuple[int, int], x: tuple[int, int], u: tuple[int, int],
+         y: tuple[int, int] = (0, 0), v: tuple[int, int] = (0, 0)) -> tuple[int, int]:
+    """x*u + y*v, or the product x*u alone, for elements given by their order
+    coordinates (a, b) over (1, f*omega), with RS = Order.gen_sq = (R, S):
+    (f*omega)^2 = R + S*f*omega."""
+    (a, b), (c, d), (e, g), (h, k) = x, u, y, v
+    w = b * d + g * k
+    return a * c + e * h + w * RS[0], a * d + b * c + e * k + g * h + w * RS[1]
 
 
 def ideal_from_generators(order: Order, gens: list[QuadElt]) -> QIdeal:
     """Ideal of `order` generated by `gens`, in standard basis.
 
     The Z-span of the generators and their f*omega multiples is already
-    closed under the order action, so it is the ideal: g = a + b*omega
-    gives (a, b/f) and g*f*omega = (f*b*r, a + b*s) with omega^2 = r + s*omega.
+    closed under the order action, so it is the ideal: g = u + v*f*omega
+    gives (u, v) and g*f*omega = (v*R, u + v*S) with (f*omega)^2 = R + S*f*omega.
     """
     live = [g for g in gens if not g.is_zero()]
     if not live:
         raise ZeroIdealError("the zero ideal has no standard basis")
-    f = order.f
-    r, s = order.field.omega_sq
+    R, S = order.gen_sq
     vectors = []
     for g in live:
-        vectors += [order.coords(g), (f * g.b * r, g.a + g.b * s)]
+        u, v = order.coords(g)
+        vectors += [(u, v), (v * R, u + v * S)]
     return _lattice_std_basis(order, vectors)
 
 
 def ideal_mul(lhs: QIdeal, rhs: QIdeal) -> QIdeal:
     """The product: the Z-span of the four products of the standard bases,
-    which is already an ideal since both factors are. Over (1, f*omega),
-    (d1 + e1*f*omega)(d2 + e2*f*omega) = d1*d2 + e1*e2*f^2*r +
-    (d1*e2 + d2*e1 + e1*e2*f*s)*f*omega with omega^2 = r + s*omega."""
+    which is already an ideal since both factors are."""
     if lhs.order != rhs.order:
         raise UsageError("ideal product requires a common order")
-    f = lhs.order.f
-    r, s = lhs.order.field.omega_sq
     (a1, d1, e1), (a2, d2, e2) = (lhs.a, lhs.d, lhs.e), (rhs.a, rhs.d, rhs.e)
-    e12 = e1 * e2
     vectors = [(a1 * a2, 0), (a1 * d2, a1 * e2), (a2 * d1, a2 * e1),
-               (d1 * d2 + e12 * f * f * r, d1 * e2 + d2 * e1 + e12 * f * s)]
+               _dot(lhs.order.gen_sq, (d1, e1), (d2, e2))]
     return _lattice_std_basis(lhs.order, vectors)
 
 
@@ -287,9 +293,9 @@ def ideal_inverse(ideal: QIdeal) -> FracIdeal:
 
 
 def associated_form(ideal: QIdeal) -> QuadForm:
-    """The form q_I with e*q_I = (a, trace(gen2), norm(gen2)/a), trace(gen2) = 2d + e*f*s."""
+    """The form q_I with e*q_I = (a, trace(gen2), norm(gen2)/a), trace(gen2) = 2d + e*S."""
     a, d, e = ideal.a, ideal.d, ideal.e
-    b = 2 * d + e * ideal.order.f * ideal.order.field.omega_sq[1]
+    b = 2 * d + e * ideal.order.gen_sq[1]
     c, rem = divmod(ideal._gen2_norm(), a)
     check(rem == 0, "a = {} does not divide the norm of gen2", a)
     check(b % e == 0 and c % e == 0 and a % e == 0, "e = {} does not divide the form", e)
@@ -299,15 +305,15 @@ def associated_form(ideal: QIdeal) -> QuadForm:
 
 
 def _multiplies(ideal: QIdeal, k: int) -> bool:
-    """Whether k*omega maps I into I: with omega^2 = r + s*omega, the basis
-    products are a*k*omega = (0, a*k/f) and (d + e*f*omega)*k*omega =
-    (e*f*k*r, d*k/f + e*k*s) over (1, f*omega), when they lie in the order."""
-    f = ideal.order.f
-    r, s = ideal.order.field.omega_sq
+    """Whether k*omega = (k/f)*f*omega maps I into I: the basis products are
+    a*k*omega = (0, a*k/f) and (d + e*f*omega)*k*omega = (e*R*k/f, (d + e*S)*k/f)
+    over (1, f*omega), when they lie in the order; e*R*k/f is an integer, as f | R."""
+    (R, S), f = ideal.order.gen_sq, ideal.order.f
     a, d, e = ideal.a, ideal.d, ideal.e
-    if a * k % f or d * k % f:
+    v = (d + e * S) * k
+    if a * k % f or v % f:
         return False
-    return ideal._has(0, a * k // f) and ideal._has(e * f * k * r, d * k // f + e * k * s)
+    return ideal._has(0, a * k // f) and ideal._has(e * R // f * k, v // f)
 
 
 def multiplier_conductor(ideal: QIdeal) -> int:
@@ -337,17 +343,16 @@ def fitt1(ideal: QIdeal) -> QIdeal:
     the lattice product with the conjugate divided by the norm, and a
     membership certificate must show that it is the conductor (O_f : O_f').
     """
-    return _fitt1(ideal, multiplier_conductor(ideal), ideal.conjugate())
+    return _fitt1(ideal, multiplier_conductor(ideal))
 
 
-def _fitt1(ideal: QIdeal, f_prime: int, conj: QIdeal) -> QIdeal:
-    """fitt1 for a caller that already has the multiplier conductor f' and the
-    conjugate ideal sigma(I)."""
+def _fitt1(ideal: QIdeal, f_prime: int) -> QIdeal:
+    """fitt1 for a caller that already has the multiplier conductor f'."""
     f = ideal.order.f
     n0 = f // f_prime
     closed = QIdeal(ideal.order, n0, 0, 1)
 
-    product = ideal_mul(ideal, conj)
+    product = ideal_mul(ideal, ideal.conjugate())
     check(FracIdeal(product, ideal.norm()) == FracIdeal(closed, 1),
           "I*sigma(I)/N(I) disagrees with the closed form",
           name="fitting-norm-is-conductor-quotient")
@@ -522,7 +527,7 @@ def _keyed_classes(order: Order) -> dict[tuple[int, QuadForm], QIdeal]:
     """enumerate_ideal_classes with the class_key of each representative."""
     bound = resolve_bound()
     limit = _class_search_limit(order)
-    disc, tf = order.disc, order.field.omega_trace * order.f
+    disc, tf = order.disc, order.gen_sq[1]  # S = f*s is the trace of f*omega
     reps: dict[tuple[int, QuadForm], QIdeal] = {}
     candidates = 0
     for n, roots in sqrt_mods(disc, range(4, 4 * limit + 1, 4)):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -316,6 +317,33 @@ _PLANTED_FIELDS = (-1, -2, -3, -5, -6, -7, -10, -11, -14, -15, -19, -23,
                    2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_PLANTED_FIELDS), st.integers(1, 12), st.integers(1, 5), st.data())
+def test_witness_det_matches_laplace_expansion_over_the_order(m, f, n, data):
+    """det() eliminates over the maximal order with exact divisions; the Laplace
+    expansion, n! terms, is its oracle up to n = 5, singular matrices included."""
+    order = Order(QuadField(m), f)
+    entry = st.tuples(st.integers(-5, 5), st.integers(-2, 2)).map(lambda c: order.from_coords(*c))
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n > 1 and data.draw(st.booleans()):
+        rows[-1] = [x * 2 - y for x, y in zip(rows[0], rows[1 % n])]  # a dependent row
+    expected = order.field.one * _det_by_permanent_expansion(rows)
+    assert UnimodularWitness(tuple(map(tuple, rows))).det() == expected
+
+
+def test_witness_det_of_a_twelve_by_twelve_elementary_product_is_one_within_a_second():
+    rng = random.Random(1212)
+    order = Order(QuadField(-7), 6)
+    mat = _elementary(order, rng, 12)
+    for _ in range(60):
+        step = _elementary(order, rng, 12)
+        mat = UnimodularWitness(tuple(step.apply_to(row) for row in mat.entries))
+    assert any(e.b for row in mat.entries for e in row)
+    start = time.perf_counter()
+    assert mat.det() == order.field.one
+    assert time.perf_counter() - start < 1.0
+
+
 def _small(data, order):
     """A small nonzero element x + y*f*w of the order."""
     x, y = data.draw(st.tuples(st.integers(-4, 4), st.integers(0, 2)).filter(any))
@@ -359,7 +387,7 @@ def test_pair_route_matches_the_quadelt_oracle_on_planted_pairs(m, f, data):
         mat, cls = pair_oracle.transition(first, second)
         assert det_pair(first, second) == cls
         assert genpairs._transition(first, second)[:2] == (
-            [[(x.a, x.b) for x in row] for row in mat], cls)
+            [[order.coords(x) for x in row] for row in mat], cls)
         if not cls.is_one:
             with pytest.raises(UsageError, match="not SL2-equivalent"):
                 sl2_witness(first, second)
@@ -405,7 +433,7 @@ def test_the_pair_route_builds_quadelt_objects_only_at_its_boundary(monkeypatch)
         return len(built)
 
     assert count(multiplier_conductor, pair.ideal) == 0
-    assert count(lambda: _fitt1(pair.ideal, f_prime, pair.ideal.conjugate())) == 0
+    assert count(lambda: _fitt1(pair.ideal, f_prime)) == 0
     assert count(det_pair, pair, other) == 0
     assert count(sl2_witness, pair, other) == 4
     assert count(reduce_vector, vec) == 3 * 3 + 2

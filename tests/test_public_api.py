@@ -105,19 +105,24 @@ def test_the_command_line_imports_no_underscored_name():
 _CORE = {"cli", "config", "errors", "value", "arith", "quadfield", "quadideal"}
 _CURVE_STACK = {"curvering", "fieldpoly"}
 _CLASS_STACK = {"classnum", "cusps"}
-_REPORT = "import sys; print('loaded:', *sorted(m[9:] for m in sys.modules if m[:9] == 'cuspidal.'))"
+_REPORT = "import sys; print('loaded:', *sorted(sys.modules))"
 
 
-def _loaded_after(code: str) -> set[str]:
-    """The submodules of cuspidal loaded after running code in a new interpreter."""
+def _modules_after(code: str, *flags: str) -> set[str]:
+    """The modules loaded after running code in a new interpreter started with flags."""
     root = Path(__file__).resolve().parent.parent
     proc = subprocess.run(
-        [sys.executable, "-c", f"{code}\n{_REPORT}"],
+        [sys.executable, *flags, "-c", f"{code}\n{_REPORT}"],
         env=dict(os.environ, PYTHONPATH=str(root / "src")),
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split()[1:])
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The submodules of cuspidal loaded after running code in a new interpreter."""
+    return {m[9:] for m in _modules_after(code) if m[:9] == "cuspidal."}
 
 
 def _mains(*argvs: list[str]) -> str:
@@ -135,6 +140,13 @@ def test_importing_the_package_loads_no_submodule():
 
 def test_the_command_line_loads_only_the_quadratic_core():
     assert _loaded_after("import cuspidal.cli") == _CORE
+    # nor typing, nor fractions with decimal and numbers, which only a coefficient
+    # written with '/' needs; -S keeps out what site imports on its own
+    stdlib = _modules_after("import cuspidal.cli", "-S")
+    assert not stdlib & {"typing", "fractions", "decimal", "numbers"}
+    assert "fractions" in _modules_after(
+        "from cuspidal.quadfield import QuadField, parse_element\n"
+        "parse_element(QuadField(5), '1/2+1/2*s')", "-S")
 
 
 def test_a_curve_command_loads_no_quadratic_operation():

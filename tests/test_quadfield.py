@@ -55,6 +55,18 @@ def test_norm_and_trace(field, a1, b1, a2, b2):
     assert x + x.conjugate() == QuadElt(field, x.trace(), 0)
 
 
+@given(fields, coords, coords, coords, coords)
+def test_floor_division_is_the_exact_quotient(field, a1, b1, a2, b2):
+    x, y = QuadElt(field, a1, b1), QuadElt(field, a2, b2)
+    assert bool(x) is not x.is_zero()
+    if y:
+        assert (x * y) // y == x and x * y.norm() // y == x * y.conjugate()
+    assert (x * 3) // 3 == x
+    if y and y.norm() not in (1, -1):  # y divides 1 exactly when it is a unit
+        with pytest.raises(UsageError, match="does not divide"):
+            field.one // y
+
+
 @given(fields)
 def test_omega_satisfies_its_quadratic(field):
     r, s = field.omega_sq

@@ -318,7 +318,7 @@ def test_fitt1_conductor_certificate_refuses_a_wrong_conductor(monkeypatch, m, f
 
     monkeypatch.setattr(quadideal, "ideal_mul", agreeing_product)
     with pytest.raises(InternalCheckError, match=r"\(O_f : O_f'\)"):
-        _fitt1(ideal, wrong, ideal.conjugate())
+        _fitt1(ideal, wrong)
 
 
 def test_multiplier_conductor_against_divisor_scan():
