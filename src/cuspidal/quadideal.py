@@ -20,14 +20,16 @@ are SL2(Z)-equivalent, or, for a lambda of negative norm in a real field,
 when (A, B, C) is equivalent to (-A, B, -C). class_key maps I to the content
 of q_I and the canonical reduced form of q_I over it; class comparison is
 key equality and class enumeration keeps one ideal per key. The same
-reduction lists the forms whose classes classnum counts for h_K, and its
-rho-cycle of the principal form gives units the fundamental unit.
+reduction lists the forms whose classes classnum counts for h_K, and one
+budgeted walk, _rho_walk, serves each pair of rho-cycles for canonical forms
+and the principal cycle for the fundamental unit in units.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache
 
 from .arith import divisors, factorize, sqrt_mods, xgcd
@@ -395,19 +397,22 @@ def _rho(form: tuple[int, int, int], disc: int, s: int) -> QuadForm:
     return QuadForm(C, r, (r * r - disc) // (4 * C))
 
 
-def _rho_cycle(form: QuadForm, disc: int, s: int) -> list[QuadForm]:
-    """The reduced indefinite forms properly equivalent to a reduced `form`,
-    which rho permutes in one cycle (Cohen, GTM 138, 5.6). A cycle that does not
-    close within resolve_bound() rho-steps raises InconclusiveError."""
+def _rho_walk(form: QuadForm, disc: int, s: int) -> Iterator[tuple[QuadForm, QuadForm]]:
+    """The pairs (q, rho(q)) along the rho-cycle of a reduced indefinite `form`
+    (Cohen, GTM 138, 5.6) up to the first rho(q) that is `form` or (-A, B, -C).
+    rho reads only B and |C|, so it commutes with that negation, and the walked
+    forms with their negatives make up both cycles. resolve_bound() rho-steps
+    without a stop raise InconclusiveError."""
     bound = resolve_bound()
-    cycle = [form]
-    nxt = _rho(form, disc, s)
-    while nxt != form:
-        if len(cycle) == bound:
-            raise exhausted(f"the rho-cycle of discriminant {disc} exceeds bound {bound} rho-steps")
-        cycle.append(nxt)
-        nxt = _rho(nxt, disc, s)
-    return cycle
+    stops = (form, QuadForm(-form.A, form.B, -form.C))
+    q = form
+    for _ in range(bound):
+        nxt = _rho(q, disc, s)
+        yield q, nxt
+        if nxt in stops:
+            return
+        q = nxt
+    raise exhausted(f"the rho-cycle of discriminant {disc} exceeds bound {bound} rho-steps")
 
 
 @lru_cache(maxsize=None)
@@ -422,7 +427,7 @@ def canonical_form(form: tuple[int, int, int]) -> QuadForm:
     (A, B, C): Gauss's reduced form (Cohen, GTM 138, 5.3), or the least form
     on the rho-cycles (5.6) of (A, B, C) and of (-A, B, -C), the form that a
     lambda of negative norm sends q_I to. The cycles come from _cycle_table,
-    which walks each pair once."""
+    filled by one _rho_walk per pair of cycles."""
     A, B, C = form
     disc = B * B - 4 * A * C
     if disc < 0:
@@ -438,10 +443,8 @@ def canonical_form(form: tuple[int, int, int]) -> QuadForm:
     table = _cycle_table(disc)
     canon = table.get(q)
     if canon is None:
-        walked = set(_rho_cycle(QuadForm(*q), disc, s))
-        neg = QuadForm(-q[0], q[1], -q[2])
-        if neg not in walked:
-            walked.update(_rho_cycle(neg, disc, s))
+        walked = [p for p, _ in _rho_walk(QuadForm(*q), disc, s)]
+        walked += [QuadForm(-a, b, -c) for a, b, c in walked]
         canon = min(walked)
         table.update(dict.fromkeys(walked, canon))
     return canon
@@ -519,7 +522,8 @@ def enumerate_ideal_classes(order: Order) -> list[QIdeal]:
     primitive ideal (a/e, d/e, 1) of its class), -a/2 <= d < a/2, with
     B = 2d + t*f (t the trace of omega) a square root of the discriminant mod
     4a (Cohen, GTM 138, 5.2). The first ideal of each class_key by ascending
-    (a, d) is kept. More than resolve_bound() candidates raise InconclusiveError."""
+    (a, d) is kept. A window wider than resolve_bound() is refused before any
+    work, and more candidates than that raise InconclusiveError."""
     return list(_keyed_classes(order).values())
 
 
@@ -528,6 +532,9 @@ def _keyed_classes(order: Order) -> dict[tuple[int, QuadForm], QIdeal]:
     bound = resolve_bound()
     limit = _class_search_limit(order)
     disc, tf = order.disc, order.gen_sq[1]  # S = f*s is the trace of f*omega
+    if limit > bound:
+        raise exhausted(f"class enumeration: the A-window {limit} of discriminant {disc}"
+                        f" exceeds bound {bound}")
     reps: dict[tuple[int, QuadForm], QIdeal] = {}
     candidates = 0
     for n, roots in sqrt_mods(disc, range(4, 4 * limit + 1, 4)):

@@ -1,9 +1,10 @@
 """Unit groups of quadratic orders.
 
 Real fields: the fundamental unit of the maximal order comes from the
-rho-cycle of the principal form (the reduction theory of quadideal); the
-unit of the order of conductor f is the least power whose omega-coefficient
-is divisible by f. Imaginary fields only carry torsion.
+rho-cycle of the principal form, walked by the one budgeted rho-walk of
+quadideal, the reduction theory that also gives class keys; the unit of the
+order of conductor f is the least power whose omega-coefficient is divisible
+by f. Imaginary fields only carry torsion.
 
 fundamental_unit is memoised per field and conductor, one of the memos
 the README lists; everything returned is a frozen value type.
@@ -14,10 +15,9 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .config import exhausted, resolve_bound
 from .errors import UsageError, check
 from .quadfield import QuadElt, QuadField
-from .quadideal import QuadForm, _rho
+from .quadideal import QuadForm, _rho_walk
 from .value import Value
 
 
@@ -59,32 +59,23 @@ def _principal_cycle_unit(field: QuadField) -> QuadElt:
     reduced principal form q0 = (1, b, (b^2 - D)/4), b the largest integer
     below sqrt(D) with b = D mod 2 (Cohen, GTM 138, 5.7). The rho step
     (A, B, C) -> (C, B', C') substitutes [[0, -1], [1, t]], t = (B' + B)/(2C);
-    the product up to q0 or (-1, b, -(b^2 - D)/4) has a first column (x0, y0)
-    giving (|2*x0 + b*y0| + |y0|*sqrt(D))/2, of norm -1 at the second stop.
-    The walk keeps only the t's, whose product grows to the size of the unit,
-    and multiplies them out (_step_product) once the cycle closes within
-    resolve_bound() rho-steps; a longer walk raises InconclusiveError."""
+    the product up to the stop of q0's _rho_walk, q0 or (-1, b, -(b^2 - D)/4),
+    has a first column (x0, y0) giving (|2*x0 + b*y0| + |y0|*sqrt(D))/2, of
+    norm -1 at the second stop, the last rho(q) walked. Only the t's are kept,
+    whose product grows to the size of the unit, and they are multiplied out
+    (_step_product) once the walk stops."""
     disc = field.disc_max
-    bound = resolve_bound()
     s = math.isqrt(disc)
     b = s - (s - disc) % 2
     q0 = QuadForm(1, b, (b * b - disc) // 4)
-    stops = (q0, QuadForm(-1, b, -q0.C))
-    q, ts = q0, []
-    for _ in range(bound):
-        nxt = _rho(q, disc, s)
+    ts = []
+    for q, nxt in _rho_walk(q0, disc, s):
         ts.append((nxt.B + q.B) // (2 * q.C))
-        q = nxt
-        if q in stops:
-            break
-    else:
-        raise exhausted(f"the principal rho-cycle of discriminant {disc} exceeds bound {bound}"
-                        " rho-steps")
     x0, _, y0, _ = _step_product(ts)
     # eps = (T + U*sqrt(D))/2 with sqrt(D) = 2*omega - trace(omega)
     big_t, big_u = abs(2 * x0 + b * y0), abs(y0)
     eps = QuadElt(field, (big_t - big_u * field.omega_trace) // 2, big_u)
-    check(eps.norm() == (1 if q == q0 else -1),
+    check(eps.norm() == (1 if nxt == q0 else -1),
           "cycle element {} is not a unit of the expected norm", eps)
     return eps
 

@@ -1,12 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuspidal import quadideal
 from cuspidal.arith import is_squarefree
 from cuspidal.errors import InconclusiveError
 from cuspidal.classnum import class_number_maximal, picard_order
 from cuspidal.oracles import brute_force_pic, reduced_form_count
 from cuspidal.quadfield import QuadField
-from cuspidal.quadideal import Order, enumerate_ideal_classes, multiplier_conductor
+from cuspidal.quadideal import Order, enumerate_ideal_classes, multiplier_conductor, reduced_forms
 
 
 @pytest.mark.parametrize(
@@ -91,6 +92,26 @@ def test_class_number_is_computed_once_per_field(monkeypatch):
     monkeypatch.setenv("CUSPIDAL_BOUND", str(10**6))
     picard_order(Order(field, 5))
     assert class_number_maximal.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("m", [2, 10, 79, 94, 223, 1000003])
+def test_class_number_takes_one_rho_step_per_two_reduced_forms(monkeypatch, m):
+    """Each pair of rho-cycles, of a form and of its negative, is walked once and
+    only up to the form's negative: half as many rho-steps as reduced forms."""
+    field = QuadField(m)
+    steps = [0]
+
+    def counted(form, disc, s, real=quadideal._rho):
+        steps[0] += 1
+        return real(form, disc, s)
+
+    class_number_maximal.cache_clear()
+    quadideal._cycle_table.cache_clear()
+    monkeypatch.setattr(quadideal, "_rho", counted)
+    class_number_maximal(field)
+    assert steps[0] == len(reduced_forms(field.disc_max)) // 2
+    class_number_maximal.cache_clear()
+    quadideal._cycle_table.cache_clear()
 
 
 def test_a_memo_hit_answers_under_any_budget(monkeypatch):

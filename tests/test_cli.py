@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cuspidal import classnum, genpairs
+from cuspidal import classnum, genpairs, quadideal
 from cuspidal.arith import is_prime
 from cuspidal.classnum import class_number_maximal
 from cuspidal.cli import main
@@ -470,7 +470,7 @@ _ONE_BUDGET = {
     "a-window": (["pic", "--m", "-30011"], 50, None, (), "the A-window 100"),
     "enumeration": (["cusps", "--m", "-5", "--f", "12"], 20, None, (), "class enumeration"),
     "brute": (["pic", "--m", "-5", "--f", "30", "--brute"], 100, None, (), "class enumeration"),
-    "rho-walk": (["cusps", "--m", "94", "--no-check"], 15, None, (94,), "the principal rho-cycle"),
+    "rho-walk": (["cusps", "--m", "94", "--no-check"], 15, None, (94,), "the rho-cycle"),
     "conductor": (["pic", "--m", "-5", "--f", "1000000007"], 100, None, (), "factorization"),
     "squarefree": (["pic", "--m", str(10007 * 10009)], 100, None, (), "squarefree test"),
     "conductor-ok": (["pic", "--m", "-5", "--f", "1000000007"], 2_000_000, "100", (), None),
@@ -513,6 +513,21 @@ def test_selftest_checks_the_class_number_of_each_maximal_order(capsys, monkeypa
     assert (code, out) == (3, "")
     assert err == ("internal check failed: the cusp count 1 of Q(sqrt(-15))"
                    " differs from the direct count 2\n")
+
+
+def test_class_enumeration_refuses_a_window_past_the_budget(capsys, monkeypatch, fresh_memos):
+    """The direct check of cusps at f = 1000003 would search norms up to 3,000,009,
+    past the default budget: the command exits 2 before it sieves one modulus."""
+    class_number_maximal(QuadField(-5))
+
+    def sieve(*args):
+        raise AssertionError("class enumeration sieved before it checked its window")
+
+    monkeypatch.setattr(quadideal, "sqrt_mods", sieve)
+    code, out, err = _run(capsys, ["cusps", "--m", "-5", "--f", "1000003"])
+    assert (code, out) == (2, "")
+    assert err.startswith("inconclusive: class enumeration: the A-window 3000009 of discriminant"
+                          " -20000120000180 exceeds bound 2000000;")
 
 
 def test_unit_walk_budget_names_the_knob(capsys, monkeypatch):

@@ -713,16 +713,19 @@ def test_every_cycle_pair_holds_a_form_within_markovs_bound(disc):
 
 def test_each_rho_cycle_is_walked_once_per_session(monkeypatch):
     """class_number_maximal and the cusp cross-check for f = 1..4 share one
-    cycle table per discriminant: every reduced form of each discriminant lies
-    on exactly one walked cycle, and cache_clear starts the walks over."""
+    cycle table per discriminant: the walked forms and their negatives are every
+    reduced form of each discriminant once, one walk per pair of cycles, and
+    cache_clear starts the walks over."""
     walks = []
 
-    def counted(form, disc, s, real=quadideal._rho_cycle):
-        cycle = real(form, disc, s)
-        walks.append((disc, cycle))
-        return cycle
+    def counted(form, disc, s, real=quadideal._rho_walk):
+        walked = []
+        walks.append((disc, walked))
+        for pair in real(form, disc, s):
+            walked.append(pair[0])
+            yield pair
 
-    monkeypatch.setattr(quadideal, "_rho_cycle", counted)
+    monkeypatch.setattr(quadideal, "_rho_walk", counted)
     field = QuadField(223)
     counts = []
     for _ in range(2):
@@ -732,40 +735,88 @@ def test_each_rho_cycle_is_walked_once_per_session(monkeypatch):
         class_number_maximal(field)
         for f in (1, 2, 3, 4):
             cusp_count_direct(Order(field, f))
+        pairs = set()
         for k in (1, 2, 3, 4):
             disc = k * k * field.disc_max
-            walked = sorted(form for d, cycle in walks if d == disc for form in cycle)
-            assert walked == sorted(reduced_forms(disc)), k
+            forms = []
+            for d, walked in walks:
+                if d == disc:
+                    pair = walked + [QuadForm(-A, B, -C) for A, B, C in walked]
+                    pairs.add((disc, min(pair)))
+                    forms += pair
+            assert sorted(forms) == sorted(reduced_forms(disc)), k
         counts.append(len(walks))
-    assert counts[0] == counts[1] == len({(d, min(c)) for d, c in walks})
+    assert counts[0] == counts[1] == len(pairs)
 
 
 @pytest.mark.parametrize("m, disc", [(10000000019, 40000000076), (10**9 + 7, 4000000028)])
 def test_rho_cycle_walks_stop_at_the_budget(monkeypatch, m, disc):
-    """The class enumeration of these fields walks rho-cycles far longer than 3,000
-    steps; each walk stops after the budget's rho-steps and names its search."""
-    steps, walks = [0], []
+    """The principal rho-cycles of these fields are far longer than 3,000 steps;
+    the walk of the class key and that of the unit each stop after the budget's
+    rho-steps and name their search."""
+    steps = [0]
 
     def counted_rho(form, d, s, real=quadideal._rho):
         steps[0] += 1
         return real(form, d, s)
 
-    def counted_cycle(form, d, s, real=quadideal._rho_cycle):
-        steps[0] = 0
-        try:
-            return real(form, d, s)
-        finally:
-            walks.append(steps[0])
-
     monkeypatch.setattr(quadideal, "_rho", counted_rho)
-    monkeypatch.setattr(quadideal, "_rho_cycle", counted_cycle)
     monkeypatch.setenv("CUSPIDAL_BOUND", "3000")
-    quadideal._cycle_table.cache_clear()
     message = (f"^the rho-cycle of discriminant {disc} exceeds bound 3000 rho-steps;"
                " raise it with CUSPIDAL_BOUND$")
-    with pytest.raises(InconclusiveError, match=message):
-        enumerate_ideal_classes(Order(QuadField(m), 1))
-    assert walks and max(walks) == 3000
+    principal = (1, disc % 2, (disc % 2 - disc) // 4)
+    for walk in (lambda: canonical_form(principal), lambda: fundamental_unit(QuadField(m))):
+        quadideal._cycle_table.cache_clear()
+        fundamental_unit.cache_clear()
+        steps[0] = 0
+        with pytest.raises(InconclusiveError, match=message):
+            walk()
+        assert steps[0] == 3000
+    quadideal._cycle_table.cache_clear()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(5, 200_000).filter(lambda n: n % 4 in (0, 1) and math.isqrt(n) ** 2 != n),
+    st.data(),
+)
+def test_rho_commutes_with_negation(disc, data):
+    """rho reads only B and |C|, so it sends (-A, B, -C) to the negative of
+    rho(A, B, C): one walk's forms and their negatives are both cycles."""
+    form = data.draw(st.sampled_from(reduced_forms(disc)))
+    s = math.isqrt(disc)
+    A, B, C = quadideal._rho(form, disc, s)
+    assert quadideal._rho(QuadForm(-form.A, form.B, -form.C), disc, s) == (-A, B, -C)
+
+
+def _two_walk_canonical_forms(disc):
+    """The canonical form of each reduced form of disc > 0 from two full
+    rho-cycle walks, of the form and of its negative: the least form on both."""
+    s = math.isqrt(disc)
+    canon = {}
+    for form in reduced_forms(disc):
+        if form in canon:
+            continue
+        walked = set()
+        for q in (form, QuadForm(-form.A, form.B, -form.C)):
+            while q not in walked:
+                walked.add(q)
+                q = quadideal._rho(q, disc, s)
+        canon.update(dict.fromkeys(walked, min(walked)))
+    return canon
+
+
+def test_one_walk_per_pair_gives_the_two_walk_canonical_form():
+    """canonical_form agrees with the two-walk oracle on every reduced form of
+    f^2*d_K for squarefree 2 <= m < 1000 and f <= 3."""
+    quadideal._cycle_table.cache_clear()
+    for m in range(2, 1000):
+        if not is_squarefree(m):
+            continue
+        for f in (1, 2, 3):
+            disc = f * f * QuadField(m).disc_max
+            oracle = _two_walk_canonical_forms(disc)
+            assert {q: canonical_form(q) for q in oracle} == oracle, (m, f)
     quadideal._cycle_table.cache_clear()
 
 
