@@ -6,6 +6,7 @@ import math
 from collections.abc import Iterator
 
 from .config import exhausted, resolve_bound
+from .errors import check
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -85,6 +86,18 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def _element_order(n: int, is_one) -> int:
+    """The order of an element of a group of order n, where is_one(j) tells whether
+    its j-th power is the identity: from k = n, each prime q | n (factorize)
+    divides k while the (k/q)-th power is still the identity."""
+    check(is_one(n), "the group order {} does not kill the element", n)
+    k = n
+    for q in factorize(n):
+        while k % q == 0 and is_one(k // q):
+            k //= q
+    return k
 
 
 def euler_phi(n: int) -> int:

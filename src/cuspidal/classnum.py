@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .arith import factorize
 from .errors import check
 from .quadfield import QuadField
 from .quadideal import Order, canonical_form, reduced_forms
-from .units import unit_index
+from .units import _conductor_factor, unit_index
 from .value import Value
 
 
@@ -38,14 +37,6 @@ def class_number_maximal(field: QuadField) -> PicSize:
     return PicSize(Order(field, 1), h, "reduced-forms")
 
 
-def _kronecker_at_prime(disc: int, p: int) -> int:
-    """Kronecker symbol (disc/p) at a prime p, for a fundamental discriminant."""
-    if p == 2:
-        return 0 if disc % 2 == 0 else (1 if disc % 8 == 1 else -1)
-    r = pow(disc, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
-
-
 @lru_cache(maxsize=None)
 def picard_order(order: Order) -> PicSize:
     """|Pic(O_f)| by the conductor formula over the maximal class number.
@@ -54,9 +45,7 @@ def picard_order(order: Order) -> PicSize:
     (Cox, Primes of the Form x^2+ny^2, Thm 7.24).
     """
     field, f = order.field, order.f
-    num = class_number_maximal(field).h
-    for p, k in factorize(f).items():
-        num *= p ** (k - 1) * (p - _kronecker_at_prime(field.disc_max, p))
+    num = class_number_maximal(field).h * _conductor_factor(field, f)
     den = unit_index(field, f)
     check(num % den == 0, "conductor formula is not integral for {}: {}/{}", order, num, den)
     return PicSize(order, num // den, "conductor-formula")

@@ -44,10 +44,13 @@ def _s(x, what: str = "a result") -> str:
         big = max(map(abs, ints))
         digits = int(big.bit_length() * math.log10(2)) + 1
         digits -= 10 ** (digits - 1) > big
-        raise InconclusiveError(
-            f"{what} has {digits} digits, past the {sys.get_int_max_str_digits()}-digit limit"
-            " on printing an int; raise it with PYTHONINTMAXSTRDIGITS or -X int_max_str_digits"
-        ) from None
+        raise _past_print_limit(what, digits) from None
+
+
+def _past_print_limit(what: str, digits: int | str) -> InconclusiveError:
+    return InconclusiveError(
+        f"{what} has {digits} digits, past the {sys.get_int_max_str_digits()}-digit limit"
+        " on printing an int; raise it with PYTHONINTMAXSTRDIGITS or -X int_max_str_digits")
 
 
 def _order_of(args: SimpleNamespace) -> Order:
@@ -153,25 +156,31 @@ def _cmd_unit(args):
 
     field = QuadField(args.m)
     info = fundamental_unit(field, args.f)
-    eps = info.fundamental
-    unit = None if eps is None else _s(eps, "the fundamental unit")
+    eps, k, limit = info.maximal, info.power_in_maximal, sys.get_int_max_str_digits()
+    if eps is not None and k > 1 and limit:
+        # eps^k = (T + U*sqrt(D))/2 has omega-coefficient U >= (eps^k - 1)/sqrt(D), a
+        # lower bound on its digits before it is expanded; eps itself has U = eps.b
+        disc = field.disc_max
+        low = math.log10(eps.trace() * 10**6 + math.isqrt(eps.b**2 * disc * 10**12))
+        digits = int(k * (low - math.log10(2 * 10**6)) - math.log10(disc) / 2 - 1)
+        if digits > limit:
+            raise _past_print_limit("the fundamental unit", f"at least {digits}")
+    unit = None if eps is None else _s(info.fundamental, "the fundamental unit")
     inputs = {"m": _s(args.m), "f": _s(args.f)}
     result = {
         "fundamental": unit,
-        "power_in_maximal": _s(info.power_in_maximal),
+        "power_in_maximal": _s(k),
         "torsion_gen": _s(info.torsion_gen),
         "torsion_order": _s(info.torsion_order),
         "has_norm_minus_one": info.has_norm_minus_one,
     }
     lines = []
-    if info.fundamental is None:
+    if eps is None:
         lines.append(f"unit group of conductor {args.f} in Q(sqrt({args.m})) is torsion")
     else:
-        norm = info.fundamental.norm()
+        norm = -1 if info.has_norm_minus_one else 1
         lines.append(f"fundamental unit: {unit}  (norm {norm})")
-        lines.append(
-            f"equals the maximal-order fundamental unit to the power {info.power_in_maximal}"
-        )
+        lines.append(f"equals the maximal-order fundamental unit to the power {k}")
     lines.append(f"torsion: {info.torsion_gen} of order {info.torsion_order}")
     lines.append(f"norm -1 unit exists: {'yes' if info.has_norm_minus_one else 'no'}")
     if args.f > 1:

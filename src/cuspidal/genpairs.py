@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from .arith import euler_phi
+from .arith import _element_order, euler_phi
 from .errors import UsageError, check
 from .quadfield import QuadElt
 from .quadideal import (
@@ -35,7 +35,7 @@ from .quadideal import (
     ideal_from_generators,
     multiplier_conductor,
 )
-from .units import fundamental_unit
+from .units import _power_mod, fundamental_unit
 from .value import Value
 
 
@@ -252,40 +252,21 @@ def orbit_count_sl2_mod_units(order: Order, f_prime: int) -> int:
     return euler_phi(order.f // f_prime) // len(epsilon_subgroup(order, f_prime))
 
 
-def _unit_residues(order: Order, n0: int) -> set[int]:
-    """Image of the unit group of the order in (Z/n0)^*."""
-    gens = {(-1) % n0}
-    info = fundamental_unit(order.field, order.f)
-    if info.fundamental is not None:
-        u, _ = order.coords(info.fundamental)
-        gens.add(u % n0)
-    if order.f == 1:
-        gens.add(order.coords(info.torsion_gen)[0] % n0)
-    subgroup = {1 % n0}
-    frontier = set(subgroup)
-    while frontier:
-        nxt = set()
-        for x in frontier:
-            for g in gens:
-                y = x * g % n0
-                if y not in subgroup:
-                    subgroup.add(y)
-                    nxt.add(y)
-        frontier = nxt
-    for x in subgroup:
-        check(math.gcd(x, n0) == 1, "unit residue {} mod {} is not a unit", x, n0)
-    return subgroup
-
-
 def orbit_count_gl2(order: Order, f_prime: int) -> int:
     """Number of GL2 orbits on the generating pairs of an ideal of the order whose
-    multiplier conductor is f' (multiplier_conductor)."""
+    multiplier conductor is f' (multiplier_conductor): phi(n0), n0 = f/f', over the
+    size of the units' image <-1, u> in (Z/n0)^x. u is the first coordinate of
+    eps^k mod n0, or 1 in an imaginary field, whose units are +-1 once f > 1 (f = 1
+    leaves n0 = 1); the image is <u>, doubled unless -1 is a power of u."""
     n0 = order.f // f_prime
-    image = _unit_residues(order, n0)
     total = euler_phi(n0)
-    check(total % len(image) == 0, "the unit image of order {} does not divide phi = {}",
-          len(image), total)
-    return total // len(image)
+    info = fundamental_unit(order.field, order.f)
+    u = 1 if info.maximal is None else _power_mod(info.maximal, info.power_in_maximal, n0)[0]
+    size = _element_order(total, lambda j: pow(u, j, n0) == 1 % n0)
+    if n0 > 2 and not (size % 2 == 0 and pow(u, size // 2, n0) == n0 - 1):
+        size *= 2
+    check(total % size == 0, "the unit image of order {} does not divide phi = {}", size, total)
+    return total // size
 
 
 def det_int(rows: list[list[int]]) -> int:

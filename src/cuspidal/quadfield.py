@@ -122,14 +122,13 @@ class QuadElt(Value):
         return not self.is_zero()
 
     def __pow__(self, k: int) -> QuadElt:
+        """self^k, k >= 0, left to right over the bits of k: each product is by self."""
         assert k >= 0
         out = self.field.one
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
+        for bit in bin(k)[2:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def _coerce(self, other: QuadElt | int) -> QuadElt:

@@ -2,9 +2,10 @@
 
 Real fields: the fundamental unit of the maximal order comes from the
 rho-cycle of the principal form, walked by the one budgeted rho-walk of
-quadideal, the reduction theory that also gives class keys; the unit of the
-order of conductor f is the least power whose omega-coefficient is divisible
-by f. Imaginary fields only carry torsion.
+quadideal, the reduction theory that also gives class keys. The order of
+conductor f has the unit eps^k, k the order of eps in (O_K/f)^x / (Z/f)^x
+(Cox, Primes of the Form x^2+ny^2, 7.24), found on residues mod f; eps^k is
+expanded only when asked for. Imaginary fields only carry torsion.
 
 fundamental_unit is memoised per field and conductor, one of the memos
 the README lists; everything returned is a frozen value type.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+from .arith import _element_order, factorize
 from .errors import UsageError, check
 from .quadfield import QuadElt, QuadField
 from .quadideal import QuadForm, _rho_walk
@@ -24,22 +26,53 @@ from .value import Value
 class UnitInfo(Value):
     """Generators of the unit group of the order Z + Z*f*omega.
 
-    fundamental is None exactly when the field is imaginary, and equals the
-    fundamental unit of O_1 to the power power_in_maximal otherwise."""
+    maximal is None exactly when the field is imaginary, and otherwise the unit eps > 1
+    of O_1 whose power k = power_in_maximal generates the units of O_f up to sign."""
 
-    __slots__ = ("field", "f", "fundamental", "power_in_maximal", "torsion_gen",
+    __slots__ = ("field", "f", "maximal", "power_in_maximal", "torsion_gen",
                  "torsion_order", "has_norm_minus_one")
 
-    def __init__(self, field: QuadField, f: int, fundamental: QuadElt | None,
+    def __init__(self, field: QuadField, f: int, maximal: QuadElt | None,
                  power_in_maximal: int, torsion_gen: QuadElt, torsion_order: int,
                  has_norm_minus_one: bool) -> None:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "f", f)
-        object.__setattr__(self, "fundamental", fundamental)
+        object.__setattr__(self, "maximal", maximal)
         object.__setattr__(self, "power_in_maximal", power_in_maximal)
         object.__setattr__(self, "torsion_gen", torsion_gen)
         object.__setattr__(self, "torsion_order", torsion_order)
         object.__setattr__(self, "has_norm_minus_one", has_norm_minus_one)
+
+    @property
+    def fundamental(self) -> QuadElt | None:
+        """eps^k, expanded anew on each call: it has about k times the digits of eps."""
+        return None if self.maximal is None else self.maximal ** self.power_in_maximal
+
+
+def _kronecker_at_prime(disc: int, p: int) -> int:
+    """Kronecker symbol (disc/p) at a prime p, for a fundamental discriminant."""
+    if p == 2:
+        return 0 if disc % 2 == 0 else (1 if disc % 8 == 1 else -1)
+    r = pow(disc, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+def _conductor_factor(field: QuadField, f: int) -> int:
+    """|(O_K/f)^x / (Z/f)^x| = prod_{p^e || f} p^(e-1) * (p - (d_K/p))."""
+    return math.prod(p ** (e - 1) * (p - _kronecker_at_prime(field.disc_max, p))
+                     for p, e in factorize(f).items())
+
+
+def _power_mod(eps: QuadElt, k: int, n: int) -> tuple[int, int]:
+    """The coordinates of eps^k over (1, omega) mod n, by square-and-multiply on ints."""
+    r, s = eps.field.omega_sq
+    a, b, x, y = 1 % n, 0, eps.a % n, eps.b % n
+    while k:
+        if k & 1:
+            a, b = (a * x + b * y * r) % n, (a * y + b * x + b * y * s) % n
+        x, y = (x * x + y * y * r) % n, (2 * x * y + y * y * s) % n
+        k >>= 1
+    return a, b
 
 
 def _step_product(ts: list[int]) -> tuple[int, int, int, int]:
@@ -98,21 +131,16 @@ def fundamental_unit(field: QuadField, f: int = 1) -> UnitInfo:
         return UnitInfo(field, f, None, 1, torsion_gen, torsion_order, False)
 
     # one walk of the principal cycle per field: the conductors share its unit
-    eps = _principal_cycle_unit(field) if f == 1 else fundamental_unit(field, 1).fundamental
-    power = eps
-    k = 1
-    cap = f * f + 2
-    while power.b % f != 0:
-        power = power * eps
-        k += 1
-        check(k <= cap, "unit power search exceeded its cap")
-    check(abs(power.norm()) == 1, "powered unit lost its norm")
-    return UnitInfo(field, f, power, k, minus_one, 2, power.norm() == -1)
+    eps = _principal_cycle_unit(field) if f == 1 else fundamental_unit(field, 1).maximal
+    # eps^j lies in O_f = Z + f*O_K exactly when f divides its omega-coefficient
+    k = _element_order(_conductor_factor(field, f), lambda j: _power_mod(eps, j, f)[1] == 0)
+    return UnitInfo(field, f, eps, k, minus_one, 2, eps.norm() == -1 and k % 2 == 1)
 
 
 def unit_index(field: QuadField, f: int) -> int:
     """Index [O_1^x : O_f^x]: the quotient of the torsion orders if imaginary, else
-    the power of the maximal order's fundamental unit that generates O_f^x."""
+    the power k of the maximal order's fundamental unit that generates O_f^x, the
+    order of that unit in (O_K/f)^x / (Z/f)^x."""
     sub = fundamental_unit(field, f)
     if field.is_imaginary:
         sup = fundamental_unit(field, 1)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from cuspidal.arith import (
+    _element_order,
     divisors,
     euler_phi,
     factorize,
@@ -83,6 +84,14 @@ def test_is_prime_is_exact_without_a_budget_up_to_its_bound(monkeypatch):
 @given(st.integers(1, 2000))
 def test_euler_phi_counts_coprime_residues(n):
     assert euler_phi(n) == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+@given(st.integers(1, 2000), st.integers(0, 10**6))
+def test_element_order_is_the_least_power_to_one(n, a):
+    a %= n
+    if math.gcd(a, n) == 1:
+        least = next(j for j in range(1, n + 1) if pow(a, j, n) == 1 % n)
+        assert _element_order(euler_phi(n), lambda j: pow(a, j, n) == 1 % n) == least
 
 
 @given(st.integers(1, 2000))

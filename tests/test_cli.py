@@ -474,6 +474,7 @@ _ONE_BUDGET = {
     "conductor": (["pic", "--m", "-5", "--f", "1000000007"], 100, None, (), "factorization"),
     "squarefree": (["pic", "--m", str(10007 * 10009)], 100, None, (), "squarefree test"),
     "conductor-ok": (["pic", "--m", "-5", "--f", "1000000007"], 2_000_000, "100", (), None),
+    "unit-index-ok": (["pic", "--m", "5", "--f", "1000000007"], 2_000_000, "100", (), None),
     "rho-walk-ok": (["cusps", "--m", "94", "--no-check"], 2_000_000, "10", (), None),
     "cusps-ok": (["cusps", "--m", "10", "--f", "6"], 1000, "2", (), None),
     "brute-ok": (["pic", "--m", "10", "--f", "6", "--brute"], 1000, "2", (), None),
@@ -615,6 +616,60 @@ def test_unit_past_the_int_print_limit_exits_two(capsys):
     finally:
         sys.set_int_max_str_digits(limit)
 
+
+
+def test_a_unit_power_past_the_print_limit_is_refused_before_it_is_expanded(capsys):
+    # k = 100004 at f = 100003: omega^k has about 20,900 digits, which are never computed
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        start = time.perf_counter()
+        code, out, err = _run(capsys, ["unit", "--m", "5", "--f", "100003"])
+        assert time.perf_counter() - start < 1
+        sys.set_int_max_str_digits(0)
+        digits = len(str(fundamental_unit(QuadField(5), 100003).fundamental.b))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2 and out == ""
+    assert err.startswith("inconclusive: the fundamental unit has at least ")
+    assert 4300 < int(err.split()[7]) <= digits
+    assert "PYTHONINTMAXSTRDIGITS" in err and "-X int_max_str_digits" in err
+
+
+# the commands that ran unbounded while the unit index came from a power search: each
+# now ends, with its answer or with exit 2 and the start of its message
+_ONCE_UNBOUNDED = [
+    (["pic", "--m", "5", "--f", "1000003"], 0,
+     "|Pic(Order(m=5, f=1000003))| = 1  (conductor-formula)\n"),
+    (["cusps", "--m", "5", "--f", "1000003", "--no-check"], 0,
+     "cusp count of Order(m=5, f=1000003): 500002\n"),
+    (["pic", "--m", "2", "--f", "999983"], 0,
+     "|Pic(Order(m=2, f=999983))| = 1  (conductor-formula)\n"),
+    (["unit", "--m", "5", "--f", "1000003"], 2, "inconclusive: the fundamental unit has at least"),
+    (["ideal", "mult-ring", "--m", "5", "--f", "1000003", "--gens", "1000003; 1000003*w"], 0,
+     "multiplier ring: conductor 1  (n0 = f/f' = 1000003)\n"),
+    (["cusps", "--m", "-5", "--f", "1000003"], 2, "inconclusive: class enumeration"),
+    (["pic", "--m", "5", "--f", "1000000000039"], 0,
+     "|Pic(Order(m=5, f=1000000000039))| = 3  (conductor-formula)\n"),
+    (["unit", "--m", "5", "--f", "1000000000039"], 2,
+     "inconclusive: the fundamental unit has at least"),
+]
+
+
+@pytest.mark.parametrize("argv,code,start", _ONCE_UNBOUNDED,
+                         ids=[" ".join(argv[:5]) for argv, _, _ in _ONCE_UNBOUNDED])
+def test_large_conductors_end_with_the_default_budget(argv, code, start):
+    root = Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("CUSPIDAL_BOUND", "PYTHONINTMAXSTRDIGITS")}
+    env["PYTHONPATH"] = str(root / "src")
+    begin = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "cuspidal", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - begin < 5
+    assert proc.returncode == code, proc.stderr
+    assert (proc.stdout if code == 0 else proc.stderr).startswith(start)
+    assert proc.stderr == "" if code == 0 else proc.stdout == ""
 
 
 def test_results_past_the_int_print_limit_exit_two(capsys):

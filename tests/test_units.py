@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspidal import units
-from cuspidal.arith import is_squarefree
+from cuspidal.arith import divisors, euler_phi, is_squarefree
 from cuspidal.classnum import class_number_maximal, picard_order
 from cuspidal.cli import main
 from cuspidal.errors import InternalCheckError, UsageError
+from cuspidal.genpairs import orbit_count_gl2
 from cuspidal.quadfield import OmegaKind, QuadElt, QuadField
+from cuspidal.quadideal import Order
 from cuspidal.units import _step_product, fundamental_unit, unit_index
 from test_quadfield import sqrt_coords
 
@@ -55,6 +57,11 @@ def test_frozen_fundamental_units():
     assert str(fundamental_unit(QuadField(6)).fundamental) == "5+2*w"
     eps10 = fundamental_unit(QuadField(10)).fundamental
     assert eps10 == QuadElt(QuadField(10), 3, 1)
+    # the order of conductor 2 keeps omega and k = 3; its unit omega^3 is expanded on demand
+    field = QuadField(5)
+    info = fundamental_unit(field, 2)
+    assert (info.maximal, info.power_in_maximal) == (field.omega, 3)
+    assert info.fundamental == QuadElt(field, 1, 2) and "fundamental" not in repr(info)
 
 
 @pytest.mark.parametrize(
@@ -75,26 +82,70 @@ def test_norm_minus_one_in_suborders():
     assert fundamental_unit(field, 2).has_norm_minus_one
     # squares only: conductor where the least power landing in the order is even
     field2 = QuadField(2)
-    info = fundamental_unit(field2)
-    eps = info.fundamental  # 1 + sqrt(2), norm -1
-    k = 1
-    power = eps
-    while power.b % 4:
-        power = power * eps
-        k += 1
+    eps = fundamental_unit(field2).fundamental  # 1 + sqrt(2), norm -1
+    power, k = _least_power_in_order(eps, 4)
     assert fundamental_unit(field2, 4).has_norm_minus_one == (power.norm() == -1 and k % 2 == 1)
+
+
+def _least_power_in_order(eps, f):
+    """(eps^k, k) for the least k >= 1 with eps^k in Z + f*O_K, found by multiplying
+    eps in until f divides the omega-coefficient: an oracle for the element order."""
+    power, k = eps, 1
+    while power.b % f:
+        power, k = power * eps, k + 1
+    return power, k
+
+
+def _unit_residues(order, n0, unit):
+    """The image in (Z/n0)^x of the units of the order, walked breadth-first from the
+    generators -1, the first coordinate of `unit` (the order's fundamental unit, None
+    in an imaginary field) and, when f = 1, the torsion generator: an oracle for
+    orbit_count_gl2's order of u."""
+    gens = {-1 % n0}
+    if unit is not None:
+        gens.add(unit.a % n0)
+    if order.f == 1:
+        gens.add(fundamental_unit(order.field).torsion_gen.a % n0)
+    subgroup = frontier = {1 % n0}
+    while frontier:
+        frontier = {x * g % n0 for x in frontier for g in gens} - subgroup
+        subgroup = subgroup | frontier
+    return subgroup
+
+
+def test_unit_index_and_orbit_counts_match_the_power_search():
+    # every squarefree 2 <= m < 500 with f <= 60, and every divisor f' of f
+    for m in filter(is_squarefree, range(2, 500)):
+        field = QuadField(m)
+        eps = fundamental_unit(field).fundamental
+        for f in range(1, 61):
+            power, k = _least_power_in_order(eps, f)
+            info = fundamental_unit(field, f)
+            assert (info.power_in_maximal, info.has_norm_minus_one) == (k, power.norm() == -1)
+            assert info.fundamental == power, (m, f)
+            order = Order(field, f)
+            for f_prime in divisors(f):
+                n0 = f // f_prime
+                expected = euler_phi(n0) // len(_unit_residues(order, n0, power))
+                assert orbit_count_gl2(order, f_prime) == expected, (m, f, f_prime)
+
+
+def test_imaginary_orbit_counts_match_the_residue_walk():
+    # -1 and -3 carry torsion of order 4 and 6 at f = 1, where n0 = 1
+    for m in filter(is_squarefree, range(-59, 0)):
+        for f in range(1, 61):
+            order = Order(QuadField(m), f)
+            for f_prime in divisors(f):
+                n0 = f // f_prime
+                expected = euler_phi(n0) // len(_unit_residues(order, n0, None))
+                assert orbit_count_gl2(order, f_prime) == expected, (m, f, f_prime)
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 10, 13])
 @pytest.mark.parametrize("f", [1, 2, 3, 4, 5, 6])
 def test_suborder_unit_is_least_power(m, f):
     field = QuadField(m)
-    eps = fundamental_unit(field).fundamental
-    power = eps
-    k = 1
-    while power.b % f:
-        power = power * eps
-        k += 1
+    power, k = _least_power_in_order(fundamental_unit(field).fundamental, f)
     info = fundamental_unit(field, f)
     assert info.fundamental == power
     assert info.power_in_maximal == k

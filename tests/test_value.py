@@ -48,6 +48,7 @@ def test_importing_the_cli_loads_no_code_generation_modules():
 
 
 _F = QuadField(-5)
+_R = QuadField(5)
 _O = Order(_F, 3)
 _ONE, _GEN = QuadElt(_F, 1, 0), QuadElt(_F, 0, 3)
 _PIC = PicSize(_O, 2, "conductor-formula")
@@ -61,9 +62,9 @@ SAMPLES = [
     (QIdeal, ("order", "a", "d", "e"), lambda: QIdeal(_O, 1, 0, 1)),
     (FracIdeal, ("num", "den"), lambda: FracIdeal(QIdeal(_O, 2, 0, 2), 4)),
     (PicSize, ("order", "h", "method"), lambda: PicSize(_O, 2, "conductor-formula")),
-    (UnitInfo, ("field", "f", "fundamental", "power_in_maximal", "torsion_gen",
+    (UnitInfo, ("field", "f", "maximal", "power_in_maximal", "torsion_gen",
                 "torsion_order", "has_norm_minus_one"),
-     lambda: UnitInfo(_F, 3, None, 1, QuadElt(_F, -1, 0), 2, False)),
+     lambda: UnitInfo(_R, 2, QuadElt(_R, 0, 1), 3, QuadElt(_R, -1, 0), 2, True)),
     (CuspTerm, ("f_prime", "n0", "phi", "halved", "pic"), lambda: CuspTerm(1, 3, 2, False, _PIC)),
     (CuspBreakdown, ("order", "terms"),
      lambda: CuspBreakdown(_O, (CuspTerm(1, 3, 2, False, _PIC),))),
