@@ -31,8 +31,8 @@ def main() -> None:
     n0 = order.f // f_prime
     print(f"multiplier conductor f' = {f_prime}, so classes live in (Z/{n0})^x\n")
 
-    base = GenPair(ideal, ideal.gen1, ideal.gen2)
-    rotated = GenPair(ideal, ideal.gen2, -ideal.gen1)
+    base = GenPair(order, ideal.gen1, ideal.gen2)
+    rotated = GenPair(order, ideal.gen2, -ideal.gen1)
     cls = det_pair(base, rotated)
     print(f"pair (g2, -g1) against (g1, g2): det class {cls.value} mod {cls.modulus}")
     witness = sl2_witness(base, rotated)
@@ -41,7 +41,7 @@ def main() -> None:
     assert moved == rotated.elements and witness.det() == order.field.one
     print("witness verified: base @ B = rotated, det B = 1\n")
 
-    swapped = GenPair(ideal, ideal.gen2, ideal.gen1)
+    swapped = GenPair(order, ideal.gen2, ideal.gen1)
     cls = det_pair(base, swapped)
     print(f"swapped pair: det class {cls.value} mod {cls.modulus} (not the identity),")
     print("so no SL2 witness exists; the swap needs determinant -1\n")

@@ -29,7 +29,7 @@ _EXPORTS = {
                  "realize_det_class", "reduce_vector", "sl2_witness"),
     "oracles": ("brute_force_pic", "conductor_h_solver", "curve_unit_group_brute",
                 "cusp_count_direct"),
-    "quadfield": ("OmegaKind", "QuadElt", "QuadField", "parse_element"),
+    "quadfield": ("QuadElt", "QuadField", "parse_element"),
     "quadideal": ("FracIdeal", "Order", "QIdeal", "QuadForm", "associated_form", "class_key",
                   "enumerate_ideal_classes", "fitt1", "ideal_from_generators",
                   "ideal_inverse", "ideal_mul", "is_same_class", "multiplier_conductor"),

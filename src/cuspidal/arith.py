@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
+from functools import lru_cache
+from types import MappingProxyType
 
 from .config import exhausted, resolve_bound
 from .errors import check
@@ -68,10 +70,13 @@ def is_prime(n: int) -> bool:
     return n < _MR_EXACT_BELOW or factorize(n) == {n: 1}
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 by trial division by 2 and the odd numbers
-    up to P = max(resolve_bound(), 10^4), read only past 10^4. A cofactor past
-    P^2 with no prime factor up to P is undecided and raises InconclusiveError."""
+@lru_cache(maxsize=None)
+def factorize(n: int) -> Mapping[int, int]:
+    """Prime factorization {p: e} of n >= 1, read-only, by trial division by 2 and
+    the odd numbers up to P = max(resolve_bound(), 10^4), read only past 10^4. A
+    cofactor past P^2 with no prime factor up to P is undecided and raises
+    InconclusiveError. Memoised per n, one of the memos the README lists, so a
+    session factors each integer once; a raise is not kept."""
     assert n >= 1
     out: dict[int, int] = {}
     p, top = 2, 0
@@ -85,7 +90,7 @@ def factorize(n: int) -> dict[int, int]:
         p += 1 if p == 2 else 2
     if n > 1:
         out[n] = out.get(n, 0) + 1
-    return out
+    return MappingProxyType(out)
 
 
 def _element_order(n: int, is_one) -> int:

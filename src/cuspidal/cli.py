@@ -248,8 +248,8 @@ def _cmd_pair(args):
     from .genpairs import GenPair, det_pair, sl2_witness
 
     order = _order_of(args)
-    pair = GenPair.generating(order, *_two_elements(order, args.pair, "--pair"))
-    other = GenPair.generating(order, *_two_elements(order, args.pair2, "--pair2"))
+    pair = GenPair(order, *_two_elements(order, args.pair, "--pair"))
+    other = GenPair(order, *_two_elements(order, args.pair2, "--pair2"))
     if other.ideal != pair.ideal:
         raise UsageError(f"--pair2 {args.pair2[:24]!r} does not generate the ideal of --pair")
     inputs = {
@@ -280,11 +280,9 @@ def _cmd_vec(args):
     from .genpairs import GenVec, reduce_vector
 
     order = _order_of(args)
-    gens = _elements(order, args.gens)
-    ideal = ideal_from_generators(order, gens)
-    vec = GenVec(ideal, tuple(gens))
+    vec = GenVec(order, _elements(order, args.gens))
     pair, witness = reduce_vector(vec)
-    inputs = {"m": _s(args.m), "f": _s(args.f), "gens": [_s(g) for g in gens]}
+    inputs = {"m": _s(args.m), "f": _s(args.f), "gens": [_s(g) for g in vec.elements]}
     result = {
         "pair": [_s(pair.g1), _s(pair.g2)],
         "matrix": _witness_dict(witness),

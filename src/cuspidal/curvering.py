@@ -28,7 +28,7 @@ from operator import mul
 
 from .config import MAX_N
 from .errors import UsageError, ZeroIdealError, check
-from .fieldpoly import CoeffField, CurvePoly, gcd_cofactors
+from .fieldpoly import CoeffField, CurvePoly, _mul, gcd_cofactors
 from .value import Value
 
 
@@ -53,16 +53,6 @@ def _halves(poly: CurvePoly, n: int) -> tuple[list[int], list[int]]:
 
 def _reduce(f: list[int], p: int) -> list[int]:
     return [x % p for x in f] if p else f
-
-
-def _mul(f: list[int], g: list[int], m: int, p: int) -> list[int]:
-    """f*g mod t^m."""
-    out = [0] * m
-    for i, x in enumerate(f[:m]):
-        if x:
-            seg = g[:m - i]
-            out[i:i + len(seg)] = [o + x * y for o, y in zip(out[i:], seg)]
-    return _reduce(out, p)
 
 
 def _div(b: list[int], f: list[int], m: int, p: int) -> list[int]:
@@ -122,34 +112,33 @@ def _canonical_pair(field: CoeffField, n: int, reduced: list[CurvePoly]) -> tupl
     return CurvePoly.from_ints(field, nums, den), s
 
 
-def _canonical_q(field: CoeffField, n: int, p: CurvePoly, nu: int) -> CurvePoly:
-    """x^(nu+1); at nu = n-1 zero for the unit ideal and x^(n-1) otherwise."""
-    if nu < n - 1:
-        return CurvePoly.monomial(field, nu + 1)
-    return CurvePoly.zero(field) if p == CurvePoly.one(field) else CurvePoly.monomial(field, n - 1)
-
-
 class CurveIdeal(Value):
-    """content * (R*p + R*q), with p 1 plus odd terms of degree below nu and
-    q = _canonical_q(p, nu): the same module exactly when equal."""
+    """content * (R*p + R*q), with p 1 plus odd terms of degree below nu and q
+    the monomial that p and nu determine: the same module exactly when equal."""
 
-    __slots__ = ("field", "n", "content", "p", "q", "nu")
+    __slots__ = ("field", "n", "content", "p", "nu")
 
     def __init__(self, field: CoeffField, n: int, content: CurvePoly, p: CurvePoly,
-                 q: CurvePoly, nu: int) -> None:
+                 nu: int) -> None:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "content", content)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
         object.__setattr__(self, "nu", nu)
         _check_n(n, nu)
         if content.is_zero or content.nums[-1] != content.den:
             raise UsageError("the content must be a monic polynomial")
         if p.is_zero or p.nums[0] != p.den or any(p.nums[2::2]) or p.degree >= max(nu, 1):
             raise UsageError("p must be 1 plus odd-degree terms of degree below nu")
-        if q != _canonical_q(field, n, p, nu):
-            raise UsageError("q must be x^(nu+1), or at nu = n-1 x^(n-1), or 0 for the unit ideal")
+
+    @property
+    def q(self) -> CurvePoly:
+        """x^(nu+1); at nu = n-1 zero for the unit ideal and x^(n-1) otherwise."""
+        field, n, nu = self.field, self.n, self.nu
+        if nu < n - 1:
+            return CurvePoly.monomial(field, nu + 1)
+        unit = self.p == CurvePoly.one(field)
+        return CurvePoly.zero(field) if unit else CurvePoly.monomial(field, n - 1)
 
     def _in_module(self, poly: CurvePoly) -> bool:
         """Whether poly lies in R*p + R*q + C: its halves (e, o) have o = e*beta mod t^s."""
@@ -173,7 +162,7 @@ def curve_ideal_from_generators(field: CoeffField, n: int, gens: list[CurvePoly]
     content, cofactors = gcd_cofactors(live)
     p, s = _canonical_pair(field, n, cofactors)
     check(p.nums[0], "canonical pair is not coprime")
-    ideal = CurveIdeal(field, n, content, p, _canonical_q(field, n, p, 2 * s), 2 * s)
+    ideal = CurveIdeal(field, n, content, p, 2 * s)
     _colon_generator(ideal)
     return ideal
 

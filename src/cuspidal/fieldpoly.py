@@ -160,11 +160,7 @@ class CurvePoly(Value):
 
     def __mul__(self, other: "CurvePoly") -> "CurvePoly":
         assert self.field == other.field
-        a, b, width = self.nums, other.nums, len(other.nums)
-        out = [0] * (len(a) + width - 1)
-        for i, x in enumerate(a):
-            if x:
-                out[i:i + width] = [o + x * y for o, y in zip(out[i:i + width], b)]
+        out = _mul(self.nums, other.nums, len(self.nums) + len(other.nums) - 1, 0)
         return CurvePoly.from_ints(self.field, out, self.den * other.den)
 
     def shift(self, k: int) -> "CurvePoly":
@@ -204,6 +200,16 @@ class CurvePoly(Value):
                 parts.append((" - " if c < 0 else " + ") + text)
         out = "".join(parts)
         return out[3:] if out[1] == "+" else "-" + out[3:]
+
+
+def _mul(f, g, m: int, p: int) -> list[int]:
+    """The schoolbook product f*g mod x^m of coefficient lists, reduced mod p unless p = 0."""
+    out = [0] * m
+    for i, x in enumerate(f[:m]):
+        if x:
+            seg = g[:m - i]
+            out[i:i + len(seg)] = [o + x * y for o, y in zip(out[i:i + len(seg)], seg)]
+    return [x % p for x in out] if p else out
 
 
 def _pseudo_divmod(a, b, p: int) -> tuple[list[int], list[int], int]:

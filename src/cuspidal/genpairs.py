@@ -39,44 +39,40 @@ from .units import _power_mod, fundamental_unit
 from .value import Value
 
 
-class GenPair(Value):
-    """An ordered pair of elements that generates the given ideal."""
+class GenPair(Value, fields=("order", "g1", "g2")):
+    """An ordered pair (g1, g2) of elements of an order, with the ideal it generates."""
 
     __slots__ = ("ideal", "g1", "g2")
 
-    def __init__(self, ideal: QIdeal, g1: QuadElt, g2: QuadElt) -> None:
-        object.__setattr__(self, "ideal", ideal)
+    def __init__(self, order: Order, g1: QuadElt, g2: QuadElt) -> None:
+        object.__setattr__(self, "ideal", ideal_from_generators(order, [g1, g2]))
         object.__setattr__(self, "g1", g1)
         object.__setattr__(self, "g2", g2)
-        if ideal_from_generators(ideal.order, [g1, g2]) != ideal:
-            raise UsageError("the pair does not generate the stated ideal")
 
-    @classmethod
-    def generating(cls, order: Order, g1: QuadElt, g2: QuadElt) -> GenPair:
-        """(g1, g2) with the ideal it generates, built once: nothing to check."""
-        pair = object.__new__(cls)
-        object.__setattr__(pair, "ideal", ideal_from_generators(order, [g1, g2]))
-        object.__setattr__(pair, "g1", g1)
-        object.__setattr__(pair, "g2", g2)
-        return pair
+    @property
+    def order(self) -> Order:
+        return self.ideal.order
 
     @property
     def elements(self) -> tuple[QuadElt, QuadElt]:
         return (self.g1, self.g2)
 
 
-class GenVec(Value):
-    """A generating vector of arbitrary length n >= 2."""
+class GenVec(Value, fields=("order", "elements")):
+    """A generating vector of length n >= 2, with the ideal it generates."""
 
     __slots__ = ("ideal", "elements")
 
-    def __init__(self, ideal: QIdeal, elements: tuple[QuadElt, ...]) -> None:
-        object.__setattr__(self, "ideal", ideal)
-        object.__setattr__(self, "elements", elements)
+    def __init__(self, order: Order, elements: tuple[QuadElt, ...] | list[QuadElt]) -> None:
+        # the ideal first: a lone zero entry is refused as the zero ideal
+        object.__setattr__(self, "ideal", ideal_from_generators(order, list(elements)))
+        object.__setattr__(self, "elements", tuple(elements))
         if len(elements) < 2:
             raise UsageError("a generating vector needs at least two entries")
-        if ideal_from_generators(ideal.order, list(elements)) != ideal:
-            raise UsageError("the vector does not generate the stated ideal")
+
+    @property
+    def order(self) -> Order:
+        return self.ideal.order
 
 
 class DetClass(Value):
@@ -159,7 +155,7 @@ def _transition(pair: GenPair, other: GenPair) -> tuple[
     A + (relation) is checked to give the same class."""
     if pair.ideal != other.ideal:
         raise UsageError("pairs generate different ideals, no determinant class")
-    order = pair.ideal.order
+    order = pair.order
     f, RS = order.f, order.gen_sq
     n0 = f // multiplier_conductor(pair.ideal)
     g1, g2 = ((g.a, g.b // f) for g in pair.elements)
@@ -208,7 +204,7 @@ def sl2_witness(pair: GenPair, other: GenPair) -> UnimodularWitness:
     """
     if pair.ideal != other.ideal:
         raise UsageError("pairs generate different ideals")
-    order = pair.ideal.order
+    order = pair.order
     f, RS = order.f, order.gen_sq
     if pair.elements == other.elements:
         return _int_witness(order, [[1, 0], [0, 1]])
@@ -307,7 +303,7 @@ def reduce_vector(vec: GenVec) -> tuple[GenPair, UnimodularWitness]:
     n = len(vec.elements)
     if n <= 2:
         raise UsageError("reduction needs a vector of length at least 3")
-    order = vec.ideal.order
+    order = vec.order
     xs, ys = zip(*(order.coords(v) for v in vec.elements))
     system = _echelon2(list(ys), list(xs))
     cols = system.u
@@ -324,7 +320,9 @@ def reduce_vector(vec: GenVec) -> tuple[GenPair, UnimodularWitness]:
              for col in cols]
     check(all(e == (0, 0) for e in image[2:]), "reduction left nonzero trailing entries",
           name="tail-entries-vanish")
-    pair = GenPair(vec.ideal, order.from_coords(*image[0]), order.from_coords(*image[1]))
+    pair = GenPair(order, order.from_coords(*image[0]), order.from_coords(*image[1]))
+    check(pair.ideal == vec.ideal, "the reduced pair {} generates {}, not the vector's {}",
+          lambda: _text(*pair.elements), pair.ideal, vec.ideal)
     return pair, _int_witness(order, sigma)
 
 
@@ -340,7 +338,7 @@ def realize_det_class(ideal: QIdeal, residue: int) -> GenPair:
     n0 = order.f // f_prime
     if math.gcd(residue, n0) != 1:
         raise UsageError(f"residue {residue} is not a unit mod {n0}")
-    base = GenPair(ideal, ideal.gen1, ideal.gen2)
+    base = GenPair(order, ideal.gen1, ideal.gen2)
     # z -> z*gen2 maps O_f onto I/a*O_f (I = a*O_f + gen2*O_f) with kernel
     # (gen1 : gen2), so the index of the colon is [I : a*O_f] = a^2/(a*e) = a/e
     index = ideal.a // ideal.e
@@ -350,7 +348,9 @@ def realize_det_class(ideal: QIdeal, residue: int) -> GenPair:
         r += n0
         steps += 1
         check(steps <= index + 2, "no coprime representative found")
-    pair = GenPair(ideal, ideal.gen1, ideal.gen2 * r)
+    pair = GenPair(order, ideal.gen1, ideal.gen2 * r)
+    check(pair.ideal == ideal, "the rescaled pair {} generates {}, not {}",
+          lambda: _text(*pair.elements), pair.ideal, ideal)
     cls = det_pair(base, pair)
     check(cls.value == residue % n0, "constructed pair realizes {}, wanted {}",
           cls.value, residue % n0)

@@ -9,22 +9,18 @@ pairs; nothing here ever touches floating point.
 from __future__ import annotations
 
 import re
-from enum import Enum
 
 from .arith import is_squarefree
 from .errors import UsageError
 from .value import Value
 
 
-class OmegaKind(Enum):
-    SQRT = "sqrt"  # omega = sqrt(m), omega^2 = m, trace 0
-    HALF = "half"  # omega = (1+sqrt(m))/2, omega^2 = omega + (m-1)/4, trace 1
-
-
 class QuadField(Value, fields=("m",)):
     """Descriptor of Q(sqrt(m)) for squarefree m not in {0, 1}.
 
-    omega_sq is (r, s) with omega^2 = r + s*omega, computed once per field."""
+    omega_sq is (r, s) with omega^2 = r + s*omega, computed once per field: (m, 0)
+    for omega = sqrt(m), ((m-1)/4, 1) for omega = (1+sqrt(m))/2. It is the one
+    record of omega's shape; s is the trace of omega and -r its norm."""
 
     __slots__ = ("m", "omega_sq")
 
@@ -35,13 +31,10 @@ class QuadField(Value, fields=("m",)):
         object.__setattr__(self, "omega_sq", ((m - 1) // 4, 1) if m % 4 == 1 else (m, 0))
 
     @property
-    def omega_kind(self) -> OmegaKind:
-        return OmegaKind.HALF if self.m % 4 == 1 else OmegaKind.SQRT
-
-    @property
     def disc_max(self) -> int:
-        """Discriminant of the maximal order: m, or 4m."""
-        return self.m if self.omega_kind is OmegaKind.HALF else 4 * self.m
+        """Discriminant of the maximal order, s^2 + 4r: m, or 4m."""
+        r, s = self.omega_sq
+        return s * s + 4 * r
 
     @property
     def is_imaginary(self) -> bool:
@@ -49,7 +42,7 @@ class QuadField(Value, fields=("m",)):
 
     @property
     def omega_trace(self) -> int:
-        return 1 if self.omega_kind is OmegaKind.HALF else 0
+        return self.omega_sq[1]
 
     @property
     def zero(self) -> QuadElt:
@@ -145,9 +138,7 @@ class QuadElt(Value):
 
     def norm(self) -> int:
         r, s = self.field.omega_sq
-        t = self.field.omega_trace
-        assert t == s
-        return self.a * self.a + self.a * self.b * t - self.b * self.b * r
+        return self.a * self.a + self.a * self.b * s - self.b * self.b * r
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -207,13 +198,9 @@ def parse_element(field: QuadField, text: str) -> QuadElt:
             alpha += coeff
         elif sym == "w":
             beta += coeff
-        else:  # s = sqrt(m)
-            if field.omega_kind is OmegaKind.HALF:
-                # sqrt(m) = 2*omega - 1
-                alpha -= coeff
-                beta += 2 * coeff
-            else:
-                beta += coeff
+        else:  # s = sqrt(m) = (1 + t)*omega - t, t = trace(omega)
+            t = field.omega_sq[1]
+            alpha, beta = alpha - t * coeff, beta + (1 + t) * coeff
     if alpha.denominator != 1 or beta.denominator != 1:
         raise UsageError(f"{text[:24]!r} is not in the maximal order of {field}")
     return QuadElt(field, int(alpha), int(beta))

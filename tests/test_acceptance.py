@@ -146,9 +146,9 @@ def test_criterion_4_determinant_invariance_and_witness_soundness():
     for _ in range(1000):
         order = _random_order(rng)
         ideal = _random_ideal(rng, order)
-        pair = GenPair(ideal, ideal.gen1, ideal.gen2)
+        pair = GenPair(order, ideal.gen1, ideal.gen2)
         sigma = _random_sl(order, rng)
-        moved = GenPair(ideal, *sigma.apply_to(pair.elements))
+        moved = GenPair(order, *sigma.apply_to(pair.elements))
         assert det_pair(pair, moved).is_one
         assert det_pair(moved, pair).is_one
         witness = sl2_witness(pair, moved)
@@ -165,7 +165,7 @@ def test_criterion_5_every_determinant_class_is_realized():
         order = Order(QuadField(m), f)
         for ideal in enumerate_ideal_classes(order):
             n0 = order.f // multiplier_conductor(ideal)
-            base = GenPair(ideal, ideal.gen1, ideal.gen2)
+            base = GenPair(order, ideal.gen1, ideal.gen2)
             seen = set()
             for r in range(1, max(n0, 2)):
                 if n0 > 1 and math.gcd(r, n0) != 1:
@@ -269,8 +269,9 @@ def test_criterion_8_vector_reduction_with_exact_witnesses():
         size = 3 if i % 2 else 4
         elements = [ideal.gen1, ideal.gen2] + [order.field.zero] * (size - 2)
         mat = _random_sl(order, rng, size=size)
-        vec = GenVec(ideal, mat.apply_to(tuple(elements)))
+        vec = GenVec(order, mat.apply_to(tuple(elements)))
         pair, witness = reduce_vector(vec)
+        assert vec.ideal == pair.ideal == ideal
         reduced = witness.apply_to(vec.elements)
         assert reduced[:2] == (pair.g1, pair.g2)
         assert all(x.is_zero() for x in reduced[2:])

@@ -8,14 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from cuspidal import classnum, genpairs, quadideal
+from cuspidal import arith, classnum, cli, genpairs, quadideal, units
 from cuspidal.arith import is_prime
 from cuspidal.classnum import class_number_maximal
 from cuspidal.cli import main
 from cuspidal.errors import InternalCheckError
 from cuspidal.genpairs import GenPair
 from cuspidal.quadfield import QuadField, parse_element
-from cuspidal.quadideal import Order, ideal_from_generators
+from cuspidal.quadideal import Order
 from cuspidal.units import fundamental_unit
 
 
@@ -150,6 +150,24 @@ def test_vector_reduction(capsys):
         "witness-determinant-one",
         "tail-entries-vanish",
     }
+
+
+def test_vector_reduction_builds_the_vectors_ideal_once(capsys, monkeypatch):
+    # GenVec builds the vector's ideal, and the reduced pair its own, which
+    # reduce_vector checks against it; the handler builds none
+    calls = []
+    real = quadideal.ideal_from_generators
+
+    def counted(order, gens):
+        calls.append([str(g) for g in gens])
+        return real(order, gens)
+
+    monkeypatch.setattr(genpairs, "ideal_from_generators", counted)
+    monkeypatch.setattr(cli, "ideal_from_generators", counted)
+    code, out, err = _run(capsys, ["vec", "reduce", "--m", "-3", "--f", "2",
+                                   "--gens", "6; 2+2*w; 4*w"])
+    assert code == 0, err
+    assert calls == [["6", "2+2*w", "4*w"], ["2", "2+2*w"]]
 
 
 @pytest.mark.parametrize("gens,message", [
@@ -740,8 +758,8 @@ def test_lift_check_fails_loudly_also_under_python_O(capsys, monkeypatch):
     monkeypatch.setattr(genpairs, "_echelon2", _bad_kernel(genpairs._echelon2))
     order = Order(QuadField(-1), 5)
     g = [parse_element(order.field, t) for t in ("5", "5*w", "-5")]
-    pair = GenPair(ideal_from_generators(order, g[:2]), g[0], g[1])
-    other = GenPair(pair.ideal, g[1], g[2])
+    pair = GenPair(order, g[0], g[1])
+    other = GenPair(order, g[1], g[2])
     with pytest.raises(InternalCheckError, match="not a relation"):
         genpairs.det_pair(pair, other)
     code, out, err = _run(capsys, _DET_ARGV + ["--json"])
@@ -995,3 +1013,29 @@ def test_curve_certificates_fail_loudly_also_under_python_O(capsys, monkeypatch)
     )
     assert proc.returncode == 3 and proc.stdout == "", proc.stdout
     assert "internal check failed" in proc.stderr
+
+
+_BIG_PRIME = 10**12 + 39  # 10^12 + 38 = 2 * 500000000019, both factors prime
+
+
+@pytest.mark.parametrize("argv", [["pic", "--m", "5"], ["cusps", "--m", "5", "--no-check"],
+                                  ["cusps", "--m", "-5", "--no-check"]],
+                         ids=["pic-real", "cusps-real", "cusps-imaginary"])
+def test_a_session_factors_each_integer_once(fresh_memos, capsys, monkeypatch, argv):
+    # the conductor factor, the unit index, the divisors and phi all ask for the
+    # factors of f; the memo behind every request computes them once
+    asked, memo = [], arith.factorize
+    for module in (arith, units, quadideal):
+        monkeypatch.setattr(module, "factorize", lambda n: asked.append(n) or memo(n))
+    code, out, err = _run(capsys, argv + ["--f", str(_BIG_PRIME)])
+    assert code == 0, err
+    assert asked.count(_BIG_PRIME) > 1
+    assert memo.cache_info().misses == len(set(asked))
+
+
+def test_an_exhausted_factorization_is_not_kept(fresh_memos, capsys):
+    argv = ["pic", "--m", "5", "--f", str(_BIG_PRIME), "--bound", "3"]
+    for _ in range(2):
+        assert _run(capsys, argv) == (2, "", "inconclusive: factorization: trial division"
+                                      " up to 10000 leaves a 13-digit cofactor; raise it with"
+                                      " --bound or CUSPIDAL_BOUND\n")

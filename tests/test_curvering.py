@@ -196,11 +196,11 @@ def test_rejects_degenerate_inputs():
     with pytest.raises(UsageError):
         curve_ideal_from_generators(Q, 4, [CurvePoly.one(Q)])
     with pytest.raises(UsageError):
-        CurveIdeal(Q, 5, CurvePoly.one(Q), _poly(Q, "2 + x"), _poly(Q, "x^3"), 2)
+        CurveIdeal(Q, 5, CurvePoly.one(Q), _poly(Q, "2 + x"), 2)
     with pytest.raises(UsageError):
-        CurveIdeal(Q, 5, CurvePoly.one(Q), CurvePoly.one(Q), _poly(Q, "x^3"), 3)
+        CurveIdeal(Q, 5, CurvePoly.one(Q), CurvePoly.one(Q), 3)
     with pytest.raises(UsageError):
-        CurveIdeal(Q, 5, CurvePoly.one(Q), CurvePoly.one(Q), _poly(Q, "x^2"), 2)
+        CurveIdeal(Q, 5, _poly(Q, "1 + 2*x"), CurvePoly.one(Q), 2)
 
 
 def test_fitting_module_membership():
@@ -782,12 +782,14 @@ def test_certificates_catch_a_sabotaged_step(monkeypatch, name, fake):
 
 def test_non_canonical_pairs_are_refused():
     one = CurvePoly.one(Q)
-    for n, p, q, nu in ((7, "1 + x^2", "x^5", 4),  # an even term
-                        (7, "1 + x^5", "x^5", 4),  # an odd term at or above nu
-                        (7, "1 + x", "x", 0),
-                        (5, "1", "x^4", 4)):  # the unit ideal written with q = x^(n-1)
+    for n, p, nu in ((7, "1 + x^2", 4),  # an even term
+                     (7, "1 + x^5", 4),  # an odd term at or above nu
+                     (7, "1 + x", 0)):
         with pytest.raises(UsageError):
-            CurveIdeal(Q, n, one, _poly(Q, p), _poly(Q, q), nu)
+            CurveIdeal(Q, n, one, _poly(Q, p), nu)
+    # q is what p and nu determine: x^(nu+1), and at nu = n-1 zero for the unit ideal
+    qs = [CurveIdeal(Q, 5, one, _poly(Q, p), nu).q for p, nu in (("1", 2), ("1", 4), ("1 + x", 4))]
+    assert qs == [_poly(Q, "x^3"), CurvePoly.zero(Q), _poly(Q, "x^4")]
     with pytest.raises(UsageError):
         CurveFitt(Q, 7, 3)
     with pytest.raises(UsageError):

@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 import pair_oracle
 from cuspidal import genpairs
 from cuspidal.arith import divisors, euler_phi
-from cuspidal.errors import UsageError
+from cuspidal.cli import main
+from cuspidal.errors import InternalCheckError, UsageError, ZeroIdealError
 from cuspidal.genpairs import (
     DetClass,
     GenPair,
@@ -51,7 +52,9 @@ def _random_ideal(rng, order):
 
 
 def _base_pair(ideal):
-    return GenPair(ideal, ideal.gen1, ideal.gen2)
+    pair = GenPair(ideal.order, ideal.gen1, ideal.gen2)
+    assert pair.ideal == ideal
+    return pair
 
 
 def _elementary(order, rng, size=2):
@@ -90,7 +93,7 @@ def test_swap_has_det_class_minus_one():
         ideal = _random_ideal(rng, order)
         n0 = order.f // multiplier_conductor(ideal)
         pair = _base_pair(ideal)
-        swapped = GenPair(ideal, ideal.gen2, ideal.gen1)
+        swapped = GenPair(order, ideal.gen2, ideal.gen1)
         cls = det_pair(pair, swapped)
         assert cls == DetClass(-1, n0)
 
@@ -103,8 +106,8 @@ def test_det_cocycle():
         p1 = _base_pair(ideal)
         m2 = _random_sl(order, rng)
         m3 = _random_sl(order, rng)
-        p2 = GenPair(ideal, *m2.apply_to(p1.elements))
-        p3 = GenPair(ideal, *m3.apply_to(p2.elements))
+        p2 = GenPair(order, *m2.apply_to(p1.elements))
+        p3 = GenPair(order, *m3.apply_to(p2.elements))
         d12 = det_pair(p1, p2)
         d23 = det_pair(p2, p3)
         d13 = det_pair(p1, p3)
@@ -118,7 +121,7 @@ def test_unimodular_action_is_sl2_trivial():
         ideal = _random_ideal(rng, order)
         pair = _base_pair(ideal)
         mat = _random_sl(order, rng)
-        moved = GenPair(ideal, *mat.apply_to(pair.elements))
+        moved = GenPair(order, *mat.apply_to(pair.elements))
         assert det_pair(pair, moved).is_one
         assert det_pair(moved, pair).is_one
         witness = sl2_witness(pair, moved)
@@ -142,7 +145,7 @@ def test_witness_refused_when_classes_differ():
     order = Order(QuadField(-1), 5)
     ideal = QIdeal(order, 5, 0, 1)
     pair = _base_pair(ideal)
-    other = GenPair(ideal, pair.g2, pair.g1)  # swap: class -1 = 4 mod 5
+    other = GenPair(order, pair.g2, pair.g1)  # swap: class -1 = 4 mod 5
     cls = det_pair(pair, other)
     assert cls == DetClass(4, 5)
     assert not cls.is_one
@@ -155,7 +158,7 @@ def test_scaling_one_generator_scales_the_class():
     ideal = QIdeal(order, 5, 0, 1)
     pair = _base_pair(ideal)
     for r in (1, 2, 3, 4):
-        other = GenPair(ideal, pair.g1, pair.g2 * r)
+        other = GenPair(order, pair.g1, pair.g2 * r)
         assert det_pair(pair, other) == DetClass(r, 5)
 
 
@@ -236,9 +239,9 @@ def test_vector_reduction_round_trip():
         size = rng.choice([3, 4, 5])
         elements = list(_base_pair(ideal).elements) + [order.field.zero] * (size - 2)
         mat = _random_sl(order, rng, size=size, factors=8)
-        vec = GenVec(ideal, mat.apply_to(tuple(elements)))
+        vec = GenVec(order, mat.apply_to(tuple(elements)))
         pair, witness = reduce_vector(vec)
-        assert pair.ideal == ideal
+        assert pair.ideal == vec.ideal == ideal
         reduced = witness.apply_to(vec.elements)
         assert reduced[0] == pair.g1 and reduced[1] == pair.g2
         assert all(x.is_zero() for x in reduced[2:])
@@ -251,8 +254,7 @@ def test_vector_reduction_round_trip():
 def test_vector_reduction_single_nonzero_entry():
     order = Order(QuadField(-3), 2)
     c = order.from_coords(3, 0)
-    ideal = ideal_from_generators(order, [c])
-    vec = GenVec(ideal, (c, order.field.zero, order.field.zero, order.field.zero))
+    vec = GenVec(order, (c, order.field.zero, order.field.zero, order.field.zero))
     pair, witness = reduce_vector(vec)
     assert witness.det() == order.field.one
     reduced = witness.apply_to(vec.elements)
@@ -277,7 +279,7 @@ def test_vector_reduction_covers_rank_one_spans_and_zero_entries(m, f, shape, co
         coords = [(0, y) for _, y in coords]
     assume(any(x or y for x, y in coords))
     vec_elements = tuple(order.from_coords(scale * x, scale * y) for x, y in coords)
-    vec = GenVec(ideal_from_generators(order, list(vec_elements)), vec_elements)
+    vec = GenVec(order, vec_elements)
     pair, witness = reduce_vector(vec)
     assert all(e.b == 0 for row in witness.entries for e in row)
     assert det_int([[e.a for e in row] for row in witness.entries]) == 1
@@ -306,11 +308,14 @@ def test_det_matches_laplace_expansion(rows):
 
 def test_generating_pair_validation():
     order = Order(QuadField(-1), 2)
-    ideal = QIdeal(order, 2, 0, 1)
-    with pytest.raises(UsageError):
-        GenPair(ideal, order.from_coords(2, 0), order.from_coords(4, 0))
-    with pytest.raises(UsageError):
-        GenVec(ideal, (order.from_coords(2, 0),))
+    pair = GenPair(order, order.from_coords(2, 0), order.from_coords(4, 0))
+    assert pair.ideal == QIdeal(order, 2, 0, 2) and pair.order == order
+    with pytest.raises(UsageError, match="not in the order"):
+        GenPair(order, order.from_coords(2, 0), order.field.omega)
+    with pytest.raises(ZeroIdealError):
+        GenPair(order, order.field.zero, order.field.zero)
+    with pytest.raises(UsageError, match="at least two entries"):
+        GenVec(order, (order.from_coords(2, 0),))
 
 
 _PLANTED_FIELDS = (-1, -2, -3, -5, -6, -7, -10, -11, -14, -15, -19, -23,
@@ -369,10 +374,10 @@ def _planted_pairs(data, m, f):
     order = Order(QuadField(m), f)
     c = data.draw(st.sampled_from(divisors(f)))
     s, t = _small(data, order), _small(data, order)
-    pair = GenPair.generating(order, s * c, s * (order.gen + t * c))
+    pair = GenPair(order, s * c, s * (order.gen + t * c))
     assert multiplier_conductor(pair.ideal) == f // c
-    q = GenPair(pair.ideal, *_three_elementary(data, order).apply_to(pair.elements))
-    r = GenPair(pair.ideal, *_three_elementary(data, order).apply_to((q.g1, -q.g2)))
+    q = GenPair(order, *_three_elementary(data, order).apply_to(pair.elements))
+    r = GenPair(order, *_three_elementary(data, order).apply_to((q.g1, -q.g2)))
     return pair, q, r
 
 
@@ -380,7 +385,7 @@ def _planted_pairs(data, m, f):
 @given(st.sampled_from(_PLANTED_FIELDS), st.integers(1, 30), st.data())
 def test_pair_route_matches_the_quadelt_oracle_on_planted_pairs(m, f, data):
     pair, q, r = _planted_pairs(data, m, f)
-    order = pair.ideal.order
+    order = pair.order
     n0 = f // multiplier_conductor(pair.ideal)
     assert (det_pair(pair, q), det_pair(q, r)) == (DetClass(1, n0), DetClass(-1, n0))
     for first, second in ((pair, q), (q, r), (pair, r)):
@@ -400,7 +405,7 @@ def test_pair_route_matches_the_quadelt_oracle_on_planted_pairs(m, f, data):
         assert all(order.contains(e) for row in witness.entries for e in row)
     for base in (pair, q):
         third = _small(data, order) * base.g1 + _small(data, order) * base.g2
-        vec = GenVec(base.ideal, (base.g1, base.g2, third))
+        vec = GenVec(order, (base.g1, base.g2, third))
         reduced, sigma = reduce_vector(vec)
         assert sigma.apply_to(vec.elements) == reduced.elements + (order.field.zero,)
         assert sigma.det() == order.field.one and reduced.ideal == base.ideal
@@ -414,9 +419,9 @@ def test_the_pair_route_builds_quadelt_objects_only_at_its_boundary(monkeypatch)
     reduced pair."""
     order = Order(QuadField(-7), 12)
     g1, g2 = order.from_coords(6, 0), order.from_coords(6, 1)
-    pair = GenPair.generating(order, g1, g2)
-    other = GenPair(pair.ideal, g1 * 3 + g2 * 2, g1 + g2)  # times ((3, 1), (2, 1)): class 1
-    vec = GenVec(pair.ideal, (g1, g2, g1 * 5 - g2))
+    pair = GenPair(order, g1, g2)
+    other = GenPair(order, g1 * 3 + g2 * 2, g1 + g2)  # times ((3, 1), (2, 1)): class 1
+    vec = GenVec(order, (g1, g2, g1 * 5 - g2))
     f_prime = multiplier_conductor(pair.ideal)
     built = []
     real = QuadElt.__init__
@@ -437,3 +442,34 @@ def test_the_pair_route_builds_quadelt_objects_only_at_its_boundary(monkeypatch)
     assert count(det_pair, pair, other) == 0
     assert count(sl2_witness, pair, other) == 4
     assert count(reduce_vector, vec) == 3 * 3 + 2
+
+
+def _second_ideal_doubled(monkeypatch):
+    """genpairs builds its second ideal of the call twice too large."""
+    calls, real = [], genpairs.ideal_from_generators
+
+    def sabotaged(order, gens):
+        calls.append(gens)
+        ideal = real(order, gens)
+        return ideal.scaled(2) if len(calls) == 2 else ideal
+
+    monkeypatch.setattr(genpairs, "ideal_from_generators", sabotaged)
+
+
+def test_a_reduced_pair_of_another_ideal_fails_the_check(capsys, monkeypatch):
+    # the vector's ideal is the first built, the reduced pair's the second
+    _second_ideal_doubled(monkeypatch)
+    code = main(["vec", "reduce", "--m", "-3", "--f", "2", "--gens", "6; 2+2*w; 4*w"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err == ("internal check failed: the reduced pair (2; 2+2*w) generates <4, 4*w> in"
+                   " Order(m=-3, f=2), not the vector's <2, 2*w> in Order(m=-3, f=2)\n")
+
+
+def test_a_rescaled_pair_of_another_ideal_fails_the_check(monkeypatch):
+    # the standard pair's ideal is the first built, the rescaled pair's the second
+    order = Order(QuadField(-1), 5)
+    ideal = QIdeal(order, 5, 0, 1)
+    _second_ideal_doubled(monkeypatch)
+    with pytest.raises(InternalCheckError, match=r"^the rescaled pair \(5; 10\*w\) generates <10"):
+        realize_det_class(ideal, 2)

@@ -25,7 +25,6 @@ PUBLIC_NAMES = [
     "GenVec",
     "InconclusiveError",
     "InternalCheckError",
-    "OmegaKind",
     "Order",
     "PicSize",
     "QIdeal",

@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspidal.errors import UsageError
-from cuspidal.quadfield import _TERM_RE, OmegaKind, QuadElt, QuadField, parse_element
+from cuspidal.quadfield import _TERM_RE, QuadElt, QuadField, parse_element
 
 def _squarefree_values():
     out = []
@@ -72,11 +73,7 @@ def test_omega_satisfies_its_quadratic(field):
     r, s = field.omega_sq
     w = field.omega
     assert w * w == QuadElt(field, r, s)
-    if field.omega_kind is OmegaKind.HALF:
-        assert field.m % 4 == 1
-        assert (r, s) == ((field.m - 1) // 4, 1)
-    else:
-        assert (r, s) == (field.m, 0)
+    assert (r, s) == (((field.m - 1) // 4, 1) if field.m % 4 == 1 else (field.m, 0))
 
 
 def test_disc_of_maximal_order():
@@ -94,10 +91,31 @@ def test_field_constructor_rejects_bad_m():
 
 
 def sqrt_coords(elt):
-    """(p, q) with elt = p + q*sqrt(m); half-integral when omega is HALF."""
-    if elt.field.omega_kind is OmegaKind.HALF:
+    """(p, q) with elt = p + q*sqrt(m), read from m mod 4: omega is (1+sqrt(m))/2
+    when m = 1 mod 4, and sqrt(m) otherwise."""
+    if elt.field.m % 4 == 1:
         return Fraction(2 * elt.a + elt.b, 2), Fraction(elt.b, 2)
     return Fraction(elt.a), Fraction(elt.b)
+
+
+def _squarefree(m):
+    return m not in (0, 1) and all(m % (d * d) for d in range(2, math.isqrt(abs(m)) + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**5, 10**5).filter(_squarefree), st.integers(-10**6, 10**6),
+       st.integers(-10**6, 10**6))
+def test_omega_readings_match_the_m_mod_4_oracle(m, a, b):
+    """Every reading of omega's shape, against x = a + b*omega written as p + q*sqrt(m)
+    by sqrt_coords: trace 2p, norm p^2 - m*q^2, conjugate p - q*sqrt(m), and
+    p + q*s parsed back to x."""
+    field, x = QuadField(m), QuadElt(QuadField(m), a, b)
+    p, q = sqrt_coords(x)
+    assert field.omega_trace == (1 if m % 4 == 1 else 0)
+    assert field.disc_max == (m if m % 4 == 1 else 4 * m)
+    assert (x.trace(), x.norm()) == (2 * p, p * p - m * q * q)
+    assert sqrt_coords(x.conjugate()) == (p, -q)
+    assert parse_element(field, f"{p}{'-' if q < 0 else '+'}{abs(q)}*s") == x
 
 
 def test_sqrt_coords_and_imaginary_flag():
@@ -159,7 +177,7 @@ def _fraction_parse(field, text):
         sym = mt.group("sym1") or mt.group("sym2")
         if sym is None:
             alpha += coeff
-        elif sym == "s" and field.omega_kind is OmegaKind.HALF:
+        elif sym == "s" and field.m % 4 == 1:
             alpha, beta = alpha - coeff, beta + 2 * coeff  # sqrt(m) = 2*omega - 1
         else:
             beta += coeff

@@ -443,7 +443,7 @@ def _unit_box_half_width(order, target):
     multiple whose two real embeddings lie in [-W, W]."""
     eps = fundamental_unit(order.field, order.f).fundamental
     m = order.field.m
-    if order.field.omega_kind.value == "half":
+    if m % 4 == 1:
         ub_num, ub_den = 3 + math.isqrt(m), 2
     else:
         ub_num, ub_den = 1 + math.isqrt(m), 1
@@ -460,7 +460,7 @@ def _norm_eq_candidates(order, ideal, target, budget=2_000_000):
         targets = (target,)
     else:
         W = _unit_box_half_width(order, target)
-        scale = ideal.e * order.f * (1 if field.omega_kind.value == "half" else 2)
+        scale = ideal.e * order.f * (1 if field.m % 4 == 1 else 2)
         q_hi = (2 * W) // (scale * math.isqrt(field.m)) + 2
         targets = (target, -target)
     if 2 * q_hi + 1 > budget:

@@ -9,7 +9,7 @@ from cuspidal.classnum import class_number_maximal, picard_order
 from cuspidal.cli import main
 from cuspidal.errors import InternalCheckError, UsageError
 from cuspidal.genpairs import orbit_count_gl2
-from cuspidal.quadfield import OmegaKind, QuadElt, QuadField
+from cuspidal.quadfield import QuadElt, QuadField
 from cuspidal.quadideal import Order
 from cuspidal.units import _step_product, fundamental_unit, unit_index
 from test_quadfield import sqrt_coords
@@ -209,7 +209,7 @@ def _cf_fundamental(field: QuadField) -> QuadElt:
     """Fundamental unit (> 1) of the maximal order via the expansion of omega."""
     d = field.m
     assert d > 1
-    if field.omega_kind is OmegaKind.HALF:
+    if d % 4 == 1:  # omega = (1 + sqrt(d))/2
         p, q = 1, 2
     else:
         p, q = 0, 1
@@ -235,7 +235,7 @@ def _cf_fundamental(field: QuadField) -> QuadElt:
     # eps = m10 * alpha_j + m11 with alpha_j = (pj + sqrt(d)) / qj
     a_num = m10 * pj + m11 * qj
     b_num = m10
-    if field.omega_kind is OmegaKind.HALF:
+    if d % 4 == 1:
         # sqrt(m) = 2*omega - 1
         coeff_a, coeff_b = a_num - b_num, 2 * b_num
     else:

@@ -68,14 +68,14 @@ SAMPLES = [
     (CuspTerm, ("f_prime", "n0", "phi", "halved", "pic"), lambda: CuspTerm(1, 3, 2, False, _PIC)),
     (CuspBreakdown, ("order", "terms"),
      lambda: CuspBreakdown(_O, (CuspTerm(1, 3, 2, False, _PIC),))),
-    (GenPair, ("ideal", "g1", "g2"), lambda: GenPair(QIdeal(_O, 1, 0, 1), _ONE, _GEN)),
-    (GenVec, ("ideal", "elements"), lambda: GenVec(QIdeal(_O, 1, 0, 1), (_ONE, _GEN, _GEN))),
+    (GenPair, ("order", "g1", "g2"), lambda: GenPair(_O, _ONE, _GEN)),
+    (GenVec, ("order", "elements"), lambda: GenVec(_O, (_ONE, _GEN, _GEN))),
     (DetClass, ("value", "modulus"), lambda: DetClass(5, 3)),
     (UnimodularWitness, ("entries",),
      lambda: UnimodularWitness(((_ONE, QuadElt(_F, 0, 0)), (QuadElt(_F, 0, 0), _ONE)))),
     (CoeffField, ("char",), lambda: CoeffField(5)),
     (CurvePoly, ("field", "nums", "den"), lambda: CurvePoly(_Q, (1, 0, 3), 2)),
-    (CurveIdeal, ("field", "n", "content", "p", "q", "nu"),
+    (CurveIdeal, ("field", "n", "content", "p", "nu"),
      lambda: curve_ideal_from_generators(
          _Q, 7, [parse_curve_poly(_Q, t) for t in ("1 + x + x^2", "x^3")])),
     (CurveFitt, ("field", "n", "exponent"), lambda: CurveFitt(_Q, 7, 2)),
@@ -109,9 +109,31 @@ def test_reprs_keep_the_dataclass_format():
     assert repr(DetClass(5, 3)) == "DetClass(value=2, modulus=3)"
 
 
-def test_the_unchecked_pair_equals_the_checked_one():
-    order = Order(_F, 1)
-    g1, g2 = QuadElt(_F, 3, 0), QuadElt(_F, 1, 1)
-    pair = GenPair.generating(order, g1, g2)
-    assert pair == GenPair(pair.ideal, g1, g2)
-    assert hash(pair) == hash(GenPair(pair.ideal, g1, g2))
+def test_derived_parts_survive_pickle_eq_and_hash():
+    """A pair or a vector is its order and elements, and a curve ideal its field, n,
+    content, p and nu: pickling rebuilds the ideal or q they determine, and two
+    values built apart compare, hash and print alike."""
+    g1, g2 = QuadElt(_F, 3, 0), QuadElt(_F, 1, 3)
+    curve = curve_ideal_from_generators(
+        _Q, 7, [parse_curve_poly(_Q, t) for t in ("1 + x + x^2", "x^3")])
+    for cls, args, derived in (
+        (GenPair, (_O, g1, g2), "ideal"),
+        (GenVec, (_O, (g1, g2, g1 + g2)), "ideal"),
+        (CurveIdeal, (_Q, 7, curve.content, curve.p, curve.nu), "q"),
+    ):
+        value = cls(*args)
+        twin = pickle.loads(pickle.dumps(value))
+        assert value.__reduce__() == (cls, args)
+        assert twin == value == cls(*args) and twin is not value
+        assert hash(twin) == hash(value) == hash(cls(*args))
+        assert repr(twin) == repr(value)
+        assert getattr(twin, derived) == getattr(value, derived)
+    listed = GenVec(_O, [g1, g2, g1 + g2])  # kept as a tuple, so it hashes
+    assert listed.elements == (g1, g2, g1 + g2)
+    assert hash(listed) == hash(GenVec(_O, listed.elements))
+    assert curve == CurveIdeal(_Q, 7, curve.content, curve.p, 2)
+    assert curve.q == parse_curve_poly(_Q, "x^3")
+    assert GenPair(_O, g1, g2).ideal == QIdeal(_O, 1, 0, 1)
+    assert repr(GenPair(_O, g1, g2)) == (
+        "GenPair(order=Order(m=-5, f=3), g1=QuadElt(field=QuadField(-5), a=3, b=0),"
+        " g2=QuadElt(field=QuadField(-5), a=1, b=3))")
