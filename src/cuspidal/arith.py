@@ -29,7 +29,8 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 def is_squarefree(n: int) -> bool:
     """Trial division up to P = resolve_bound(), stopped at the first square factor. The
     cofactor left has no prime factor up to P: below P^3 it is 0, 1, q, qr or q^2 for
-    primes q, r, so squarefree unless a square other than 1; past P^3 it is undecided."""
+    primes q, r, so squarefree unless a square other than 1; past P^3 it is undecided
+    unless is_prime proves it prime. Once p * p passes it, it is 0, 1 or a prime."""
     n, bound, p = abs(n), resolve_bound(), 2
     while p * p <= n and p <= bound:
         if n % p == 0:
@@ -37,7 +38,7 @@ def is_squarefree(n: int) -> bool:
             if n % p == 0:
                 return False
         p += 1 if p == 2 else 2
-    if p * p <= n and n >= bound**3:  # p * p > n leaves 0, 1 or a prime
+    if p * p <= n and n >= bound**3 and not (n < _MR_EXACT_BELOW and is_prime(n)):
         raise exhausted(f"squarefree test: trial division up to {bound} leaves a"
                         f" {len(str(n))}-digit cofactor")
     return n == 1 or math.isqrt(n) ** 2 != n
@@ -72,16 +73,18 @@ def is_prime(n: int) -> bool:
 
 @lru_cache(maxsize=None)
 def factorize(n: int) -> Mapping[int, int]:
-    """Prime factorization {p: e} of n >= 1, read-only, by trial division by 2 and
-    the odd numbers up to P = max(resolve_bound(), 10^4), read only past 10^4. A
-    cofactor past P^2 with no prime factor up to P is undecided and raises
-    InconclusiveError. Memoised per n, one of the memos the README lists, so a
-    session factors each integer once; a raise is not kept."""
+    """Prime factorization {p: e} of n >= 1, read-only, by trial division by 2 and the
+    odd numbers up to P = max(resolve_bound(), 10^4), read only past 10^4. A cofactor
+    past P^2 with no prime factor up to P raises InconclusiveError unless is_prime
+    proves it prime, which needs no budget below _MR_EXACT_BELOW. Memoised per n, a
+    memo the README lists: a session factors each integer once; a raise is not kept."""
     assert n >= 1
     out: dict[int, int] = {}
     p, top = 2, 0
     while p * p <= n:
         if p > 10_000 and p > (top := top or max(resolve_bound(), 10_000)):
+            if n < _MR_EXACT_BELOW and is_prime(n):
+                break
             raise exhausted(f"factorization: trial division up to {top} leaves a"
                             f" {len(str(n))}-digit cofactor")
         while n % p == 0:

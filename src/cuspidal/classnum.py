@@ -22,11 +22,6 @@ class PicSize(Value):
 
     __slots__ = ("order", "h", "method")
 
-    def __init__(self, order: Order, h: int, method: str) -> None:
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "method", method)
-
 
 @lru_cache(maxsize=None)
 def class_number_maximal(field: QuadField) -> PicSize:

@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import time
-from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from .config import MAX_EXPONENT, MAX_N, budget, resolve_bound
@@ -502,19 +501,29 @@ def _parse(argv: list[str]) -> SimpleNamespace:
                            **({op: values[op]} if op else {}))
 
 
-def _json(obj, indent: str = "\n") -> str:
-    """json.dumps(obj, indent=2) for the payload types: dict, list, str, bool, None, int."""
-    kind, inner = type(obj), indent + "  "
-    if kind is str:
-        return encode_basestring_ascii(obj)
-    if kind is dict:
-        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in obj.items()]
-    elif kind is list:
-        items = [_json(v, inner) for v in obj]
-    else:  # None, a bool or an int: str(True).lower() is "true"
-        return "null" if obj is None else str(obj).lower()
-    ends = "{}" if kind is dict else "[]"
-    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
+def _json(payload) -> str:
+    """json.dumps(payload, indent=2) for the payload types: dict, list, str, bool, None,
+    int. Only --json runs import the json package, once per payload. Loops, not
+    comprehensions: on CPython 3.11 a comprehension would close over quote and dump."""
+    import json.encoder  # a plain import: a from-import adds a failed __path__ lookup
+    quote = json.encoder.encode_basestring_ascii
+
+    def dump(obj, indent: str) -> str:
+        kind, inner, items = type(obj), indent + "  ", []
+        if kind is str:
+            return quote(obj)
+        if kind is dict:
+            for k, v in obj.items():
+                items.append(quote(k) + ": " + dump(v, inner))
+        elif kind is list:
+            for v in obj:
+                items.append(dump(v, inner))
+        else:  # None, a bool or an int: str(True).lower() is "true"
+            return "null" if obj is None else str(obj).lower()
+        ends = "{}" if kind is dict else "[]"
+        return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
+
+    return dump(payload, "\n")
 
 
 def main(argv: list[str] | None = None) -> int:

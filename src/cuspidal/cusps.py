@@ -9,7 +9,7 @@ f/f' exceeds 2. The direct enumeration it must agree with lives in
 from __future__ import annotations
 
 from .arith import divisors, euler_phi
-from .classnum import PicSize, picard_order
+from .classnum import picard_order
 from .quadideal import Order
 from .units import fundamental_unit
 from .value import Value
@@ -20,13 +20,6 @@ class CuspTerm(Value):
 
     __slots__ = ("f_prime", "n0", "phi", "halved", "pic")
 
-    def __init__(self, f_prime: int, n0: int, phi: int, halved: bool, pic: PicSize) -> None:
-        object.__setattr__(self, "f_prime", f_prime)
-        object.__setattr__(self, "n0", n0)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "halved", halved)
-        object.__setattr__(self, "pic", pic)
-
     @property
     def contribution(self) -> int:
         return (self.phi // 2 if self.halved else self.phi) * self.pic.h
@@ -36,10 +29,6 @@ class CuspBreakdown(Value):
     """Cusp count of an order together with its per-divisor terms."""
 
     __slots__ = ("order", "terms")
-
-    def __init__(self, order: Order, terms: tuple[CuspTerm, ...]) -> None:
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "terms", terms)
 
     @property
     def total(self) -> int:

@@ -29,7 +29,7 @@ class CoeffField(Value):
     __slots__ = ("char",)
 
     def __init__(self, char: int) -> None:
-        object.__setattr__(self, "char", char)
+        super().__init__(char)
         if char != 0 and not is_prime(char):
             raise UsageError(f"coefficient field characteristic {str(char)[:24]} is not prime")
 
@@ -91,11 +91,6 @@ class CurvePoly(Value):
 
     __slots__ = ("field", "nums", "den")
 
-    def __init__(self, field: CoeffField, nums: tuple, den: int = 1) -> None:
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
-
     @staticmethod
     def from_ints(field: CoeffField, nums, den: int = 1) -> "CurvePoly":
         """The polynomial with coefficients nums[i] / den, normalized."""
@@ -118,11 +113,11 @@ class CurvePoly(Value):
 
     @staticmethod
     def zero(field: CoeffField) -> "CurvePoly":
-        return CurvePoly(field, ())
+        return CurvePoly(field, (), 1)
 
     @staticmethod
     def one(field: CoeffField) -> "CurvePoly":
-        return CurvePoly(field, (1,))
+        return CurvePoly(field, (1,), 1)
 
     @staticmethod
     def monomial(field: CoeffField, degree: int) -> "CurvePoly":

@@ -82,8 +82,7 @@ class DetClass(Value):
 
     def __init__(self, value: int, modulus: int) -> None:
         assert modulus >= 1
-        object.__setattr__(self, "value", value % modulus)
-        object.__setattr__(self, "modulus", modulus)
+        super().__init__(value % modulus, modulus)
 
     @property
     def is_one(self) -> bool:
@@ -100,7 +99,7 @@ class UnimodularWitness(Value):
     __slots__ = ("entries",)
 
     def __init__(self, entries: tuple[tuple[QuadElt, ...], ...]) -> None:
-        object.__setattr__(self, "entries", entries)
+        super().__init__(entries)
         n = len(entries)
         assert all(len(row) == n for row in entries)
 

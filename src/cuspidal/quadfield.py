@@ -25,7 +25,7 @@ class QuadField(Value, fields=("m",)):
     __slots__ = ("m", "omega_sq")
 
     def __init__(self, m: int) -> None:
-        object.__setattr__(self, "m", m)
+        super().__init__(m)
         if m in (0, 1) or not is_squarefree(m):
             raise UsageError(f"m must be squarefree and not 0 or 1, got {str(m)[:24]}")
         object.__setattr__(self, "omega_sq", ((m - 1) // 4, 1) if m % 4 == 1 else (m, 0))
@@ -69,11 +69,6 @@ class QuadElt(Value):
     """Element a + b*omega of the maximal order of QuadField."""
 
     __slots__ = ("field", "a", "b")
-
-    def __init__(self, field: QuadField, a: int, b: int) -> None:
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
 
     def __add__(self, other: QuadElt | int) -> QuadElt:
         other = self._coerce(other)

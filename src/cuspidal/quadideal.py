@@ -48,8 +48,7 @@ class Order(Value, fields=("field", "f")):
     __slots__ = ("field", "f", "gen_sq")
 
     def __init__(self, field: QuadField, f: int) -> None:
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "f", f)
+        super().__init__(field, f)
         if f < 1:
             raise UsageError(f"conductor must be >= 1, got {str(f)[:24]}")
         r, s = field.omega_sq
@@ -89,10 +88,7 @@ class QIdeal(Value):
     __slots__ = ("order", "a", "d", "e")
 
     def __init__(self, order: Order, a: int, d: int, e: int) -> None:
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "e", e)
+        super().__init__(order, a, d, e)
         if a <= 0 or e <= 0:
             raise UsageError(f"standard basis needs a, e > 0, got a={a}, e={e}")
         if a % e or d % e:
@@ -154,8 +150,7 @@ class FracIdeal(Value):
         g = math.gcd(math.gcd(num.a, num.d), math.gcd(num.e, den))
         if g > 1:
             num, den = QIdeal(num.order, num.a // g, num.d // g, num.e // g), den // g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        super().__init__(num, den)
 
     def __str__(self) -> str:
         return f"({self.num})/{self.den}" if self.den != 1 else str(self.num)
@@ -355,7 +350,7 @@ def _fitt1(ideal: QIdeal, f_prime: int) -> QIdeal:
     closed = QIdeal(ideal.order, n0, 0, 1)
 
     product = ideal_mul(ideal, ideal.conjugate())
-    check(FracIdeal(product, ideal.norm()) == FracIdeal(closed, 1),
+    check(product == closed.scaled(ideal.norm()),
           "I*sigma(I)/N(I) disagrees with the closed form",
           name="fitting-norm-is-conductor-quotient")
 

@@ -32,17 +32,6 @@ class UnitInfo(Value):
     __slots__ = ("field", "f", "maximal", "power_in_maximal", "torsion_gen",
                  "torsion_order", "has_norm_minus_one")
 
-    def __init__(self, field: QuadField, f: int, maximal: QuadElt | None,
-                 power_in_maximal: int, torsion_gen: QuadElt, torsion_order: int,
-                 has_norm_minus_one: bool) -> None:
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "maximal", maximal)
-        object.__setattr__(self, "power_in_maximal", power_in_maximal)
-        object.__setattr__(self, "torsion_gen", torsion_gen)
-        object.__setattr__(self, "torsion_order", torsion_order)
-        object.__setattr__(self, "has_norm_minus_one", has_norm_minus_one)
-
     @property
     def fundamental(self) -> QuadElt | None:
         """eps^k, expanded anew on each call: it has about k times the digits of eps."""

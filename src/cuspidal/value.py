@@ -1,11 +1,11 @@
 """The frozen value base of the package's small immutable types.
 
-A subclass declares `__slots__`, sets each slot once in an explicit
-`__init__` with `object.__setattr__`, and compares, hashes and prints as a
-frozen dataclass would: by the tuple of its fields, in declaration order.
-The fields are the slots, or those named by the `fields` class keyword when
-a slot only caches a value computed from them, after those of its bases.
-No code is generated.
+A subclass declares `__slots__`; `Value.__init__` assigns its fields, given
+positionally, through the slot descriptors. A type that checks, normalises or
+derives calls it first, then checks or sets the slots that cache values derived
+from the fields. Instances compare, hash, print and pickle as a frozen dataclass
+would: by the tuple of their fields, the slots or those named by the `fields`
+class keyword, after those of its bases, in declaration order. No code is generated.
 """
 
 from __future__ import annotations
@@ -22,6 +22,14 @@ class Value:
         cls._fields += cls.__dict__.get("__slots__", ()) if fields is None else fields
         get = attrgetter(*cls._fields)
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda obj: (get(obj),))
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    def __init__(self, *values) -> None:
+        setters = self._setters
+        if len(values) != len(setters):
+            raise TypeError(f"{type(self).__name__} takes {len(setters)} fields, got {len(values)}")
+        for set_field, value in zip(setters, values):
+            set_field(self, value)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

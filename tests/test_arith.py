@@ -119,8 +119,26 @@ def test_budgeted_squarefree_test_is_exact_or_inconclusive(n, bound):
             assert is_squarefree(n) == expected
         except InconclusiveError as exc:
             # only for a cofactor free of primes up to the bound and past its cube
-            assert rest >= bound**3
+            assert rest >= bound**3 and not is_prime(rest)
             assert f"up to {bound}" in str(exc) and "CUSPIDAL_BOUND" in str(exc)
+
+
+def test_a_cofactor_proved_prime_ends_no_search(monkeypatch):
+    # past the trial divisors a cofactor that Miller-Rabin proves prime is kept; a
+    # composite one, or one past the proof's bound, is still undecided
+    p, q = 10**13 + 37, 10**20 + 39
+    factorize.cache_clear()  # a factorization done under a larger budget would answer
+    monkeypatch.setenv("CUSPIDAL_BOUND", "1")
+    assert factorize(2 * p) == {2: 1, p: 1} and factorize(q) == {q: 1}
+    assert is_squarefree(5) and is_squarefree(q)
+    with pytest.raises(InconclusiveError, match="up to 10000 leaves a 9-digit cofactor"):
+        factorize(10007 * 10009)
+    with pytest.raises(InconclusiveError, match="up to 1 leaves a 41-digit cofactor"):
+        is_squarefree(10**40 + 7)
+    monkeypatch.setenv("CUSPIDAL_BOUND", "3")
+    assert is_squarefree(-3 * q) and not is_squarefree(4 * q)
+    with pytest.raises(InconclusiveError, match="up to 3 leaves a 9-digit cofactor"):
+        is_squarefree(10007 * 10009)
 
 
 def isqrt_ceil(n):

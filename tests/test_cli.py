@@ -489,7 +489,8 @@ _ONE_BUDGET = {
     "enumeration": (["cusps", "--m", "-5", "--f", "12"], 20, None, (), "class enumeration"),
     "brute": (["pic", "--m", "-5", "--f", "30", "--brute"], 100, None, (), "class enumeration"),
     "rho-walk": (["cusps", "--m", "94", "--no-check"], 15, None, (94,), "the rho-cycle"),
-    "conductor": (["pic", "--m", "-5", "--f", "1000000007"], 100, None, (), "factorization"),
+    "conductor": (["pic", "--m", "-5", "--f", str(10007 * 10009)], 100, None, (),
+                  "factorization"),
     "squarefree": (["pic", "--m", str(10007 * 10009)], 100, None, (), "squarefree test"),
     "conductor-ok": (["pic", "--m", "-5", "--f", "1000000007"], 2_000_000, "100", (), None),
     "unit-index-ok": (["pic", "--m", "5", "--f", "1000000007"], 2_000_000, "100", (), None),
@@ -1034,8 +1035,39 @@ def test_a_session_factors_each_integer_once(fresh_memos, capsys, monkeypatch, a
 
 
 def test_an_exhausted_factorization_is_not_kept(fresh_memos, capsys):
-    argv = ["pic", "--m", "5", "--f", str(_BIG_PRIME), "--bound", "3"]
+    # composite with no factor up to the trial limit 10^4, so no primality proof ends it
+    argv = ["pic", "--m", "5", "--f", str(10007 * 10009), "--bound", "3"]
     for _ in range(2):
         assert _run(capsys, argv) == (2, "", "inconclusive: factorization: trial division"
-                                      " up to 10000 leaves a 13-digit cofactor; raise it with"
+                                      " up to 10000 leaves a 9-digit cofactor; raise it with"
                                       " --bound or CUSPIDAL_BOUND\n")
+
+
+# 10^13 + 37 and 10^20 + 39 are prime, past the square and the cube of the default
+# trial division bound: Miller-Rabin proves each cofactor prime, so the searches end;
+# at --bound 1 the prime 5 passes the squarefree test and the A-window stops the run,
+# and 10^40 + 7 lies past the bound below which the proof is exact
+_PRIME_COFACTORS = {
+    "cusps": (["cusps", "--m", "5", "--f", "10000000000037", "--no-check"], 0,
+              "cusp count of Order(m=5, f=10000000000037): 5000000000024\n"),
+    "pic": (["pic", "--m", "-1", "--f", "10000000000037"], 0,
+            "|Pic(Order(m=-1, f=10000000000037))| = 5000000000018  (conductor-formula)\n"),
+    "ideal-norm": (["ideal", "norm", "--m", "100000000000000000039", "--gens", "1"], 0,
+                   "norm = 1\n"),
+    "a-window": (["pic", "--m", "5", "--bound", "1"], 2,
+                 "inconclusive: the A-window 2 of discriminant 5 exceeds bound 1; raise it"
+                 " with --bound or CUSPIDAL_BOUND\n"),
+    "past-the-proof": (["ideal", "norm", "--m", str(10**40 + 7), "--gens", "1"], 2,
+                       "inconclusive: squarefree test: trial division up to 2000000 leaves a"
+                       " 33-digit cofactor; raise it with CUSPIDAL_BOUND\n"),
+}
+
+
+@pytest.mark.parametrize("argv,code,start", _PRIME_COFACTORS.values(), ids=_PRIME_COFACTORS)
+def test_a_prime_cofactor_ends_no_search_inconclusive(fresh_memos, capsys, monkeypatch, argv,
+                                                      code, start):
+    monkeypatch.delenv("CUSPIDAL_BOUND", raising=False)
+    got, out, err = _run(capsys, argv)
+    assert got == code, err
+    assert (out if code == 0 else err).startswith(start)
+    assert err == "" if code == 0 else out == ""

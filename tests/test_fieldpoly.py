@@ -64,6 +64,10 @@ def test_coercion_and_scalar_parsing():
     assert (f5.zero, f5.one) == (0, 1) and type(f5.parse_scalar("-2")) is int
     with pytest.raises(UsageError):
         f5.coerce(Fraction(1, 5))
+    with pytest.raises(UsageError, match=r"^cannot coerce '3' into F_5$"):
+        f5.coerce("3")
+    with pytest.raises(UsageError, match=r"^cannot coerce 0\.5 into the rationals$"):
+        q.coerce(0.5)
     assert f5.all_elements() == [0, 1, 2, 3, 4]
     with pytest.raises(UsageError):
         q.all_elements()
@@ -139,6 +143,9 @@ def test_parse_term_grammar():
         parse_curve_poly(q, "x^")
     with pytest.raises(UsageError):
         parse_curve_poly(q, "2y")
+    for blank in ("", " \t\n"):
+        with pytest.raises(UsageError, match="^empty polynomial$"):
+            parse_curve_poly(q, blank)
 
 
 @given(_polys(CoeffField(0)))

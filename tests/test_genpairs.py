@@ -318,6 +318,21 @@ def test_generating_pair_validation():
         GenVec(order, (order.from_coords(2, 0),))
 
 
+def test_pair_operations_refuse_other_ideals_and_non_units():
+    order = Order(QuadField(-1), 5)
+    pair, scaled = _base_pair(order.unit_ideal()), _base_pair(QIdeal(order, 5, 0, 5))
+    with pytest.raises(UsageError, match="^pairs generate different ideals, no determinant class$"):
+        det_pair(pair, scaled)
+    with pytest.raises(UsageError, match="^pairs generate different ideals$"):
+        sl2_witness(pair, scaled)
+    maximal = QIdeal(order, 5, 0, 1)  # f*O_K, whose multiplier ring is O_K: n0 = 5
+    assert multiplier_conductor(maximal) == 1
+    for residue in (5, -10):
+        with pytest.raises(UsageError, match=f"^residue {residue} is not a unit mod 5$"):
+            realize_det_class(maximal, residue)
+    assert det_int([]) == 1
+
+
 _PLANTED_FIELDS = (-1, -2, -3, -5, -6, -7, -10, -11, -14, -15, -19, -23,
                    2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21)
 

@@ -143,6 +143,9 @@ def test_the_command_line_loads_only_the_quadratic_core():
     # written with '/' needs; -S keeps out what site imports on its own
     stdlib = _modules_after("import cuspidal.cli", "-S")
     assert not stdlib & {"typing", "fractions", "decimal", "numbers"}
+    # the json package only when a --json payload is written
+    assert not {m for m in stdlib if m.startswith("json") or m == "_json"}
+    assert "json" in _modules_after(_mains(["unit", "--m", "7", "--f", "3", "--json"]), "-S")
     assert "fractions" in _modules_after(
         "from cuspidal.quadfield import QuadField, parse_element\n"
         "parse_element(QuadField(5), '1/2+1/2*s')", "-S")

@@ -1,4 +1,5 @@
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -20,6 +21,14 @@ def _squarefree_values():
 
 fields = st.sampled_from([QuadField(m) for m in _squarefree_values()])
 coords = st.integers(-50, 50)
+
+
+def test_arithmetic_refuses_two_fields():
+    x, y = QuadField(-1).omega, QuadField(2).one
+    message = re.escape("field mismatch: QuadField(-1) vs QuadField(2)")
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(UsageError, match=f"^{message}$"):
+            op(x, y)
 
 
 @given(fields, coords, coords, coords, coords, coords, coords)

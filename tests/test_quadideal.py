@@ -231,6 +231,15 @@ def test_multiplication_basics():
         assert p12.contains(x)
 
 
+def test_products_and_classes_refuse_two_orders():
+    field = QuadField(-5)
+    lhs, rhs = Order(field, 1).unit_ideal(), Order(field, 2).unit_ideal()
+    with pytest.raises(UsageError, match="^ideal product requires a common order$"):
+        ideal_mul(lhs, rhs)
+    with pytest.raises(UsageError, match="^class comparison requires a common order$"):
+        is_same_class(lhs, rhs)
+
+
 def test_invertible_ideal_times_conjugate_is_norm():
     rng = random.Random(105)
     seen = 0

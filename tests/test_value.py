@@ -33,6 +33,7 @@ from cuspidal import (
     curve_ideal_from_generators,
     parse_curve_poly,
 )
+from cuspidal.value import Value
 
 
 def test_importing_the_cli_loads_no_code_generation_modules():
@@ -100,6 +101,24 @@ def test_value_type_contract(cls, fields, make):
     assert tuple(getattr(twin, name) for name in fields) == values
     assert a != twin and twin != a
     assert pickle.loads(pickle.dumps(a)) == a == copy.copy(a)
+    with pytest.raises(TypeError):
+        cls(*values, 0)
+
+
+def test_plain_records_take_their_fields_positionally():
+    """A type with no initialiser of its own is built by Value.__init__, which takes
+    exactly its fields, in declaration order, and no keywords."""
+    plain = [(cls, fields, make) for cls, fields, make in SAMPLES if cls.__init__ is Value.__init__]
+    assert [cls.__name__ for cls, _, _ in plain] == [
+        "QuadElt", "PicSize", "UnitInfo", "CuspTerm", "CuspBreakdown", "CurvePoly"]
+    for cls, fields, make in plain:
+        values = tuple(getattr(make(), name) for name in fields)
+        for wrong in (values[:-1], (*values, 0)):
+            with pytest.raises(TypeError, match=f"^{cls.__name__} takes {len(fields)} fields,"
+                                                f" got {len(wrong)}$"):
+                cls(*wrong)
+        with pytest.raises(TypeError):
+            cls(*values[:-1], **{fields[-1]: values[-1]})
 
 
 def test_reprs_keep_the_dataclass_format():
