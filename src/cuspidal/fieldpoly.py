@@ -58,6 +58,10 @@ class CoeffField(Value):
 
     def parse_scalar(self, text: str):
         tok = text.strip()  # plain integers are read with int(), the rest with Fraction
+        exp = re.search(r"[eE][+-]?([0-9_]+)$", tok)  # Fraction builds 10^e: refuse a large e
+        digits = exp[1].replace("_", "").lstrip("0") if exp else ""
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise UsageError(f"the exponent of {text[:24]!r} exceeds the limit {MAX_EXPONENT}")
         try:
             return self.coerce(int(tok) if re.fullmatch(r"[+-]?[0-9]+", tok) else Fraction(tok))
         except (ValueError, ZeroDivisionError) as exc:

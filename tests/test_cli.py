@@ -266,6 +266,15 @@ def test_huge_exponent_is_refused_at_once(capsys):
         assert "usage error:" in err and "10000" in err
 
 
+def test_huge_decimal_exponent_is_refused_at_once(capsys):
+    for gens in ("[1e99999999]; x^3", "[0, 2.5E-1_0001]; x^3"):
+        start = time.monotonic()
+        code, out, err = _run(capsys, ["curve", "reduce", "--n", "5", "--gens", gens])
+        assert time.monotonic() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: the exponent of ") and "limit 10000" in err
+
+
 def test_huge_curve_exponent_is_refused_at_once(capsys):
     for n in ("2003", "100001", "10" * 40 + "1"):
         start = time.monotonic()

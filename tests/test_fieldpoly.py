@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -459,7 +460,15 @@ def test_printed_form_is_pinned():
 
 
 def _reference_scalar(field, text):
-    """Every token through Fraction, as before plain integers were read with int()."""
+    """Every token through Fraction, as before plain integers were read with int(), but a
+    decimal exponent past MAX_EXPONENT refused before Fraction computes 10^e."""
+    _, e, exp = text.strip().upper().rpartition("E")
+    try:
+        large = bool(e) and abs(int(exp)) > MAX_EXPONENT
+    except ValueError:  # an exponent that int() rejects is left for Fraction to reject
+        large = False
+    if large:
+        raise UsageError(f"exponent in {text!r}")
     try:
         return field.coerce(Fraction(text.strip()))
     except (ValueError, ZeroDivisionError):
@@ -505,6 +514,24 @@ def test_polynomial_parsing_matches_the_fraction_reference(field, terms):
         mp.setattr(CoeffField, "parse_scalar", _reference_scalar)
         reference = [_outcome(parse_curve_poly, field, t) for t in (text, bracket)]
     assert got == reference
+
+
+def test_a_large_decimal_exponent_is_refused_at_once():
+    # Fraction("1e99999999") would compute 10^99999999, for minutes; the limit is
+    # that of a polynomial's exponent, and 10^MAX_EXPONENT itself is read
+    q, f101 = CoeffField(0), CoeffField(101)
+    assert q.parse_scalar("1e10000") == 10**MAX_EXPONENT
+    assert f101.parse_scalar(" -2E-1_0000 ") == -2 * pow(10**MAX_EXPONENT, -1, 101) % 101
+    assert q.parse_scalar("3.5e0000000000002") == 350
+    for text in ("1e99999999", "8e5375123", "-1E-10001", "2.5e+1_0001", "1e" + "9" * 5000):
+        start = time.monotonic()
+        for field in (q, f101):
+            with pytest.raises(UsageError, match="^the exponent of '.{1,24}' exceeds the"
+                                                 " limit 10000$"):
+                field.parse_scalar(text)
+        assert time.monotonic() - start < 1.0
+    with pytest.raises(UsageError, match="^the exponent of '1e99999999' exceeds"):
+        parse_curve_poly(q, "[1,1e99999999]")
 
 
 def test_long_scalars_are_cut_short_in_the_message():
