@@ -95,18 +95,18 @@ def _witness_lines(witness) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # handlers: each returns (inputs, result, lines); the assertions come from the ledger.
-# Each imports the operations it runs beyond the quadratic core, so a command
-# compiles only its own stack.
+# Each imports the modules it runs beyond the quadratic core, so a command compiles
+# only its own stack; a plain import, as a from-import costs several times as much.
 
 
 def _cmd_cusps(args):
-    from .cusps import cusp_count
-    from .oracles import cusp_count_direct
+    import cuspidal.cusps as cusps
+    import cuspidal.oracles as oracles
 
     order = _order_of(args)
-    breakdown = cusp_count(order)
+    breakdown = cusps.cusp_count(order)
     if not args.no_check:
-        direct = cusp_count_direct(order)
+        direct = oracles.cusp_count_direct(order)
         check(direct == breakdown.total, "the direct count {} differs from the formula's {}",
               direct, breakdown.total, name="direct-count-agreement")
     inputs = {"m": _s(args.m), "f": _s(args.f)}
@@ -135,13 +135,13 @@ def _cmd_cusps(args):
 
 
 def _cmd_pic(args):
-    from .classnum import picard_order
-    from .oracles import brute_force_pic
+    import cuspidal.classnum as classnum
+    import cuspidal.oracles as oracles
 
     order = _order_of(args)
-    pic = picard_order(order)
+    pic = classnum.picard_order(order)
     if args.brute:
-        other = brute_force_pic(order)
+        other = oracles.brute_force_pic(order)
         check(other.h == pic.h, "class enumeration finds {} classes, the formula {}",
               other.h, pic.h, name="enumeration-agreement")
     inputs = {"m": _s(args.m), "f": _s(args.f)}
@@ -151,10 +151,10 @@ def _cmd_pic(args):
 
 
 def _cmd_unit(args):
-    from .units import fundamental_unit, unit_index
+    import cuspidal.units as units
 
     field = QuadField(args.m)
-    info = fundamental_unit(field, args.f)
+    info = units.fundamental_unit(field, args.f)
     eps, k, limit = info.maximal, info.power_in_maximal, sys.get_int_max_str_digits()
     if eps is not None and k > 1 and limit:
         # eps^k = (T + U*sqrt(D))/2 has omega-coefficient U >= (eps^k - 1)/sqrt(D), a
@@ -183,7 +183,7 @@ def _cmd_unit(args):
     lines.append(f"torsion: {info.torsion_gen} of order {info.torsion_order}")
     lines.append(f"norm -1 unit exists: {'yes' if info.has_norm_minus_one else 'no'}")
     if args.f > 1:
-        idx = unit_index(field, args.f)
+        idx = units.unit_index(field, args.f)
         result["index_in_maximal"] = _s(idx)
         lines.append(f"index of the unit group in the maximal order's: {idx}")
     return inputs, result, lines
@@ -214,13 +214,13 @@ def _cmd_ideal(args):
         result = {"num": _ideal_dict(inv.num), "den": _s(inv.den)}
         lines = [f"I^(-1) = ({inv.num.gen1}, {inv.num.gen2}) / {inv.den}"]
     else:  # mult-ring
-        from .genpairs import epsilon_subgroup, orbit_count_gl2, orbit_count_sl2_mod_units
+        import cuspidal.genpairs as genpairs
 
         f_prime = multiplier_conductor(ideal)
         n0 = order.f // f_prime
-        eps = epsilon_subgroup(order, f_prime)
-        sl2 = orbit_count_sl2_mod_units(order, f_prime)
-        gl2 = orbit_count_gl2(order, f_prime)
+        eps = genpairs.epsilon_subgroup(order, f_prime)
+        sl2 = genpairs.orbit_count_sl2_mod_units(order, f_prime)
+        gl2 = genpairs.orbit_count_gl2(order, f_prime)
         result = {
             "f_prime": _s(f_prime),
             "n0": _s(n0),
@@ -244,11 +244,11 @@ def _two_elements(order: Order, text: str, flag: str) -> list:
 
 
 def _cmd_pair(args):
-    from .genpairs import GenPair, det_pair, sl2_witness
+    import cuspidal.genpairs as genpairs
 
     order = _order_of(args)
-    pair = GenPair(order, *_two_elements(order, args.pair, "--pair"))
-    other = GenPair(order, *_two_elements(order, args.pair2, "--pair2"))
+    pair = genpairs.GenPair(order, *_two_elements(order, args.pair, "--pair"))
+    other = genpairs.GenPair(order, *_two_elements(order, args.pair2, "--pair2"))
     if other.ideal != pair.ideal:
         raise UsageError(f"--pair2 {args.pair2[:24]!r} does not generate the ideal of --pair")
     inputs = {
@@ -258,17 +258,17 @@ def _cmd_pair(args):
         "pair2": [_s(g) for g in (other.g1, other.g2)],
     }
     if args.pair_op == "det":
-        cls = det_pair(pair, other)
+        cls = genpairs.det_pair(pair, other)
         result = {"value": _s(cls.value), "modulus": _s(cls.modulus)}
         lines = [f"det class of the change of generators: {cls.value} mod {cls.modulus}"]
     elif args.pair_op == "equiv":
-        cls = det_pair(pair, other)
+        cls = genpairs.det_pair(pair, other)
         result = {"equivalent": cls.is_one,
                   "value": _s(cls.value), "modulus": _s(cls.modulus)}
         verdict = "SL2-equivalent" if cls.is_one else "not SL2-equivalent"
         lines = [f"{verdict}  (det class {cls.value} mod {cls.modulus})"]
     else:  # witness
-        witness = sl2_witness(pair, other)
+        witness = genpairs.sl2_witness(pair, other)
         result = {"matrix": _witness_dict(witness)}
         lines = ["SL2 witness (row vector convention, pair @ B = pair2):"]
         lines += ["  " + ln for ln in _witness_lines(witness)]
@@ -276,11 +276,11 @@ def _cmd_pair(args):
 
 
 def _cmd_vec(args):
-    from .genpairs import GenVec, reduce_vector
+    import cuspidal.genpairs as genpairs
 
     order = _order_of(args)
-    vec = GenVec(order, _elements(order, args.gens))
-    pair, witness = reduce_vector(vec)
+    vec = genpairs.GenVec(order, _elements(order, args.gens))
+    pair, witness = genpairs.reduce_vector(vec)
     inputs = {"m": _s(args.m), "f": _s(args.f), "gens": [_s(g) for g in vec.elements]}
     result = {
         "pair": [_s(pair.g1), _s(pair.g2)],
@@ -293,17 +293,12 @@ def _cmd_vec(args):
 
 
 def _cmd_curve(args):
-    from .curvering import (
-        curve_fitt1,
-        curve_ideal_from_generators,
-        curve_multiplier_ring,
-        curve_unit_group_order,
-    )
-    from .fieldpoly import CoeffField, parse_curve_poly
+    import cuspidal.curvering as curvering
+    import cuspidal.fieldpoly as fieldpoly
 
-    field = CoeffField.from_name(args.field)
-    gens = [parse_curve_poly(field, p) for p in args.gens.split(";") if p.strip()]
-    ideal = curve_ideal_from_generators(field, args.n, gens)
+    field = fieldpoly.CoeffField.from_name(args.field)
+    gens = [fieldpoly.parse_curve_poly(field, p) for p in args.gens.split(";") if p.strip()]
+    ideal = curvering.curve_ideal_from_generators(field, args.n, gens)
     inputs = {"n": _s(args.n), "field": args.field, "gens": [_s(g, "a generator") for g in gens]}
     if args.curve_op == "reduce":
         result = {k: _s(getattr(ideal, k), f"a coefficient of {k}") for k in ("content", "p", "q")}
@@ -313,23 +308,23 @@ def _cmd_curve(args):
                  f"  q = {result['q']}",
                  f"  nu = {ideal.nu}"]
     elif args.curve_op == "fitt1":
-        fitting = curve_fitt1(ideal)
+        fitting = curvering.curve_fitt1(ideal)
         result = {"exponent": _s(fitting.exponent), "module": str(fitting)}
         lines = [f"Fitt_1 = {fitting}"]
     elif args.curve_op == "mult-ring":
-        ring = curve_multiplier_ring(ideal)
+        ring = curvering.curve_multiplier_ring(ideal)
         result = {"nu": _s(ring.nu), "ring": str(ring)}
         lines = [f"multiplier ring: {ring}"]
     else:  # units
         if field.char == 0:
             raise UsageError("unit counts need a finite coefficient field, e.g. --field f5")
-        count = curve_unit_group_order(field, args.n, ideal.nu)
+        count = curvering.curve_unit_group_order(field, args.n, ideal.nu)
         k = (args.n - 1 - ideal.nu) // 2
         result = {"count": _s(count, "the unit count"), "nu": _s(ideal.nu)}
         if field.char ** k <= 4000:
-            from .oracles import curve_unit_group_brute
+            import cuspidal.oracles as oracles
 
-            brute = curve_unit_group_brute(field, args.n, ideal.nu)
+            brute = oracles.curve_unit_group_brute(field, args.n, ideal.nu)
             check(brute == count, "enumeration finds {} units, the formula {}", brute, count,
                   name="brute-force-agreement")
         lines = [f"|(R/Fitt_1)^x| over {field.name}: {result['count']}"]
@@ -337,15 +332,10 @@ def _cmd_curve(args):
 
 
 def _cmd_selftest(args):
-    from .curvering import (
-        curve_fitt1,
-        curve_ideal_from_generators,
-        curve_multiplier_ring,
-        curve_unit_group_order,
-    )
-    from .cusps import cusp_count
-    from .fieldpoly import CoeffField, parse_curve_poly
-    from .oracles import curve_unit_group_brute, cusp_count_direct
+    import cuspidal.curvering as curvering
+    import cuspidal.cusps as cusps
+    import cuspidal.fieldpoly as fieldpoly
+    import cuspidal.oracles as oracles
 
     if args.max_f < 1:
         raise UsageError(f"--max-f must be at least 1, got {str(args.max_f)[:24]}")
@@ -353,7 +343,7 @@ def _cmd_selftest(args):
     t0 = time.time()
     for m in (-1, -2, -3, -5, -7, -11, -15, 2, 3, 5, 6, 7):
         order = Order(QuadField(m), 1)
-        total, direct = cusp_count(order).total, cusp_count_direct(order)
+        total, direct = cusps.cusp_count(order).total, oracles.cusp_count_direct(order)
         check(total == direct, "the cusp count {} of Q(sqrt({})) differs from the direct count {}",
               total, m, direct, name=f"maximal-order-count-m={m}")
     t1 = time.time()
@@ -362,25 +352,26 @@ def _cmd_selftest(args):
         field = QuadField(m)
         for f in range(1, args.max_f + 1):
             order = Order(field, f)
-            total, direct = cusp_count(order).total, cusp_count_direct(order)
+            total, direct = cusps.cusp_count(order).total, oracles.cusp_count_direct(order)
             check(total == direct, "the cusp count {} of {} differs from the direct count {}",
                   total, order, direct, name="formula-vs-enumeration-grid")
     t2 = time.time()
     lines.append(
         f"formula vs direct enumeration, 7 fields x f <= {args.max_f}  [{t2 - t1:.2f}s]"
     )
-    q_field = CoeffField(0)
+    q_field = fieldpoly.CoeffField(0)
     for n, text, nu in ((5, "1; x^3", 2), (3, "1 + x; x^2", 2), (7, "1; x", 0)):
-        gens = [parse_curve_poly(q_field, t) for t in text.split(";")]
-        ideal = curve_ideal_from_generators(q_field, n, gens)
-        curve_fitt1(ideal)
-        curve_multiplier_ring(ideal)
+        gens = [fieldpoly.parse_curve_poly(q_field, t) for t in text.split(";")]
+        ideal = curvering.curve_ideal_from_generators(q_field, n, gens)
+        curvering.curve_fitt1(ideal)
+        curvering.curve_multiplier_ring(ideal)
         check(ideal.nu == nu, "nu = {} for ({}) at n = {}, expected {}", ideal.nu, text, n, nu,
               name=f"curve-n={n}-({text})")
-    f5 = CoeffField(5)
+    f5 = fieldpoly.CoeffField(5)
     for n in (3, 5, 7):
         for nu in range(0, n, 2):
-            count, brute = curve_unit_group_order(f5, n, nu), curve_unit_group_brute(f5, n, nu)
+            count = curvering.curve_unit_group_order(f5, n, nu)
+            brute = oracles.curve_unit_group_brute(f5, n, nu)
             check(count == brute, "{} units by the formula, {} by enumeration", count, brute,
                   name=f"curve-units-n={n}-nu={nu}")
     t3 = time.time()
@@ -503,27 +494,29 @@ def _parse(argv: list[str]) -> SimpleNamespace:
 
 def _json(payload) -> str:
     """json.dumps(payload, indent=2) for the payload types: dict, list, str, bool, None,
-    int. Only --json runs import the json package, once per payload. Loops, not
+    int. Only --json runs import the json package, once per payload. A container's loop
+    writes its leaves and calls dump only for the containers in it. Loops, not
     comprehensions: on CPython 3.11 a comprehension would close over quote and dump."""
     import json.encoder  # a plain import: a from-import adds a failed __path__ lookup
     quote = json.encoder.encode_basestring_ascii
 
     def dump(obj, indent: str) -> str:
-        kind, inner, items = type(obj), indent + "  ", []
-        if kind is str:
-            return quote(obj)
-        if kind is dict:
-            for k, v in obj.items():
-                items.append(quote(k) + ": " + dump(v, inner))
-        elif kind is list:
-            for v in obj:
-                items.append(dump(v, inner))
-        else:  # None, a bool or an int: str(True).lower() is "true"
-            return "null" if obj is None else str(obj).lower()
-        ends = "{}" if kind is dict else "[]"
+        keyed, inner, items = type(obj) is dict, indent + "  ", []
+        for k, v in obj.items() if keyed else enumerate(obj):
+            kind = type(v)
+            if kind is str:
+                text = quote(v)
+            elif kind is dict or kind is list:
+                text = dump(v, inner)
+            else:  # None, a bool or an int: str(True).lower() is "true"
+                text = "null" if v is None else str(v).lower()
+            items.append(quote(k) + ": " + text if keyed else text)
+        ends = "{}" if keyed else "[]"
         return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
 
-    return dump(payload, "\n")
+    if type(payload) is dict or type(payload) is list:
+        return dump(payload, "\n")
+    return json.dumps(payload)  # a lone scalar, which no command writes
 
 
 def main(argv: list[str] | None = None) -> int:

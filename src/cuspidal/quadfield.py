@@ -12,10 +12,10 @@ import re
 
 from .arith import is_squarefree
 from .errors import UsageError
-from .value import Value
+from .value import Interned, Value
 
 
-class QuadField(Value, fields=("m",)):
+class QuadField(Value, metaclass=Interned, fields=("m",)):
     """Descriptor of Q(sqrt(m)) for squarefree m not in {0, 1}.
 
     omega_sq is (r, s) with omega^2 = r + s*omega, computed once per field: (m, 0)

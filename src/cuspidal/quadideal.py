@@ -36,10 +36,10 @@ from .arith import divisors, factorize, sqrt_mods, xgcd
 from .config import exhausted, resolve_bound
 from .errors import UsageError, ZeroIdealError, check
 from .quadfield import QuadElt, QuadField
-from .value import Value
+from .value import Interned, Value
 
 
-class Order(Value, fields=("field", "f")):
+class Order(Value, metaclass=Interned, fields=("field", "f")):
     """The order Z + Z*f*omega of conductor f >= 1 in the maximal order.
 
     gen_sq is (R, S) = (f^2*r, f*s) with (f*omega)^2 = R + S*f*omega, from

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cuspidal import arith, classnum, cli, genpairs, quadideal, units
+from cuspidal import arith, classnum, cli, genpairs, quadfield, quadideal, units
 from cuspidal.arith import is_prime
 from cuspidal.classnum import class_number_maximal
 from cuspidal.cli import main
@@ -1041,6 +1041,19 @@ def test_a_session_factors_each_integer_once(fresh_memos, capsys, monkeypatch, a
     assert code == 0, err
     assert asked.count(_BIG_PRIME) > 1
     assert memo.cache_info().misses == len(set(asked))
+
+
+def test_a_session_builds_each_field_and_order_once(fresh_memos, capsys, monkeypatch):
+    # QuadField and Order are interned: the second command finds its field and its
+    # orders, conductors 12 and its divisors, among those the first one built
+    squarefree, orders, test, init = [], [], quadfield.is_squarefree, Order.__init__
+    monkeypatch.setattr(quadfield, "is_squarefree", lambda n: squarefree.append(n) or test(n))
+    monkeypatch.setattr(Order, "__init__", lambda self, *a: orders.append(a[1]) or init(self, *a))
+    for f in ("24", "12"):
+        code, out, err = _run(capsys, ["cusps", "--m", "223", "--f", f, "--no-check"])
+        assert code == 0, err
+    assert squarefree == [223]
+    assert sorted(orders) == [1, 2, 3, 4, 6, 8, 12, 24]
 
 
 def test_an_exhausted_factorization_is_not_kept(fresh_memos, capsys):

@@ -1,6 +1,6 @@
-"""The frozen value types: what importing them costs, and the contract they
-keep with the frozen dataclasses they replaced (immutability, equality and
-hashing by the field tuple, the dataclass repr)."""
+"""The frozen value types: what importing them costs, the contract they keep
+with the frozen dataclasses they replaced (immutability, equality and hashing by
+the field tuple, the dataclass repr), and the interning of QuadField and Order."""
 
 import copy
 import os
@@ -32,8 +32,11 @@ from cuspidal import (
     UnitInfo,
     curve_ideal_from_generators,
     parse_curve_poly,
+    picard_order,
 )
-from cuspidal.value import Value
+from cuspidal.config import budget
+from cuspidal.errors import InconclusiveError
+from cuspidal.value import Interned, Value
 
 
 def test_importing_the_cli_loads_no_code_generation_modules():
@@ -84,10 +87,14 @@ SAMPLES = [
 ]
 
 
+# the types built once per field tuple in a session
+INTERNED = (QuadField, Order)
+
+
 @pytest.mark.parametrize("cls, fields, make", SAMPLES, ids=[s[0].__name__ for s in SAMPLES])
 def test_value_type_contract(cls, fields, make):
     a, b = make(), make()
-    assert type(a) is cls and a is not b
+    assert type(a) is cls and (a is b) is (cls in INTERNED)
     values = tuple(getattr(a, name) for name in fields)
     assert a == b and not a != b
     assert hash(a) == hash(b) == hash(values)
@@ -97,10 +104,14 @@ def test_value_type_contract(cls, fields, make):
         with pytest.raises(AttributeError):
             delattr(a, name)
     assert tuple(getattr(a, name) for name in fields) == values
-    twin = type("Twin", (cls,), {})(*values)
+    twin_cls = type("Twin", (cls,), {})
+    twin = twin_cls(*values)
+    assert type(twin) is twin_cls and (twin_cls(*values) is twin) is (cls in INTERNED)
     assert tuple(getattr(twin, name) for name in fields) == values
     assert a != twin and twin != a
     assert pickle.loads(pickle.dumps(a)) == a == copy.copy(a)
+    if cls in INTERNED:
+        assert pickle.loads(pickle.dumps(a)) is a is copy.copy(a) is copy.deepcopy(a)
     with pytest.raises(TypeError):
         cls(*values, 0)
 
@@ -156,3 +167,46 @@ def test_derived_parts_survive_pickle_eq_and_hash():
     assert repr(GenPair(_O, g1, g2)) == (
         "GenPair(order=Order(m=-5, f=3), g1=QuadElt(field=QuadField(-5), a=3, b=0),"
         " g2=QuadElt(field=QuadField(-5), a=1, b=3))")
+
+
+def test_only_the_memo_keys_are_interned():
+    assert [cls for cls, _, _ in SAMPLES if isinstance(cls, Interned)] == list(INTERNED)
+    with pytest.raises(TypeError):
+        QuadField(m=-5)
+    with pytest.raises(TypeError):
+        Order(_F, f=3)
+
+
+def test_values_built_before_a_clear_still_compare_hash_and_hit_memos():
+    """cache_clear empties the intern tables; an order built before it equals, hashes
+    like and finds the picard_order entry of one built after."""
+    old = Order(QuadField(223), 12)
+    pic = picard_order(old)
+    QuadField.cache_clear()
+    Order.cache_clear()
+    new = Order(QuadField(223), 12)
+    assert new is not old and new.field is not old.field
+    assert new == old and old == new and new.field == old.field
+    assert hash(new) == hash(old) == hash((new.field, 12)) and hash(new.field) == hash((223,))
+    hits = picard_order.cache_info().hits
+    assert picard_order(new) is pic
+    assert picard_order.cache_info().hits == hits + 1
+
+
+def test_a_failed_build_is_not_kept():
+    """A build that raises stores nothing. 100160063 = 10007*10009 has no prime factor
+    up to 100, so its squarefree test is inconclusive under budget 100; under the
+    default budget the field builds, and budget 100 then finds that same field."""
+    QuadField.cache_clear()
+    token = budget.set(100)
+    try:
+        with pytest.raises(InconclusiveError, match="squarefree test: trial division up to 100"):
+            QuadField(100160063)
+    finally:
+        budget.reset(token)
+    field = QuadField(100160063)
+    token = budget.set(100)
+    try:
+        assert QuadField(100160063) is field
+    finally:
+        budget.reset(token)
