@@ -3,7 +3,8 @@
 Every subcommand prints either plain text or, with --json, a single
 object {"schema": 1, "command", "inputs", "result", "assertions"} in
 which integers are rendered as decimal strings. Exit codes: 0 success,
-1 usage errors, 2 search bounds exhausted, 3 a verified-on-the-spot
+1 usage errors, 2 search bounds or memory exhausted (one "inconclusive:"
+line, no traceback), 3 a verified-on-the-spot
 identity failed, 141 (128 + SIGPIPE) stdout closed before the report was
 written. The assertions are the named checks (errors.check) that
 passed during the run, read from the ledger that main opens; a failed check
@@ -534,6 +535,8 @@ def main(argv: list[str] | None = None) -> int:
         code, lines = 1, [f"usage error: {exc}"]
     except InconclusiveError as exc:
         code, lines = 2, [f"inconclusive: {exc}"]
+    except MemoryError:
+        code, lines = 2, ["inconclusive: the run ran out of memory"]
     except AssertionError as exc:  # an InternalCheckError or a bare assert
         code, lines = 3, [f"internal check failed: {exc}"]
     else:

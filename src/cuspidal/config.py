@@ -1,10 +1,11 @@
 """The one search budget of a run, the error of a search that exhausts it, and
 the size limits of curve input.
 
-The budget counts the primitive candidate ideals of class enumeration and the
-rho-steps of each rho-cycle walk, and caps the A-window of class enumeration,
-the A-window and the reduced forms listed for a class number and the trial
-divisors of the squarefree test and of factorize past 10^4. resolve_bound() is
+The budget counts the primitive candidate ideals of class enumeration (which
+also gives a real field's class number) and the rho-steps of each rho-cycle
+walk, and caps the A-window of class enumeration, the A-window and the
+reduced forms counted for an imaginary class number and the trial divisors
+of the squarefree test and of factorize past 10^4. resolve_bound() is
 the budget: the value cli.main opens in `budget` while `cusps` or `pic` runs
 (its --bound, else CUSPIDAL_BOUND, else DEFAULT_BOUND), and otherwise
 CUSPIDAL_BOUND, else DEFAULT_BOUND.

@@ -2,9 +2,8 @@
 
 Each function here recomputes by plain enumeration a number that the
 library obtains another way, with no shared formula, so the two can be
-compared: Picard sizes against the conductor formula, imaginary class
-numbers against the listing of reduced forms, cusp counts against the
-divisor sum, and curve unit counts against q^(k-1) * (q - 1). _Span, dense
+compared: Picard sizes against the conductor formula, cusp counts against
+the divisor sum, and curve unit counts against q^(k-1) * (q - 1). _Span, dense
 echelon rows over the coefficient field, backs that unit count and the colon
 nullspace conductor_h_solver, which checks curvering.
 They are slow by design and serve the cross-checks of the command line,
@@ -27,27 +26,6 @@ from .quadideal import Order, _checked_conductor, _keyed_classes
 if TYPE_CHECKING:
     from .classnum import PicSize
     from .fieldpoly import CoeffField, CurvePoly
-
-
-def reduced_form_count(disc: int) -> int:
-    """Number of reduced primitive forms (A, B, C) of discriminant disc < 0.
-
-    Reduction: |B| <= A <= C with B >= 0 whenever |B| = A or A = C.
-    """
-    assert disc < 0 and disc % 4 in (0, 1)
-    count = 0
-    b = disc % 2
-    while b * b <= -disc // 3:
-        m4 = (b * b - disc) // 4
-        a = max(b, 1)
-        while a * a <= m4:
-            if a and m4 % a == 0:
-                c = m4 // a
-                if gcd(gcd(a, b), c) == 1:
-                    count += 1 if (b == 0 or a == b or a == c) else 2
-            a += 1
-        b += 2
-    return count
 
 
 def _class_conductors(order: Order) -> list[int]:

@@ -19,10 +19,10 @@ ring, and lambda*I = J holds exactly when the primitive parts of q_I and q_J
 are SL2(Z)-equivalent, or, for a lambda of negative norm in a real field,
 when (A, B, C) is equivalent to (-A, B, -C). class_key maps I to the content
 of q_I and the canonical reduced form of q_I over it; class comparison is
-key equality and class enumeration keeps one ideal per key. The same
-reduction lists the forms whose classes classnum counts for h_K, and one
-budgeted walk, _rho_walk, serves each pair of rho-cycles for canonical forms
-and the principal cycle for the fundamental unit in units.
+key equality and class enumeration keeps one ideal per key. The class
+number h_K of a real field is the number of keys that enumeration finds in
+O_K, and one budgeted walk, _rho_walk, serves each pair of rho-cycles for
+canonical forms and the principal cycle for the fundamental unit in units.
 """
 
 from __future__ import annotations
@@ -443,38 +443,6 @@ def canonical_form(form: tuple[int, int, int]) -> QuadForm:
         canon = min(walked)
         table.update(dict.fromkeys(walked, canon))
     return canon
-
-
-def reduced_forms(disc: int) -> list[QuadForm]:
-    """The reduced primitive forms of a non-square discriminant of either sign
-    (Cohen, GTM 138, 5.3 and 5.6): A runs over its window, up to
-    sqrt(|disc|/3) or sqrt(disc), and B over the square roots of disc mod 4A
-    in (-A, A] or in the reduction window below sqrt(disc). A window wider
-    than resolve_bound(), or more forms than that, raise InconclusiveError."""
-    s, bound = math.isqrt(-disc // 3 if disc < 0 else disc), resolve_bound()
-    if s > bound:
-        raise exhausted(f"the A-window {s} of discriminant {disc} exceeds bound {bound}")
-    forms: list[QuadForm] = []
-    for n, roots in sqrt_mods(disc, range(4, 4 * s + 1, 4)):
-        a = n // 4
-        # the roots below 2a are the residues of B mod 2a
-        for r in roots[: len(roots) // 2]:
-            if disc < 0:
-                bs = [r if r <= a else r - 2 * a]
-            else:  # |sqrt(disc) - 2a| < B < sqrt(disc)
-                lo = max(2 * a - s, s - 2 * a + 1)
-                bs = range(lo + (r - lo) % (2 * a), s + 1, 2 * a)
-            for b in bs:
-                c = (b * b - disc) // n
-                if math.gcd(a, b, c) != 1:
-                    continue
-                if disc > 0:
-                    forms += [QuadForm(a, b, c), QuadForm(-a, b, -c)]
-                elif a < c or (a == c and b >= 0):
-                    forms.append(QuadForm(a, b, c))
-        if len(forms) > bound:
-            raise exhausted(f"reduced forms of discriminant {disc} exceed bound {bound}")
-    return forms
 
 
 def class_key(ideal: QIdeal) -> tuple[int, QuadForm]:

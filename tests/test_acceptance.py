@@ -36,7 +36,6 @@ from cuspidal.oracles import (
     conductor_h_solver,
     curve_unit_group_brute,
     cusp_count_direct,
-    reduced_form_count,
 )
 from cuspidal.quadfield import QuadField
 from cuspidal.quadideal import (
@@ -50,6 +49,7 @@ from cuspidal.quadideal import (
     multiplier_conductor,
 )
 from cuspidal.units import fundamental_unit
+from form_oracle import reduced_form_count
 from test_curvering import _module_basis
 
 TWELVE_FIELDS = (-1, -2, -3, -5, -7, -11, -15, 2, 3, 5, 6, 7)

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cuspidal.arith import (
     _element_order,
@@ -62,6 +62,7 @@ def _examples(values):
     return apply
 
 
+@settings(deadline=None)
 @given(st.integers(-5, 5000))
 @_examples(_PRIME_TEST_EXAMPLES)
 def test_is_prime_matches_factorization(n):

@@ -1,13 +1,16 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspidal import quadideal
+from cuspidal import classnum, quadideal
 from cuspidal.arith import is_squarefree
 from cuspidal.errors import InconclusiveError
 from cuspidal.classnum import class_number_maximal, picard_order
-from cuspidal.oracles import brute_force_pic, reduced_form_count
+from cuspidal.oracles import brute_force_pic
 from cuspidal.quadfield import QuadField
-from cuspidal.quadideal import Order, enumerate_ideal_classes, multiplier_conductor, reduced_forms
+from cuspidal.quadideal import Order, canonical_form, enumerate_ideal_classes, multiplier_conductor
+from form_oracle import reduced_form_count, reduced_forms
 
 
 @pytest.mark.parametrize(
@@ -36,11 +39,9 @@ def test_reduced_forms_agree_with_ideal_enumeration():
 
 
 def test_reduced_form_count_examples():
-    assert reduced_form_count(-4) == 1
-    assert reduced_form_count(-20) == 2
-    assert reduced_form_count(-23) == 3
-    assert reduced_form_count(-56) == 4
-    assert reduced_form_count(-47) == 5
+    # the oracle's double loop and the library's count in the square-root sieve
+    for disc, count in ((-4, 1), (-20, 2), (-23, 3), (-56, 4), (-47, 5)):
+        assert reduced_form_count(disc) == classnum._reduced_definite_count(disc) == count
 
 
 @pytest.mark.parametrize("m", [-1, -2, -3, -5, -7, 2, 3, 5, 13])
@@ -97,17 +98,19 @@ def test_class_number_is_computed_once_per_field(monkeypatch):
 @pytest.mark.parametrize("m", [2, 10, 79, 94, 223, 1000003])
 def test_class_number_takes_one_rho_step_per_two_reduced_forms(monkeypatch, m):
     """Each pair of rho-cycles, of a form and of its negative, is walked once and
-    only up to the form's negative: half as many rho-steps as reduced forms."""
+    only up to the form's negative: half as many walk steps as reduced forms in
+    the oracle's full listing."""
     field = QuadField(m)
     steps = [0]
 
-    def counted(form, disc, s, real=quadideal._rho):
-        steps[0] += 1
-        return real(form, disc, s)
+    def counted(form, disc, s, real=quadideal._rho_walk):
+        for pair in real(form, disc, s):
+            steps[0] += 1
+            yield pair
 
     class_number_maximal.cache_clear()
     quadideal._cycle_table.cache_clear()
-    monkeypatch.setattr(quadideal, "_rho", counted)
+    monkeypatch.setattr(quadideal, "_rho_walk", counted)
     class_number_maximal(field)
     assert steps[0] == len(reduced_forms(field.disc_max)) // 2
     class_number_maximal.cache_clear()
@@ -139,12 +142,73 @@ def test_real_class_number_matches_enumeration(m):
     assert class_number_maximal(QuadField(m)).h == len(invertible)
 
 
-@pytest.mark.parametrize("m,forms,h", [(-23, 3, 3), (7, 8, 1)])
+@pytest.mark.parametrize("m,forms,h", [(-23, 3, 3), (10, 4, 2)])
 def test_form_listing_budget_counts_the_forms(monkeypatch, m, forms, h):
+    """An imaginary class number's budget counts the reduced forms it counts;
+    a real one's counts the candidates of class enumeration, four for d_K = 40
+    (one each at a = 1, 2 and two at a = 3, Markov's window isqrt(40/5) + 1),
+    with every rho-cycle walk shorter than that."""
     field = QuadField(m)
+    search = "reduced forms of discriminant -23" if m < 0 else "class enumeration exceeded"
     class_number_maximal.cache_clear()
     monkeypatch.setenv("CUSPIDAL_BOUND", str(forms - 1))
-    with pytest.raises(InconclusiveError, match="; raise it with CUSPIDAL_BOUND$"):
+    with pytest.raises(InconclusiveError, match=f"^{search}.*; raise it with CUSPIDAL_BOUND$"):
         class_number_maximal(field)
     monkeypatch.setenv("CUSPIDAL_BOUND", str(forms))
     assert class_number_maximal(field).h == h
+
+
+def test_class_numbers_match_the_form_oracles():
+    """h_K on every squarefree 2 <= |m| < 3000 equals the oracles': the classes
+    of the full reduced-form listing for d_K > 0, the double-loop count of
+    reduced definite forms for d_K < 0. The library runs first on empty cycle
+    tables, and the oracle after them on emptied ones."""
+    fields = [QuadField(m) for m in range(-2999, 3000) if m not in (0, 1) and is_squarefree(m)]
+    class_number_maximal.cache_clear()
+    quadideal._cycle_table.cache_clear()
+    library = [class_number_maximal(field).h for field in fields]
+    quadideal._cycle_table.cache_clear()
+    oracle = [reduced_form_count(field.disc_max) if field.is_imaginary
+              else len({canonical_form(q) for q in reduced_forms(field.disc_max)})
+              for field in fields]
+    quadideal._cycle_table.cache_clear()
+    class_number_maximal.cache_clear()
+    assert len(fields) == 3647
+    assert library == oracle
+
+
+@pytest.mark.parametrize("m", [2, 5, 7, 79, 221, 1009, 10000019])
+def test_real_class_number_sieves_only_markovs_window(monkeypatch, m):
+    """A real field's class number sieves the moduli 4a for a up to
+    isqrt(d_K/5) + 1 and none past them."""
+    field = QuadField(m)
+    top = 4 * (math.isqrt(field.disc_max // 5) + 1)
+    sieved = []
+
+    def recorded(c, moduli, real=quadideal.sqrt_mods):
+        for n, roots in real(c, moduli):
+            sieved.append(n)
+            yield n, roots
+
+    class_number_maximal.cache_clear()
+    monkeypatch.setattr(quadideal, "sqrt_mods", recorded)
+    class_number_maximal(field)
+    class_number_maximal.cache_clear()
+    assert sieved == list(range(4, top + 1, 4))
+
+
+def test_imaginary_class_number_takes_no_canonical_form(monkeypatch):
+    """A reduced definite form is its own class: h_K of an imaginary field
+    counts forms and canonicalises none."""
+
+    def refuse(form):
+        raise AssertionError(f"canonical_form({form}) called")
+
+    monkeypatch.setattr(quadideal, "canonical_form", refuse)
+    class_number_maximal.cache_clear()
+    for m in (-1, -3, -5, -23, -47, -2999, -1000003):
+        disc = QuadField(m).disc_max
+        assert class_number_maximal(QuadField(m)).h == reduced_form_count(disc), m
+    with pytest.raises(AssertionError, match="canonical_form"):
+        class_number_maximal(QuadField(7))
+    class_number_maximal.cache_clear()

@@ -357,6 +357,19 @@ def test_a_closed_stdout_exits_141_without_a_traceback(unbuffered, flags):
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_memory_error_exits_two_with_one_line(capsys, monkeypatch, flags):
+    """A search that runs out of memory ends inconclusive, like an exhausted budget:
+    exit 2, one line on stderr, no report and no traceback."""
+
+    def hungry(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "pic", (hungry, *cli._COMMANDS["pic"][1:]))
+    assert _run(capsys, ["pic", "--m", "-5", *flags]) == (
+        2, "", "inconclusive: the run ran out of memory\n")
+
+
 def test_module_entry_point_runs():
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -533,10 +546,10 @@ def test_bound_flag_and_environment_are_one_budget(capsys, monkeypatch, argv, bo
 
 
 def test_selftest_checks_the_class_number_of_each_maximal_order(capsys, monkeypatch, fresh_memos):
-    # drop the form (2, 1, 2): h(Q(sqrt(-15))) reads 1, as does the formula's cusp count
-    real = classnum.reduced_forms
-    monkeypatch.setattr(classnum, "reduced_forms",
-                        lambda disc: real(disc)[:-1] if disc == -15 else real(disc))
+    # miss the form (2, 1, 2): h(Q(sqrt(-15))) reads 1, as does the formula's cusp count
+    real = classnum._reduced_definite_count
+    monkeypatch.setattr(classnum, "_reduced_definite_count",
+                        lambda disc: real(disc) - (disc == -15))
     assert class_number_maximal(QuadField(-15)).h == 1
     code, out, err = _run(capsys, ["selftest", "--max-f", "1"])
     assert (code, out) == (3, "")
@@ -1067,7 +1080,8 @@ def test_an_exhausted_factorization_is_not_kept(fresh_memos, capsys):
 
 # 10^13 + 37 and 10^20 + 39 are prime, past the square and the cube of the default
 # trial division bound: Miller-Rabin proves each cofactor prime, so the searches end;
-# at --bound 1 the prime 5 passes the squarefree test and the A-window stops the run,
+# at --bound 1 the prime 5 passes the squarefree test and the A-window of class
+# enumeration, which gives a real class number, stops the run,
 # and 10^40 + 7 lies past the bound below which the proof is exact
 _PRIME_COFACTORS = {
     "cusps": (["cusps", "--m", "5", "--f", "10000000000037", "--no-check"], 0,
@@ -1077,8 +1091,8 @@ _PRIME_COFACTORS = {
     "ideal-norm": (["ideal", "norm", "--m", "100000000000000000039", "--gens", "1"], 0,
                    "norm = 1\n"),
     "a-window": (["pic", "--m", "5", "--bound", "1"], 2,
-                 "inconclusive: the A-window 2 of discriminant 5 exceeds bound 1; raise it"
-                 " with --bound or CUSPIDAL_BOUND\n"),
+                 "inconclusive: class enumeration: the A-window 2 of discriminant 5 exceeds"
+                 " bound 1; raise it with --bound or CUSPIDAL_BOUND\n"),
     "past-the-proof": (["ideal", "norm", "--m", str(10**40 + 7), "--gens", "1"], 2,
                        "inconclusive: squarefree test: trial division up to 2000000 leaves a"
                        " 33-digit cofactor; raise it with CUSPIDAL_BOUND\n"),

@@ -10,7 +10,7 @@ from cuspidal.arith import divisors, is_squarefree, sqrt_mods
 from cuspidal.classnum import class_number_maximal
 from cuspidal.config import exhausted, resolve_bound
 from cuspidal.errors import InconclusiveError, InternalCheckError, UsageError, ZeroIdealError
-from cuspidal import quadideal
+from cuspidal import classnum, quadideal
 from cuspidal.oracles import cusp_count_direct
 from cuspidal.quadfield import QuadElt, QuadField
 from cuspidal.quadideal import (
@@ -28,9 +28,9 @@ from cuspidal.quadideal import (
     ideal_mul,
     is_same_class,
     multiplier_conductor,
-    reduced_forms,
 )
 from cuspidal.units import fundamental_unit
+from form_oracle import reduced_forms
 from test_arith import isqrt_ceil
 from test_hnf_oracle import _colon_by_one_kernel, hnf_columns
 
@@ -874,11 +874,16 @@ def _brute_reduced_forms(disc):
 
 @pytest.mark.parametrize("sign", [-1, 1])
 def test_reduced_forms_match_a_brute_box(sign):
+    """The oracle's listing of either sign, and the library's count of the
+    definite forms behind an imaginary class number, match the brute box."""
     for n in range(1, 1501):
         disc = sign * n
         if disc % 4 not in (0, 1) or math.isqrt(n) ** 2 == n:
             continue
-        assert sorted(reduced_forms(disc)) == _brute_reduced_forms(disc), disc
+        brute = _brute_reduced_forms(disc)
+        assert sorted(reduced_forms(disc)) == brute, disc
+        if disc < 0:
+            assert classnum._reduced_definite_count(disc) == len(brute), disc
 
 
 def _transform(form, a, b, c, d):
