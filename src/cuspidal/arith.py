@@ -153,29 +153,31 @@ def _sqrt_mod_prime_power(c: int, p: int, q: int) -> list[int]:
 
 
 def sqrt_mods(c: int, moduli: range) -> Iterator[tuple[int, list[int]]]:
-    """(n, the x in [0, n) with x^2 = c mod n, ascending) for each n in
-    `moduli`, a range of positive integers. A least-prime-factor sieve splits
-    n into q = p^k || n, p its least prime, and n/q; the roots mod n are the
-    CRT combinations of those mod n/q and mod q, memoised so that each prime
-    power is solved once per call."""
+    """(n, the x in [0, n) with x^2 = c mod n, ascending) for each n in `moduli`, a
+    range of positive integers. A least-prime-factor sieve splits n into q = p^k || n,
+    p its least prime, and n/q; the roots mod n are the CRT combinations of those mod
+    n/q and mod q, memoised for the q and n/q alone, so each prime power is solved once."""
     top = moduli[-1] if moduli else 1
     spf = [0] * (top + 1)  # least prime factors, 0 for primes: the last mark wins
     for p in range(math.isqrt(top), 1, -1):
         spf[p * p :: p] = [p] * len(range(p * p, top + 1, p))
     memo: dict[int, list[int]] = {1: [0]}
 
-    def roots(n: int) -> list[int]:
-        if n not in memo:
+    def roots(n: int, keep: bool = True) -> list[int]:
+        out = memo.get(n)
+        if out is None:
             p = q = spf[n] or n
             while n // q % p == 0:
                 q *= p
             rest = n // q
             if rest == 1:
-                memo[n] = _sqrt_mod_prime_power(c, p, q)
+                out = memo[n] = _sqrt_mod_prime_power(c, p, q)
             else:
                 inv = pow(rest, -1, q)
-                memo[n] = [x + rest * ((y - x) * inv % q) for x in roots(rest) for y in roots(q)]
-        return memo[n]
+                out = [x + rest * ((y - x) * inv % q) for x in roots(rest) for y in roots(q)]
+                if keep:
+                    memo[n] = out
+        return out
 
     for n in moduli:
-        yield n, sorted(roots(n))
+        yield n, sorted(roots(n, keep=False))

@@ -120,7 +120,7 @@ class CurveIdeal(Value):
 
     def __init__(self, field: CoeffField, n: int, content: CurvePoly, p: CurvePoly,
                  nu: int) -> None:
-        super().__init__(field, n, content, p, nu)
+        Value.__init__(self, field, n, content, p, nu)
         _check_n(n, nu)
         if content.is_zero or content.nums[-1] != content.den:
             raise UsageError("the content must be a monic polynomial")
@@ -189,7 +189,7 @@ class CurveFitt(Value):
     __slots__ = ("field", "n", "exponent")
 
     def __init__(self, field: CoeffField, n: int, exponent: int) -> None:
-        super().__init__(field, n, exponent)
+        Value.__init__(self, field, n, exponent)
         _check_n(n, exponent, "the exponent")
 
     def contains(self, poly: CurvePoly) -> bool:
@@ -216,7 +216,7 @@ class CurveOrder(Value):
     __slots__ = ("field", "n", "nu")
 
     def __init__(self, field: CoeffField, n: int, nu: int) -> None:
-        super().__init__(field, n, nu)
+        Value.__init__(self, field, n, nu)
         _check_n(n, nu)
 
     def contains(self, poly: CurvePoly) -> bool:

@@ -29,7 +29,7 @@ class CoeffField(Value):
     __slots__ = ("char",)
 
     def __init__(self, char: int) -> None:
-        super().__init__(char)
+        Value.__init__(self, char)
         if char != 0 and not is_prime(char):
             raise UsageError(f"coefficient field characteristic {str(char)[:24]} is not prime")
 

@@ -82,7 +82,7 @@ class DetClass(Value):
 
     def __init__(self, value: int, modulus: int) -> None:
         assert modulus >= 1
-        super().__init__(value % modulus, modulus)
+        Value.__init__(self, value % modulus, modulus)
 
     @property
     def is_one(self) -> bool:
@@ -99,7 +99,7 @@ class UnimodularWitness(Value):
     __slots__ = ("entries",)
 
     def __init__(self, entries: tuple[tuple[QuadElt, ...], ...]) -> None:
-        super().__init__(entries)
+        Value.__init__(self, entries)
         n = len(entries)
         assert all(len(row) == n for row in entries)
 

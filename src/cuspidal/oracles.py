@@ -6,10 +6,11 @@ compared: Picard sizes against the conductor formula, cusp counts against
 the divisor sum, and curve unit counts against q^(k-1) * (q - 1). _Span, dense
 echelon rows over the coefficient field, backs that unit count and the colon
 nullspace conductor_h_solver, which checks curvering.
-They are slow by design and serve the cross-checks of the command line,
-the self-test, the tests and the demos. Each function imports the modules
-of its own ring family when it runs, so a curve check loads no class
-numbers and a cusp check no curve ring.
+They are slow by design and serve the cross-checks of the command line, the
+self-test, the tests and the demos; at f = 1 in a real field they rerun the class
+enumeration that gives h_K, and the tests' form oracle is the independent check.
+Each function imports the modules of its own ring family when it runs, so a curve
+check loads no class numbers and a cusp check no curve ring.
 """
 
 from __future__ import annotations

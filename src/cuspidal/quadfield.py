@@ -25,7 +25,7 @@ class QuadField(Value, metaclass=Interned, fields=("m",)):
     __slots__ = ("m", "omega_sq")
 
     def __init__(self, m: int) -> None:
-        super().__init__(m)
+        Value.__init__(self, m)
         if m in (0, 1) or not is_squarefree(m):
             raise UsageError(f"m must be squarefree and not 0 or 1, got {str(m)[:24]}")
         object.__setattr__(self, "omega_sq", ((m - 1) // 4, 1) if m % 4 == 1 else (m, 0))

@@ -32,7 +32,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
 
-from .arith import divisors, factorize, sqrt_mods, xgcd
+from .arith import factorize, sqrt_mods, xgcd
 from .config import exhausted, resolve_bound
 from .errors import UsageError, ZeroIdealError, check
 from .quadfield import QuadElt, QuadField
@@ -48,7 +48,7 @@ class Order(Value, metaclass=Interned, fields=("field", "f")):
     __slots__ = ("field", "f", "gen_sq")
 
     def __init__(self, field: QuadField, f: int) -> None:
-        super().__init__(field, f)
+        Value.__init__(self, field, f)
         if f < 1:
             raise UsageError(f"conductor must be >= 1, got {str(f)[:24]}")
         r, s = field.omega_sq
@@ -88,7 +88,7 @@ class QIdeal(Value):
     __slots__ = ("order", "a", "d", "e")
 
     def __init__(self, order: Order, a: int, d: int, e: int) -> None:
-        super().__init__(order, a, d, e)
+        Value.__init__(self, order, a, d, e)
         if a <= 0 or e <= 0:
             raise UsageError(f"standard basis needs a, e > 0, got a={a}, e={e}")
         if a % e or d % e:
@@ -150,7 +150,7 @@ class FracIdeal(Value):
         g = math.gcd(math.gcd(num.a, num.d), math.gcd(num.e, den))
         if g > 1:
             num, den = QIdeal(num.order, num.a // g, num.d // g, num.e // g), den // g
-        super().__init__(num, den)
+        Value.__init__(self, num, den)
 
     def __str__(self) -> str:
         return f"({self.num})/{self.den}" if self.den != 1 else str(self.num)
@@ -463,30 +463,27 @@ def is_same_class(lhs: QIdeal, rhs: QIdeal) -> bool:
 
 
 def _class_search_limit(order: Order) -> int:
-    """Every ideal class contains a primitive ideal of norm at most this. A class
-    of key content g = f/f' holds g*q for the primitive forms q of one class of
-    disc D = f'^2*d_K under SL2(Z) and (A, B, C) -> (-A, B, -C), and one has
-    0 < A <= sqrt(|D|/3) if D < 0 (Gauss; Cohen, GTM 138, 5.3) or sqrt(D/5) if
-    D > 0 (Markov, Math. Ann. 15, 1879; Cassels, An Introduction to Diophantine
-    Approximation, ch. II); so a = g*A <= f*sqrt(|d_K|/3) or f*sqrt(d_K/5)."""
-    limit = 1
-    for f_prime in divisors(order.f):
-        d = f_prime * f_prime * abs(order.field.disc_max)
-        window = math.isqrt(d // 3 if order.field.is_imaginary else d // 5) + 1
-        limit = max(limit, (order.f // f_prime) * window)
-    return limit
+    """Every ideal class holds a primitive ideal of norm a at most this. A class of key
+    content g = f/f' holds g*q for the primitive forms q of one class of disc D' = f'^2*d_K,
+    g^2*D' = D = f^2*d_K, under SL2(Z) and (A, B, C) -> (-A, B, -C), and one q has a = g*|A|
+    for |A| its least value: at most sqrt(|D'|/3) if D' < 0 (Gauss; Cohen, GTM 138, 5.3),
+    else 5*sqrt(D'/221) but for D' = 5 or 8, x^2 + xy - y^2 or x^2 - 2y^2 with |A| = 1, a = f
+    (Markov, Math. Ann. 15, 1879; Cassels, Diophantine Approximation, ch. II)."""
+    d = order.disc
+    if d < 0:
+        return math.isqrt(-d // 3)
+    return max(math.isqrt(25 * d // 221), order.f if order.field.disc_max in (5, 8) else 1)
 
 
 def enumerate_ideal_classes(order: Order) -> list[QIdeal]:
     """Representatives of all ideal classes (invertible or not) of the order.
 
     The candidates are the primitive ideals Z*a + Z*(d + f*omega), a up to
-    _class_search_limit by Gauss or Markov (an ideal (a, d, e) is e times the
-    primitive ideal (a/e, d/e, 1) of its class), -a/2 <= d < a/2, with
-    B = 2d + t*f (t the trace of omega) a square root of the discriminant mod
-    4a (Cohen, GTM 138, 5.2). The first ideal of each class_key by ascending
-    (a, d) is kept. A window wider than resolve_bound() is refused before any
-    work, and more candidates than that raise InconclusiveError."""
+    _class_search_limit, about sqrt(|D|/3) by Gauss or sqrt(25*D/221) by Markov (an ideal
+    (a, d, e) is e times the primitive ideal (a/e, d/e, 1) of its class), -a/2 <= d < a/2,
+    with B = 2d + t*f (t the trace of omega) a square root of D mod 4a (Cohen, GTM 138,
+    5.2). The first ideal of each class_key by ascending (a, d) is kept. A window past
+    resolve_bound() is refused before any work, more candidates raise InconclusiveError."""
     return list(_keyed_classes(order).values())
 
 

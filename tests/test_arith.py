@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cuspidal import arith
 from cuspidal.arith import (
     _element_order,
     divisors,
@@ -185,3 +186,21 @@ def test_sqrt_mod_matches_brute_force():
     # a stepped range, as class enumeration asks for the roots mod 4a
     for n, roots in sqrt_mods(-23 * 36, range(4, 2001, 4)):
         assert roots == tables[n].get(-23 * 36 % n, []), n
+
+
+def test_sqrt_mods_solves_each_prime_power_once(monkeypatch):
+    """Every prime power p^k || n of the moduli is solved once per call, though
+    it recurs in many moduli and as a part of their cofactors n/p^k."""
+    solved = []
+
+    def counted(c, p, q, real=arith._sqrt_mod_prime_power):
+        solved.append(q)
+        return real(c, p, q)
+
+    monkeypatch.setattr(arith, "_sqrt_mod_prime_power", counted)
+    for c, moduli in ((-23 * 36, range(4, 4001, 4)), (221, range(1, 2001)),
+                      (-4 * 10000019, range(4, 4 * 3000 + 1, 4))):
+        solved.clear()
+        assert len(list(sqrt_mods(c, moduli))) == len(moduli)
+        powers = {p**k for n in moduli for p, k in factorize(n).items()}
+        assert sorted(solved) == sorted(powers), c

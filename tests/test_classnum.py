@@ -142,12 +142,12 @@ def test_real_class_number_matches_enumeration(m):
     assert class_number_maximal(QuadField(m)).h == len(invertible)
 
 
-@pytest.mark.parametrize("m,forms,h", [(-23, 3, 3), (10, 4, 2)])
+@pytest.mark.parametrize("m,forms,h", [(-23, 3, 3), (145, 7, 4)])
 def test_form_listing_budget_counts_the_forms(monkeypatch, m, forms, h):
     """An imaginary class number's budget counts the reduced forms it counts;
-    a real one's counts the candidates of class enumeration, four for d_K = 40
-    (one each at a = 1, 2 and two at a = 3, Markov's window isqrt(40/5) + 1),
-    with every rho-cycle walk shorter than that."""
+    a real one's counts the candidates of class enumeration, seven for
+    d_K = 145 (one at a = 1 and two each at a = 2, 3, 4, Markov's window
+    isqrt(25*145/221)), with every rho-cycle walk no longer than that."""
     field = QuadField(m)
     search = "reduced forms of discriminant -23" if m < 0 else "class enumeration exceeded"
     class_number_maximal.cache_clear()
@@ -180,9 +180,9 @@ def test_class_numbers_match_the_form_oracles():
 @pytest.mark.parametrize("m", [2, 5, 7, 79, 221, 1009, 10000019])
 def test_real_class_number_sieves_only_markovs_window(monkeypatch, m):
     """A real field's class number sieves the moduli 4a for a up to
-    isqrt(d_K/5) + 1 and none past them."""
+    isqrt(25*d_K/221), or 1 for d_K = 5 and 8, and none past them."""
     field = QuadField(m)
-    top = 4 * (math.isqrt(field.disc_max // 5) + 1)
+    top = 4 * max(math.isqrt(25 * field.disc_max // 221), 1)
     sieved = []
 
     def recorded(c, moduli, real=quadideal.sqrt_mods):

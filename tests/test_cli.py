@@ -558,7 +558,7 @@ def test_selftest_checks_the_class_number_of_each_maximal_order(capsys, monkeypa
 
 
 def test_class_enumeration_refuses_a_window_past_the_budget(capsys, monkeypatch, fresh_memos):
-    """The direct check of cusps at f = 1000003 would search norms up to 3,000,009,
+    """The direct check of cusps at f = 1000003 would search norms up to 2,581,996,
     past the default budget: the command exits 2 before it sieves one modulus."""
     class_number_maximal(QuadField(-5))
 
@@ -568,7 +568,7 @@ def test_class_enumeration_refuses_a_window_past_the_budget(capsys, monkeypatch,
     monkeypatch.setattr(quadideal, "sqrt_mods", sieve)
     code, out, err = _run(capsys, ["cusps", "--m", "-5", "--f", "1000003"])
     assert (code, out) == (2, "")
-    assert err.startswith("inconclusive: class enumeration: the A-window 3000009 of discriminant"
+    assert err.startswith("inconclusive: class enumeration: the A-window 2581996 of discriminant"
                           " -20000120000180 exceeds bound 2000000;")
 
 
@@ -1080,7 +1080,7 @@ def test_an_exhausted_factorization_is_not_kept(fresh_memos, capsys):
 
 # 10^13 + 37 and 10^20 + 39 are prime, past the square and the cube of the default
 # trial division bound: Miller-Rabin proves each cofactor prime, so the searches end;
-# at --bound 1 the prime 5 passes the squarefree test and the A-window of class
+# at --bound 1 the prime 37 passes the squarefree test and the A-window of class
 # enumeration, which gives a real class number, stops the run,
 # and 10^40 + 7 lies past the bound below which the proof is exact
 _PRIME_COFACTORS = {
@@ -1090,8 +1090,8 @@ _PRIME_COFACTORS = {
             "|Pic(Order(m=-1, f=10000000000037))| = 5000000000018  (conductor-formula)\n"),
     "ideal-norm": (["ideal", "norm", "--m", "100000000000000000039", "--gens", "1"], 0,
                    "norm = 1\n"),
-    "a-window": (["pic", "--m", "5", "--bound", "1"], 2,
-                 "inconclusive: class enumeration: the A-window 2 of discriminant 5 exceeds"
+    "a-window": (["pic", "--m", "37", "--bound", "1"], 2,
+                 "inconclusive: class enumeration: the A-window 2 of discriminant 37 exceeds"
                  " bound 1; raise it with --bound or CUSPIDAL_BOUND\n"),
     "past-the-proof": (["ideal", "norm", "--m", str(10**40 + 7), "--gens", "1"], 2,
                        "inconclusive: squarefree test: trial division up to 2000000 leaves a"

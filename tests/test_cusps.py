@@ -79,11 +79,11 @@ def test_contributions_are_positive_integers():
 
 
 def test_bound_exhaustion_is_reported(monkeypatch):
-    # h_K of Q(sqrt(7)) searches Markov's window isqrt(28/5) + 1 = 3, past the budget
-    order = Order(QuadField(7), 5)
+    # h_K of Q(sqrt(23)) searches Markov's window isqrt(25*92/221) = 3, past the budget
+    order = Order(QuadField(23), 5)
     class_number_maximal.cache_clear()
     picard_order.cache_clear()
     monkeypatch.setenv("CUSPIDAL_BOUND", "2")
     with pytest.raises(InconclusiveError, match="^class enumeration: the A-window 3 of"
-                       " discriminant 28 exceeds bound 2; raise it with CUSPIDAL_BOUND$"):
+                       " discriminant 92 exceeds bound 2; raise it with CUSPIDAL_BOUND$"):
         cusp_count(order)

@@ -511,23 +511,32 @@ def _search_same_class(lhs, rhs):
     )
 
 
-def _search_limit(order, real_divisor):
-    """f/f' times isqrt(|D|/3) + 1 if D < 0, or isqrt(D/real_divisor) + 1 if
-    D > 0, maximised over the discriminants D = f'^2*d_K of the f' | f. The
-    enumeration oracles take real_divisor = 1, the loose limit, which needs
-    no Markov bound: reduced forms have |A| < sqrt(D) when D > 0."""
+def _loose_limit(order):
+    """f/f' times isqrt(|D|/3) + 1 if D < 0, or isqrt(D) + 1 if D > 0,
+    maximised over the discriminants D = f'^2*d_K of the f' | f: the limit of
+    the enumeration oracles, which needs no Markov bound, as reduced forms
+    have |A| < sqrt(D) when D > 0."""
     limit = 1
     for f_prime in divisors(order.f):
         d = f_prime * f_prime * abs(order.field.disc_max)
-        window = math.isqrt(d // 3 if order.field.is_imaginary else d // real_divisor) + 1
+        window = math.isqrt(d // 3 if order.field.is_imaginary else d) + 1
         limit = max(limit, (order.f // f_prime) * window)
     return limit
+
+
+def _markov_limit(order):
+    """The library's documented search limit on D = f^2*d_K: isqrt(|D|/3) if
+    D < 0, isqrt(25*D/221) if D > 0, raised to f when d_K is 5 or 8."""
+    disc = order.disc
+    if disc < 0:
+        return math.isqrt(-disc // 3)
+    return max(math.isqrt(25 * disc // 221), order.f if order.field.disc_max in (5, 8) else 0)
 
 
 def _pairwise_classes(order):
     """Class enumeration by pairwise search: each candidate of the library's
     loop, up to the loose limit, against every class found so far."""
-    limit = _search_limit(order, 1)
+    limit = _loose_limit(order)
     reps = []
     for a in range(1, limit + 1):
         for e in divisors(a):
@@ -617,7 +626,7 @@ def _scan_classes(order: Order) -> list[QIdeal]:
     the ordering (norm, a, d, e), so the output is deterministic.
     """
     budget = resolve_bound()
-    limit = _search_limit(order, 1)
+    limit = _loose_limit(order)
     t, r = order.field.omega_trace, order.field.omega_sq[0]
     reps: dict[tuple[int, QuadForm], QIdeal] = {}
     candidates = 0
@@ -657,9 +666,9 @@ def test_enumeration_matches_the_full_standard_basis_scan(m, f):
 
 def _primitive_ideal_count(order):
     """Primitive ideals (a, d, 1) with a up to the library's documented search
-    limit, Markov's sqrt(D/5) in real fields, by trial."""
+    limit, by trial."""
     count = 0
-    for a in range(1, _search_limit(order, 5) + 1):
+    for a in range(1, _markov_limit(order) + 1):
         for d in range(-(a // 2), (a + 1) // 2):
             try:
                 QIdeal(order, a, d, 1)
@@ -687,7 +696,7 @@ def _loose_classes(order):
     class_key of its QIdeal by ascending (a, d)."""
     disc, tf = order.disc, order.field.omega_trace * order.f
     reps = {}
-    for n, roots in sqrt_mods(disc, range(4, 4 * _search_limit(order, 1) + 1, 4)):
+    for n, roots in sqrt_mods(disc, range(4, 4 * _loose_limit(order) + 1, 4)):
         a = n // 4
         for d in sorted({((r - tf) // 2 + a // 2) % a - a // 2 for r in roots}):
             ideal = QIdeal(order, a, d, 1)
@@ -700,24 +709,64 @@ def _loose_classes(order):
 @example(221, 1)
 @example(1517, 1)
 def test_markov_window_misses_no_real_class(m, f):
-    """Real fields search a <= f*sqrt(d_K/5) + f; the loose window
-    f*sqrt(d_K) + f finds no class that it misses, and the same first ideal
-    of each. 221 and 1517 are 9k^2 - 4 for the Markov numbers k = 5, 13:
-    their Markov forms take no value below k, about sqrt(d_K/9)."""
+    """Real fields search a <= f*sqrt(25*d_K/221), or a <= f for d_K = 5, 8;
+    the loose window f*sqrt(d_K) + f finds no class that it misses, and the
+    same first ideal of each. 221 and 1517 are 9k^2 - 4 for the Markov numbers
+    k = 5, 13: their Markov forms take no value below k, about sqrt(d_K/9)."""
     order = Order(QuadField(m), f)
     assert enumerate_ideal_classes(order) == _loose_classes(order)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(5, 200_000).filter(lambda n: n % 4 in (0, 1) and math.isqrt(n) ** 2 != n))
+@example(5)
+@example(8)
+@example(221)
 def test_every_cycle_pair_holds_a_form_within_markovs_bound(disc):
-    """Each class of reduced forms under SL2(Z) and (A, B, C) -> (-A, B, -C)
-    has a form with |A| <= sqrt(disc/5) (Markov)."""
+    """Each class of primitive reduced forms under SL2(Z) and (A, B, C) ->
+    (-A, B, -C) has a form with |A| <= 5*sqrt(disc/221) (Markov), but for the
+    one class of disc 5 and of disc 8, where the least |A| is 1."""
     least: dict[QuadForm, int] = {}
     for form in reduced_forms(disc):
         canon = canonical_form(form)
         least[canon] = min(least.get(canon, abs(form.A)), abs(form.A))
-    assert max(least.values()) <= math.isqrt(disc // 5)
+    assert max(least.values()) <= (1 if disc in (5, 8) else math.isqrt(25 * disc // 221))
+
+
+def test_markovs_window_is_tight_at_221(monkeypatch):
+    """The second class of Q(sqrt(221)) is that of the Markov form
+    5x^2 + 11xy - 5y^2, which takes no value below 5 = isqrt(25*221/221): the
+    window finds it at a = 5, and a window one narrower loses it."""
+    order = Order(QuadField(221), 1)
+    assert quadideal._class_search_limit(order) == _markov_limit(order) == 5
+    assert [rep.a for rep in enumerate_ideal_classes(order)] == [1, 5]
+    monkeypatch.setattr(quadideal, "_class_search_limit", lambda order: 4)
+    assert [rep.a for rep in enumerate_ideal_classes(order)] == [1]
+
+
+@pytest.mark.parametrize("m", [5, 2])
+def test_markovs_first_two_forms_raise_the_window_to_the_conductor(m):
+    """d_K = 5 and 8 hold x^2 + xy - y^2 and x^2 - 2y^2, whose least value 1
+    exceeds 5*sqrt(d_K/221): the one class of content f, f times that form, has
+    no ideal of norm below f, and the window is raised to f to find it there."""
+    for f in range(1, 13):
+        order = Order(QuadField(m), f)
+        assert quadideal._class_search_limit(order) == _markov_limit(order) == f
+        assert math.isqrt(25 * order.disc // 221) < f
+        (rep,) = [rep for (g, _), rep in quadideal._keyed_classes(order).items() if g == f]
+        assert rep.a == f, f
+
+
+def test_enumeration_keys_match_the_loose_scan_on_small_fields():
+    """On every squarefree 2 <= |m| < 200 and f <= 6, the Gauss and Markov
+    windows find the keys of the loose scan, with the same first ideal of each."""
+    for m in range(-199, 200):
+        if m in (0, 1) or not is_squarefree(m):
+            continue
+        for f in range(1, 7):
+            order = Order(QuadField(m), f)
+            scanned = [(class_key(rep), rep) for rep in _scan_classes(order)]
+            assert list(quadideal._keyed_classes(order).items()) == scanned, (m, f)
 
 
 def test_each_rho_cycle_is_walked_once_per_session(monkeypatch):
