@@ -15,7 +15,7 @@ from cuspidal import (
     curve_unit_group_order,
     parse_curve_poly,
 )
-from cuspidal.oracles import conductor_h_solver, curve_unit_group_brute
+from cuspidal.oracles import curve_unit_group_brute
 
 
 def show(field: CoeffField, n: int, texts: list[str]) -> None:
@@ -24,11 +24,7 @@ def show(field: CoeffField, n: int, texts: list[str]) -> None:
     print(f"I = <{'; '.join(texts)}> in {field.name}[x^2, x^{n}]")
     print(f"  content {ideal.content},  p = {ideal.p},  q = {ideal.q},  nu = {ideal.nu}")
     print(f"  multiplier ring {curve_multiplier_ring(ideal)}")
-    fitting = curve_fitt1(ideal)
-    print(f"  Fitt_1 = {fitting}")
-    _, min_val = conductor_h_solver(field, n, ideal.p, ideal.q)
-    assert min_val == fitting.exponent
-    print(f"  colon-solver minimal valuation {min_val} confirms the exponent")
+    print(f"  Fitt_1 = {curve_fitt1(ideal)}")
     print()
 
 

@@ -27,8 +27,7 @@ _EXPORTS = {
     "genpairs": ("DetClass", "GenPair", "GenVec", "UnimodularWitness", "det_pair",
                  "epsilon_subgroup", "orbit_count_gl2", "orbit_count_sl2_mod_units",
                  "realize_det_class", "reduce_vector", "sl2_witness"),
-    "oracles": ("brute_force_pic", "conductor_h_solver", "curve_unit_group_brute",
-                "cusp_count_direct"),
+    "oracles": ("brute_force_pic", "curve_unit_group_brute", "cusp_count_direct"),
     "quadfield": ("QuadElt", "QuadField", "parse_element"),
     "quadideal": ("FracIdeal", "Order", "QIdeal", "QuadForm", "associated_form", "class_key",
                   "enumerate_ideal_classes", "fitt1", "ideal_from_generators",

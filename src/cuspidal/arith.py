@@ -1,4 +1,5 @@
-"""Small number-theoretic helpers on plain integers."""
+"""Small number-theoretic helpers on plain integers, and det_int, the library's one
+square elimination: the SL_n witnesses of genpairs and the curve unit oracle read it."""
 
 from __future__ import annotations
 
@@ -126,6 +127,32 @@ def primitive_part(vec: list[int]) -> list[int]:
     return [x // g for x in vec] if g > 1 else vec
 
 
+def det_int(rows: list[list[int]]) -> int:
+    """Determinant by fraction-free (Bareiss) elimination, over Z or, for QuadElt
+    entries, over the maximal order, where // is the exact quotient
+    x*sigma(y)/N(y): each division is by the previous pivot, a minor that divides."""
+    n = len(rows)
+    assert all(len(r) == n for r in rows)
+    if n == 0:
+        return 1
+    work = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not work[k][k]:
+            swap = next((i for i in range(k + 1, n) if work[i][k]), None)
+            if swap is None:
+                return 0
+            work[k], work[swap] = work[swap], work[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                work[i][j] = (work[i][j] * work[k][k] - work[i][k] * work[k][j]) // prev
+            work[i][k] = 0
+        prev = work[k][k]
+    return sign * work[n - 1][n - 1]
+
+
 def _sqrt_mod_prime_power(c: int, p: int, q: int) -> list[int]:
     """All roots of x^2 = c mod q = p^k. Mod p the root is c mod p when p = 2 or
     p | c, and otherwise comes from Tonelli-Shanks (Cohen, GTM 138, Alg.
@@ -154,19 +181,23 @@ def _sqrt_mod_prime_power(c: int, p: int, q: int) -> list[int]:
 
 def sqrt_mods(c: int, moduli: range) -> Iterator[tuple[int, list[int]]]:
     """(n, the x in [0, n) with x^2 = c mod n, ascending) for each n in `moduli`, a
-    range of positive integers. A least-prime-factor sieve splits n into q = p^k || n,
-    p its least prime, and n/q; the roots mod n are the CRT combinations of those mod
-    n/q and mod q, memoised for the q and n/q alone, so each prime power is solved once."""
+    range of positive integers. n splits into q = p^k || n, p its least prime, and n/q;
+    the roots mod n are the CRT combinations of those mod n/q and mod q, memoised for
+    the q and n/q alone, so each prime power is solved once. An even n takes p = 2; an
+    odd one reads p from a sieve of odd primes, which reaches only the odd parts: each
+    is at most top / 2^v when 2^v divides every modulus, as 4 divides class enumeration's 4a."""
     top = moduli[-1] if moduli else 1
-    spf = [0] * (top + 1)  # least prime factors, 0 for primes: the last mark wins
-    for p in range(math.isqrt(top), 1, -1):
-        spf[p * p :: p] = [p] * len(range(p * p, top + 1, p))
+    g = math.gcd(moduli.start, moduli.step)
+    top >>= (g & -g).bit_length() - 1
+    spf = [0] * (top + 1)  # least prime factors of odd n, 0 for primes: the last mark wins
+    for p in range(math.isqrt(top) | 1, 1, -2):
+        spf[p * p :: 2 * p] = [p] * len(range(p * p, top + 1, 2 * p))
     memo: dict[int, list[int]] = {1: [0]}
 
     def roots(n: int, keep: bool = True) -> list[int]:
         out = memo.get(n)
         if out is None:
-            p = q = spf[n] or n
+            p = q = 2 if n % 2 == 0 else spf[n] or n
             while n // q % p == 0:
                 q *= p
             rest = n // q

@@ -19,7 +19,7 @@ certified on the spot by errors.check:
     and h*q in C. Any h with hq in R has even part of valuation >= k, and
     hp in R bounds its odd part: (R : I) = R*h* + C, and since I*C = C,
     Fitt_1 = I*(R : I) = t^k*K[t] + C.
-The dense elimination these replace is kept in cuspidal.oracles.
+The dense elimination these replace is kept as a test oracle, tests/span_oracle.py.
 """
 
 from __future__ import annotations

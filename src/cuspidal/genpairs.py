@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from .arith import _element_order, euler_phi
+from .arith import _element_order, det_int, euler_phi
 from .errors import UsageError, check
 from .quadfield import QuadElt
 from .quadideal import (
@@ -262,32 +262,6 @@ def orbit_count_gl2(order: Order, f_prime: int) -> int:
         size *= 2
     check(total % size == 0, "the unit image of order {} does not divide phi = {}", size, total)
     return total // size
-
-
-def det_int(rows: list[list[int]]) -> int:
-    """Determinant by fraction-free (Bareiss) elimination, over Z or, for QuadElt
-    entries, over the maximal order, where // is the exact quotient
-    x*sigma(y)/N(y): each division is by the previous pivot, a minor that divides."""
-    n = len(rows)
-    assert all(len(r) == n for r in rows)
-    if n == 0:
-        return 1
-    work = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not work[k][k]:
-            swap = next((i for i in range(k + 1, n) if work[i][k]), None)
-            if swap is None:
-                return 0
-            work[k], work[swap] = work[swap], work[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                work[i][j] = (work[i][j] * work[k][k] - work[i][k] * work[k][j]) // prev
-            work[i][k] = 0
-        prev = work[k][k]
-    return sign * work[n - 1][n - 1]
 
 
 def reduce_vector(vec: GenVec) -> tuple[GenPair, UnimodularWitness]:

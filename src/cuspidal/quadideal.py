@@ -364,23 +364,21 @@ def _fitt1(ideal: QIdeal, f_prime: int) -> QIdeal:
 
 def _reduce_definite(A: int, B: int, C: int) -> QuadForm:
     """Gauss reduction of a positive definite form: |B| <= A <= C, B >= 0 when
-    |B| = A or A = C. It is the unique reduced form of its SL2(Z) class."""
+    |B| = A or A = C. It is the unique reduced form of its SL2(Z) class. The
+    first rho step, from (C, -B, A), only brings B into (-A, A]."""
     disc = B * B - 4 * A * C
-    while True:
-        B %= 2 * A
-        if B > A:
-            B -= 2 * A
-        C = (B * B - disc) // (4 * A)
-        if A <= C:
-            break
-        A, B, C = C, -B, A
-    return QuadForm(A, -B, C) if A == C and B < 0 else QuadForm(A, B, C)
+    q = _rho((C, -B, A), disc, -1)
+    while q.A > q.C:
+        q = _rho(q, disc, -1)
+    return QuadForm(q.A, -q.B, q.C) if q.A == q.C and q.B < 0 else q
 
 
 def _rho(form: tuple[int, int, int], disc: int, s: int) -> QuadForm:
     """Cohen's rho for disc > 0 non-square with s = isqrt(disc): the equivalent
     form (C, r, (r^2 - disc)/(4C)) with r = -B mod 2|C| in the window
-    (-|C|, |C|] when |C| > sqrt(disc), (sqrt(disc) - 2|C|, sqrt(disc)) otherwise."""
+    (-|C|, |C|] when |C| > sqrt(disc), (sqrt(disc) - 2|C|, sqrt(disc)) otherwise.
+    For disc < 0 and s = -1 every |C| is past s, r lands in (-|C|, |C|], and
+    rho is the step of Gauss reduction of a definite form."""
     _, B, C = form
     c = abs(C)
     if c > s:

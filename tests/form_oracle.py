@@ -1,11 +1,12 @@
-"""Listings and counts of reduced binary quadratic forms, kept as test oracles.
+"""Reductions, listings and counts of binary quadratic forms, kept as test oracles.
 
 The library finds h_K without listing forms: a real field counts the classes
 that class enumeration finds over Markov's window, and an imaginary field
 counts its reduced definite forms as it sieves them. The full listing below,
 with A up to sqrt(|disc|/3) or sqrt(disc), is the route it took before, and
 reduced_form_count is a plain double loop over (B, A) with no square roots
-mod 4A. Neither draws on a search budget.
+mod 4A. Neither draws on a search budget. gauss_reduce is Gauss's loop for
+definite forms, the reference for the library's reduction by rho steps.
 """
 
 import math
@@ -61,3 +62,18 @@ def reduced_form_count(disc: int) -> int:
             a += 1
         b += 2
     return count
+
+
+def gauss_reduce(A: int, B: int, C: int) -> QuadForm:
+    """Gauss reduction of a positive definite form: |B| <= A <= C, B >= 0 when
+    |B| = A or A = C, by the loop B -> B mod 2A, (A, B, C) -> (C, -B, A)."""
+    disc = B * B - 4 * A * C
+    while True:
+        B %= 2 * A
+        if B > A:
+            B -= 2 * A
+        C = (B * B - disc) // (4 * A)
+        if A <= C:
+            break
+        A, B, C = C, -B, A
+    return QuadForm(A, -B, C) if A == C and B < 0 else QuadForm(A, B, C)

@@ -31,12 +31,7 @@ from cuspidal.genpairs import (
     reduce_vector,
     sl2_witness,
 )
-from cuspidal.oracles import (
-    brute_force_pic,
-    conductor_h_solver,
-    curve_unit_group_brute,
-    cusp_count_direct,
-)
+from cuspidal.oracles import brute_force_pic, curve_unit_group_brute, cusp_count_direct
 from cuspidal.quadfield import QuadField
 from cuspidal.quadideal import (
     Order,
@@ -50,6 +45,7 @@ from cuspidal.quadideal import (
 )
 from cuspidal.units import fundamental_unit
 from form_oracle import reduced_form_count
+from span_oracle import conductor_h_solver
 from test_curvering import _module_basis
 
 TWELVE_FIELDS = (-1, -2, -3, -5, -7, -11, -15, 2, 3, 5, 6, 7)

@@ -166,12 +166,16 @@ def _squares_table(n):
 
 def test_sqrt_mod_matches_brute_force():
     tables = {n: _squares_table(n) for n in range(1, 2001)}
+    tables.update((n, _squares_table(n)) for n in range(2004, 4001, 4))
     # one c against every modulus n <= 2000: zero, squares, discriminants,
-    # c with many small prime factors, and c that are non-residues mod many n
-    for c in (0, 1, 144, 12345**2, -3, -4, -23, -4 * 10000019, 1000003, 3 * 2**9, 2 * 7**3,
-              2**7 * 3**4 * 5**3 * 7**2 * 11):
-        for n, roots in sqrt_mods(c, range(1, 2001)):
-            assert roots == tables[n].get(c % n, []), (c, n)
+    # c with many small prime factors, and c that are non-residues mod many n;
+    # then against even steps, whose power of 2 shrinks the sieve to the odd parts
+    cs = (0, 1, 144, 12345**2, -3, -4, -23, -4 * 10000019, 1000003, 3 * 2**9, 2 * 7**3,
+          2**7 * 3**4 * 5**3 * 7**2 * 11)
+    for moduli in (range(1, 2001), range(2, 2001, 2), range(8, 4001, 8), range(12, 3001, 12)):
+        for c in cs:
+            for n, roots in sqrt_mods(c, moduli):
+                assert roots == tables[n].get(c % n, []), (c, n)
     # per modulus: a non-residue and values sharing the least prime p of n
     for n in range(2, 2001):
         p = min(factorize(n))

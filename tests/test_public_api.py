@@ -39,7 +39,6 @@ PUBLIC_NAMES = [
     "brute_force_pic",
     "class_key",
     "class_number_maximal",
-    "conductor_h_solver",
     "curve_fitt1",
     "curve_ideal_from_generators",
     "curve_multiplier_ring",
@@ -165,6 +164,11 @@ def test_the_command_line_loads_only_the_quadratic_core():
 def test_a_curve_command_loads_no_quadratic_operation():
     loaded = _loaded_after(_mains(["curve", "reduce", "--n", "5", "--gens", "1; x^3"]))
     assert loaded == _CORE | _CURVE_STACK
+    assert not loaded & {"genpairs", "units", "classnum", "cusps"}
+    # the unit count's exhaustive check finds det_int in arith, not in genpairs
+    loaded = _loaded_after(_mains(["curve", "units", "--n", "11", "--field", "f5",
+                                   "--gens", "1; x^5"]))
+    assert loaded == _CORE | _CURVE_STACK | {"oracles"}
     assert not loaded & {"genpairs", "units", "classnum", "cusps"}
 
 

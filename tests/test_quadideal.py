@@ -30,7 +30,7 @@ from cuspidal.quadideal import (
     multiplier_conductor,
 )
 from cuspidal.units import fundamental_unit
-from form_oracle import reduced_forms
+from form_oracle import gauss_reduce, reduced_forms
 from test_arith import isqrt_ceil
 from test_hnf_oracle import _colon_by_one_kernel, hnf_columns
 
@@ -967,6 +967,25 @@ def test_canonical_form_is_constant_on_classes(disc, data):
     assert canonical_form(moved) == canonical_form(form) in forms
     if disc > 0:
         assert canonical_form(QuadForm(-form.A, form.B, -form.C)) == canonical_form(form)
+
+
+@st.composite
+def _definite_forms(draw):
+    """A positive definite form (A, B, C), primitive or not, B^2 < 4AC."""
+    A = draw(st.integers(1, 10**12))
+    C = draw(st.integers(1, 10**12))
+    top = math.isqrt(4 * A * C - 1)
+    return A, draw(st.integers(-top, top)), C
+
+
+@settings(max_examples=500, deadline=None)
+@given(_definite_forms())
+@example((1, 1, 1))
+@example((2, -2, 3))
+@example((3, -2, 3))
+@example((10**12, 2 * 10**12 - 1, 10**12))
+def test_rho_steps_reduce_a_definite_form_as_gausss_loop_does(form):
+    assert quadideal._reduce_definite(*form) == gauss_reduce(*form)
 
 
 def _reduced_by_rho_steps(form):
