@@ -182,10 +182,12 @@ def _sqrt_mod_prime_power(c: int, p: int, q: int) -> list[int]:
 def sqrt_mods(c: int, moduli: range) -> Iterator[tuple[int, list[int]]]:
     """(n, the x in [0, n) with x^2 = c mod n, ascending) for each n in `moduli`, a
     range of positive integers. n splits into q = p^k || n, p its least prime, and n/q;
-    the roots mod n are the CRT combinations of those mod n/q and mod q, memoised for
-    the q and n/q alone, so each prime power is solved once. An even n takes p = 2; an
-    odd one reads p from a sieve of odd primes, which reaches only the odd parts: each
-    is at most top / 2^v when 2^v divides every modulus, as 4 divides class enumeration's 4a."""
+    the roots mod n are the CRT combinations of those mod n/q and mod q, so each prime
+    power is solved once. An even n takes p = 2; an odd one reads p from a sieve of odd
+    primes, which reaches only the odd parts: each is at most top / 2^v when 2^v divides
+    every modulus, as 4 divides class enumeration's 4a. Only the roots a later modulus can
+    read are memoised: those mod a power of 2, and mod an odd n with 2n <= top, since n's
+    readers are the moduli 2^j*n and the odd parts q'*n, q' >= 3."""
     top = moduli[-1] if moduli else 1
     g = math.gcd(moduli.start, moduli.step)
     top >>= (g & -g).bit_length() - 1
@@ -194,7 +196,7 @@ def sqrt_mods(c: int, moduli: range) -> Iterator[tuple[int, list[int]]]:
         spf[p * p :: 2 * p] = [p] * len(range(p * p, top + 1, 2 * p))
     memo: dict[int, list[int]] = {1: [0]}
 
-    def roots(n: int, keep: bool = True) -> list[int]:
+    def roots(n: int) -> list[int]:
         out = memo.get(n)
         if out is None:
             p = q = 2 if n % 2 == 0 else spf[n] or n
@@ -202,13 +204,13 @@ def sqrt_mods(c: int, moduli: range) -> Iterator[tuple[int, list[int]]]:
                 q *= p
             rest = n // q
             if rest == 1:
-                out = memo[n] = _sqrt_mod_prime_power(c, p, q)
+                out = _sqrt_mod_prime_power(c, p, q)
             else:
                 inv = pow(rest, -1, q)
                 out = [x + rest * ((y - x) * inv % q) for x in roots(rest) for y in roots(q)]
-                if keep:
-                    memo[n] = out
+            if (q == n) if p == 2 else (2 * n <= top):
+                memo[n] = out
         return out
 
     for n in moduli:
-        yield n, sorted(roots(n, keep=False))
+        yield n, sorted(roots(n))

@@ -7,7 +7,9 @@ the rationals a Fraction, as coeff, CoeffField.coerce, parse_scalar and
 all_elements return them. The gcd over Q is Brown's modular gcd (von zur
 Gathen and Gerhard, Modern Computer Algebra, ch. 6), certified on every call:
 it divides each input exactly, and has the degree of the gcd modulo a prime
-dividing no leading coefficient, which bounds every common divisor's."""
+dividing no leading coefficient, which bounds every common divisor's. It runs
+on two kernels: _rem_mod, Euclid's remainder mod p without the quotient that
+_pseudo_divmod builds, and _exact_quotient, the certifying exact division."""
 
 from __future__ import annotations
 
@@ -60,9 +62,11 @@ class CoeffField(Value):
         tok = text.strip()  # plain integers are read with int(), the rest with Fraction
         exp = re.search(r"[eE][+-]?([0-9_]+)$", tok)  # Fraction builds 10^e: refuse a large e
         digits = exp[1].replace("_", "").lstrip("0") if exp else ""
-        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+        if len(digits) > _EXPONENT_DIGITS or int(digits or 0) > MAX_EXPONENT:
             raise UsageError(f"the exponent of {text[:24]!r} exceeds the limit {MAX_EXPONENT}")
         try:
+            if not tok.isascii():  # Fraction() reads any Unicode digit; the grammar reads ASCII
+                raise ValueError(f"Invalid literal for Fraction: {tok!r}")
             return self.coerce(int(tok) if re.fullmatch(r"[+-]?[0-9]+", tok) else Fraction(tok))
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad scalar {text[:24]!r}: {exc}") from None
@@ -72,7 +76,7 @@ class CoeffField(Value):
         name = text.strip().lower()
         if name in ("rational", "rationals", "q"):
             return CoeffField(0)
-        if re.fullmatch(r"f?\d+", name) and int(name.lstrip("f")):
+        if re.fullmatch(r"f?[0-9]+", name) and int(name.lstrip("f")):
             return CoeffField(int(name.lstrip("f")))
         raise UsageError(f"unknown coefficient field {text[:24]!r} (use 'rational' or 'f<p>')")
 
@@ -244,18 +248,44 @@ def _pseudo_divmod(a, b, p: int) -> tuple[list[int], list[int], int]:
     return quot, rem, s
 
 
+def _rem_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """The remainder of a by b mod p, as residues without trailing zeros: the remainder
+    of _pseudo_divmod(a, b, p) without its quotient. a and b are residues in [0, p) and
+    b's lead is nonzero. Each step pops a's top coefficient c and adds -c/lead(b) times
+    b's tail to the deg b coefficients below it; the last step also reduces them mod p,
+    so no coefficient is reduced twice."""
+    db, tail, rem = len(b) - 1, b[:-1], list(a)
+    neg_inv = p - pow(b[-1], -1, p)
+    for k in range(len(a) - 1 - db, 0, -1):
+        if f := rem.pop() * neg_inv % p:
+            rem[k:] = [x + f * y for x, y in zip(rem[k:], tail)]
+    if len(rem) > db:
+        f = rem.pop() * neg_inv % p
+        rem = [(x + f * y) % p for x, y in zip(rem, tail)]
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem
+
+
 def _exact_quotient(a: list[int], b: list[int], p: int) -> list[int] | None:
-    """a / b if b divides a over Z (p = 0) or, for monic b, mod p; else None. Over Z a
-    quotient coefficient past Mignotte's bound 2^deg*|a|_2 for factors of a stops it."""
-    db, rem, quot, tail = len(b) - 1, list(a), [], b[:-1]
-    limit = 2 * len(a) + max(map(abs, a)).bit_length()
-    for k in range(len(a) - 1, db - 1, -1):
-        f, r = divmod(rem[k] % p if p else rem[k], b[-1])
+    """a / b if b divides a over Z (p = 0) or, for monic b, mod p; else None. Each step
+    pops a's top coefficient, divides it by lead(b) into the preallocated quotient and
+    subtracts that multiple of b's tail from the deg b coefficients below it. Over Z a
+    quotient coefficient past Mignotte's bound 2^deg*|a|_2 for factors of a stops it;
+    mod p none passes p, the bound of a residue."""
+    db, tail, rem = len(b) - 1, b[:-1], list(a)
+    if len(a) <= db:
+        return None
+    quot = [0] * (len(a) - db)
+    limit = p.bit_length() if p else 2 * len(a) + max(map(abs, a)).bit_length()
+    for k in range(len(quot) - 1, -1, -1):
+        f, r = divmod(rem.pop() % p if p else rem.pop(), b[-1])
         if r or f.bit_length() > limit:
             return None
-        rem[k - db:k] = [x - f * y for x, y in zip(rem[k - db:k], tail)]
-        quot.append(f)
-    return quot[::-1] if len(a) > db and not any(x % p if p else x for x in rem[:db]) else None
+        if f:
+            rem[k:] = [x - f * y for x, y in zip(rem[k:], tail)]
+        quot[k] = f
+    return None if any(x % p if p else x for x in rem) else quot
 
 
 @cache
@@ -272,7 +302,8 @@ def gcd_cofactors(polys: list[CurvePoly]) -> tuple[CurvePoly, list[CurvePoly]]:
     """(c, [g / c for g in polys]), c the monic gcd (zero if every g is). With A_i the
     primitive parts and b the gcd of their leads, b*gcd(A_i)/lead is b times Euclid's monic
     gcd mod any prime dividing no lead, unless that gcd has too high a degree (dropped). Over
-    F_p the prime is p; over Q images join by CRT until the primitive lift divides every A_i."""
+    F_p the prime is p; over Q images join by CRT until the primitive lift divides every A_i.
+    Euclid runs on _rem_mod and the division test on _exact_quotient."""
     field, char = polys[0].field, polys[0].field.char
     live = [g for g in polys if g.nums]
     if not live:
@@ -288,7 +319,7 @@ def gcd_cofactors(polys: list[CurvePoly]) -> tuple[CurvePoly, list[CurvePoly]]:
         for y in rows[1:]:
             y = [v % p for v in y]
             while y:
-                x, y = y, _pseudo_divmod(x, y, p)[1]
+                x, y = y, _rem_mod(x, y, p)
         if len(x) < len(crt):  # every earlier image had too high a degree
             crt, modulus = [0] * len(x), 1
         if len(x) > len(crt):
@@ -305,9 +336,11 @@ def gcd_cofactors(polys: list[CurvePoly]) -> tuple[CurvePoly, list[CurvePoly]]:
     return CurvePoly.from_ints(field, c, c[-1]), [next(cofactors) if g.nums else g for g in polys]
 
 
-_POLY_TERM_RE = re.compile(
-    r"^(?P<coeff>[+-]?[0-9/]*)\s*(?:(?P<star>\*)?\s*x(?:\^(?P<exp>\d+))?)?$"
+_POLY_CHUNK_RE = re.compile(r"[+-]?[^+-]+")
+_POLY_TERM_RE = re.compile(  # an exponent's leading zeros stay out of its group
+    r"^(?P<coeff>[+-]?[0-9/]*)\s*(?:(?P<star>\*)?\s*(?P<x>x)(?:\^0*(?P<exp>[0-9]+))?)?$"
 )
+_EXPONENT_DIGITS = len(str(MAX_EXPONENT))
 
 
 def parse_curve_poly(field: CoeffField, text: str) -> CurvePoly:
@@ -320,21 +353,21 @@ def parse_curve_poly(field: CoeffField, text: str) -> CurvePoly:
         values = [field.parse_scalar(tok) for tok in inner.split(",")] if inner else []
         return CurvePoly.from_coeffs(field, values)
     compact = body.replace(" ", "")
-    chunks = re.findall(r"[+-]?[^+-]+", compact)
+    chunks = _POLY_CHUNK_RE.findall(compact)
     if not chunks or "".join(chunks) != compact:
         raise UsageError(f"cannot parse polynomial {text[:24]!r}")
     terms: dict[int, int | Fraction] = {}
     for chunk in chunks:
-        match, has_x = _POLY_TERM_RE.match(chunk), "x" in chunk
-        raw, star, digits = match.groups() if match else ("", None, None)
-        if not match or (star or not has_x) and not raw.strip("+-"):
+        match = _POLY_TERM_RE.match(chunk)
+        raw, star, x, digits = match.groups() if match else ("", None, None, None)
+        if not match or (star or not x) and not raw.strip("+-"):
             raise UsageError(f"bad polynomial term {chunk[:24]!r} in {text[:24]!r}")
         try:  # int() reads ints (a bare sign as 1); parse_scalar fractions and int()'s errors
             scalar = field.parse_scalar(raw) if "/" in raw else int(raw + "1" * (raw in "+-"))
         except ValueError:
             scalar = field.parse_scalar(raw)
-        digits = (digits or "1").lstrip("0") or "0" if has_x else "0"
-        if len(digits) > len(str(MAX_EXPONENT)) or (exp := int(digits)) > MAX_EXPONENT:
+        digits = digits or ("1" if x else "0")
+        if len(digits) > _EXPONENT_DIGITS or (exp := int(digits)) > MAX_EXPONENT:
             raise UsageError(f"the exponent of {chunk[:24]!r} exceeds the limit {MAX_EXPONENT}")
         terms[exp] = terms.get(exp, 0) + scalar
     nums = [terms.get(e, 0) for e in range(max(terms) + 1)]  # ints unless a '/' was read

@@ -153,7 +153,7 @@ class QuadElt(Value):
 _TERM_RE = re.compile(
     r"""^(?P<sign>[+-]?)
         (?:
-            (?P<coeff>\d+(?:/\d+)?)(?:\*(?P<sym1>[ws]))?
+            (?P<coeff>[0-9]+(?:/[0-9]+)?)(?:\*(?P<sym1>[ws]))?
           | (?P<sym2>[ws])
         )$""",
     re.VERBOSE,

@@ -7,8 +7,9 @@ nu = (n-1)/2, over Q at n = 241, 481, 961, 2001 and over F_101 at n = 2001,
 and the non-monic pair '1 + 100000*x^2 + x; x^(n-1)' over Q at n = 1001, 2001.
 Each row runs `curve reduce ... --json` once through cli.main in this process,
 with no limit on printing an int (p's coefficients reach 5,000 digits at
-n = 2001), checks exit 0 and prints the seconds. Point PYTHONPATH at the src/
-of another checkout to time that one on the same inputs.
+n = 2001), and prints the seconds and the exit code; the script exits 1 when
+any row does not exit 0. Point PYTHONPATH at the src/ of another checkout to
+time that one on the same inputs.
 """
 
 import contextlib
@@ -36,8 +37,9 @@ def rows():
         yield f"non-monic rational n={n}", n, "rational", f"1 + 100000*x^2 + x; x^{n - 1}"
 
 
-def main_rows() -> None:
+def main_rows() -> int:
     sys.set_int_max_str_digits(0)
+    failed = 0
     for label, n, field, gens in rows():
         start = time.perf_counter()
         with contextlib.redirect_stdout(io.StringIO()):
@@ -45,7 +47,9 @@ def main_rows() -> None:
                          "--json"])
         elapsed = time.perf_counter() - start
         print(f"{label:<28} {elapsed:8.2f} s  exit {code}", flush=True)
+        failed += code != 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main_rows()
+    sys.exit(main_rows())

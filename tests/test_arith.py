@@ -208,3 +208,33 @@ def test_sqrt_mods_solves_each_prime_power_once(monkeypatch):
         assert len(list(sqrt_mods(c, moduli))) == len(moduli)
         powers = {p**k for n in moduli for p, k in factorize(n).items()}
         assert sorted(solved) == sorted(powers), c
+
+
+def test_sqrt_mods_memoises_only_roots_a_later_modulus_reads():
+    """Over class enumeration's moduli 4a, a <= W, every stored root list of an odd
+    cofactor is read again: an odd r with 2r > W divides no later modulus 2^j*r <= 4W
+    and no odd part q'*r <= W, so it is not stored. The memo dict is swapped, through
+    the closure cell the generator and its roots() share, for one that logs reads."""
+
+    class ReadLog(dict):
+        def __init__(self, entries):
+            super().__init__(entries)
+            self.read = set()
+
+        def get(self, n, default=None):
+            if n in self:
+                self.read.add(n)
+            return super().get(n, default)
+
+    for c, w in ((-4 * (10**12 + 39), 1000), (4 * 10000000019, 1000), (-23 * 36, 2000),
+                 (-4 * 10000019, 20000)):
+        moduli = range(4, 4 * w + 1, 4)
+        run = sqrt_mods(c, moduli)
+        next(run)
+        roots = run.gi_frame.f_locals["roots"]
+        cell = dict(zip(roots.__code__.co_freevars, roots.__closure__))["memo"]
+        cell.cell_contents = memo = ReadLog(cell.cell_contents)
+        assert sum(1 for _ in run) == len(moduli) - 1
+        odd = {r for r in memo if r % 2 and r > 1}
+        assert odd and odd <= memo.read, sorted(odd - memo.read)[:5]
+        assert all(2 * r <= w for r in odd)

@@ -938,6 +938,24 @@ def test_bad_coefficients_are_usage_errors_with_short_messages(capsys, argv):
     assert len(err) < 400
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["curve", "reduce", "--n", "5", "--gens", "1; x^\u0663"],
+     "bad polynomial term 'x^\u0663' in ' x^\u0663'"),
+    (["curve", "reduce", "--n", "5", "--gens", "[\u0663, 1]"],
+     "bad scalar '\u0663': Invalid literal for Fraction: '\u0663'"),
+    (["curve", "reduce", "--n", "5", "--field", "f\u0663", "--gens", "1; x^3"],
+     "unknown coefficient field 'f\u0663' (use 'rational' or 'f<p>')"),
+    (["ideal", "std-basis", "--m", "-5", "--gens", "\u0663; \u0661+w"],
+     "cannot parse term '\u0663' in '\u0663'"),
+    (["curve", "reduce", "--n", "5", "--gens", "\u0663; x^3"],
+     "bad polynomial term '\u0663' in '\u0663'"),
+], ids=["curve-exponent", "curve-scalar", "field", "element", "curve-coefficient"])
+def test_parsed_text_reads_ascii_digits_only(capsys, argv, err):
+    """Arabic-Indic three and one are Unicode digits that int(), Fraction() and the
+    regular expression \\d accept; the grammar of parsed text reads 0-9 alone."""
+    assert _run(capsys, argv) == (1, "", f"usage error: {err}\n")
+
+
 _NINES = "9" * 4300
 
 

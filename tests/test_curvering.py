@@ -731,17 +731,22 @@ def test_request_path_never_reaches_the_dense_oracles():
 
 
 def test_request_path_never_runs_the_remainder_sequence(monkeypatch):
-    """Over Q the content comes from Euclid modulo primes: no pseudo-division over Z,
-    the step of the remainder sequence that test_fieldpoly keeps as the oracle."""
-    real, moduli = fieldpoly._pseudo_divmod, set()
+    """Over Q the content comes from Euclid modulo primes, through the remainder kernel:
+    no pseudo-division over Z, the step of the remainder sequence that test_fieldpoly
+    keeps as the oracle."""
+    pseudo_divmod, rem_mod, moduli = fieldpoly._pseudo_divmod, fieldpoly._rem_mod, set()
 
     def modular_only(a, b, p):
         if not p:
             raise AssertionError("pseudo-division over Z on the request path")
+        return pseudo_divmod(a, b, p)
+
+    def recorded(a, b, p):
         moduli.add(p)
-        return real(a, b, p)
+        return rem_mod(a, b, p)
 
     monkeypatch.setattr(fieldpoly, "_pseudo_divmod", modular_only)
+    monkeypatch.setattr(fieldpoly, "_rem_mod", recorded)
     for n, nu in ((9, 4), (121, 60)):
         content, gens = _planted_generators(Q, n, nu, random.Random(n))
         ideal = curve_ideal_from_generators(Q, n, gens)

@@ -2,6 +2,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -348,6 +349,64 @@ def test_rational_gcd_runs_a_primitive_remainder_sequence(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the gcd's two lean kernels against _pseudo_divmod
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([0, 2, 3, 101, fieldpoly._gcd_prime(0)]), st.data())
+def test_lean_kernels_match_pseudo_division(p, data):
+    """a = b*c + r on residues mod p or on ints (p = 0), r often zero. The remainder
+    kernel is _pseudo_divmod's remainder mod p, for any nonzero lead of b; the exact
+    division returns a/b when b divides a, else None, and mod p takes b monic."""
+    coeff = st.integers(0, p - 1) if p else st.integers(-10**6, 10**6)
+    lead = st.integers(1, p - 1) if p else st.integers(-5, 5).filter(bool)
+    b = data.draw(st.lists(coeff, max_size=5)) + [data.draw(lead)]
+    c = data.draw(st.lists(coeff, max_size=8))
+    r = data.draw(st.lists(coeff, max_size=len(b) + 2) | st.just([]))
+
+    def planted(b):
+        bc = fieldpoly._mul(b, c, len(b) + len(c), p)
+        return _trim([(x + y) % p if p else x + y for x, y in zip_longest(bc, r, fillvalue=0)])
+
+    if p:
+        a = planted(b)
+        assert fieldpoly._rem_mod(a, b, p) == fieldpoly._pseudo_divmod(a, b, p)[1]
+        b = [x * pow(b[-1], -1, p) % p for x in b]
+    a = planted(b)
+    quot, rem, s = fieldpoly._pseudo_divmod(a, b, p)
+    if p:
+        assert fieldpoly._rem_mod(a, b, p) == rem
+    if a:  # s*a = quot*b: a/b is quot/s, which may be integral for s = -1 or lead(b) | quot
+        exact = not rem and all(x % s == 0 for x in quot)
+        assert fieldpoly._exact_quotient(a, b, p) == ([x // s for x in quot] if exact else None)
+
+
+def test_exact_division_stops_past_mignottes_bound():
+    """x - 10^6 does not divide x^40: its quotient coefficients 10^(6j) pass Mignotte's
+    bound 2^40*|x^40|_2 for factors of x^40 at the sixth of 40 steps, which end there."""
+    divisions = []
+
+    class CountedLead(int):  # int arithmetic tries an int subclass's reflected method first
+        def __rdivmod__(self, other):
+            divisions.append(other)
+            return divmod(other, int(self))
+
+    a, b = [0] * 40 + [1], [-10**6, CountedLead(1)]
+    assert fieldpoly._pseudo_divmod(a, b, 0)[1] == [10**240]
+    assert fieldpoly._exact_quotient(a, b, 0) is None
+    assert divisions == [10**(6 * j) for j in range(6)]
+
+
+def test_content_over_a_large_prime_field():
+    """Mod p a quotient coefficient is a residue below p, however small a's are:
+    1 - x + x^2 = (1 + x^3) / (1 + x) has the coefficient p - 1."""
+    f = CoeffField(1_000_000_007)
+    a, b = parse_curve_poly(f, "1 + x^3"), parse_curve_poly(f, "1 + x")
+    content, cofactors = gcd_cofactors([a, b])
+    assert content == b and cofactors == [parse_curve_poly(f, "1 - x + x^2"), CurvePoly.one(f)]
+
+
+# ---------------------------------------------------------------------------
 # the content routine against the remainder sequence, with small primes
 
 _SMALL_PRIMES = [q for q in range(2, 20_000) if all(q % d for d in range(2, math.isqrt(q) + 1))]
@@ -461,7 +520,10 @@ def test_printed_form_is_pinned():
 
 def _reference_scalar(field, text):
     """Every token through Fraction, as before plain integers were read with int(), but a
-    decimal exponent past MAX_EXPONENT refused before Fraction computes 10^e."""
+    decimal exponent past MAX_EXPONENT refused before Fraction computes 10^e, and a token
+    with a character past ASCII, such as a Unicode digit Fraction would read, refused."""
+    if not text.strip().isascii():
+        raise UsageError(f"bad scalar {text!r}")
     _, e, exp = text.strip().upper().rpartition("E")
     try:
         large = bool(e) and abs(int(exp)) > MAX_EXPONENT
