@@ -28,7 +28,7 @@ from operator import mul
 
 from .config import MAX_N
 from .errors import UsageError, ZeroIdealError, check
-from .fieldpoly import CoeffField, CurvePoly, _mul, gcd_cofactors
+from .fieldpoly import CoeffField, CurvePoly, _exact_quotient, _mul, gcd_cofactors
 from .value import Value
 
 
@@ -144,9 +144,15 @@ class CurveIdeal(Value):
             [x * self.p.den for x in o], char)
 
     def contains(self, poly: CurvePoly) -> bool:
-        """Membership of a polynomial in content * (R*p + R*q)."""
-        quot, rem = poly.divmod_by(self.content)
-        return rem.is_zero and self._in_module(quot)
+        """Membership of a polynomial in content * (R*p + R*q): poly / content must exist
+        and lie in the module. The content is monic, so over Q its numerators are primitive,
+        and by Gauss's lemma they divide poly's over Z when the content divides poly over Q;
+        mod p it is monic division."""
+        assert poly.field == self.field
+        content = self.content
+        quot = _exact_quotient(poly.nums, content.nums, self.field.char) if poly.nums else []
+        return quot is not None and self._in_module(
+            CurvePoly.from_ints(self.field, [x * content.den for x in quot], poly.den))
 
 
 def curve_ideal_from_generators(field: CoeffField, n: int, gens: list[CurvePoly]) -> CurveIdeal:

@@ -7,9 +7,10 @@ the rationals a Fraction, as coeff, CoeffField.coerce, parse_scalar and
 all_elements return them. The gcd over Q is Brown's modular gcd (von zur
 Gathen and Gerhard, Modern Computer Algebra, ch. 6), certified on every call:
 it divides each input exactly, and has the degree of the gcd modulo a prime
-dividing no leading coefficient, which bounds every common divisor's. It runs
-on two kernels: _rem_mod, Euclid's remainder mod p without the quotient that
-_pseudo_divmod builds, and _exact_quotient, the certifying exact division."""
+dividing no leading coefficient, which bounds every common divisor's. Division
+has two kernels: _rem_mod, Euclid's remainder mod p without a quotient, and
+_exact_quotient, the certifying exact division, which CurveIdeal.contains also
+runs to divide by an ideal's content."""
 
 from __future__ import annotations
 
@@ -173,17 +174,6 @@ class CurvePoly(Value):
             return self
         return CurvePoly(self.field, (0,) * k + self.nums, self.den)
 
-    def divmod_by(self, other: "CurvePoly") -> tuple["CurvePoly", "CurvePoly"]:
-        assert self.field == other.field
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        quot, rem, s = _pseudo_divmod(self.nums, other.nums, self.field.char)
-        # s*a = quot*b + rem on the numerators a and b, so over Q
-        # self = quot*other.den/(s*self.den) * other + rem/(s*self.den)
-        den = s * self.den
-        return (CurvePoly.from_ints(self.field, [x * other.den for x in quot], den),
-                CurvePoly.from_ints(self.field, rem, den))
-
     def monic(self) -> "CurvePoly":
         if self.is_zero:
             return self
@@ -215,45 +205,11 @@ def _mul(f, g, m: int, p: int) -> list[int]:
     return [x % p for x in out] if p else out
 
 
-def _pseudo_divmod(a, b, p: int) -> tuple[list[int], list[int], int]:
-    """(quot, rem, s) with s*a = quot*b + rem and deg rem < deg b, on ints.
-
-    Mod p (p > 0) the lead of b is inverted once and s is 1. Over Z the
-    division is fraction-free: a step whose lead c is not a multiple of
-    lead(b) first multiplies everything by lead(b)/gcd(c, lead(b)), so s
-    divides a power of lead(b) (Cohen, GTM 138, Alg. 3.1.2, with the
-    smallest such factor at each step).
-    """
-    db, lead = len(b) - 1, b[-1]
-    inv = pow(lead, -1, p) if p else 1
-    quot, rem, s = [0] * max(0, len(a) - db), list(a), 1
-    for k in range(len(a) - 1 - db, -1, -1):
-        c = rem[k + db] % p if p else rem[k + db]
-        if not c:
-            continue
-        if p:
-            f = c * inv % p
-        else:
-            g = gcd(c, lead)
-            m, f = lead // g, c // g
-            if m != 1:
-                quot = [x * m for x in quot]
-                rem = [x * m for x in rem]
-                s *= m
-        rem[k:k + db + 1] = [x - f * y for x, y in zip(rem[k:k + db + 1], b)]
-        quot[k] = f
-    rem = [x % p for x in rem[:db]] if p else rem[:db]
-    while rem and not rem[-1]:
-        rem.pop()
-    return quot, rem, s
-
-
 def _rem_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    """The remainder of a by b mod p, as residues without trailing zeros: the remainder
-    of _pseudo_divmod(a, b, p) without its quotient. a and b are residues in [0, p) and
-    b's lead is nonzero. Each step pops a's top coefficient c and adds -c/lead(b) times
-    b's tail to the deg b coefficients below it; the last step also reduces them mod p,
-    so no coefficient is reduced twice."""
+    """The remainder of a by b mod p, as residues without trailing zeros; no quotient
+    is built. a and b are residues in [0, p) and b's lead is nonzero. Each step pops a's
+    top coefficient c and adds -c/lead(b) times b's tail to the deg b coefficients below
+    it; the last step also reduces them mod p, so no coefficient is reduced twice."""
     db, tail, rem = len(b) - 1, b[:-1], list(a)
     neg_inv = p - pow(b[-1], -1, p)
     for k in range(len(a) - 1 - db, 0, -1):
@@ -269,19 +225,23 @@ def _rem_mod(a: list[int], b: list[int], p: int) -> list[int]:
 
 def _exact_quotient(a: list[int], b: list[int], p: int) -> list[int] | None:
     """a / b if b divides a over Z (p = 0) or, for monic b, mod p; else None. Each step
-    pops a's top coefficient, divides it by lead(b) into the preallocated quotient and
-    subtracts that multiple of b's tail from the deg b coefficients below it. Over Z a
-    quotient coefficient past Mignotte's bound 2^deg*|a|_2 for factors of a stops it;
-    mod p none passes p, the bound of a residue."""
+    pops a's top coefficient into the preallocated quotient, divided by lead(b) over Z and
+    reduced mod p, and subtracts that multiple of b's tail from the deg b coefficients
+    below it. Over Z a quotient coefficient past Mignotte's bound 2^deg*|a|_2 for factors
+    of a stops it."""
     db, tail, rem = len(b) - 1, b[:-1], list(a)
     if len(a) <= db:
         return None
     quot = [0] * (len(a) - db)
-    limit = p.bit_length() if p else 2 * len(a) + max(map(abs, a)).bit_length()
+    if not p:
+        limit = 2 * len(a) + max(map(abs, a)).bit_length()
     for k in range(len(quot) - 1, -1, -1):
-        f, r = divmod(rem.pop() % p if p else rem.pop(), b[-1])
-        if r or f.bit_length() > limit:
-            return None
+        if p:
+            f = rem.pop() % p
+        else:
+            f, r = divmod(rem.pop(), b[-1])
+            if r or f.bit_length() > limit:
+                return None
         if f:
             rem[k:] = [x - f * y for x, y in zip(rem[k:], tail)]
         quot[k] = f
@@ -299,25 +259,28 @@ def _gcd_prime(i: int) -> int:
 
 
 def gcd_cofactors(polys: list[CurvePoly]) -> tuple[CurvePoly, list[CurvePoly]]:
-    """(c, [g / c for g in polys]), c the monic gcd (zero if every g is). With A_i the
-    primitive parts and b the gcd of their leads, b*gcd(A_i)/lead is b times Euclid's monic
-    gcd mod any prime dividing no lead, unless that gcd has too high a degree (dropped). Over
-    F_p the prime is p; over Q images join by CRT until the primitive lift divides every A_i.
-    Euclid runs on _rem_mod and the division test on _exact_quotient."""
+    """(c, [g / c for g in polys]), c the monic gcd (zero if every g is). Over F_p it is
+    Euclid's gcd of the residues, made monic. Over Q, with A_i the primitive parts and b the
+    gcd of their leads, b*gcd(A_i)/lead is b times Euclid's monic gcd mod any prime dividing
+    no lead, unless that gcd has too high a degree (dropped); images join by CRT until the
+    primitive lift divides every A_i. Euclid runs on _rem_mod and the division test, which
+    certifies c on every call, on _exact_quotient."""
     field, char = polys[0].field, polys[0].field.char
     live = [g for g in polys if g.nums]
     if not live:
         return polys[0], list(polys)
-    scales = [gcd(*g.nums) for g in live]  # g = k*A/den with A primitive
-    rows = [[x // k for x in g.nums] for g, k in zip(live, scales)]
+    if char:
+        rows = [g.nums for g in live]
+    else:
+        scales = [gcd(*g.nums) for g in live]  # g = k*A/den with A primitive
+        rows = [[x // k for x in g.nums] for g, k in zip(live, scales)]
     b = 1 if char else gcd(*(a[-1] for a in rows))
     crt, modulus = [0] * (len(rows[0]) + 1), 1
     for p in [char] if char else map(_gcd_prime, count()):
         if any(a[-1] % p == 0 for a in rows):
             continue
-        x = [v % p for v in rows[0]]
-        for y in rows[1:]:
-            y = [v % p for v in y]
+        x, *images = rows if char else ([v % p for v in a] for a in rows)
+        for y in images:
             while y:
                 x, y = y, _rem_mod(x, y, p)
         if len(x) < len(crt):  # every earlier image had too high a degree
@@ -331,8 +294,11 @@ def gcd_cofactors(polys: list[CurvePoly]) -> tuple[CurvePoly, list[CurvePoly]]:
         if None not in (quots := [_exact_quotient(a, c, char) for a in rows]):
             break
     check(None not in quots, "the content does not divide a generator")
-    cofactors = iter(CurvePoly.from_ints(field, [x * k * c[-1] for x in q], g.den)
-                     for q, k, g in zip(quots, scales, live))
+    if char:  # quotients by a monic c: residues whose lead is their generator's
+        cofactors = iter(CurvePoly(field, tuple(q), 1) for q in quots)
+    else:
+        cofactors = iter(CurvePoly.from_ints(field, [x * k * c[-1] for x in q], g.den)
+                         for q, k, g in zip(quots, scales, live))
     return CurvePoly.from_ints(field, c, c[-1]), [next(cofactors) if g.nums else g for g in polys]
 
 

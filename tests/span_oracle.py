@@ -6,6 +6,10 @@ v = d*v - c*b (Bareiss 1968; Cohen, GTM 138, section 2.2); the reduced echelon
 form is canonical in both cases. conductor_h_solver finds the colon module of a
 curve ideal as a nullspace on it. The library's curve route (cuspidal.curvering)
 reads truncated power series in t = x^2 instead, and the tests check it against these.
+
+_pseudo_divmod is the reference division of polynomials on ints, and poly_divmod
+its form on CurvePoly: the oracle of fieldpoly's two division kernels, and the step
+of the remainder-sequence gcd that the tests keep as the modular gcd's oracle.
 """
 
 from math import gcd, lcm
@@ -111,3 +115,49 @@ def conductor_h_solver(field: CoeffField, n: int, p: CurvePoly,
     check(basis, "colon module lost its conductor tail")
     min_val = min(b.valuation() for b in basis)
     return basis, min_val
+
+
+def _pseudo_divmod(a, b, p: int) -> tuple[list[int], list[int], int]:
+    """(quot, rem, s) with s*a = quot*b + rem and deg rem < deg b, on ints.
+
+    Mod p (p > 0) the lead of b is inverted once and s is 1. Over Z the
+    division is fraction-free: a step whose lead c is not a multiple of
+    lead(b) first multiplies everything by lead(b)/gcd(c, lead(b)), so s
+    divides a power of lead(b) (Cohen, GTM 138, Alg. 3.1.2, with the
+    smallest such factor at each step).
+    """
+    db, lead = len(b) - 1, b[-1]
+    inv = pow(lead, -1, p) if p else 1
+    quot, rem, s = [0] * max(0, len(a) - db), list(a), 1
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = rem[k + db] % p if p else rem[k + db]
+        if not c:
+            continue
+        if p:
+            f = c * inv % p
+        else:
+            g = gcd(c, lead)
+            m, f = lead // g, c // g
+            if m != 1:
+                quot = [x * m for x in quot]
+                rem = [x * m for x in rem]
+                s *= m
+        rem[k:k + db + 1] = [x - f * y for x, y in zip(rem[k:k + db + 1], b)]
+        quot[k] = f
+    rem = [x % p for x in rem[:db]] if p else rem[:db]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem, s
+
+
+def poly_divmod(a: CurvePoly, b: CurvePoly) -> tuple[CurvePoly, CurvePoly]:
+    """(quot, rem) with a = quot*b + rem and deg rem < deg b, by _pseudo_divmod."""
+    assert a.field == b.field
+    if b.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    quot, rem, s = _pseudo_divmod(a.nums, b.nums, a.field.char)
+    # s*a = quot*b + rem on the numerators, so over Q
+    # a = quot*b.den/(s*a.den) * b + rem/(s*a.den)
+    den = s * a.den
+    return (CurvePoly.from_ints(a.field, [x * b.den for x in quot], den),
+            CurvePoly.from_ints(a.field, rem, den))

@@ -26,7 +26,7 @@ from cuspidal.curvering import (
 from cuspidal.errors import InternalCheckError, UsageError, ZeroIdealError
 from cuspidal.fieldpoly import CoeffField, CurvePoly, gcd_cofactors, parse_curve_poly
 from cuspidal.oracles import curve_unit_group_brute
-from span_oracle import _Span, conductor_h_solver
+from span_oracle import _Span, conductor_h_solver, poly_divmod
 from test_fieldpoly import Fp, scalar
 
 Q = CoeffField(0)
@@ -192,6 +192,22 @@ def test_content_is_pulled_out():
     assert not ideal.contains(CurvePoly.one(Q))
 
 
+def test_membership_tests_the_exact_quotient_by_the_content(monkeypatch):
+    """contains hands the module test poly / content itself. The module is a K-space, so
+    a constant multiple would answer alike; this pins the quotient that the docs state."""
+    seen, in_module = [], CurveIdeal._in_module
+    monkeypatch.setattr(CurveIdeal, "_in_module",
+                        lambda self, quot: seen.append(quot) or in_module(self, quot))
+    for field in (Q, F5):
+        content = _poly(field, "1/3 + x")
+        ideal = curve_ideal_from_generators(field, 9, [content * _poly(field, "1 + x + x^4"),
+                                                       content * _poly(field, "x^5")])
+        for text in ("2/7 + x^2", "x^5 + x^6", "x"):
+            poly, seen[:] = content * _poly(field, text), []
+            ideal.contains(poly)
+            assert seen[0] * ideal.content == poly
+
+
 def test_rejects_degenerate_inputs():
     with pytest.raises(ZeroIdealError):
         curve_ideal_from_generators(Q, 5, [CurvePoly.zero(Q)])
@@ -340,7 +356,7 @@ def _planted_content_generators(draw):
 def test_canonical_pair_against_the_multiplier_oracle(case):
     field, n, content, gens = case
     ideal = curve_ideal_from_generators(field, n, gens)
-    assert ideal.content.divmod_by(content)[1].is_zero
+    assert poly_divmod(ideal.content, content)[1].is_zero
     assert all(ideal.contains(g) for g in gens)
     assert ideal.nu == _multiplier_min_odd_exponent(field, n, ideal) - 1
     pair = [ideal.content * ideal.p] + ([] if ideal.q.is_zero else [ideal.content * ideal.q])
@@ -576,7 +592,7 @@ def _dense_reduction(field, n, gens):
     content = CurvePoly.zero(field)
     for g in live:
         content = gcd_cofactors([content, g])[0]
-    w = _close(_Span(field), [_dense_vec(g.divmod_by(content)[0], n) for g in live])
+    w = _close(_Span(field), [_dense_vec(poly_divmod(g, content)[0], n) for g in live])
     lead, p_row = w.rref()[0]
     assert lead == 0
     p = CurvePoly.from_ints(field, p_row, p_row[0])
@@ -604,7 +620,7 @@ def _module_basis(ideal):
 
 
 def _dense_contains(field, n, content, w, poly):
-    quot, rem = poly.divmod_by(content)
+    quot, rem = poly_divmod(poly, content)
     return rem.is_zero and _spans(w, _dense_vec(quot, n))
 
 
@@ -665,8 +681,15 @@ def test_series_route_matches_the_dense_oracles(case):
     assert all(ideal.contains(g) for g in members + gens)
     near = [ideal.content * (ideal.p * _random_poly(field, rng, 3) + ideal.q) for _ in range(3)]
     others = [_random_poly(field, rng, rng.randrange(n + 2)) for _ in range(4)]
-    for poly in members + near + others + [g + CurvePoly.monomial(field, 1) for g in gens]:
+    # the zero polynomial, content*x and a nonzero polynomial of degree below the content's
+    d = ideal.content.degree
+    edges = [CurvePoly.zero(field), ideal.content.shift(1)]
+    edges += [CurvePoly.monomial(field, d - 1)] if d else []
+    for poly in members + near + others + edges + [g + CurvePoly.monomial(field, 1) for g in gens]:
         assert ideal.contains(poly) == _dense_contains(field, n, content, w, poly)
+    assert ideal.contains(CurvePoly.zero(field))
+    with pytest.raises(AssertionError):
+        ideal.contains(CurvePoly.one(F5 if field == Q else Q))
     # the same module from another generating set, and an unrelated one
     again = curve_ideal_from_generators(
         field, n, gens + [ideal.content * ideal.p * CurvePoly.monomial(field, 2)])
@@ -705,8 +728,9 @@ def test_planted_ideal_far_beyond_the_dense_route(field, n, nu):
     ideal = curve_ideal_from_generators(field, n, gens)
     assert ideal.content == content
     assert ideal.nu == nu
+    assert all(ideal.contains(g) for g in gens)  # exact division by the content at scale
     # p = 1 + x*(b/a mod t^(nu/2)) for the first generator base = a(t) + x*b(t)
-    base = gens[0].divmod_by(content)[0]
+    base = poly_divmod(gens[0], content)[0]
     even = [base.coeff(i) for i in range(0, n - 1, 2)]
     odd = [base.coeff(i) for i in range(1, n - 1, 2)]
     beta = _series_quotient(field, odd, even, nu // 2)
@@ -731,21 +755,16 @@ def test_request_path_never_reaches_the_dense_oracles():
 
 
 def test_request_path_never_runs_the_remainder_sequence(monkeypatch):
-    """Over Q the content comes from Euclid modulo primes, through the remainder kernel:
-    no pseudo-division over Z, the step of the remainder sequence that test_fieldpoly
-    keeps as the oracle."""
-    pseudo_divmod, rem_mod, moduli = fieldpoly._pseudo_divmod, fieldpoly._rem_mod, set()
-
-    def modular_only(a, b, p):
-        if not p:
-            raise AssertionError("pseudo-division over Z on the request path")
-        return pseudo_divmod(a, b, p)
+    """Over Q the content comes from Euclid modulo primes, through the remainder kernel.
+    The library has no pseudo-division, the step of the remainder sequence that the
+    tests keep as the oracle (span_oracle._pseudo_divmod), and no general division."""
+    assert not hasattr(fieldpoly, "_pseudo_divmod") and not hasattr(CurvePoly, "divmod_by")
+    rem_mod, moduli = fieldpoly._rem_mod, set()
 
     def recorded(a, b, p):
         moduli.add(p)
         return rem_mod(a, b, p)
 
-    monkeypatch.setattr(fieldpoly, "_pseudo_divmod", modular_only)
     monkeypatch.setattr(fieldpoly, "_rem_mod", recorded)
     for n, nu in ((9, 4), (121, 60)):
         content, gens = _planted_generators(Q, n, nu, random.Random(n))
